@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -40,17 +39,6 @@ COMMANDS = ("verify", "build-crossed", "globalize", "morita", "gauge",
             "separability", "report")
 
 
-def _run_checks(items, parallel):
-    """Evaluate (name, thunk) pairs, optionally on a thread pool; output
-    order always follows input order."""
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            reports = list(pool.map(lambda item: item[1](), items))
-    else:
-        reports = [thunk() for _, thunk in items]
-    return reports
-
-
 def _assemble(fld, command, reports, derived, errors):
     checks = [r.to_dict(fld) for r in reports]
     passed = all(c["passed"] for c in checks) and not errors
@@ -64,16 +52,15 @@ def _assemble(fld, command, reports, derived, errors):
     }
 
 
-def _cmd_verify(spec, parallel):
+def _cmd_verify(spec):
     tpa = spec.partial_action()
-    items = [
-        ("hopf", lambda: verify_hopf(tpa.hopf)),
-        ("base algebra", lambda: verify_algebra(tpa.alg)),
-        ("twisted partial", lambda: verify_twisted_partial(tpa)),
-        ("absorption", lambda: verify_absorption(tpa)),
-        ("crossed conditions", lambda: verify_crossed_conditions(tpa)),
+    reports = [
+        verify_hopf(tpa.hopf),
+        verify_algebra(tpa.alg),
+        verify_twisted_partial(tpa),
+        verify_absorption(tpa),
+        verify_crossed_conditions(tpa),
     ]
-    reports = _run_checks(items, parallel)
     ci = verify_symmetric(tpa)
     reports.append(ci.report)
     derived = {
@@ -84,15 +71,14 @@ def _cmd_verify(spec, parallel):
     return _assemble(spec.fld, "verify", reports, derived, [])
 
 
-def _cmd_build_crossed(spec, parallel):
+def _cmd_build_crossed(spec):
     tpa = spec.partial_action()
     cp = build_partial_crossed(tpa)
-    items = [
-        ("table", lambda: verify_assoc_unital(cp)),
-        ("embedding", lambda: verify_crossed(cp)),
-        ("coaction", lambda: comodule_coaction(cp)[2]),
+    reports = [
+        verify_assoc_unital(cp),
+        verify_crossed(cp),
+        comodule_coaction(cp)[2],
     ]
-    reports = _run_checks(items, parallel)
     errors = []
     derived = {
         "dim": cp.dim,
@@ -116,14 +102,10 @@ def _cmd_build_crossed(spec, parallel):
     return _assemble(spec.fld, "build-crossed", reports, derived, errors)
 
 
-def _cmd_globalize(spec, parallel):
+def _cmd_globalize(spec):
     tpa = spec.partial_action()
     env = globalize_group_partial(tpa, check=False)
-    items = [
-        ("enveloping", lambda: verify_enveloping(env)),
-        ("induced", lambda: verify_induced_matches(env)),
-    ]
-    reports = _run_checks(items, parallel)
+    reports = [verify_enveloping(env), verify_induced_matches(env)]
     derived = {
         "ambient_dim": env.ambient.dim,
         "enveloping_dim": env.glob.alg.dim,
@@ -131,12 +113,11 @@ def _cmd_globalize(spec, parallel):
     return _assemble(spec.fld, "globalize", reports, derived, [])
 
 
-def _cmd_morita(spec, parallel):
+def _cmd_morita(spec):
     tpa = spec.partial_action()
     env = globalize_group_partial(tpa, check=False)
     ctx = morita_context(env)
-    reports = _run_checks(
-        [("modules", lambda: verify_module_structures(ctx))], parallel)
+    reports = [verify_module_structures(ctx)]
     pr = verify_morita_pairings(ctx)
     reports.append(pr.report)
     derived = {
@@ -152,7 +133,7 @@ def _cmd_morita(spec, parallel):
     return _assemble(spec.fld, "morita", reports, derived, [])
 
 
-def _cmd_gauge(spec, parallel):
+def _cmd_gauge(spec):
     tpa = spec.partial_action()
     if spec.gauge is None:
         raise SpecFileError("missing object 'gauge'")
@@ -165,19 +146,18 @@ def _cmd_gauge(spec, parallel):
         }])
         return report
     gt = gauge_transform(pair, tpa)
-    items = [
-        ("gauged axioms", lambda: verify_twisted_partial(gt)),
-        ("gauged crossed conditions", lambda: verify_crossed_conditions(gt)),
-        ("equisatisfiability", lambda: verify_equisatisfiability(tpa, pair)),
+    reports = [
+        verify_twisted_partial(gt),
+        verify_crossed_conditions(gt),
+        verify_equisatisfiability(tpa, pair),
     ]
-    reports = _run_checks(items, parallel)
     _, iso_report = gauge_crossed_iso(pair, tpa)
     reports.append(iso_report)
     derived = {"fully_invertible": pair.fully_invertible}
     return _assemble(spec.fld, "gauge", reports, derived, [])
 
 
-def _cmd_separability(spec, parallel):
+def _cmd_separability(spec):
     tpa = spec.partial_action()
     if spec.integral_t is None:
         raise SpecFileError("missing object 'integral_t'")
@@ -196,8 +176,7 @@ def _cmd_separability(spec, parallel):
         cd = CleftData(cp, spec.gamma, spec.gamma_prime, tpa.action)
     else:
         cd = default_cleft(tpa, cp)
-    reports = _run_checks(
-        [("cleft", lambda: verify_partially_cleft(cd))], parallel)
+    reports = [verify_partially_cleft(cd)]
     errors = []
     derived = {"crossed_dim": cp.dim}
     try:
@@ -231,7 +210,7 @@ _DISPATCH = {
 }
 
 
-def _cmd_report(spec, parallel):
+def _cmd_report(spec):
     """Every applicable command in sequence.  Stages whose inputs are
     absent or whose preconditions do not hold are recorded as skipped;
     verdicts of the stages that did run decide the outcome."""
@@ -240,7 +219,7 @@ def _cmd_report(spec, parallel):
     for name in ("verify", "build-crossed", "globalize", "morita", "gauge",
                  "separability"):
         try:
-            sub = _DISPATCH[name](spec, parallel)
+            sub = _DISPATCH[name](spec)
             stages.append(sub)
             passed = passed and sub["passed"]
         except SpecFileError as exc:
@@ -256,16 +235,16 @@ def _cmd_report(spec, parallel):
     }
 
 
-def run(command: str, spec, parallel: int = 1) -> dict:
+def run(command: str, spec) -> dict:
     """Dispatch one command against a parsed definition file and return
     the report dictionary.  SpecFileError means unusable input; other
     domain errors are folded into the report."""
     if command == "report":
-        return _cmd_report(spec, parallel)
+        return _cmd_report(spec)
     if command not in _DISPATCH:
         raise SpecFileError(f"unknown command {command!r}")
     try:
-        return _DISPATCH[command](spec, parallel)
+        return _DISPATCH[command](spec)
     except SpecFileError:
         raise
     except HopfcrossError as exc:
@@ -326,7 +305,8 @@ def main(argv=None) -> int:
                         help="override the field: rational or prime:<p>")
     parser.add_argument("--format", choices=("json", "text"), default="text")
     parser.add_argument("--parallel", type=int, default=1, metavar="N",
-                        help="evaluate independent checks on N threads")
+                        help="accepted for compatibility and ignored; checks "
+                             "run one after another")
     args = parser.parse_args(argv)
 
     start = time.monotonic()
@@ -344,7 +324,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        report = run(args.command, spec, parallel=max(args.parallel, 1))
+        report = run(args.command, spec)
     except SpecFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,7 @@ import numpy as np
 from .checks import CheckReport, ReportBuilder
 from .errors import ClosureViolation, CoinvariantsMismatch, PreconditionError
 from .hopf import AlgebraData, HopfAlgebraData, LinMapHom, split, verify_algebra
-from .linalg import (EINSUM_PATH, QuotientSpace, SubspaceBasis, coords_in,
+from .linalg import (QuotientSpace, SubspaceBasis, contract, coords_in,
                      identity, is_zero, kernel_basis, kron, quotient, rank,
                      span, zeros)
 from .partial import (GlobalTwistedAction, TwistedPartialAction,
@@ -37,9 +37,9 @@ def ambient_product_tensor(hopf: HopfAlgebraData, alg: AlgebraData,
     """Structure tensor of the twisted product on all of A (x) H."""
     d3 = split(hopf.coalgebra, 3)
     na, nh = alg.dim, hopf.dim
-    t = np.einsum("pabc,qde,ajx,ixy,bdz,yzw,cet->ipjqwt",
-                  d3, hopf.comult, action, alg.mult, cocycle, alg.mult,
-                  hopf.mult, optimize=EINSUM_PATH)
+    t = contract("pabc,qde,ajx,ixy,bdz,yzw,cet->ipjqwt",
+                 d3, hopf.comult, action, alg.mult, cocycle, alg.mult,
+                 hopf.mult, fld=alg.fld)
     n = na * nh
     return t.reshape(n, n, n)
 
@@ -90,18 +90,18 @@ def _build(hopf: HopfAlgebraData, alg: AlgebraData, action: np.ndarray,
     fld = alg.fld
     na, nh = alg.dim, hopf.dim
     n = na * nh
-    e = np.einsum("ija,j->ia", action, alg.unit)
-    gens = np.einsum("jpt,px,ixm->ijmt", hopf.comult, e, alg.mult,
-                     optimize=EINSUM_PATH).reshape(na * nh, n)
+    e = contract("ija,j->ia", action, alg.unit, fld=fld)
+    gens = contract("jpt,px,ixm->ijmt", hopf.comult, e, alg.mult,
+                    fld=fld).reshape(na * nh, n)
     basis = span(gens, n, fld)
     d = basis.dim
     amb = ambient_product_tensor(hopf, alg, action, cocycle)
 
+    prods = contract("sa,ub,abc->suc", basis.rows, basis.rows, amb, fld=fld)
     table = zeros(fld, (d, d, d))
     for s in range(d):
         for u in range(d):
-            prod = np.einsum("a,b,abc->c", basis.rows[s], basis.rows[u], amb)
-            c = coords_in(basis, prod)
+            c = coords_in(basis, prods[s, u])
             if c is None:
                 raise ClosureViolation(
                     f"product of crossed basis elements {s} and {u} leaves the span")
@@ -126,7 +126,7 @@ def _build(hopf: HopfAlgebraData, alg: AlgebraData, action: np.ndarray,
     for r in range(d):
         amb_r = basis.rows[r].reshape(na, nh)
         # apply id (x) comult, then express the first two legs on the basis
-        trip = np.einsum("mp,pts->mts", amb_r, hopf.comult)
+        trip = contract("mp,pts->mts", amb_r, hopf.comult, fld=fld)
         for s2 in range(nh):
             c = coords_in(basis, trip[:, :, s2].reshape(n))
             if c is None:
@@ -182,9 +182,9 @@ def verify_crossed(cp: CrossedProductAlgebra) -> CheckReport:
     multiplicativity and unitality of the base embedding."""
     rb = ReportBuilder("crossed product")
     rb.absorb(verify_algebra(cp.algebra), "")
-    lhs = np.einsum("ijm,mk->ijk", cp.base.mult, cp.iota, optimize=EINSUM_PATH)
-    rhs = np.einsum("ix,jy,xyk->ijk", cp.iota, cp.iota, cp.algebra.mult,
-                    optimize=EINSUM_PATH)
+    lhs = contract("ijm,mk->ijk", cp.base.mult, cp.iota, fld=cp.fld)
+    rhs = contract("ix,jy,xyk->ijk", cp.iota, cp.iota, cp.algebra.mult,
+                   fld=cp.fld)
     rb.compare("base_embedding_multiplicative", lhs, rhs)
     rb.compare("base_embedding_unital",
                (cp.base.unit @ cp.iota).reshape(1, -1),
@@ -203,17 +203,16 @@ def verify_coaction(cp: CrossedProductAlgebra) -> CheckReport:
     d, nh = cp.dim, cp.hopf.dim
     co = cp.coaction.reshape(d, d, nh)
     rb.compare("counit_law",
-               np.einsum("rks,s->rk", co, cp.hopf.counit),
+               contract("rks,s->rk", co, cp.hopf.counit, fld=cp.fld),
                identity(cp.fld, d))
-    lhs = np.einsum("rks,stu->rktu", co, cp.hopf.comult,
-                    optimize=EINSUM_PATH).reshape(d, d * nh * nh)
-    rhs = np.einsum("rms,mkt->rkts", co, co,
-                    optimize=EINSUM_PATH).reshape(d, d * nh * nh)
+    lhs = contract("rks,stu->rktu", co, cp.hopf.comult,
+                   fld=cp.fld).reshape(d, d * nh * nh)
+    rhs = contract("rms,mkt->rkts", co, co, fld=cp.fld).reshape(d, d * nh * nh)
     rb.compare("coassociativity", rhs, lhs)
-    lhs = np.einsum("xym,mks->xyks", cp.algebra.mult, co,
-                    optimize=EINSUM_PATH).reshape(d, d, d * nh)
-    rhs = np.einsum("xas,ybt,abk,stu->xyku", co, co, cp.algebra.mult,
-                    cp.hopf.mult, optimize=EINSUM_PATH).reshape(d, d, d * nh)
+    lhs = contract("xym,mks->xyks", cp.algebra.mult, co,
+                   fld=cp.fld).reshape(d, d, d * nh)
+    rhs = contract("xas,ybt,abk,stu->xyku", co, co, cp.algebra.mult,
+                   cp.hopf.mult, fld=cp.fld).reshape(d, d, d * nh)
     rb.compare("coaction_multiplicative", lhs, rhs)
     rb.compare("unit_coinvariant",
                (cp.algebra.unit @ cp.coaction).reshape(1, -1),
@@ -321,8 +320,8 @@ def canonical_map(cp: CrossedProductAlgebra):
             f"(dim {base.dim})")
     d, nh = cp.dim, cp.hopf.dim
     co = cp.coaction.reshape(d, d, nh)
-    camb = np.einsum("yms,xmk->xyks", co, cp.algebra.mult,
-                     optimize=EINSUM_PATH).reshape(d * d, d * nh)
+    camb = contract("yms,xmk->xyks", co, cp.algebra.mult,
+                    fld=cp.fld).reshape(d * d, d * nh)
     q = balanced_tensor_square(cp)
     balanced = is_zero(np.asarray(q.relations.rows @ camb)) if q.relations.rows.size else True
     mq = q.section @ camb

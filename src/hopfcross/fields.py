@@ -93,7 +93,7 @@ class Fp:
 
     def __eq__(self, other):
         if isinstance(other, Fp):
-            return self.p == other.p and self.value == other.value
+            return self.value == self._lift(other).value
         if isinstance(other, int):
             return self.value == other % self.p
         return NotImplemented
@@ -110,14 +110,35 @@ class Fp:
         return f"Fp({self.value}, {self.p})"
 
 
+# Miller-Rabin with the first thirteen primes as bases decides primality
+# exactly for every n below this bound (Sorenson and Webster, Math. Comp.
+# 2017); above it the test would only be probabilistic, so it refuses.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin primality test for n below _MR_BOUND."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality of {n} is only decided below {_MR_BOUND}")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -22,7 +22,7 @@ from .checks import CheckReport, ReportBuilder
 from .crossed import CrossedProductAlgebra, build_partial_crossed
 from .errors import CompositeNotGauge
 from .hopf import LinMapHom, convolution, convolution_unit, split
-from .linalg import EINSUM_PATH, coords_in, identity, rank, solve, zeros
+from .linalg import contract, coords_in, identity, rank, solve, zeros
 from .partial import (TwistedPartialAction, unit_translates,
                       verify_crossed_conditions)
 
@@ -53,15 +53,16 @@ def weak_conv_inverse(v: np.ndarray, tpa: TwistedPartialAction) -> GaugePair | N
         return None
     e = unit_translates(tpa)
     nun = nh * na
-    right_mul = np.einsum("ijl,jy,ybk->iklb", h.comult, v, a.mult,
-                          optimize=EINSUM_PATH).reshape(nun, nun)
-    left_mul = np.einsum("ijl,ly,byk->ikjb", h.comult, v, a.mult,
-                         optimize=EINSUM_PATH).reshape(nun, nun)
-    absorb_r = np.einsum("ijl,lz,yzk->ikjy", h.comult, e, a.mult,
-                         optimize=EINSUM_PATH).reshape(nun, nun)
-    absorb_l = np.einsum("ijl,jy,yzk->iklz", h.comult, e, a.mult,
-                         optimize=EINSUM_PATH).reshape(nun, nun)
-    at_one = np.einsum("l,kb->klb", h.unit, identity(fld, na)).reshape(na, nun)
+    right_mul = contract("ijl,jy,ybk->iklb", h.comult, v, a.mult,
+                         fld=fld).reshape(nun, nun)
+    left_mul = contract("ijl,ly,byk->ikjb", h.comult, v, a.mult,
+                        fld=fld).reshape(nun, nun)
+    absorb_r = contract("ijl,lz,yzk->ikjy", h.comult, e, a.mult,
+                        fld=fld).reshape(nun, nun)
+    absorb_l = contract("ijl,jy,yzk->iklz", h.comult, e, a.mult,
+                        fld=fld).reshape(nun, nun)
+    at_one = contract("l,kb->klb", h.unit, identity(fld, na),
+                      fld=fld).reshape(na, nun)
     eye = identity(fld, nun)
     big = np.concatenate([right_mul, left_mul, eye - absorb_r, eye - absorb_l,
                           at_one], axis=0)
@@ -86,9 +87,9 @@ def gauge_action(pair: GaugePair, tpa: TwistedPartialAction) -> np.ndarray:
     """The conjugated action h . a = v(h_1)(h_2 . a)v'(h_3)."""
     h, a = tpa.hopf, tpa.alg
     s3 = split(h.coalgebra, 3)
-    return np.einsum("ipqr,px,qay,xyA,rw,Awk->iak",
-                     s3, pair.v, tpa.action, a.mult, pair.v_inv, a.mult,
-                     optimize=EINSUM_PATH)
+    return contract("ipqr,px,qay,xyA,rw,Awk->iak",
+                    s3, pair.v, tpa.action, a.mult, pair.v_inv, a.mult,
+                    fld=a.fld)
 
 
 def gauge_cocycle(pair: GaugePair, tpa: TwistedPartialAction) -> np.ndarray:
@@ -97,9 +98,9 @@ def gauge_cocycle(pair: GaugePair, tpa: TwistedPartialAction) -> np.ndarray:
     h, a = tpa.hopf, tpa.alg
     s4 = split(h.coalgebra, 4)
     s3 = split(h.coalgebra, 3)
-    return np.einsum("ipqrs,jabc,px,aA,qAy,xyB,rbz,BzC,sct,tw,CwD->ijD",
-                     s4, s3, pair.v, pair.v, tpa.action, a.mult, tpa.cocycle,
-                     a.mult, h.mult, pair.v_inv, a.mult, optimize=EINSUM_PATH)
+    return contract("ipqrs,jabc,px,aA,qAy,xyB,rbz,BzC,sct,tw,CwD->ijD",
+                    s4, s3, pair.v, pair.v, tpa.action, a.mult, tpa.cocycle,
+                    a.mult, h.mult, pair.v_inv, a.mult, fld=a.fld)
 
 
 def gauge_transform(pair: GaugePair, tpa: TwistedPartialAction) -> TwistedPartialAction:
@@ -161,8 +162,8 @@ def gauge_crossed_iso(pair: GaugePair, tpa: TwistedPartialAction,
     rb = ReportBuilder("gauge isomorphism of crossed products")
 
     def induced(src, dst, f):
-        amb = np.einsum("pqt,qx,ixm->ipmt", h.comult, f, a.mult,
-                        optimize=EINSUM_PATH).reshape(na * nh, na * nh)
+        amb = contract("pqt,qx,ixm->ipmt", h.comult, f, a.mult,
+                       fld=fld).reshape(na * nh, na * nh)
         mat = zeros(fld, (src.dim, dst.dim))
         for x in range(src.dim):
             c = coords_in(dst.basis, src.basis.rows[x] @ amb)
@@ -176,9 +177,8 @@ def gauge_crossed_iso(pair: GaugePair, tpa: TwistedPartialAction,
         rb.require("lands_in_target_span", False)
         return zeros(fld, (cpv.dim, cp.dim)), rb.build()
     rb.require("lands_in_target_span", True)
-    lhs = np.einsum("xym,ms->xys", cpv.algebra.mult, phi, optimize=EINSUM_PATH)
-    rhs = np.einsum("xs,yt,stu->xyu", phi, phi, cp.algebra.mult,
-                    optimize=EINSUM_PATH)
+    lhs = contract("xym,ms->xys", cpv.algebra.mult, phi, fld=fld)
+    rhs = contract("xs,yt,stu->xyu", phi, phi, cp.algebra.mult, fld=fld)
     rb.compare("multiplicative", lhs, rhs)
     rb.compare("unital", (cpv.algebra.unit @ phi).reshape(1, -1),
                cp.algebra.unit.reshape(1, -1))
@@ -198,10 +198,8 @@ def gauge_crossed_iso(pair: GaugePair, tpa: TwistedPartialAction,
                 "does not even land in the gauged one")
     else:
         ok = np.array_equal(
-            np.einsum("xym,ms->xys", cp.algebra.mult, fwd,
-                      optimize=EINSUM_PATH),
-            np.einsum("xs,yt,stu->xyu", fwd, fwd, cpv.algebra.mult,
-                      optimize=EINSUM_PATH))
+            contract("xym,ms->xys", cp.algebra.mult, fwd, fld=fld),
+            contract("xs,yt,stu->xyu", fwd, fwd, cpv.algebra.mult, fld=fld))
         if not ok:
             rb.note("the same formula read from the original crossed product "
                     "is not multiplicative; only the stated direction is")

@@ -21,8 +21,8 @@ import numpy as np
 from .checks import CheckReport, ReportBuilder
 from .errors import NotCentralIdempotent, PreconditionError
 from .hopf import AlgebraData, HopfAlgebraData, function_algebra
-from .linalg import (EINSUM_PATH, SubspaceBasis, coords_in, rank, solve, span,
-                     zeros)
+from .linalg import (SubspaceBasis, contract, coords_in, rank, solve,
+                     span, zeros)
 from .partial import (GlobalTwistedAction, TwistedPartialAction,
                       central_idempotent_report, corner_twist, induce_partial,
                       is_trivial_cocycle, unit_translates, verify_global)
@@ -104,7 +104,7 @@ def globalize_group_partial(tpa: TwistedPartialAction,
                 f"group element {g} does not act by a central idempotent: "
                 + rep.summary())
         acted = span(tpa.action[g], na, fld)
-        corner = span(np.einsum("j,ijk->ik", e[g], a.mult), na, fld)
+        corner = span(contract("j,ijk->ik", e[g], a.mult, fld=fld), na, fld)
         if acted != corner:
             raise NotCentralIdempotent(
                 f"the image of the action of group element {g} is not the "
@@ -217,8 +217,8 @@ def verify_enveloping(env: EnvelopingAction) -> CheckReport:
 
     rb.require("embedding_injective", rank(th, fld) == na,
                lhs=(rank(th, fld),), rhs=(na,))
-    lhs = np.einsum("ijm,mB->ijB", tpa.alg.mult, th, optimize=EINSUM_PATH)
-    rhs = np.einsum("iB,jC,BCD->ijD", th, th, b.mult, optimize=EINSUM_PATH)
+    lhs = contract("ijm,mB->ijB", tpa.alg.mult, th, fld=fld)
+    rhs = contract("iB,jC,BCD->ijD", th, th, b.mult, fld=fld)
     rb.compare("embedding_multiplicative", lhs, rhs)
 
     image = span(th, nb, fld)
@@ -236,13 +236,13 @@ def verify_enveloping(env: EnvelopingAction) -> CheckReport:
     one = env.theta_one
     rb.absorb(central_idempotent_report(b, one), "corner_")
 
-    lhs = np.einsum("gjm,mB->gjB", tpa.action, th, optimize=EINSUM_PATH)
-    rhs = np.einsum("jC,gCD,E,EDB->gjB", th, env.glob.action, one, b.mult,
-                    optimize=EINSUM_PATH)
+    lhs = contract("gjm,mB->gjB", tpa.action, th, fld=fld)
+    rhs = contract("jC,gCD,E,EDB->gjB", th, env.glob.action, one, b.mult,
+                   fld=fld)
     rb.compare("action_intertwines", lhs, rhs)
 
-    trans = np.einsum("iB,gBC->giC", th, env.glob.action,
-                      optimize=EINSUM_PATH).reshape(ng * na, nb)
+    trans = contract("iB,gBC->giC", th, env.glob.action,
+                     fld=fld).reshape(ng * na, nb)
     rb.require("translates_span", rank(trans, fld) == nb,
                lhs=(rank(trans, fld),), rhs=(nb,))
 
@@ -252,13 +252,11 @@ def verify_enveloping(env: EnvelopingAction) -> CheckReport:
     # statement theta(a w(p, q)) = theta(a) u(p, q).
     w = tpa.cocycle
     ut = corner_twist(env.glob, one)
-    lhs = np.einsum("pqz,izm,mB->ipqB", w, tpa.alg.mult, th,
-                    optimize=EINSUM_PATH)
-    rhs = np.einsum("iB,pqC,BCD->ipqD", th, ut, b.mult, optimize=EINSUM_PATH)
+    lhs = contract("pqz,izm,mB->ipqB", w, tpa.alg.mult, th, fld=fld)
+    rhs = contract("iB,pqC,BCD->ipqD", th, ut, b.mult, fld=fld)
     rb.compare("twist_compatible_right", lhs, rhs)
-    lhs = np.einsum("pqz,zim,mB->ipqB", w, tpa.alg.mult, th,
-                    optimize=EINSUM_PATH)
-    rhs = np.einsum("pqC,iB,CBD->ipqD", ut, th, b.mult, optimize=EINSUM_PATH)
+    lhs = contract("pqz,zim,mB->ipqB", w, tpa.alg.mult, th, fld=fld)
+    rhs = contract("pqC,iB,CBD->ipqD", ut, th, b.mult, fld=fld)
     rb.compare("twist_compatible_left", lhs, rhs)
     return rb.build()
 
@@ -281,9 +279,9 @@ def verify_induced_matches(env: EnvelopingAction) -> CheckReport:
     lmat = np.array(coords, dtype=object)
     rb.require("corner_dimension_matches", ind.carrier.dim == na,
                lhs=(ind.carrier.dim,), rhs=(na,))
-    lhs = np.einsum("gjm,mC->gjC", tpa.action, lmat, optimize=EINSUM_PATH)
-    rhs = np.einsum("jC,gCD->gjD", lmat, ind.tpa.action, optimize=EINSUM_PATH)
+    lhs = contract("gjm,mC->gjC", tpa.action, lmat, fld=fld)
+    rhs = contract("jC,gCD->gjD", lmat, ind.tpa.action, fld=fld)
     rb.compare("induced_action_matches", lhs, rhs)
-    lhs = np.einsum("pqm,mC->pqC", tpa.cocycle, lmat, optimize=EINSUM_PATH)
+    lhs = contract("pqm,mC->pqC", tpa.cocycle, lmat, fld=fld)
     rb.compare("induced_cocycle_matches", lhs, ind.tpa.cocycle)
     return rb.build()

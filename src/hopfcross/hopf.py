@@ -18,13 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
+from string import ascii_letters
 
 import numpy as np
 
 from .checks import CheckReport, ReportBuilder
 from .errors import NonGroupTable
 from .fields import Field
-from .linalg import (EINSUM_PATH, SubspaceBasis, arr, eqarr, identity,
+from .linalg import (SubspaceBasis, arr, contract, eqarr, identity,
                      kernel_basis, kron, solve, span, zeros)
 
 
@@ -41,7 +42,7 @@ class AlgebraData:
         assert self.unit.shape == (self.dim,)
 
     def mul(self, x, y):
-        return np.einsum("i,j,ijk->k", x, y, self.mult)
+        return contract("i,j,ijk->k", x, y, self.mult, fld=self.fld)
 
     def mul_many(self, *xs):
         out = xs[0]
@@ -124,24 +125,28 @@ class LinMapHom:
 def verify_algebra(a: AlgebraData) -> CheckReport:
     """Associativity and two-sided unit on every basis tuple."""
     rb = ReportBuilder("algebra")
-    lhs = np.einsum("ijm,mkl->ijkl", a.mult, a.mult, optimize=EINSUM_PATH)
-    rhs = np.einsum("jkm,iml->ijkl", a.mult, a.mult, optimize=EINSUM_PATH)
+    lhs = contract("ijm,mkl->ijkl", a.mult, a.mult, fld=a.fld)
+    rhs = contract("jkm,iml->ijkl", a.mult, a.mult, fld=a.fld)
     rb.compare("associativity", lhs, rhs)
     eye = identity(a.fld, a.dim)
-    rb.compare("unit_left", np.einsum("i,ijk->jk", a.unit, a.mult), eye)
-    rb.compare("unit_right", np.einsum("j,ijk->ik", a.unit, a.mult), eye)
+    rb.compare("unit_left",
+               contract("i,ijk->jk", a.unit, a.mult, fld=a.fld), eye)
+    rb.compare("unit_right",
+               contract("j,ijk->ik", a.unit, a.mult, fld=a.fld), eye)
     return rb.build()
 
 
 def verify_coalgebra(c: CoalgebraData) -> CheckReport:
     """Coassociativity and the two counit laws on every basis tuple."""
     rb = ReportBuilder("coalgebra")
-    lhs = np.einsum("ijz,jxy->ixyz", c.comult, c.comult, optimize=EINSUM_PATH)
-    rhs = np.einsum("ixk,kyz->ixyz", c.comult, c.comult, optimize=EINSUM_PATH)
+    lhs = contract("ijz,jxy->ixyz", c.comult, c.comult, fld=c.fld)
+    rhs = contract("ixk,kyz->ixyz", c.comult, c.comult, fld=c.fld)
     rb.compare("coassociativity", lhs, rhs)
     eye = identity(c.fld, c.dim)
-    rb.compare("counit_left", np.einsum("ijk,j->ik", c.comult, c.counit), eye)
-    rb.compare("counit_right", np.einsum("ijk,k->ij", c.comult, c.counit), eye)
+    rb.compare("counit_left",
+               contract("ijk,j->ik", c.comult, c.counit, fld=c.fld), eye)
+    rb.compare("counit_right",
+               contract("ijk,k->ij", c.comult, c.counit, fld=c.fld), eye)
     return rb.build()
 
 
@@ -152,28 +157,29 @@ def verify_hopf(h: HopfAlgebraData) -> CheckReport:
     rb.absorb(verify_algebra(h.algebra), "algebra.")
     rb.absorb(verify_coalgebra(h.coalgebra), "coalgebra.")
     n = h.dim
-    lhs = np.einsum("ijm,mab->ijab", h.mult, h.comult,
-                    optimize=EINSUM_PATH).reshape(n, n, n * n)
-    rhs = np.einsum("ipq,jrs,pra,qsb->ijab", h.comult, h.comult, h.mult, h.mult,
-                    optimize=EINSUM_PATH).reshape(n, n, n * n)
+    lhs = contract("ijm,mab->ijab", h.mult, h.comult,
+                   fld=h.fld).reshape(n, n, n * n)
+    rhs = contract("ipq,jrs,pra,qsb->ijab", h.comult, h.comult, h.mult, h.mult,
+                   fld=h.fld).reshape(n, n, n * n)
     rb.compare("comult_multiplicative", lhs, rhs)
     rb.compare("comult_unital",
-               np.einsum("i,ijk->jk", h.unit, h.comult).reshape(n * n),
+               contract("i,ijk->jk", h.unit, h.comult,
+                        fld=h.fld).reshape(n * n),
                kron(h.unit, h.unit))
     rb.compare("counit_multiplicative",
-               np.einsum("ijm,m->ij", h.mult, h.counit),
-               np.einsum("i,j->ij", h.counit, h.counit))
-    eps_of_one = np.einsum("i,i->", h.unit, h.counit)
+               contract("ijm,m->ij", h.mult, h.counit, fld=h.fld),
+               contract("i,j->ij", h.counit, h.counit, fld=h.fld))
+    eps_of_one = contract("i,i->", h.unit, h.counit, fld=h.fld)
     rb.require("counit_unital", eps_of_one == h.fld.one(),
                lhs=(eps_of_one,), rhs=(h.fld.one(),))
-    target = np.einsum("i,l->il", h.counit, h.unit)
+    target = contract("i,l->il", h.counit, h.unit, fld=h.fld)
     rb.compare("antipode_left",
-               np.einsum("ijk,jm,mkl->il", h.comult, h.antipode, h.mult,
-                         optimize=EINSUM_PATH),
+               contract("ijk,jm,mkl->il", h.comult, h.antipode, h.mult,
+                        fld=h.fld),
                target)
     rb.compare("antipode_right",
-               np.einsum("ijk,km,jml->il", h.comult, h.antipode, h.mult,
-                         optimize=EINSUM_PATH),
+               contract("ijk,km,jml->il", h.comult, h.antipode, h.mult,
+                        fld=h.fld),
                target)
     return rb.build()
 
@@ -197,8 +203,10 @@ def split(c: CoalgebraData, n: int) -> np.ndarray:
     assert n >= 1
     s = identity(c.fld, c.dim)
     for k in range(1, n):
-        s = np.einsum(s, list(range(k + 1)), c.comult, [k, k + 1, k + 2],
-                      list(range(k)) + [k + 1, k + 2])
+        keep, last, new = (ascii_letters[:k], ascii_letters[k],
+                           ascii_letters[k + 1:k + 3])
+        s = contract(f"{keep}{last},{last}{new}->{keep}{new}", s, c.comult,
+                     fld=c.fld)
     return s
 
 
@@ -206,8 +214,8 @@ def tensor_square_coalgebra(c: CoalgebraData) -> CoalgebraData:
     """The coalgebra H (x) H with the leg-swapped coproduct
     (id (x) tau (x) id)(comult (x) comult) and product counit."""
     n = c.dim
-    comult2 = np.einsum("iab,jcd->ijacbd", c.comult, c.comult,
-                        optimize=EINSUM_PATH).reshape(n * n, n * n, n * n)
+    comult2 = contract("iab,jcd->ijacbd", c.comult, c.comult,
+                       fld=c.fld).reshape(n * n, n * n, n * n)
     counit2 = kron(c.counit, c.counit)
     return CoalgebraData(c.fld, n * n, comult2, counit2)
 
@@ -220,13 +228,14 @@ def convolution(f: LinMapHom, g: LinMapHom, c: CoalgebraData, a: AlgebraData) ->
     """(f * g)(x) = f(x_(1)) g(x_(2))."""
     assert f.domain_dim == g.domain_dim == c.dim
     assert f.codomain_dim == g.codomain_dim == a.dim
-    m = np.einsum("ijk,ja,kb,abm->im", c.comult, f.matrix, g.matrix, a.mult,
-                  optimize=EINSUM_PATH)
+    m = contract("ijk,ja,kb,abm->im", c.comult, f.matrix, g.matrix, a.mult,
+                 fld=a.fld)
     return LinMapHom(c.dim, a.dim, m)
 
 
 def convolution_unit(c: CoalgebraData, a: AlgebraData) -> LinMapHom:
-    return LinMapHom(c.dim, a.dim, np.einsum("i,m->im", c.counit, a.unit))
+    return LinMapHom(c.dim, a.dim,
+                     contract("i,m->im", c.counit, a.unit, fld=a.fld))
 
 
 def convolution_inverse(f: LinMapHom, c: CoalgebraData, a: AlgebraData):
@@ -236,10 +245,10 @@ def convolution_inverse(f: LinMapHom, c: CoalgebraData, a: AlgebraData):
     entries of g; the deterministic solver makes the result canonical.
     """
     nc, na = c.dim, a.dim
-    l1 = np.einsum("ijk,ja,abm->imkb", c.comult, f.matrix, a.mult,
-                   optimize=EINSUM_PATH).reshape(nc * na, nc * na)
-    l2 = np.einsum("ijk,kb,abm->imja", c.comult, f.matrix, a.mult,
-                   optimize=EINSUM_PATH).reshape(nc * na, nc * na)
+    l1 = contract("ijk,ja,abm->imkb", c.comult, f.matrix, a.mult,
+                  fld=a.fld).reshape(nc * na, nc * na)
+    l2 = contract("ijk,kb,abm->imja", c.comult, f.matrix, a.mult,
+                  fld=a.fld).reshape(nc * na, nc * na)
     rhs = convolution_unit(c, a).matrix.reshape(nc * na)
     big = np.concatenate([l1, l2], axis=0)
     rhs2 = np.concatenate([rhs, rhs])
@@ -279,7 +288,8 @@ def left_integrals(h: HopfAlgebraData) -> SubspaceBasis:
     """The space of left integrals {t : x t = counit(x) t for all x}."""
     n = h.dim
     eye = identity(h.fld, n)
-    m = h.mult.transpose(0, 2, 1) - np.einsum("i,jk->ikj", h.counit, eye)
+    m = (h.mult.transpose(0, 2, 1)
+         - contract("i,jk->ikj", h.counit, eye, fld=h.fld))
     rows = kernel_basis(m.reshape(n * n, n), h.fld)
     return span(rows, n, h.fld)
 

@@ -1,11 +1,16 @@
 """Exact dense linear algebra over QQ or F_p.
 
 Vectors, matrices and order-3 tensors are numpy arrays with ``dtype=object``
-whose entries are field elements (see :mod:`hopfcross.fields`); contractions
-go through ``np.einsum``, which applies the exact Python arithmetic of the
-entries.  Every subspace is represented by its reduced row echelon basis, so
-equal subspaces have identical representations and all reports built on top
-of them are reproducible byte for byte.
+whose entries are field elements (see :mod:`hopfcross.fields`).  Every
+tensor contraction in the package goes through :func:`contract`, which
+takes an ``np.einsum`` subscript string and the field of the operands and
+runs the contraction once on Python integers: over QQ each operand is
+scaled to integers by the lcm of its denominators and the result is divided
+once by the product of the scales; over F_p the residues are contracted
+and reduced mod p once at the end.  Every subspace is represented by its
+reduced row echelon basis, so equal subspaces have identical
+representations and all reports built on top of them are reproducible
+byte for byte.
 
 Conventions fixed here and used everywhere else:
 
@@ -20,13 +25,18 @@ Conventions fixed here and used everywhere else:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
+from itertools import repeat
+from operator import attrgetter
+from string import ascii_letters
 
 import numpy as np
 
-from .fields import Field
+from .fields import Field, FieldMismatchError, Fp
 
-# Contraction order for every multi-operand ``np.einsum``: a greedy
+# Contraction order for every ``np.einsum`` in :func:`contract`: a greedy
 # pairwise path with no cap on the size of intermediates.  numpy's
 # default greedy setting refuses any pairwise step whose intermediate is
 # larger than the largest operand and contracts the rest in one naive
@@ -34,6 +44,75 @@ from .fields import Field
 # exhaustive path search costs exponential time in the operand count.
 # Only the association order changes, so results stay exact.
 EINSUM_PATH = ("greedy", 2**62)
+
+
+def contract(spec: str, *operands, fld: Field):
+    """Exact ``np.einsum(spec, *operands)`` over ``fld``.
+
+    ``spec`` names every axis of every operand and the output explicitly
+    (``"ij,jk->ik"``).  The entries must be elements of ``fld`` or plain
+    ints, which stand for their images in ``fld``; the contraction itself
+    runs once on Python integers (see the module docstring) along the
+    greedy path ``EINSUM_PATH``.
+
+    Returns an object array of field elements, or a single element when
+    the output has no axes.  Raises ValueError when the operands do not
+    match the spec and FieldMismatchError on an entry outside ``fld``.
+    """
+    inputs, arrow, output = spec.partition("->")
+    terms = inputs.split(",")
+    if not arrow:
+        raise ValueError(f"contraction spec {spec!r} has no '->' output")
+    if len(terms) != len(operands):
+        raise ValueError(f"contraction spec {spec!r} names {len(terms)} "
+                         f"operands, got {len(operands)}")
+    # One extra axis of extent 1, kept by every operand and the output,
+    # so that no intermediate of the path collapses to a bare Python int:
+    # numpy's pairwise steps multiply such scalars as int64, with
+    # wraparound, or fail on them outright.
+    extra = next(ch for ch in ascii_letters if ch not in spec)
+    ints, scale = [], 1
+    for k, (term, op) in enumerate(zip(terms, operands)):
+        op = np.asarray(op, dtype=object)
+        if len(term) != op.ndim:
+            raise ValueError(f"contraction spec {spec!r} gives operand {k} "
+                             f"{len(term)} axes, got shape {op.shape}")
+        scaled = _integers(op.reshape(-1), fld)
+        if scaled is None:
+            raise FieldMismatchError(
+                f"operand {k} of {spec!r} has entries outside {fld!r}")
+        vals, den = scaled
+        ints.append(np.array(vals, dtype=object).reshape(op.shape + (1,)))
+        scale *= den
+    res = np.einsum(",".join(t + extra for t in terms) + "->" + output + extra,
+                    *ints, optimize=EINSUM_PATH)
+    shape, res = res.shape[:-1], res.reshape(-1)
+    if fld.p is None:
+        vals = [Fraction(v, scale) for v in res]
+    else:
+        vals = [Fp(v, fld.p) for v in res]
+    if not output:
+        return vals[0]
+    return np.array(vals, dtype=object).reshape(shape)
+
+
+def _integers(flat, fld: Field):
+    """(integer representatives of the entries of ``flat``, the common
+    scale they carry): the lcm of the denominators over QQ, 1 over F_p.
+    Plain ints are accepted as the element arithmetic accepts them.
+    None when an entry is neither an element of ``fld`` nor an int."""
+    kinds = set(map(type, flat))
+    if fld.p is None:
+        if not all(issubclass(k, (Fraction, int)) for k in kinds):
+            return None
+        den = math.lcm(*set(map(attrgetter("denominator"), flat)))
+        return [x.numerator * (den // x.denominator) for x in flat], den
+    if not all(issubclass(k, (Fp, int)) for k in kinds):
+        return None
+    if set(map(getattr, flat, repeat("p"), repeat(fld.p))) - {fld.p}:
+        return None
+    # an int stands for itself: the result is reduced mod p once
+    return list(map(getattr, flat, repeat("value"), flat)), 1
 
 
 def arr(fld: Field, nested) -> np.ndarray:
@@ -123,7 +202,8 @@ def solve(m: np.ndarray, b: np.ndarray, fld: Field):
     None when the system is inconsistent.
     """
     r, c = m.shape
-    assert b.shape == (r,), f"rhs length {b.shape} does not match {r} rows"
+    if b.shape != (r,):
+        raise ValueError(f"rhs shape {b.shape} does not match {r} rows")
     aug = np.concatenate([m, b.reshape(r, 1)], axis=1)
     R, pivots, _ = rref(aug, fld)
     if c in pivots:
@@ -188,7 +268,9 @@ def span(vectors: np.ndarray, ambient_dim: int, fld: Field) -> SubspaceBasis:
     if len(vectors) == 0:
         return SubspaceBasis(fld, ambient_dim, zeros(fld, (0, ambient_dim)), ())
     vectors = np.asarray(vectors, dtype=object)
-    assert vectors.shape[1] == ambient_dim
+    if vectors.ndim != 2 or vectors.shape[1] != ambient_dim:
+        raise ValueError(f"vectors of shape {vectors.shape} do not lie in "
+                         f"a space of dimension {ambient_dim}")
     R, pivots, rk = rref(vectors.copy(), fld)
     return SubspaceBasis(fld, ambient_dim, R[:rk].copy(), pivots)
 
@@ -199,11 +281,13 @@ def coords_in(sub: SubspaceBasis, v: np.ndarray):
     Membership is decidable directly: a member's coordinates are its
     entries at the pivot columns, so one back-substitution check suffices.
     """
-    assert v.shape == (sub.ambient_dim,)
+    if v.shape != (sub.ambient_dim,):
+        raise ValueError(f"vector of shape {v.shape} does not lie in a "
+                         f"space of dimension {sub.ambient_dim}")
     x = np.array([v[p] for p in sub.pivots], dtype=object)
-    recon = np.einsum("i,ij->j", x, sub.rows) if sub.dim else zeros(sub.fld, (sub.ambient_dim,))
+    recon = contract("i,ij->j", x, sub.rows, fld=sub.fld)
     if eqarr(recon, v):
-        return x if sub.dim else zeros(sub.fld, (0,))
+        return x
     return None
 
 

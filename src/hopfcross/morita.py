@@ -27,7 +27,7 @@ from .checks import CheckReport, ReportBuilder
 from .crossed import (CrossedProductAlgebra, GlobalCrossedProduct,
                       build_global_crossed, build_partial_crossed)
 from .globalize import EnvelopingAction
-from .linalg import (EINSUM_PATH, SubspaceBasis, coords_in, identity, kron,
+from .linalg import (SubspaceBasis, contract, coords_in, identity, kron,
                      rank, span, zeros)
 
 
@@ -55,20 +55,17 @@ def phi_embed(env: EnvelopingAction,
             return phi, rb.build()
         phi[x] = c
     rb.require("lands_in_global_span", True)
-    lhs = np.einsum("xym,ms->xys", r.algebra.mult, phi, optimize=EINSUM_PATH)
-    rhs = np.einsum("xs,yt,stu->xyu", phi, phi, s.algebra.mult,
-                    optimize=EINSUM_PATH)
+    lhs = contract("xym,ms->xys", r.algebra.mult, phi, fld=fld)
+    rhs = contract("xs,yt,stu->xyu", phi, phi, s.algebra.mult, fld=fld)
     rb.compare("multiplicative", lhs, rhs)
     # the embedding is not unital: the base unit goes to the corner
     # idempotent tensor the Hopf unit, a local unit on the image
     one = r.algebra.unit @ phi
     rb.compare("unit_maps_to_idempotent",
                s.multiply(one, one).reshape(1, -1), one.reshape(1, -1))
-    lhs = np.einsum("s,xt,stu->xu", one, phi, s.algebra.mult,
-                    optimize=EINSUM_PATH)
+    lhs = contract("s,xt,stu->xu", one, phi, s.algebra.mult, fld=fld)
     rb.compare("unit_local_left", lhs, phi)
-    rhs = np.einsum("xt,s,tsu->xu", phi, one, s.algebra.mult,
-                    optimize=EINSUM_PATH)
+    rhs = contract("xt,s,tsu->xu", phi, one, s.algebra.mult, fld=fld)
     rb.compare("unit_local_right", rhs, phi)
     rb.require("injective", rank(phi, fld) == r.dim,
                lhs=(rank(phi, fld),), rhs=(r.dim,))
@@ -94,8 +91,8 @@ def build_N(env: EnvelopingAction,
     tpa = env.source
     fld = tpa.fld
     nh, nb = tpa.hopf.dim, env.glob.alg.dim
-    amb_rows = np.einsum("iB,pqr,qBC->ipCr", env.theta, tpa.hopf.comult,
-                         env.glob.action, optimize=EINSUM_PATH)
+    amb_rows = contract("iB,pqr,qBC->ipCr", env.theta, tpa.hopf.comult,
+                        env.glob.action, fld=fld)
     amb_rows = amb_rows.reshape(tpa.alg.dim * nh, nb * nh)
     rows = _to_sub_coords(s, amb_rows, "generator of the second bimodule")
     return span(rows, s.dim, fld)
@@ -136,20 +133,17 @@ def morita_context(env: EnvelopingAction) -> MoritaContextData:
 def _prod(s: CrossedProductAlgebra, a, b):
     """All pairwise products of the rows of a and b; the last axis is
     the output coordinate."""
-    return np.einsum("ai,bj,ijk->abk", a, b, s.algebra.mult,
-                     optimize=EINSUM_PATH)
+    return contract("ai,bj,ijk->abk", a, b, s.algebra.mult, fld=s.fld)
 
 
 def _rmul(s: CrossedProductAlgebra, ab, c):
     """Right-multiply a table of pairwise products by a third family."""
-    return np.einsum("abk,cj,kjm->abcm", ab, c, s.algebra.mult,
-                     optimize=EINSUM_PATH)
+    return contract("abk,cj,kjm->abcm", ab, c, s.algebra.mult, fld=s.fld)
 
 
 def _lmul(s: CrossedProductAlgebra, a, bc):
     """Left-multiply a table of pairwise products by a first family."""
-    return np.einsum("ai,bck,ikm->abcm", a, bc, s.algebra.mult,
-                     optimize=EINSUM_PATH)
+    return contract("ai,bck,ikm->abcm", a, bc, s.algebra.mult, fld=s.fld)
 
 
 def verify_module_structures(ctx: MoritaContextData) -> CheckReport:
@@ -189,20 +183,16 @@ def verify_module_structures(ctx: MoritaContextData) -> CheckReport:
     one_s = s.algebra.unit
     mult = s.algebra.mult
     rb.compare("m_unit_left_embedded",
-               np.einsum("i,bj,ijk->bk", one_r, m.rows, mult,
-                         optimize=EINSUM_PATH),
+               contract("i,bj,ijk->bk", one_r, m.rows, mult, fld=fld),
                m.rows)
     rb.compare("m_unit_right_ring",
-               np.einsum("bi,j,ijk->bk", m.rows, one_s, mult,
-                         optimize=EINSUM_PATH),
+               contract("bi,j,ijk->bk", m.rows, one_s, mult, fld=fld),
                m.rows)
     rb.compare("n_unit_left_ring",
-               np.einsum("i,bj,ijk->bk", one_s, n.rows, mult,
-                         optimize=EINSUM_PATH),
+               contract("i,bj,ijk->bk", one_s, n.rows, mult, fld=fld),
                n.rows)
     rb.compare("n_unit_right_embedded",
-               np.einsum("bi,j,ijk->bk", n.rows, one_r, mult,
-                         optimize=EINSUM_PATH),
+               contract("bi,j,ijk->bk", n.rows, one_r, mult, fld=fld),
                n.rows)
 
     rb.compare("m_actions_compatible",

@@ -21,8 +21,8 @@ from .checks import CheckReport, ReportBuilder
 from .errors import ClosureViolation, NotCentralIdempotent, PreconditionError
 from .hopf import (AlgebraData, HopfAlgebraData, LinMapHom,
                    convolution_central_violations, split, tensor_square_coalgebra)
-from .linalg import (EINSUM_PATH, SubspaceBasis, coords_in, identity, solve,
-                     span, zeros)
+from .linalg import (SubspaceBasis, contract, coords_in, identity,
+                     solve, span, zeros)
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class TwistedPartialAction:
         return self.alg.fld
 
     def act(self, h, a):
-        return np.einsum("i,j,ijk->k", h, a, self.action)
+        return contract("i,j,ijk->k", h, a, self.action, fld=self.fld)
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class GlobalTwistedAction:
         return self.alg.fld
 
     def act(self, h, b):
-        return np.einsum("i,j,ijk->k", h, b, self.action)
+        return contract("i,j,ijk->k", h, b, self.action, fld=self.fld)
 
 
 def unit_translates(tpa) -> np.ndarray:
@@ -74,7 +74,7 @@ def unit_translates(tpa) -> np.ndarray:
     Works for both partial and global data (for global data the rows are
     counit multiples of the unit whenever the axioms hold).
     """
-    return np.einsum("ija,j->ia", tpa.action, tpa.alg.unit)
+    return contract("ija,j->ia", tpa.action, tpa.alg.unit, fld=tpa.fld)
 
 
 def unit_translate_map(tpa) -> tuple[LinMapHom, CheckReport]:
@@ -97,23 +97,23 @@ def unit_translate_map(tpa) -> tuple[LinMapHom, CheckReport]:
 
 
 def _twisted_module_sides(hopf, action, cocycle, mult_a):
-    lhs = np.einsum("ipq,jrs,rax,pxy,qsz,yzk->ijak",
-                    hopf.comult, hopf.comult, action, action, cocycle, mult_a,
-                    optimize=EINSUM_PATH)
-    rhs = np.einsum("ipq,jrs,pry,qst,taz,yzk->ijak",
-                    hopf.comult, hopf.comult, cocycle, hopf.mult, action, mult_a,
-                    optimize=EINSUM_PATH)
+    lhs = contract("ipq,jrs,rax,pxy,qsz,yzk->ijak",
+                   hopf.comult, hopf.comult, action, action, cocycle, mult_a,
+                   fld=hopf.fld)
+    rhs = contract("ipq,jrs,pry,qst,taz,yzk->ijak",
+                   hopf.comult, hopf.comult, cocycle, hopf.mult, action, mult_a,
+                   fld=hopf.fld)
     return lhs, rhs
 
 
 def _cocycle_identity_sides(hopf, action, cocycle, mult_a):
-    lhs = np.einsum("ipq,jrs,nuv,rux,pxy,svt,qtz,yzk->ijnk",
-                    hopf.comult, hopf.comult, hopf.comult,
-                    cocycle, action, hopf.mult, cocycle, mult_a,
-                    optimize=EINSUM_PATH)
-    rhs = np.einsum("ipq,jrs,pry,qst,tnz,yzk->ijnk",
-                    hopf.comult, hopf.comult, cocycle, hopf.mult, cocycle, mult_a,
-                    optimize=EINSUM_PATH)
+    lhs = contract("ipq,jrs,nuv,rux,pxy,svt,qtz,yzk->ijnk",
+                   hopf.comult, hopf.comult, hopf.comult,
+                   cocycle, action, hopf.mult, cocycle, mult_a,
+                   fld=hopf.fld)
+    rhs = contract("ipq,jrs,pry,qst,tnz,yzk->ijnk",
+                   hopf.comult, hopf.comult, cocycle, hopf.mult, cocycle, mult_a,
+                   fld=hopf.fld)
     return lhs, rhs
 
 
@@ -128,16 +128,16 @@ def verify_partial_module_algebra(hopf: HopfAlgebraData, alg: AlgebraData,
     h . (g . a) = (h_1 . 1)((h_2 g) . a)."""
     rb = ReportBuilder("partial module algebra")
     rb.compare("unit_acts_trivially",
-               np.einsum("i,ijk->jk", hopf.unit, action),
+               contract("i,ijk->jk", hopf.unit, action, fld=alg.fld),
                identity(alg.fld, alg.dim))
-    lhs = np.einsum("abm,imk->iabk", alg.mult, action, optimize=EINSUM_PATH)
-    rhs = np.einsum("ipq,pax,qby,xyk->iabk", hopf.comult, action, action,
-                    alg.mult, optimize=EINSUM_PATH)
+    lhs = contract("abm,imk->iabk", alg.mult, action, fld=alg.fld)
+    rhs = contract("ipq,pax,qby,xyk->iabk", hopf.comult, action, action,
+                   alg.mult, fld=alg.fld)
     rb.compare("action_multiplicative", lhs, rhs)
-    e = np.einsum("ija,j->ia", action, alg.unit)
-    lhs = np.einsum("gax,ixk->igak", action, action, optimize=EINSUM_PATH)
-    rhs = np.einsum("ipq,py,qgt,tak,ykz->igaz", hopf.comult, e, hopf.mult,
-                    action, alg.mult, optimize=EINSUM_PATH)
+    e = contract("ija,j->ia", action, alg.unit, fld=alg.fld)
+    lhs = contract("gax,ixk->igak", action, action, fld=alg.fld)
+    rhs = contract("ipq,py,qgt,tak,ykz->igaz", hopf.comult, e, hopf.mult,
+                   action, alg.mult, fld=alg.fld)
     rb.compare("partial_composition", lhs, rhs)
     return rb.build()
 
@@ -153,18 +153,18 @@ def verify_twisted_partial(tpa: TwistedPartialAction) -> CheckReport:
     rb = ReportBuilder("twisted partial action")
     h, a = tpa.hopf, tpa.alg
     rb.compare("unit_acts_trivially",
-               np.einsum("i,ijk->jk", h.unit, tpa.action),
+               contract("i,ijk->jk", h.unit, tpa.action, fld=a.fld),
                identity(a.fld, a.dim))
-    lhs = np.einsum("abm,imk->iabk", a.mult, tpa.action, optimize=EINSUM_PATH)
-    rhs = np.einsum("ipq,pax,qby,xyk->iabk", h.comult, tpa.action, tpa.action,
-                    a.mult, optimize=EINSUM_PATH)
+    lhs = contract("abm,imk->iabk", a.mult, tpa.action, fld=a.fld)
+    rhs = contract("ipq,pax,qby,xyk->iabk", h.comult, tpa.action, tpa.action,
+                   a.mult, fld=a.fld)
     rb.compare("action_multiplicative", lhs, rhs)
     lhs, rhs = _twisted_module_sides(h, tpa.action, tpa.cocycle, a.mult)
     rb.compare("twisted_module", lhs, rhs)
     e = unit_translates(tpa)
-    rhs = np.einsum("ipq,jrs,pry,qst,tz,yzk->ijk",
-                    h.comult, h.comult, tpa.cocycle, h.mult, e, a.mult,
-                    optimize=EINSUM_PATH)
+    rhs = contract("ipq,jrs,pry,qst,tz,yzk->ijk",
+                   h.comult, h.comult, tpa.cocycle, h.mult, e, a.mult,
+                   fld=a.fld)
     rb.compare("cocycle_right_absorption", tpa.cocycle, rhs)
     return rb.build()
 
@@ -176,12 +176,12 @@ def verify_absorption(tpa: TwistedPartialAction) -> CheckReport:
     rb = ReportBuilder("cocycle absorption")
     h, a = tpa.hopf, tpa.alg
     e = unit_translates(tpa)
-    rhs = np.einsum("ipq,jrs,rx,pxy,qsz,yzk->ijk",
-                    h.comult, h.comult, e, tpa.action, tpa.cocycle, a.mult,
-                    optimize=EINSUM_PATH)
+    rhs = contract("ipq,jrs,rx,pxy,qsz,yzk->ijk",
+                   h.comult, h.comult, e, tpa.action, tpa.cocycle, a.mult,
+                   fld=a.fld)
     rb.compare("absorption_nested", tpa.cocycle, rhs)
-    rhs = np.einsum("ipq,py,qjz,yzk->ijk", h.comult, e, tpa.cocycle, a.mult,
-                    optimize=EINSUM_PATH)
+    rhs = contract("ipq,py,qjz,yzk->ijk", h.comult, e, tpa.cocycle, a.mult,
+                   fld=a.fld)
     rb.compare("absorption_left", tpa.cocycle, rhs)
     return rb.build()
 
@@ -194,9 +194,9 @@ def verify_crossed_conditions(tpa: TwistedPartialAction) -> CheckReport:
     h, a = tpa.hopf, tpa.alg
     e = unit_translates(tpa)
     rb.compare("cocycle_normalized_left",
-               np.einsum("i,ijk->jk", h.unit, tpa.cocycle), e)
+               contract("i,ijk->jk", h.unit, tpa.cocycle, fld=a.fld), e)
     rb.compare("cocycle_normalized_right",
-               np.einsum("j,ijk->ik", h.unit, tpa.cocycle), e)
+               contract("j,ijk->ik", h.unit, tpa.cocycle, fld=a.fld), e)
     lhs, rhs = _twisted_module_sides(h, tpa.action, tpa.cocycle, a.mult)
     rb.compare("twisted_module", lhs, rhs)
     lhs, rhs = _cocycle_identity_sides(h, tpa.action, tpa.cocycle, a.mult)
@@ -213,11 +213,11 @@ def trivial_cocycle_report(tpa: TwistedPartialAction) -> CheckReport:
     e = unit_translates(tpa)
     rb.compare("trivial_cocycle_nested",
                tpa.cocycle,
-               np.einsum("jx,ixk->ijk", e, tpa.action))
+               contract("jx,ixk->ijk", e, tpa.action, fld=a.fld))
     rb.compare("trivial_cocycle_product",
                tpa.cocycle,
-               np.einsum("ipq,py,qjt,tz,yzk->ijk", h.comult, e, h.mult, e,
-                         a.mult, optimize=EINSUM_PATH))
+               contract("ipq,py,qjt,tz,yzk->ijk", h.comult, e, h.mult, e,
+                        a.mult, fld=a.fld))
     return rb.build()
 
 
@@ -236,20 +236,20 @@ def verify_global(g: GlobalTwistedAction) -> CheckReport:
     rb = ReportBuilder("global twisted action")
     h, b = g.hopf, g.alg
     rb.compare("unit_acts_trivially",
-               np.einsum("i,ijk->jk", h.unit, g.action),
+               contract("i,ijk->jk", h.unit, g.action, fld=b.fld),
                identity(b.fld, b.dim))
-    lhs = np.einsum("abm,imk->iabk", b.mult, g.action, optimize=EINSUM_PATH)
-    rhs = np.einsum("ipq,pax,qby,xyk->iabk", h.comult, g.action, g.action,
-                    b.mult, optimize=EINSUM_PATH)
+    lhs = contract("abm,imk->iabk", b.mult, g.action, fld=b.fld)
+    rhs = contract("ipq,pax,qby,xyk->iabk", h.comult, g.action, g.action,
+                   b.mult, fld=b.fld)
     rb.compare("action_multiplicative", lhs, rhs)
     rb.compare("unit_preserved",
-               np.einsum("ija,j->ia", g.action, b.unit),
-               np.einsum("i,a->ia", h.counit, b.unit))
-    eps_unit = np.einsum("i,a->ia", h.counit, b.unit)
+               contract("ija,j->ia", g.action, b.unit, fld=b.fld),
+               contract("i,a->ia", h.counit, b.unit, fld=b.fld))
+    eps_unit = contract("i,a->ia", h.counit, b.unit, fld=b.fld)
     rb.compare("twist_normalized_left",
-               np.einsum("i,ijk->jk", h.unit, g.twist), eps_unit)
+               contract("i,ijk->jk", h.unit, g.twist, fld=b.fld), eps_unit)
     rb.compare("twist_normalized_right",
-               np.einsum("j,ijk->ik", h.unit, g.twist), eps_unit)
+               contract("j,ijk->ik", h.unit, g.twist, fld=b.fld), eps_unit)
     lhs, rhs = _twisted_module_sides(h, g.action, g.twist, b.mult)
     rb.compare("twisted_module", lhs, rhs)
     lhs, rhs = _cocycle_identity_sides(h, g.action, g.twist, b.mult)
@@ -260,8 +260,8 @@ def verify_global(g: GlobalTwistedAction) -> CheckReport:
 def central_idempotent_report(alg: AlgebraData, e: np.ndarray) -> CheckReport:
     rb = ReportBuilder("central idempotent")
     rb.compare("idempotent", alg.mul(e, e).reshape(1, -1), e.reshape(1, -1))
-    lhs = np.einsum("x,xjk->jk", e, alg.mult)
-    rhs = np.einsum("x,jxk->jk", e, alg.mult)
+    lhs = contract("x,xjk->jk", e, alg.mult, fld=alg.fld)
+    rhs = contract("x,jxk->jk", e, alg.mult, fld=alg.fld)
     rb.compare("central", lhs, rhs)
     return rb.build()
 
@@ -272,12 +272,12 @@ def corner_twist(g: GlobalTwistedAction, e: np.ndarray) -> np.ndarray:
     returned in ambient coordinates as a (dim H, dim H, dim B) tensor.
     """
     b = g.alg
-    ea = np.einsum("pjb,j->pb", g.action, e)
-    ea = np.einsum("x,pb,xbc->pc", e, ea, b.mult)
+    ea = contract("pjb,j->pb", g.action, e, fld=b.fld)
+    ea = contract("x,pb,xbc->pc", e, ea, b.mult, fld=b.fld)
     s3 = split(g.hopf.coalgebra, 3)
-    return np.einsum("ipqr,juv,rvt,py,quz,yzw,tx,wxc->ijc",
-                     s3, g.hopf.comult, g.hopf.mult,
-                     ea, g.twist, b.mult, ea, b.mult, optimize=EINSUM_PATH)
+    return contract("ipqr,juv,rvt,py,quz,yzw,tx,wxc->ijc",
+                    s3, g.hopf.comult, g.hopf.mult,
+                    ea, g.twist, b.mult, ea, b.mult, fld=b.fld)
 
 
 @dataclass(frozen=True)
@@ -311,7 +311,7 @@ def induce_partial(g: GlobalTwistedAction, e: np.ndarray,
     if not cr.passed:
         raise NotCentralIdempotent(
             "corner generator is not a central idempotent: " + cr.summary())
-    rows = np.einsum("i,ijk->jk", e, b.mult).T  # row j = e * b_j
+    rows = contract("i,ijk->jk", e, b.mult, fld=fld).T  # row j = e * b_j
     carrier = span(rows, b.dim, fld)
     na = carrier.dim
     sect = carrier.rows
@@ -331,11 +331,12 @@ def induce_partial(g: GlobalTwistedAction, e: np.ndarray,
     alg_a = AlgebraData(fld, na, mult_a, unit_a)
 
     nh = g.hopf.dim
-    acted = np.einsum("jb,pbc->pjc", sect, g.action)  # h_p > (corner basis j)
+    # h_p > (corner basis j)
+    acted = contract("jb,pbc->pjc", sect, g.action, fld=fld)
     action_a = zeros(fld, (nh, na, na))
     for p in range(nh):
         for j in range(na):
-            v = np.einsum("x,b,xbc->c", e, acted[p, j], b.mult)
+            v = contract("x,b,xbc->c", e, acted[p, j], b.mult, fld=fld)
             action_a[p, j] = corner_coords(v, f"induced action at ({p}, {j})")
 
     omega_b = corner_twist(g, e)
@@ -385,8 +386,8 @@ def verify_symmetric(tpa: TwistedPartialAction) -> CocycleInverse:
     e = unit_translates(tpa)
     rb = ReportBuilder("symmetric twisted partial action")
 
-    f1 = np.einsum("iy,j->ijy", e, h.counit).reshape(n2, na)
-    f2 = np.einsum("ijt,ty->ijy", h.mult, e).reshape(n2, na)
+    f1 = contract("iy,j->ijy", e, h.counit, fld=fld).reshape(n2, na)
+    f2 = contract("ijt,ty->ijy", h.mult, e, fld=fld).reshape(n2, na)
     for name, f in (("unit_factor_central", f1), ("product_factor_central", f2)):
         viols = convolution_central_violations(LinMapHom(n2, na, f), c2, a)
         for idx, lhs, rhs in viols:
@@ -394,22 +395,21 @@ def verify_symmetric(tpa: TwistedPartialAction) -> CocycleInverse:
         if not viols:
             rb.require(name, True)
 
-    lhs3 = np.einsum("jy,iyk->ijk", e, tpa.action)
-    rhs3 = np.einsum("ipq,py,qjt,tz,yzk->ijk", h.comult, e, h.mult, e, a.mult,
-                     optimize=EINSUM_PATH)
+    lhs3 = contract("jy,iyk->ijk", e, tpa.action, fld=fld)
+    rhs3 = contract("ipq,py,qjt,tz,yzk->ijk", h.comult, e, h.mult, e, a.mult,
+                    fld=fld)
     rb.compare("unit_action_factorizes", lhs3, rhs3)
 
     def conv(x, y):
-        return np.einsum("ipr,py,rz,yzc->ic", c2.comult, x, y, a.mult,
-                         optimize=EINSUM_PATH)
+        return contract("ipr,py,rz,yzc->ic", c2.comult, x, y, a.mult, fld=fld)
 
     corner = conv(f1, f2)
     w = tpa.cocycle.reshape(n2, na)
     nun = n2 * na
-    left_by = lambda f: np.einsum("ipr,py,yzc->icrz", c2.comult, f, a.mult,
-                                  optimize=EINSUM_PATH).reshape(nun, nun)
-    right_by = lambda f: np.einsum("ipr,rz,yzc->icpy", c2.comult, f, a.mult,
-                                   optimize=EINSUM_PATH).reshape(nun, nun)
+    left_by = lambda f: contract("ipr,py,yzc->icrz", c2.comult, f, a.mult,
+                                 fld=fld).reshape(nun, nun)
+    right_by = lambda f: contract("ipr,rz,yzc->icpy", c2.comult, f, a.mult,
+                                  fld=fld).reshape(nun, nun)
     eye = identity(fld, nun)
     big = np.concatenate([
         left_by(w),

@@ -32,8 +32,8 @@ from .errors import (CoinvariantsMismatch, NormalizationFailed, NotCentral,
                      NotCocommutative, NotIntegral, PreconditionError)
 from .hopf import (LinMapHom, convolution_central_violations, is_cocommutative,
                    left_integrals, split, tensor_square_coalgebra)
-from .linalg import (EINSUM_PATH, QuotientSpace, coords_in, is_zero, solve,
-                     span, zeros)
+from .linalg import (QuotientSpace, contract, coords_in, is_zero,
+                     solve, span, zeros)
 from .partial import GlobalTwistedAction, TwistedPartialAction
 
 
@@ -67,8 +67,9 @@ def default_cleft(tpa, cp: CrossedProductAlgebra | None = None) -> CleftData:
         else:
             cp = build_partial_crossed(tpa)
     action = tpa.action if isinstance(tpa, TwistedPartialAction) else tpa.action
-    e = np.einsum("ija,j->ia", action, a.unit)
-    amb = np.einsum("jpq,px->jxq", h.comult, e).reshape(h.dim, a.dim * h.dim)
+    e = contract("ija,j->ia", action, a.unit, fld=a.fld)
+    amb = contract("jpq,px->jxq", h.comult, e,
+                   fld=a.fld).reshape(h.dim, a.dim * h.dim)
     gamma = zeros(a.fld, (h.dim, cp.dim))
     for j in range(h.dim):
         c = coords_in(cp.basis, amb[j])
@@ -82,8 +83,8 @@ def _conv_product(cd: CleftData) -> np.ndarray:
     """(gamma * gamma')(h) on the Hopf basis, valued in the crossed
     product."""
     h = cd.cp.hopf
-    return np.einsum("ipq,pk,qm,kms->is", h.comult, cd.gamma, cd.gamma_prime,
-                     cd.cp.algebra.mult, optimize=EINSUM_PATH)
+    return contract("ipq,pk,qm,kms->is", h.comult, cd.gamma, cd.gamma_prime,
+                    cd.cp.algebra.mult, fld=h.fld)
 
 
 def verify_partially_cleft(cd: CleftData) -> CheckReport:
@@ -110,12 +111,12 @@ def verify_partially_cleft(cd: CleftData) -> CheckReport:
                cp.algebra.unit.reshape(1, -1))
     d, nh = cp.dim, h.dim
     co = cp.coaction.reshape(d, d, nh)
-    lhs = np.einsum("jm,mks->jks", cd.gamma, co, optimize=EINSUM_PATH)
-    rhs = np.einsum("jpq,pk->jkq", h.comult, cd.gamma)
+    lhs = contract("jm,mks->jks", cd.gamma, co, fld=fld)
+    rhs = contract("jpq,pk->jkq", h.comult, cd.gamma, fld=fld)
     rb.compare("section_colinear", lhs, rhs)
-    lhs = np.einsum("jm,mks->jks", cd.gamma_prime, co, optimize=EINSUM_PATH)
-    rhs = np.einsum("jpq,qk,ps->jks", h.comult, cd.gamma_prime, h.antipode,
-                    optimize=EINSUM_PATH)
+    lhs = contract("jm,mks->jks", cd.gamma_prime, co, fld=fld)
+    rhs = contract("jpq,qk,ps->jks", h.comult, cd.gamma_prime, h.antipode,
+                   fld=fld)
     rb.compare("cosection_colinear", lhs, rhs)
     q = _conv_product(cd)
     qa = zeros(fld, (nh, cp.base.dim))
@@ -132,8 +133,8 @@ def verify_partially_cleft(cd: CleftData) -> CheckReport:
     if in_base:
         # centrality lives in the convolution algebra of maps into the
         # base, so the product is pulled back through the embedding
-        q2 = np.einsum("ijt,ty->ijy", h.mult, qa).reshape(nh * nh,
-                                                          cp.base.dim)
+        q2 = contract("ijt,ty->ijy", h.mult, qa,
+                      fld=fld).reshape(nh * nh, cp.base.dim)
         viols = convolution_central_violations(
             LinMapHom(nh * nh, cp.base.dim, q2),
             tensor_square_coalgebra(h.coalgebra), cp.base)
@@ -145,10 +146,8 @@ def verify_partially_cleft(cd: CleftData) -> CheckReport:
     else:
         rb.note("centrality of the section product was skipped because the "
                 "product does not land in the embedded base")
-    lhs = np.einsum("is,at,stu->iau", q, cp.iota, cp.algebra.mult,
-                    optimize=EINSUM_PATH)
-    rhs = np.einsum("is,at,tsu->iau", q, cp.iota, cp.algebra.mult,
-                    optimize=EINSUM_PATH)
+    lhs = contract("is,at,stu->iau", q, cp.iota, cp.algebra.mult, fld=fld)
+    rhs = contract("is,at,tsu->iau", q, cp.iota, cp.algebra.mult, fld=fld)
     rb.compare("product_commutes_with_base", lhs, rhs)
     return rb.build()
 
@@ -158,8 +157,7 @@ def centralizer(cp: CrossedProductAlgebra):
     as a subspace in crossed-product coordinates."""
     d, na = cp.dim, cp.base.dim
     diff = cp.algebra.mult - cp.algebra.mult.transpose(1, 0, 2)
-    m = np.einsum("aj,ijk->aki", cp.iota, diff,
-                  optimize=EINSUM_PATH).reshape(na * d, d)
+    m = contract("aj,ijk->aki", cp.iota, diff, fld=cp.fld).reshape(na * d, d)
     from .linalg import kernel_basis
     return span(kernel_basis(m, cp.fld), d, cp.fld)
 
@@ -185,21 +183,18 @@ def verify_centralizer_identity(cd: CleftData, c: np.ndarray) -> CheckReport:
     c = np.asarray(c)
     if coords_in(cen, c) is None:
         raise NotCentral("the element does not centralize the embedded base")
-    e = np.einsum("ija,j->ia", cd.action, cp.base.unit)
+    e = contract("ija,j->ia", cd.action, cp.base.unit, fld=fld)
     iota_es = (h.antipode @ e) @ cp.iota
     s3 = split(h.coalgebra, 3)
     mult = cp.algebra.mult
-    t1 = np.einsum("pa,b,abm->pm", cd.gamma_prime, c, mult,
-                   optimize=EINSUM_PATH)
-    t2 = np.einsum("pm,qc,mcn->pqn", t1, iota_es, mult, optimize=EINSUM_PATH)
-    t3 = np.einsum("pqn,rd,ndk->pqrk", t2, cd.gamma, mult,
-                   optimize=EINSUM_PATH)
-    e1 = np.einsum("ipqr,pqrk->ik", s3, t3)
+    t1 = contract("pa,b,abm->pm", cd.gamma_prime, c, mult, fld=fld)
+    t2 = contract("pm,qc,mcn->pqn", t1, iota_es, mult, fld=fld)
+    t3 = contract("pqn,rd,ndk->pqrk", t2, cd.gamma, mult, fld=fld)
+    e1 = contract("ipqr,pqrk->ik", s3, t3, fld=fld)
     gs = h.antipode @ cd.gamma
     gps = h.antipode @ cd.gamma_prime
-    t = np.einsum("qa,b,abm->qm", gs, c, mult, optimize=EINSUM_PATH)
-    e2 = np.einsum("ipq,qm,pd,mdk->ik", h.comult, t, gps, mult,
-                   optimize=EINSUM_PATH)
+    t = contract("qa,b,abm->qm", gs, c, mult, fld=fld)
+    e2 = contract("ipq,qm,pd,mdk->ik", h.comult, t, gps, mult, fld=fld)
     rb = ReportBuilder("centralizer conjugation")
     rb.compare("conjugation_equals_swapped", e1, e2)
     c_a = solve(cp.iota.T, c, fld)
@@ -207,8 +202,7 @@ def verify_centralizer_identity(cd: CleftData, c: np.ndarray) -> CheckReport:
         rb.note("the element is outside the embedded base, so the comparison "
                 "with the measured value does not apply")
     else:
-        acted = np.einsum("ij,b,jba->ia", h.antipode, c_a, cd.action,
-                          optimize=EINSUM_PATH)
+        acted = contract("ij,b,jba->ia", h.antipode, c_a, cd.action, fld=fld)
         rb.compare("conjugation_equals_action", e2, acted @ cp.iota)
     return rb.build()
 
@@ -252,26 +246,26 @@ def separability_idempotent(cd: CleftData, t: np.ndarray, c: np.ndarray):
         raise NotIntegral("the chosen element is not a nonzero left integral")
     c = np.asarray(c)
     a = cp.base
-    if not np.array_equal(np.einsum("b,bjk->jk", c, a.mult),
-                          np.einsum("b,jbk->jk", c, a.mult)):
+    if not np.array_equal(contract("b,bjk->jk", c, a.mult, fld=fld),
+                          contract("b,jbk->jk", c, a.mult, fld=fld)):
         raise NotCentral("the chosen element is not central in the base")
-    normalized = np.einsum("i,b,iba->a", t, c, cd.action)
+    normalized = contract("i,b,iba->a", t, c, cd.action, fld=fld)
     if not np.array_equal(normalized, a.unit):
         raise NormalizationFailed(
             f"the integral does not collapse the element to the unit: got "
             f"{tuple(normalized)}")
 
     u = t @ h.antipode
-    w = np.einsum("i,ipqr->pqr", u, split(h.coalgebra, 3))
-    e = np.einsum("ija,j->ia", cd.action, a.unit)
+    w = contract("i,ipqr->pqr", u, split(h.coalgebra, 3), fld=fld)
+    e = contract("ija,j->ia", cd.action, a.unit, fld=fld)
     iota_es = (h.antipode @ e) @ cp.iota
     iota_c = c @ cp.iota
     mult = cp.algebra.mult
-    first = np.einsum("pa,b,abm,qc,mcn->pqn", cd.gamma_prime, iota_c, mult,
-                      iota_es, mult, optimize=EINSUM_PATH)
+    first = contract("pa,b,abm,qc,mcn->pqn", cd.gamma_prime, iota_c, mult,
+                     iota_es, mult, fld=fld)
     d = cp.dim
-    lift = np.einsum("pqr,pqy,rz->yz", w, first, cd.gamma,
-                     optimize=EINSUM_PATH).reshape(d * d)
+    lift = contract("pqr,pqy,rz->yz", w, first, cd.gamma,
+                    fld=fld).reshape(d * d)
     q = balanced_tensor_square(cp)
     elem = BalancedTensorElement(q.project(lift), lift)
 
@@ -300,8 +294,8 @@ def check_separable_extension(cd: CleftData,
                q.project(elem.lift).reshape(1, -1),
                np.asarray(elem.coordinates).reshape(1, -1))
     mult = cp.algebra.mult
-    left = np.einsum("ab,xac->xcb", lift, mult, optimize=EINSUM_PATH)
-    right = np.einsum("ab,bxc->xac", lift, mult, optimize=EINSUM_PATH)
+    left = contract("ab,xac->xcb", lift, mult, fld=cp.fld)
+    right = contract("ab,bxc->xac", lift, mult, fld=cp.fld)
     for x in range(d):
         rb.require("two_sided_translation",
                    np.array_equal(q.project(left[x].reshape(d * d)),
@@ -309,11 +303,10 @@ def check_separable_extension(cd: CleftData,
                    index=(x,),
                    lhs=tuple(q.project(left[x].reshape(d * d))),
                    rhs=tuple(q.project(right[x].reshape(d * d))))
-    collapsed = np.einsum("ab,abc->c", lift, mult)
+    collapsed = contract("ab,abc->c", lift, mult, fld=cp.fld)
     rb.compare("multiplication_collapse", collapsed.reshape(1, -1),
                cp.algebra.unit.reshape(1, -1))
-    squared = np.einsum("yz,ab,yac,bzd->cd", lift, lift, mult, mult,
-                        optimize=EINSUM_PATH)
+    squared = contract("yz,ab,yac,bzd->cd", lift, lift, mult, mult, fld=cp.fld)
     rb.compare("collapse_idempotent",
                q.project(squared.reshape(d * d)).reshape(1, -1),
                np.asarray(elem.coordinates).reshape(1, -1))

@@ -94,6 +94,22 @@ def test_prime_constructor_requires_prime():
         Field.prime(4)
 
 
+def test_prime_constructor_decides_large_primes():
+    assert Field.prime(2**61 - 1).characteristic == 2**61 - 1
+    # a Carmichael number and a strong pseudoprime to bases 2, 3, 5, 7
+    for n in (561, 3215031751):
+        with pytest.raises(ValueError):
+            Field.prime(n)
+    # beyond the bound where the base set is proven exact it refuses
+    with pytest.raises(ValueError, match="only decided below"):
+        Field.prime(2**89 - 1)
+
+
+def test_comparing_distinct_primes_rejected():
+    with pytest.raises(FieldMismatchError):
+        Fp(1, 3) == Fp(1, 5)
+
+
 def test_characteristic():
     assert QQ.characteristic == 0
     assert F5.characteristic == 5

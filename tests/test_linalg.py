@@ -5,18 +5,24 @@ equality, solving, quotients), so the properties here are checked both
 on pinned examples and with randomized inputs.
 """
 
+import re
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hopfcross.fields import Field
-from hopfcross.linalg import (arr, coords_in, eqarr, identity, is_zero,
-                              kernel_basis, kron, quotient, rank, rref, solve,
-                              span, zeros)
+import hopfcross
+from hopfcross.fields import Field, FieldMismatchError, Fp
+from hopfcross.linalg import (arr, contract, coords_in, eqarr, identity,
+                              is_zero, kernel_basis, kron, quotient, rank,
+                              rref, solve, span, zeros)
 
 QQ = Field.rationals()
 F5 = Field.prime(5)
+F_MERSENNE61 = Field.prime(2**61 - 1)
 
 # small rational matrices for the property tests
 scalars = st.integers(min_value=-6, max_value=6)
@@ -157,3 +163,110 @@ def test_solve_solution_satisfies_system(rows):
     x = solve(m, b, QQ)
     assert x is not None
     assert eqarr(m @ x, b)
+
+
+# ---------------------------------------------------------------------------
+# the contraction kernel against the reference object einsum
+
+
+@st.composite
+def contractions(draw):
+    """A field, a 1-4 operand spec over axes a-e of extent 0-3 (repeated
+    axes and rank-0 operands included), its operands and an output that
+    keeps any subset of the axes, possibly none."""
+    fld = draw(st.sampled_from([QQ, F5, Field.prime(10007), F_MERSENNE61]))
+    extent = {ch: draw(st.integers(0, 3)) for ch in "abcde"}
+    terms = draw(st.lists(st.text("abcde", max_size=3), min_size=1,
+                          max_size=4))
+    used = sorted(set("".join(terms)))
+    output = "".join(draw(st.permutations(used))[:draw(
+        st.integers(0, len(used)))])
+    big = st.integers(-10**18, 10**18)
+    ops = []
+    for term in terms:
+        shape = tuple(extent[ch] for ch in term)
+        size = int(np.prod(shape, dtype=int))
+        if fld.p is None:
+            vals = [Fraction(draw(big), draw(st.integers(1, 10**18)))
+                    for _ in range(size)]
+        else:
+            vals = [Fp(draw(big), fld.p) for _ in range(size)]
+        ops.append(np.array(vals, dtype=object).reshape(shape))
+    return fld, ",".join(terms) + "->" + output, ops
+
+
+@given(contractions())
+@example((F_MERSENNE61, "ab,bc->ac",
+          [zeros(F_MERSENNE61, (2, 0)), zeros(F_MERSENNE61, (0, 3))]))
+@example((QQ, "ab,ba->", [arr(QQ, [["1/3", 10**18], ["-7/2", 5]]),
+                          arr(QQ, [["2/9", 1], [f"1/{10**18}", "-1/6"]])]))
+@settings(max_examples=300, deadline=None)
+def test_contract_matches_reference_einsum(case):
+    fld, spec, ops = case
+    got = contract(spec, *ops, fld=fld)
+    want = np.einsum(spec, *ops)
+    kind = type(fld.one())
+    if spec.endswith("->"):
+        assert type(got) is kind and got == want
+    else:
+        assert got.dtype == object and got.shape == want.shape
+        assert all(type(x) is kind for x in got.reshape(-1))
+        assert all(x == y for x, y in zip(got.reshape(-1), want.reshape(-1)))
+
+
+def test_contract_of_disconnected_operands_is_exact():
+    # each operand sums to a scalar that fits in int64 while the product
+    # does not
+    x = arr(QQ, [2**40, 1])
+    assert contract("i,j->", x, x, fld=QQ) == (2**40 + 1) ** 2
+    y = arr(F5, [2**62, 1])
+    assert contract("i,j,k->", y, y, y, fld=F5) == Fp((2**62 + 1) ** 3, 5)
+
+
+def test_contract_rejects_operands_that_do_not_fit_the_spec():
+    m = identity(QQ, 2)
+    with pytest.raises(ValueError, match="operands"):
+        contract("ij,jk->ik", m, fld=QQ)
+    with pytest.raises(ValueError, match="axes"):
+        contract("ijk,jk->i", m, m, fld=QQ)
+    with pytest.raises(ValueError, match="->"):
+        contract("ij,jk", m, m, fld=QQ)
+
+
+def test_contract_rejects_entries_outside_the_field():
+    with pytest.raises(FieldMismatchError):
+        contract("i,i->", arr(QQ, [1]), arr(F5, [1]), fld=QQ)
+    with pytest.raises(FieldMismatchError):
+        contract("i,i->", arr(F5, [1]), arr(Field.prime(7), [1]), fld=F5)
+    with pytest.raises(FieldMismatchError):
+        contract("i->i", np.array([0.5, 2], dtype=object), fld=QQ)
+    with pytest.raises(FieldMismatchError):
+        contract("i->i", arr(QQ, ["1/2"]), fld=F5)
+
+
+def test_contract_takes_plain_ints_as_field_elements():
+    ints = np.array([3, -1], dtype=object)
+    got = contract("i,i->", ints, arr(QQ, ["1/2", 1]), fld=QQ)
+    assert type(got) is Fraction and got == Fraction(1, 2)
+    f7 = Field.prime(7)
+    got = contract("i,i->i", ints, arr(f7, [2, 2]), fld=f7)
+    assert all(type(x) is Fp for x in got) and eqarr(got, arr(f7, [6, -2]))
+
+
+def test_shape_errors_are_explicit():
+    with pytest.raises(ValueError):
+        solve(identity(QQ, 2), arr(QQ, [1, 2, 3]), QQ)
+    with pytest.raises(ValueError):
+        span(identity(QQ, 2), 3, QQ)
+    with pytest.raises(ValueError):
+        coords_in(span(identity(QQ, 2), 2, QQ), arr(QQ, [1, 2, 3]))
+
+
+def test_only_linalg_calls_einsum():
+    pkg = Path(hopfcross.__file__).parent
+    offenders = [f"{path.name}:{n}"
+                 for path in sorted(pkg.glob("*.py"))
+                 if path.name != "linalg.py"
+                 for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if re.search(r"\beinsum\(", line)]
+    assert offenders == []
