@@ -14,7 +14,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .linalg import eqarr
+from .linalg import SubspaceBasis, coords_in_many, eqarr
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,16 @@ class ReportBuilder:
         self._identities.append(identity)
         if not ok:
             self._violations.append(Violation(identity, tuple(index), tuple(lhs), tuple(rhs)))
+
+    def require_inside(self, identity: str, table: np.ndarray,
+                       sub: SubspaceBasis, where: str):
+        """Check that every vector on the last axis of ``table`` lies in the
+        subspace ``sub``: each one outside is a violation at its index in
+        the leading axes, with the vector as lhs and ``where`` as rhs."""
+        self._identities.append(identity)
+        for index in coords_in_many(sub, table)[1]:
+            self._violations.append(
+                Violation(identity, index, tuple(table[index]), (where,)))
 
     def note(self, text: str):
         self._notes.append(text)

@@ -25,8 +25,8 @@ from .checks import CheckReport, ReportBuilder
 from .errors import ClosureViolation, CoinvariantsMismatch, PreconditionError
 from .hopf import AlgebraData, HopfAlgebraData, LinMapHom, split, verify_algebra
 from .linalg import (QuotientSpace, SubspaceBasis, contract, coords_in,
-                     identity, is_zero, kernel_basis, kron, quotient, rank,
-                     span, zeros)
+                     coords_in_many, identity, is_zero, kernel_basis, kron,
+                     quotient, rank, span, zeros)
 from .partial import (GlobalTwistedAction, TwistedPartialAction,
                       verify_crossed_conditions, verify_global,
                       verify_twisted_partial)
@@ -98,42 +98,33 @@ def _build(hopf: HopfAlgebraData, alg: AlgebraData, action: np.ndarray,
     amb = ambient_product_tensor(hopf, alg, action, cocycle)
 
     prods = contract("sa,ub,abc->suc", basis.rows, basis.rows, amb, fld=fld)
-    table = zeros(fld, (d, d, d))
-    for s in range(d):
-        for u in range(d):
-            c = coords_in(basis, prods[s, u])
-            if c is None:
-                raise ClosureViolation(
-                    f"product of crossed basis elements {s} and {u} leaves the span")
-            table[s, u] = c
+    table, misses = coords_in_many(basis, prods)
+    if misses:
+        s, u = misses[0]
+        raise ClosureViolation(
+            f"product of crossed basis elements {s} and {u} leaves the span")
 
     unit_c = coords_in(basis, kron(alg.unit, hopf.unit))
     if unit_c is None:
         raise ClosureViolation("the unit of A (x) H is not inside the span")
     algebra = AlgebraData(fld, d, table, unit_c)
 
-    iota = zeros(fld, (na, d))
-    for i in range(na):
-        vec = zeros(fld, (n,))
-        for p in range(nh):
-            vec[i * nh + p] = hopf.unit[p]
-        c = coords_in(basis, vec)
-        if c is None:
-            raise ClosureViolation(f"base element {i} (x) 1 is not inside the span")
-        iota[i] = c
+    # a (x) 1 for each base basis element a
+    iota, misses = coords_in_many(
+        basis, kron(identity(fld, na), hopf.unit.reshape(1, nh)))
+    if misses:
+        raise ClosureViolation(
+            f"base element {misses[0][0]} (x) 1 is not inside the span")
 
-    coaction = zeros(fld, (d, d * nh))
-    for r in range(d):
-        amb_r = basis.rows[r].reshape(na, nh)
-        # apply id (x) comult, then express the first two legs on the basis
-        trip = contract("mp,pts->mts", amb_r, hopf.comult, fld=fld)
-        for s2 in range(nh):
-            c = coords_in(basis, trip[:, :, s2].reshape(n))
-            if c is None:
-                raise ClosureViolation(
-                    f"coaction of basis element {r} leaves the span")
-            for k in range(d):
-                coaction[r, k * nh + s2] = c[k]
+    # apply id (x) comult to each basis element, then express the first
+    # two legs on the basis
+    trip = contract("rmp,pts->rsmt", basis.rows.reshape(d, na, nh),
+                    hopf.comult, fld=fld).reshape(d, nh, n)
+    coaction, misses = coords_in_many(basis, trip)
+    if misses:
+        raise ClosureViolation(
+            f"coaction of basis element {misses[0][0]} leaves the span")
+    coaction = coaction.transpose(0, 2, 1).reshape(d, d * nh)
 
     return cls(hopf, alg, basis, algebra, amb, iota, coaction)
 

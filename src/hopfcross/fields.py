@@ -92,15 +92,15 @@ class Fp:
         return self
 
     def __eq__(self, other):
+        # an int is equal only to the residue it names canonically, in
+        # 0..p-1, so that equal values always have equal hashes
         if isinstance(other, Fp):
             return self.value == self._lift(other).value
         if isinstance(other, int):
-            return self.value == other % self.p
+            return self.value == other
         return NotImplemented
 
     def __hash__(self):
-        # hash-compatible with the int it reduces to, so 0 == Fp(0,p)
-        # behaves consistently in dict/set keys
         return hash(self.value)
 
     def __bool__(self):

@@ -22,7 +22,7 @@ from .checks import CheckReport, ReportBuilder
 from .crossed import CrossedProductAlgebra, build_partial_crossed
 from .errors import CompositeNotGauge
 from .hopf import LinMapHom, convolution, convolution_unit, split
-from .linalg import contract, coords_in, identity, rank, solve, zeros
+from .linalg import contract, coords_in_many, identity, rank, solve, zeros
 from .partial import (TwistedPartialAction, unit_translates,
                       verify_crossed_conditions)
 
@@ -164,13 +164,9 @@ def gauge_crossed_iso(pair: GaugePair, tpa: TwistedPartialAction,
     def induced(src, dst, f):
         amb = contract("pqt,qx,ixm->ipmt", h.comult, f, a.mult,
                        fld=fld).reshape(na * nh, na * nh)
-        mat = zeros(fld, (src.dim, dst.dim))
-        for x in range(src.dim):
-            c = coords_in(dst.basis, src.basis.rows[x] @ amb)
-            if c is None:
-                return None
-            mat[x] = c
-        return mat
+        mat, misses = coords_in_many(
+            dst.basis, contract("xa,ab->xb", src.basis.rows, amb, fld=fld))
+        return None if misses else mat
 
     phi = induced(cpv, cp, pair.v)
     if phi is None:

@@ -21,7 +21,7 @@ import numpy as np
 from .checks import CheckReport, ReportBuilder
 from .errors import NotCentralIdempotent, PreconditionError
 from .hopf import AlgebraData, HopfAlgebraData, function_algebra
-from .linalg import (SubspaceBasis, contract, coords_in, rank, solve,
+from .linalg import (SubspaceBasis, contract, coords_in_many, rank, solve,
                      span, zeros)
 from .partial import (GlobalTwistedAction, TwistedPartialAction,
                       central_idempotent_report, corner_twist, induce_partial,
@@ -130,27 +130,24 @@ def globalize_group_partial(tpa: TwistedPartialAction,
             for j in range(na):
                 act_amb[g, s * na + j, t * na + j] = fld.one()
 
-    trans = zeros(fld, (ng * na, nf))
-    r = 0
-    for g in range(ng):
-        for i in range(na):
-            trans[r] = theta_amb[i] @ act_amb[g]
-            r += 1
+    trans = contract("ib,gbc->gic", theta_amb, act_amb,
+                     fld=fld).reshape(ng * na, nf)
     carrier = span(trans, nf, fld)
     nb = carrier.dim
     rows = carrier.rows
 
-    def in_carrier(vec, what):
-        c = coords_in(carrier, vec)
-        if c is None:
-            raise PreconditionError(f"{what} left the enveloping span")
-        return c
+    def in_carrier(vecs, what):
+        """Carrier coordinates of the vectors on the last axis of vecs;
+        ``what`` names the first one outside, by its leading index."""
+        coords, misses = coords_in_many(carrier, vecs)
+        if misses:
+            raise PreconditionError(
+                f"{what.format(*misses[0])} left the enveloping span")
+        return coords
 
-    mult_b = zeros(fld, (nb, nb, nb))
-    for i in range(nb):
-        for j in range(nb):
-            mult_b[i, j] = in_carrier(ambient.mul(rows[i], rows[j]),
-                                      f"product of span elements {i}, {j}")
+    mult_b = in_carrier(contract("ia,jb,abc->ijc", rows, rows, ambient.mult,
+                                 fld=fld),
+                        "product of span elements {}, {}")
 
     # the unit of the enveloping algebra: solve for a two-sided identity
     # of the span; it need not be the unit of the ambient function algebra
@@ -174,11 +171,8 @@ def globalize_group_partial(tpa: TwistedPartialAction,
         raise PreconditionError("the enveloping span has no two-sided unit")
     alg_b = AlgebraData(fld, nb, mult_b, unit_b)
 
-    act_b = zeros(fld, (ng, nb, nb))
-    for g in range(ng):
-        for i in range(nb):
-            act_b[g, i] = in_carrier(rows[i] @ act_amb[g],
-                                     f"translate of span element {i}")
+    act_b = in_carrier(contract("ia,gab->gib", rows, act_amb, fld=fld),
+                       "translate of span element {1}")
 
     twist = zeros(fld, (ng, ng, nb))
     for p in range(ng):
@@ -186,9 +180,7 @@ def globalize_group_partial(tpa: TwistedPartialAction,
             twist[p, q] = unit_b
     glob = GlobalTwistedAction(h, alg_b, act_b, twist)
 
-    theta = zeros(fld, (na, nb))
-    for i in range(na):
-        theta[i] = in_carrier(theta_amb[i], f"embedded base element {i}")
+    theta = in_carrier(theta_amb, "embedded base element {}")
 
     env = EnvelopingAction(tpa, ambient, carrier, glob, theta)
     if check:
@@ -222,16 +214,13 @@ def verify_enveloping(env: EnvelopingAction) -> CheckReport:
     rb.compare("embedding_multiplicative", lhs, rhs)
 
     image = span(th, nb, fld)
-    for i in range(nb):
-        ei = zeros(fld, (nb,))
-        ei[i] = fld.one()
-        for j in range(na):
-            left = b.mul(ei, th[j])
-            right = b.mul(th[j], ei)
-            rb.require("image_left_ideal", coords_in(image, left) is not None,
-                       index=(i, j), lhs=tuple(left), rhs=("in image",))
-            rb.require("image_right_ideal", coords_in(image, right) is not None,
-                       index=(j, i), lhs=tuple(right), rhs=("in image",))
+    # b_i theta(a_j) at (i, j) and theta(a_j) b_i at (j, i)
+    rb.require_inside("image_left_ideal",
+                      contract("jb,ibc->ijc", th, b.mult, fld=fld), image,
+                      "in image")
+    rb.require_inside("image_right_ideal",
+                      contract("ja,aic->jic", th, b.mult, fld=fld), image,
+                      "in image")
 
     one = env.theta_one
     rb.absorb(central_idempotent_report(b, one), "corner_")
@@ -269,14 +258,13 @@ def verify_induced_matches(env: EnvelopingAction) -> CheckReport:
     tpa = env.source
     fld = tpa.fld
     na = tpa.alg.dim
-    coords = [coords_in(ind.carrier, env.theta[i]) for i in range(na)]
-    for i, c in enumerate(coords):
-        if c is None:
-            rb.require("embedding_lands_in_corner", False, index=(i,),
-                       lhs=tuple(env.theta[i]), rhs=("in corner",))
-            return rb.build()
+    lmat, misses = coords_in_many(ind.carrier, env.theta)
+    if misses:
+        i, = misses[0]
+        rb.require("embedding_lands_in_corner", False, index=(i,),
+                   lhs=tuple(env.theta[i]), rhs=("in corner",))
+        return rb.build()
     rb.require("embedding_lands_in_corner", True)
-    lmat = np.array(coords, dtype=object)
     rb.require("corner_dimension_matches", ind.carrier.dim == na,
                lhs=(ind.carrier.dim,), rhs=(na,))
     lhs = contract("gjm,mC->gjC", tpa.action, lmat, fld=fld)

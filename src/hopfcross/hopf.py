@@ -25,8 +25,8 @@ import numpy as np
 from .checks import CheckReport, ReportBuilder
 from .errors import NonGroupTable
 from .fields import Field
-from .linalg import (SubspaceBasis, arr, contract, eqarr, identity,
-                     kernel_basis, kron, solve, span, zeros)
+from .linalg import (SubspaceBasis, arr, check_shape, contract, eqarr,
+                     identity, kernel_basis, kron, solve, span, zeros)
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,8 @@ class AlgebraData:
     labels: tuple = None
 
     def __post_init__(self):
-        assert self.mult.shape == (self.dim,) * 3
-        assert self.unit.shape == (self.dim,)
+        check_shape("mult", self.mult, (self.dim,) * 3)
+        check_shape("unit", self.unit, (self.dim,))
 
     def mul(self, x, y):
         return contract("i,j,ijk->k", x, y, self.mult, fld=self.fld)
@@ -60,8 +60,8 @@ class CoalgebraData:
     labels: tuple = None
 
     def __post_init__(self):
-        assert self.comult.shape == (self.dim,) * 3
-        assert self.counit.shape == (self.dim,)
+        check_shape("comult", self.comult, (self.dim,) * 3)
+        check_shape("counit", self.counit, (self.dim,))
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,10 @@ class HopfAlgebraData:
     antipode: np.ndarray      # (dim, dim), row convention
 
     def __post_init__(self):
-        assert self.algebra.dim == self.coalgebra.dim
-        assert self.antipode.shape == (self.dim,) * 2
+        if self.algebra.dim != self.coalgebra.dim:
+            raise ValueError(f"algebra of dimension {self.algebra.dim} and "
+                             f"coalgebra of dimension {self.coalgebra.dim}")
+        check_shape("antipode", self.antipode, (self.dim,) * 2)
 
     @property
     def fld(self):
@@ -112,7 +114,8 @@ class LinMapHom:
     matrix: np.ndarray
 
     def __post_init__(self):
-        assert self.matrix.shape == (self.domain_dim, self.codomain_dim)
+        check_shape("matrix", self.matrix,
+                     (self.domain_dim, self.codomain_dim))
 
     def __call__(self, v):
         return v @ self.matrix
@@ -200,7 +203,8 @@ def split(c: CoalgebraData, n: int) -> np.ndarray:
     ``n = 1`` gives the identity.  Coassociativity (verified elsewhere)
     makes the splitting order irrelevant; we always split the last leg.
     """
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"split needs at least one output leg, got {n}")
     s = identity(c.fld, c.dim)
     for k in range(1, n):
         keep, last, new = (ascii_letters[:k], ascii_letters[k],
@@ -226,8 +230,12 @@ def tensor_square_coalgebra(c: CoalgebraData) -> CoalgebraData:
 
 def convolution(f: LinMapHom, g: LinMapHom, c: CoalgebraData, a: AlgebraData) -> LinMapHom:
     """(f * g)(x) = f(x_(1)) g(x_(2))."""
-    assert f.domain_dim == g.domain_dim == c.dim
-    assert f.codomain_dim == g.codomain_dim == a.dim
+    if not f.domain_dim == g.domain_dim == c.dim:
+        raise ValueError(f"maps on spaces of dimension {f.domain_dim} and "
+                         f"{g.domain_dim} over a coalgebra of dimension {c.dim}")
+    if not f.codomain_dim == g.codomain_dim == a.dim:
+        raise ValueError(f"maps into spaces of dimension {f.codomain_dim} and "
+                         f"{g.codomain_dim} under an algebra of dimension {a.dim}")
     m = contract("ijk,ja,kb,abm->im", c.comult, f.matrix, g.matrix, a.mult,
                  fld=a.fld)
     return LinMapHom(c.dim, a.dim, m)

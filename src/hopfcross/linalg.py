@@ -7,10 +7,14 @@ takes an ``np.einsum`` subscript string and the field of the operands and
 runs the contraction once on Python integers: over QQ each operand is
 scaled to integers by the lcm of its denominators and the result is divided
 once by the product of the scales; over F_p the residues are contracted
-and reduced mod p once at the end.  Every subspace is represented by its
-reduced row echelon basis, so equal subspaces have identical
-representations and all reports built on top of them are reproducible
-byte for byte.
+and reduced mod p once at the end.  The einsum subscripts and the greedy
+contraction path of each (spec, operand shapes) pair are planned once and
+kept in a fixed-size module cache (see :func:`_plan`).  Every subspace is
+represented by its reduced row echelon basis, so equal subspaces have
+identical representations and all reports built on top of them are
+reproducible byte for byte.  :func:`coords_in_many` expresses a whole
+stack of vectors on such a basis with one contraction; :func:`coords_in`
+is its one-vector case.
 
 Conventions fixed here and used everywhere else:
 
@@ -28,8 +32,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat
-from operator import attrgetter
+from operator import methodcaller
 from string import ascii_letters
 
 import numpy as np
@@ -66,11 +71,6 @@ def contract(spec: str, *operands, fld: Field):
     if len(terms) != len(operands):
         raise ValueError(f"contraction spec {spec!r} names {len(terms)} "
                          f"operands, got {len(operands)}")
-    # One extra axis of extent 1, kept by every operand and the output,
-    # so that no intermediate of the path collapses to a bare Python int:
-    # numpy's pairwise steps multiply such scalars as int64, with
-    # wraparound, or fail on them outright.
-    extra = next(ch for ch in ascii_letters if ch not in spec)
     ints, scale = [], 1
     for k, (term, op) in enumerate(zip(terms, operands)):
         op = np.asarray(op, dtype=object)
@@ -84,8 +84,8 @@ def contract(spec: str, *operands, fld: Field):
         vals, den = scaled
         ints.append(np.array(vals, dtype=object).reshape(op.shape + (1,)))
         scale *= den
-    res = np.einsum(",".join(t + extra for t in terms) + "->" + output + extra,
-                    *ints, optimize=EINSUM_PATH)
+    subscripts, path = _plan(spec, tuple(op.shape for op in ints))
+    res = np.einsum(subscripts, *ints, optimize=path)
     shape, res = res.shape[:-1], res.reshape(-1)
     if fld.p is None:
         vals = [Fraction(v, scale) for v in res]
@@ -94,6 +94,27 @@ def contract(spec: str, *operands, fld: Field):
     if not output:
         return vals[0]
     return np.array(vals, dtype=object).reshape(shape)
+
+
+@lru_cache(maxsize=1024)
+def _plan(spec: str, shapes: tuple):
+    """(einsum subscripts, contraction path) for integer operands of
+    ``shapes``, each with one extra trailing axis of extent 1.
+
+    Every operand and the output carry that extra axis, so that no
+    intermediate of the path collapses to a bare Python int: numpy's
+    pairwise steps multiply such scalars as int64, with wraparound, or
+    fail on them outright.  The path is the one numpy's greedy search
+    picks under ``EINSUM_PATH``; it depends only on the spec and the
+    shapes, so one search serves every call that repeats them.
+    """
+    inputs, _, output = spec.partition("->")
+    extra = next(ch for ch in ascii_letters if ch not in spec)
+    subscripts = (",".join(t + extra for t in inputs.split(","))
+                  + "->" + output + extra)
+    shells = [np.broadcast_to(0, shape) for shape in shapes]
+    path, _ = np.einsum_path(subscripts, *shells, optimize=EINSUM_PATH)
+    return subscripts, tuple(path)
 
 
 def _integers(flat, fld: Field):
@@ -105,8 +126,9 @@ def _integers(flat, fld: Field):
     if fld.p is None:
         if not all(issubclass(k, (Fraction, int)) for k in kinds):
             return None
-        den = math.lcm(*set(map(attrgetter("denominator"), flat)))
-        return [x.numerator * (den // x.denominator) for x in flat], den
+        ratios = list(map(methodcaller("as_integer_ratio"), flat))
+        den = math.lcm(*{d for _, d in ratios})
+        return [n * (den // d) for n, d in ratios], den
     if not all(issubclass(k, (Fp, int)) for k in kinds):
         return None
     if set(map(getattr, flat, repeat("p"), repeat(fld.p))) - {fld.p}:
@@ -136,6 +158,12 @@ def identity(fld: Field, n: int) -> np.ndarray:
     for i in range(n):
         m[i, i] = one
     return m
+
+
+def check_shape(name: str, a: np.ndarray, shape: tuple):
+    """Raise ValueError unless the array ``a`` has the given shape."""
+    if a.shape != shape:
+        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
 
 
 def eqarr(a: np.ndarray, b: np.ndarray) -> bool:
@@ -275,20 +303,39 @@ def span(vectors: np.ndarray, ambient_dim: int, fld: Field) -> SubspaceBasis:
     return SubspaceBasis(fld, ambient_dim, R[:rk].copy(), pivots)
 
 
-def coords_in(sub: SubspaceBasis, v: np.ndarray):
-    """Coordinates of v in the echelon basis, or None if v is not a member.
+def coords_in_many(sub: SubspaceBasis, vs: np.ndarray):
+    """Coordinates in the echelon basis of a stack of vectors.
 
-    Membership is decidable directly: a member's coordinates are its
-    entries at the pivot columns, so one back-substitution check suffices.
+    ``vs`` holds one vector of the ambient space on its last axis at each
+    index of its leading axes.  Returns (coords, misses): ``coords`` has
+    the leading axes of ``vs`` and the entries at the pivot columns on the
+    last axis, which are the coordinates of every member, and ``misses``
+    is the tuple of the leading indices of the non-members, in row-major
+    order.  One contraction rebuilds every vector from its pivot entries;
+    a vector is a member iff the rebuild equals it.
     """
+    vs = np.asarray(vs, dtype=object)
+    if vs.ndim == 0 or vs.shape[-1] != sub.ambient_dim:
+        raise ValueError(f"vectors of shape {vs.shape} do not lie in a "
+                         f"space of dimension {sub.ambient_dim}")
+    lead = vs.shape[:-1]
+    flat = vs.reshape(-1, sub.ambient_dim)
+    coords = flat[:, list(sub.pivots)]
+    recon = contract("ki,ij->kj", coords, sub.rows, fld=sub.fld)
+    members = (recon == flat).all(axis=1)
+    misses = tuple(index for index, ok in zip(np.ndindex(*lead), members)
+                   if not ok)
+    return coords.reshape(lead + (sub.dim,)), misses
+
+
+def coords_in(sub: SubspaceBasis, v: np.ndarray):
+    """Coordinates of v in the echelon basis, or None if v is not a member
+    (the one-vector case of :func:`coords_in_many`)."""
     if v.shape != (sub.ambient_dim,):
         raise ValueError(f"vector of shape {v.shape} does not lie in a "
                          f"space of dimension {sub.ambient_dim}")
-    x = np.array([v[p] for p in sub.pivots], dtype=object)
-    recon = contract("i,ij->j", x, sub.rows, fld=sub.fld)
-    if eqarr(recon, v):
-        return x
-    return None
+    coords, misses = coords_in_many(sub, v)
+    return None if misses else coords
 
 
 @dataclass(frozen=True)

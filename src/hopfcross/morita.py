@@ -27,8 +27,8 @@ from .checks import CheckReport, ReportBuilder
 from .crossed import (CrossedProductAlgebra, GlobalCrossedProduct,
                       build_global_crossed, build_partial_crossed)
 from .globalize import EnvelopingAction
-from .linalg import (SubspaceBasis, contract, coords_in, identity, kron,
-                     rank, span, zeros)
+from .linalg import (SubspaceBasis, contract, coords_in_many, identity,
+                     kron, rank, span)
 
 
 def phi_embed(env: EnvelopingAction,
@@ -46,14 +46,15 @@ def phi_embed(env: EnvelopingAction,
     fld = tpa.fld
     nh = tpa.hopf.dim
     amb = kron(env.theta, identity(fld, nh))
-    phi = zeros(fld, (r.dim, s.dim))
+    phi, misses = coords_in_many(
+        s.basis, contract("xa,ab->xb", r.basis.rows, amb, fld=fld))
     rb = ReportBuilder("crossed product embedding")
-    for x in range(r.dim):
-        c = coords_in(s.basis, r.basis.rows[x] @ amb)
-        if c is None:
-            rb.require("lands_in_global_span", False, index=(x,))
-            return phi, rb.build()
-        phi[x] = c
+    if misses:
+        x, = misses[0]
+        rb.require("lands_in_global_span", False, index=(x,))
+        # only the rows before the first miss are kept
+        phi[x:] = fld.zero()
+        return phi, rb.build()
     rb.require("lands_in_global_span", True)
     lhs = contract("xym,ms->xys", r.algebra.mult, phi, fld=fld)
     rhs = contract("xs,yt,stu->xyu", phi, phi, s.algebra.mult, fld=fld)
@@ -99,13 +100,11 @@ def build_N(env: EnvelopingAction,
 
 
 def _to_sub_coords(s: CrossedProductAlgebra, amb_rows, what):
-    out = []
-    for i, row in enumerate(amb_rows):
-        c = coords_in(s.basis, row)
-        if c is None:
-            raise ValueError(f"{what} {i} is outside the crossed product span")
-        out.append(c)
-    return np.array(out, dtype=object)
+    coords, misses = coords_in_many(s.basis, amb_rows)
+    if misses:
+        raise ValueError(
+            f"{what} {misses[0][0]} is outside the crossed product span")
+    return coords
 
 
 @dataclass(frozen=True)
@@ -157,27 +156,14 @@ def verify_module_structures(ctx: MoritaContextData) -> CheckReport:
     s_eye = identity(fld, s.dim)
     r_img = ctx.phi
 
-    def closed(name, prods, sub):
-        ok = True
-        p, q, _ = prods.shape
-        for a in range(p):
-            for b in range(q):
-                if coords_in(sub, prods[a, b]) is None:
-                    ok = False
-                    rb.require(name, False, index=(a, b),
-                               lhs=tuple(prods[a, b]),
-                               rhs=("inside the bimodule",))
-        if ok:
-            rb.require(name, True)
-
     ms = _prod(s, m.rows, s_eye)
     rm = _prod(s, r_img, m.rows)
     sn = _prod(s, s_eye, n.rows)
     nr = _prod(s, n.rows, r_img)
-    closed("m_closed_right_ring", ms, m)
-    closed("m_closed_left_embedded", rm, m)
-    closed("n_closed_left_ring", sn, n)
-    closed("n_closed_right_embedded", nr, n)
+    rb.require_inside("m_closed_right_ring", ms, m, "inside the bimodule")
+    rb.require_inside("m_closed_left_embedded", rm, m, "inside the bimodule")
+    rb.require_inside("n_closed_left_ring", sn, n, "inside the bimodule")
+    rb.require_inside("n_closed_right_embedded", nr, n, "inside the bimodule")
 
     one_r = ctx.partial_cp.algebra.unit @ ctx.phi
     one_s = s.algebra.unit
@@ -230,16 +216,8 @@ def verify_morita_pairings(ctx: MoritaContextData) -> MoritaPairingResult:
 
     mn = _prod(s, m.rows, n.rows)
     nm = _prod(s, n.rows, m.rows)
-    ok = True
-    for i in range(m.dim):
-        for j in range(n.dim):
-            if coords_in(phi_image, mn[i, j]) is None:
-                ok = False
-                rb.require("tau_lands_in_embedded", False, index=(i, j),
-                           lhs=tuple(mn[i, j]),
-                           rhs=("inside the embedded ring",))
-    if ok:
-        rb.require("tau_lands_in_embedded", True)
+    rb.require_inside("tau_lands_in_embedded", mn, phi_image,
+                      "inside the embedded ring")
 
     nr = _prod(s, n.rows, r_img)
     rm = _prod(s, r_img, m.rows)

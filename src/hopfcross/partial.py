@@ -21,8 +21,8 @@ from .checks import CheckReport, ReportBuilder
 from .errors import ClosureViolation, NotCentralIdempotent, PreconditionError
 from .hopf import (AlgebraData, HopfAlgebraData, LinMapHom,
                    convolution_central_violations, split, tensor_square_coalgebra)
-from .linalg import (SubspaceBasis, contract, coords_in, identity,
-                     solve, span, zeros)
+from .linalg import (SubspaceBasis, check_shape, contract, coords_in_many,
+                     identity, solve, span, zeros)
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,8 @@ class TwistedPartialAction:
 
     def __post_init__(self):
         nh, na = self.hopf.dim, self.alg.dim
-        assert self.action.shape == (nh, na, na)
-        assert self.cocycle.shape == (nh, nh, na)
+        check_shape("action", self.action, (nh, na, na))
+        check_shape("cocycle", self.cocycle, (nh, nh, na))
 
     @property
     def fld(self):
@@ -57,8 +57,8 @@ class GlobalTwistedAction:
 
     def __post_init__(self):
         nh, nb = self.hopf.dim, self.alg.dim
-        assert self.action.shape == (nh, nb, nb)
-        assert self.twist.shape == (nh, nh, nb)
+        check_shape("action", self.action, (nh, nb, nb))
+        check_shape("twist", self.twist, (nh, nh, nb))
 
     @property
     def fld(self):
@@ -316,35 +316,25 @@ def induce_partial(g: GlobalTwistedAction, e: np.ndarray,
     na = carrier.dim
     sect = carrier.rows
 
-    def corner_coords(vec, what):
-        c = coords_in(carrier, vec)
-        if c is None:
-            raise ClosureViolation(f"{what} is not inside the corner subalgebra")
-        return c
+    def corner_coords(vecs, what):
+        """Corner coordinates of the vectors on the last axis of vecs;
+        ``what`` names the first one outside, by its leading index."""
+        coords, misses = coords_in_many(carrier, vecs)
+        if misses:
+            raise ClosureViolation(f"{what.format(*misses[0])} is not inside "
+                                   "the corner subalgebra")
+        return coords
 
     unit_a = corner_coords(e, "the idempotent itself")
-    mult_a = zeros(fld, (na, na, na))
-    for i in range(na):
-        for j in range(na):
-            mult_a[i, j] = corner_coords(b.mul(sect[i], sect[j]),
-                                         f"product of corner basis {i}, {j}")
+    mult_a = corner_coords(
+        contract("ia,jb,abc->ijc", sect, sect, b.mult, fld=fld),
+        "product of corner basis {}, {}")
     alg_a = AlgebraData(fld, na, mult_a, unit_a)
 
-    nh = g.hopf.dim
-    # h_p > (corner basis j)
-    acted = contract("jb,pbc->pjc", sect, g.action, fld=fld)
-    action_a = zeros(fld, (nh, na, na))
-    for p in range(nh):
-        for j in range(na):
-            v = contract("x,b,xbc->c", e, acted[p, j], b.mult, fld=fld)
-            action_a[p, j] = corner_coords(v, f"induced action at ({p}, {j})")
-
-    omega_b = corner_twist(g, e)
-    cocycle_a = zeros(fld, (nh, nh, na))
-    for i in range(nh):
-        for j in range(nh):
-            cocycle_a[i, j] = corner_coords(omega_b[i, j],
-                                            f"induced cocycle at ({i}, {j})")
+    # e (h_p > corner basis j)
+    acted = contract("x,jb,pbc,xcd->pjd", e, sect, g.action, b.mult, fld=fld)
+    action_a = corner_coords(acted, "induced action at ({}, {})")
+    cocycle_a = corner_coords(corner_twist(g, e), "induced cocycle at ({}, {})")
     tpa = TwistedPartialAction(g.hopf, alg_a, action_a, cocycle_a)
     if check:
         rep = verify_twisted_partial(tpa)

@@ -32,9 +32,9 @@ from .errors import (CoinvariantsMismatch, NormalizationFailed, NotCentral,
                      NotCocommutative, NotIntegral, PreconditionError)
 from .hopf import (LinMapHom, convolution_central_violations, is_cocommutative,
                    left_integrals, split, tensor_square_coalgebra)
-from .linalg import (QuotientSpace, contract, coords_in, is_zero,
-                     solve, span, zeros)
-from .partial import GlobalTwistedAction, TwistedPartialAction
+from .linalg import (QuotientSpace, contract, coords_in, coords_in_many,
+                     is_zero, kernel_basis, solve, span, zeros)
+from .partial import GlobalTwistedAction
 
 
 @dataclass(frozen=True)
@@ -66,17 +66,14 @@ def default_cleft(tpa, cp: CrossedProductAlgebra | None = None) -> CleftData:
             cp = build_global_crossed(tpa)
         else:
             cp = build_partial_crossed(tpa)
-    action = tpa.action if isinstance(tpa, TwistedPartialAction) else tpa.action
-    e = contract("ija,j->ia", action, a.unit, fld=a.fld)
+    e = contract("ija,j->ia", tpa.action, a.unit, fld=a.fld)
     amb = contract("jpq,px->jxq", h.comult, e,
                    fld=a.fld).reshape(h.dim, a.dim * h.dim)
-    gamma = zeros(a.fld, (h.dim, cp.dim))
-    for j in range(h.dim):
-        c = coords_in(cp.basis, amb[j])
-        if c is None:
-            raise ValueError(f"unit section of basis element {j} left the span")
-        gamma[j] = c
-    return CleftData(cp, gamma, h.antipode @ gamma, action)
+    gamma, misses = coords_in_many(cp.basis, amb)
+    if misses:
+        raise ValueError(
+            f"unit section of basis element {misses[0][0]} left the span")
+    return CleftData(cp, gamma, h.antipode @ gamma, tpa.action)
 
 
 def _conv_product(cd: CleftData) -> np.ndarray:
@@ -158,7 +155,6 @@ def centralizer(cp: CrossedProductAlgebra):
     d, na = cp.dim, cp.base.dim
     diff = cp.algebra.mult - cp.algebra.mult.transpose(1, 0, 2)
     m = contract("aj,ijk->aki", cp.iota, diff, fld=cp.fld).reshape(na * d, d)
-    from .linalg import kernel_basis
     return span(kernel_basis(m, cp.fld), d, cp.fld)
 
 

@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hopfcross.errors import CoinvariantsMismatch
+from hopfcross.errors import ClosureViolation, CoinvariantsMismatch
 from hopfcross.fields import Field
 from hopfcross.fixtures import (c3_partial, cocycle_pair, cyclic_table,
                                 degenerate_swap, product_field_algebra,
@@ -22,7 +22,7 @@ from hopfcross.crossed import (balanced_tensor_square, base_image,
                                verify_coinvariants_are_base, verify_crossed)
 from hopfcross.hopf import group_algebra
 from hopfcross.linalg import arr, eqarr, kron, zeros
-from hopfcross.partial import GlobalTwistedAction
+from hopfcross.partial import GlobalTwistedAction, TwistedPartialAction
 
 QQ = Field.rationals()
 F5 = Field.prime(5)
@@ -180,3 +180,20 @@ def test_canonical_map_rejects_doctored_coaction():
     doctored = dataclasses.replace(cp, coaction=fake)
     with pytest.raises(CoinvariantsMismatch):
         canonical_map(doctored)
+
+
+def test_closure_error_names_the_first_product_in_loop_order():
+    # Broken data whose crossed-basis products leave the span at (1, 3)
+    # and (3, 0).  The error names (1, 3), the first pair of the loop
+    # "for s: for u:" that the table was once filled by; the message
+    # text is pinned because it reaches stderr.
+    t = c3_partial()
+    action, cocycle = t.action.copy(), t.cocycle.copy()
+    action[0, 0, 0] -= 1
+    action[1, 1, 0] -= 1
+    cocycle[1, 1, 1] += 2
+    broken = TwistedPartialAction(t.hopf, t.alg, action, cocycle)
+    with pytest.raises(ClosureViolation) as info:
+        build_partial_crossed(broken, check=False)
+    assert str(info.value) == \
+        "product of crossed basis elements 1 and 3 leaves the span"

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hopfcross.fields import Field, FieldMismatchError, Fp
 
@@ -120,3 +122,18 @@ def test_coerce_rejects_float():
         QQ.coerce(0.5)
     with pytest.raises(FieldMismatchError):
         F5.coerce(0.5)
+
+
+def test_fp_equals_only_its_canonical_residue():
+    assert Fp(1, 5) == 1 and 1 == Fp(1, 5)
+    assert Fp(1, 5) != 6 and Fp(4, 5) != -1
+    assert hash(Fp(1, 5)) == hash(1)
+    assert {1: "one"}[Fp(6, 5)] == "one"
+
+
+@given(st.sampled_from([2, 5, 7, 10007]), st.integers(-30, 30),
+       st.integers(-30, 30))
+def test_fp_equality_implies_equal_hashes(p, a, b):
+    for x, y in ((Fp(a, p), Fp(b, p)), (Fp(a, p), b), (b, Fp(a, p))):
+        if x == y:
+            assert hash(x) == hash(y)

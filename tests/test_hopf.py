@@ -5,6 +5,10 @@ convolution in the group ring and then frozen.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +16,14 @@ import pytest
 from hopfcross.errors import NonGroupTable
 from hopfcross.fields import Field
 from hopfcross.fixtures import group_tables_up_to_6, product_field_algebra, sym3_table
-from hopfcross.hopf import (LinMapHom, convolution, convolution_inverse,
+from hopfcross.hopf import (AlgebraData, CoalgebraData, HopfAlgebraData,
+                            LinMapHom, convolution, convolution_inverse,
                             convolution_unit, dual_hopf, function_algebra,
                             group_algebra, is_cocommutative, left_integrals,
-                            verify_algebra, verify_coalgebra, verify_hopf)
-from hopfcross.linalg import arr, eqarr, identity
+                            split, verify_algebra, verify_coalgebra,
+                            verify_hopf)
+from hopfcross.linalg import arr, eqarr, identity, zeros
+from hopfcross.partial import GlobalTwistedAction, TwistedPartialAction
 
 QQ = Field.rationals()
 F5 = Field.prime(5)
@@ -151,3 +158,50 @@ def test_function_algebra_is_pointwise():
     x = arr(QQ, [1, 2, 3])
     y = arr(QQ, [4, 5, 6])
     assert eqarr(fa.mul(x, y), arr(QQ, [4, 10, 18]))
+
+
+def test_wrong_shapes_raise_value_error():
+    h = group_algebra(QQ, [[0, 1], [1, 0]])
+    a = product_field_algebra(QQ, 3)
+    bad = zeros(QQ, (2, 2, 2))
+    cases = [
+        lambda: AlgebraData(QQ, 3, bad, a.unit),
+        lambda: AlgebraData(QQ, 3, a.mult, zeros(QQ, (2,))),
+        lambda: CoalgebraData(QQ, 3, bad, zeros(QQ, (3,))),
+        lambda: CoalgebraData(QQ, 2, h.comult, zeros(QQ, (3,))),
+        lambda: HopfAlgebraData(a, h.coalgebra, h.antipode),
+        lambda: HopfAlgebraData(h.algebra, h.coalgebra, identity(QQ, 3)),
+        lambda: LinMapHom(2, 3, identity(QQ, 2)),
+        lambda: TwistedPartialAction(h, a, bad, zeros(QQ, (2, 2, 3))),
+        lambda: TwistedPartialAction(h, a, zeros(QQ, (2, 3, 3)), bad),
+        lambda: GlobalTwistedAction(h, a, bad, zeros(QQ, (2, 2, 3))),
+        lambda: GlobalTwistedAction(h, a, zeros(QQ, (2, 3, 3)), bad),
+        lambda: split(h.coalgebra, 0),
+        lambda: convolution(LinMapHom(2, 3, zeros(QQ, (2, 3))),
+                            LinMapHom(2, 3, zeros(QQ, (2, 3))),
+                            h.coalgebra, h.algebra),
+        lambda: convolution(LinMapHom(3, 2, zeros(QQ, (3, 2))),
+                            LinMapHom(3, 2, zeros(QQ, (3, 2))),
+                            h.coalgebra, h.algebra),
+    ]
+    for make in cases:
+        with pytest.raises(ValueError):
+            make()
+
+
+def test_shape_check_survives_optimized_mode():
+    # assert statements vanish under python -O; the checks must not
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("from hopfcross.fields import Field\n"
+            "from hopfcross.hopf import AlgebraData\n"
+            "from hopfcross.linalg import zeros\n"
+            "QQ = Field.rationals()\n"
+            "try:\n"
+            "    AlgebraData(QQ, 2, zeros(QQ, (2, 2, 3)), zeros(QQ, (2,)))\n"
+            "except ValueError as exc:\n"
+            "    print('ValueError:', exc)\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.strip() == \
+        "ValueError: mult has shape (2, 2, 3), expected (2, 2, 2)"

@@ -15,10 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hopfcross
+from hopfcross import linalg
 from hopfcross.fields import Field, FieldMismatchError, Fp
-from hopfcross.linalg import (arr, contract, coords_in, eqarr, identity,
-                              is_zero, kernel_basis, kron, quotient, rank,
-                              rref, solve, span, zeros)
+from hopfcross.linalg import (arr, contract, coords_in, coords_in_many,
+                              eqarr, identity, is_zero, kernel_basis, kron,
+                              quotient, rank, rref, solve, span, zeros)
 
 QQ = Field.rationals()
 F5 = Field.prime(5)
@@ -270,3 +271,105 @@ def test_only_linalg_calls_einsum():
                  for n, line in enumerate(path.read_text().splitlines(), 1)
                  if re.search(r"\beinsum\(", line)]
     assert offenders == []
+
+
+@st.composite
+def membership_cases(draw):
+    """A field, a subspace of F^n spanned by 0-3 random rows (so possibly
+    zero-dimensional), and a stack of 0-6 vectors mixing members,
+    zero vectors, non-members and random vectors."""
+    fld = draw(st.sampled_from([QQ, Field.prime(7)]))
+    n = draw(st.integers(1, 4))
+    vec = st.lists(scalars, min_size=n, max_size=n)
+    gens = draw(st.lists(vec, max_size=3))
+    sub = span(arr(fld, gens).reshape(len(gens), n), n, fld)
+    free = [j for j in range(n) if j not in sub.pivots]
+    kinds = ["member", "zero", "random"] + (["outside"] if free else [])
+    vs = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=6)):
+        if kind == "zero":
+            vs.append(zeros(fld, (n,)))
+            continue
+        v = arr(fld, draw(vec))
+        if kind != "random":
+            # a combination of the basis rows, plus a unit vector at a
+            # non-pivot column, which is never a member, for "outside"
+            v = contract("i,ij->j", v[:sub.dim], sub.rows, fld=fld)
+            if kind == "outside":
+                v[draw(st.sampled_from(free))] += fld.one()
+        vs.append(v)
+    return sub, np.array(vs, dtype=object).reshape(len(vs), n)
+
+
+@given(membership_cases())
+@settings(max_examples=200, deadline=None)
+def test_coords_in_many_matches_membership_by_rank(case):
+    sub, vs = case
+    fld, n = sub.fld, sub.ambient_dim
+    coords, misses = coords_in_many(sub, vs)
+    assert coords.shape == (len(vs), sub.dim)
+    want = tuple((k,) for k, v in enumerate(vs)
+                 if span(np.vstack([sub.rows, v.reshape(1, n)]), n,
+                         fld).dim != sub.dim)
+    assert misses == want
+    for k, v in enumerate(vs):
+        if (k,) not in misses:
+            rebuilt = zeros(fld, (n,))
+            for c, row in zip(coords[k], sub.rows):
+                rebuilt = rebuilt + c * row
+            assert eqarr(rebuilt, v)
+            assert eqarr(coords_in(sub, v), coords[k])
+        else:
+            assert coords_in(sub, v) is None
+
+
+@pytest.mark.parametrize("fld", [QQ, Field.prime(7)])
+def test_coords_in_many_names_non_members_at_every_position(fld):
+    sub = span(arr(fld, [[1, 2, 0], [0, 1, 1]]), 3, fld)
+    member, outside = arr(fld, [1, 3, 1]), arr(fld, [0, 0, 1])
+    vs = np.array([outside, member, outside, zeros(fld, (3,)), outside],
+                  dtype=object)
+    coords, misses = coords_in_many(sub, vs)
+    assert misses == ((0,), (2,), (4,))
+    assert eqarr(coords[1], arr(fld, [1, 3])) and is_zero(coords[3])
+    empty = span(zeros(fld, (0, 3)), 3, fld)
+    assert empty.dim == 0
+    assert coords_in_many(empty, vs)[1] == ((0,), (1,), (2,), (4,))
+    assert coords_in_many(sub, zeros(fld, (0, 3)))[1] == ()
+
+
+def test_coords_in_many_names_misses_in_loop_order():
+    # a (2, 3) table of vectors: the misses come in the order of the
+    # nested loop "for a in range(2): for b in range(3)", which is the
+    # order in which per-vector loops reported them
+    sub = span(arr(QQ, [[1, 0, 0], [0, 1, 0]]), 3, QQ)
+    inside, outside = arr(QQ, [5, "1/2", 0]), arr(QQ, [0, 0, 3])
+    table = np.array([[inside, inside, outside],
+                      [outside, inside, outside]], dtype=object)
+    coords, misses = coords_in_many(sub, table)
+    assert misses == ((0, 2), (1, 0), (1, 2))
+    assert coords.shape == (2, 3, 2)
+    assert eqarr(coords[1, 1], arr(QQ, [5, "1/2"]))
+    with pytest.raises(ValueError):
+        coords_in_many(sub, arr(QQ, [[1, 2]]))
+
+
+def test_contract_plans_each_spec_and_shapes_once(monkeypatch):
+    searches = []
+    search = np.einsum_path
+
+    def counting(*args, **kwargs):
+        searches.append(args[0])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum_path", counting)
+    linalg._plan.cache_clear()
+    square, wide = identity(QQ, 2), arr(QQ, [[1, 2, 3], [4, 5, "1/6"]])
+    first = contract("ij,jk->ik", square, wide, fld=QQ)
+    again = contract("ij,jk->ik", square, wide, fld=QQ)
+    assert len(searches) == 1 and eqarr(first, again) and eqarr(first, wide)
+    contract("ij,jk->ik", wide.T, wide, fld=QQ)
+    assert len(searches) == 2
+    contract("ij,jk->ik", square, wide, fld=QQ)
+    contract("ij,jk->ki", square, wide, fld=QQ)
+    assert len(searches) == 3
