@@ -40,19 +40,9 @@ class CheckReport:
         return not self.violations
 
     def identity_passed(self, name: str) -> bool:
-        assert name in self.identities, f"{name!r} was not checked in {self.title!r}"
+        if name not in self.identities:
+            raise ValueError(f"{name!r} was not checked in {self.title!r}")
         return all(v.identity != name for v in self.violations)
-
-    def sub_report(self, *names) -> "CheckReport":
-        """Restrict to a subset of the checked identities."""
-        for n in names:
-            assert n in self.identities, f"{n!r} was not checked in {self.title!r}"
-        return CheckReport(
-            title=f"{self.title}[{','.join(names)}]",
-            identities=tuple(names),
-            violations=tuple(v for v in self.violations if v.identity in names),
-            notes=self.notes,
-        )
 
     def merged(self, other: "CheckReport", title=None) -> "CheckReport":
         vs = sorted(self.violations + other.violations, key=Violation.sort_key)
@@ -107,8 +97,9 @@ class ReportBuilder:
         All leading axes are basis indices; every index tuple at which the
         output vectors differ becomes one violation.
         """
-        assert lhs.shape == rhs.shape, \
-            f"{identity}: shape mismatch {lhs.shape} vs {rhs.shape}"
+        if lhs.shape != rhs.shape:
+            raise ValueError(
+                f"{identity}: shape mismatch {lhs.shape} vs {rhs.shape}")
         self._identities.append(identity)
         lead = lhs.shape[:-1]
         for idx in iproduct(*(range(n) for n in lead)):

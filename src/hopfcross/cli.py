@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Each command reads a definition file, dispatches to the owning module,
-and emits one report.  JSON reports are fully deterministic (sorted
-keys, no timing data) so identical inputs give byte-identical output;
-the text format adds a wall-time line at the end.
+and emits one report.  The commands read every derived object from one
+Pipeline per ``run`` call, which builds each of them once.  JSON reports
+are fully deterministic (sorted keys, no timing data) so identical
+inputs give byte-identical output; the text format adds a wall-time
+line at the end.
 
 Exit codes: 0 when every requested check passed, 1 when some check or
 domain precondition failed, 2 for unusable input (parse errors, missing
@@ -16,10 +18,10 @@ import argparse
 import json
 import sys
 import time
+from functools import cached_property
 
-import numpy as np
-
-from .crossed import (build_partial_crossed, canonical_map, comodule_coaction,
+from .crossed import (build_global_crossed, build_partial_crossed,
+                      comodule_coaction, require_crossed_conditions,
                       verify_assoc_unital, verify_crossed)
 from .errors import HopfcrossError, SpecFileError
 from .fields import Field
@@ -28,7 +30,8 @@ from .gauge import (gauge_transform, gauge_crossed_iso, verify_equisatisfiabilit
 from .globalize import (globalize_group_partial, verify_enveloping,
                         verify_induced_matches)
 from .hopf import verify_algebra, verify_hopf
-from .morita import morita_context, verify_module_structures, verify_morita_pairings
+from .morita import (MoritaContextData, build_M, build_N, phi_embed,
+                     verify_module_structures, verify_morita_pairings)
 from .partial import (verify_absorption, verify_crossed_conditions,
                       verify_symmetric, verify_twisted_partial)
 from .separability import (CleftData, check_separable_extension, default_cleft,
@@ -37,6 +40,85 @@ from .specfile import _emit, load_spec
 
 COMMANDS = ("verify", "build-crossed", "globalize", "morita", "gauge",
             "separability", "report")
+
+
+class _Partial:
+    """A twisted partial action with its two verify-stage reports and its
+    crossed product, each built on first use."""
+
+    def __init__(self, tpa):
+        self.tpa = tpa
+
+    @cached_property
+    def axioms(self):
+        return verify_twisted_partial(self.tpa)
+
+    @cached_property
+    def conditions(self):
+        return verify_crossed_conditions(self.tpa)
+
+    @cached_property
+    def cp(self):
+        require_crossed_conditions(self.axioms, self.conditions)
+        return build_partial_crossed(self.tpa, check=False)
+
+
+class Pipeline:
+    """Every object the commands read, derived from one parsed spec: the
+    partial action, its enveloping action, the global crossed product,
+    the Morita context, the gauged action and the cleft data.  Each is
+    built on first use and kept for the life of the object, which is one
+    ``run`` call; a build that raises keeps nothing, so every stage that
+    needs it meets the same error."""
+
+    def __init__(self, spec):
+        self.spec = spec
+
+    @cached_property
+    def partial(self):
+        return _Partial(self.spec.partial_action())
+
+    @cached_property
+    def env(self):
+        return globalize_group_partial(self.partial.tpa, check=False)
+
+    @cached_property
+    def global_cp(self):
+        return build_global_crossed(self.env.glob)
+
+    @cached_property
+    def morita(self):
+        env, r, s = self.env, self.partial.cp, self.global_cp
+        phi, phi_report = phi_embed(env, r, s)
+        return MoritaContextData(env, r, s, phi, phi_report,
+                                 build_M(env, s), build_N(env, s))
+
+    @cached_property
+    def gauge_pair(self):
+        """The spec's gauge with its weak inverse, or None without one."""
+        tpa = self.partial.tpa      # a missing action is reported first
+        if self.spec.gauge is None:
+            raise SpecFileError("missing object 'gauge'")
+        return weak_conv_inverse(self.spec.gauge, tpa)
+
+    @cached_property
+    def gauged(self):
+        return _Partial(gauge_transform(self.gauge_pair, self.partial.tpa))
+
+    @cached_property
+    def cleft(self):
+        spec, tpa, cp = self.spec, self.partial.tpa, self.partial.cp
+        if spec.gamma is None and spec.gamma_prime is None:
+            return default_cleft(tpa, cp)
+        if spec.gamma is None or spec.gamma_prime is None:
+            raise SpecFileError(
+                "gamma and gamma_prime must be supplied together")
+        for name, mat in (("gamma", spec.gamma),
+                          ("gamma_prime", spec.gamma_prime)):
+            if mat.shape[1] != cp.dim:
+                raise SpecFileError(
+                    f"{name}: expected {cp.dim} columns, got {mat.shape[1]}")
+        return CleftData(cp, spec.gamma, spec.gamma_prime, tpa.action)
 
 
 def _assemble(fld, command, reports, derived, errors):
@@ -52,14 +134,14 @@ def _assemble(fld, command, reports, derived, errors):
     }
 
 
-def _cmd_verify(spec):
-    tpa = spec.partial_action()
+def _cmd_verify(p):
+    tpa = p.partial.tpa
     reports = [
         verify_hopf(tpa.hopf),
         verify_algebra(tpa.alg),
-        verify_twisted_partial(tpa),
+        p.partial.axioms,
         verify_absorption(tpa),
-        verify_crossed_conditions(tpa),
+        p.partial.conditions,
     ]
     ci = verify_symmetric(tpa)
     reports.append(ci.report)
@@ -68,12 +150,11 @@ def _cmd_verify(spec):
         "base_dim": tpa.alg.dim,
         "cocycle_inverse_exists": ci.exists,
     }
-    return _assemble(spec.fld, "verify", reports, derived, [])
+    return _assemble(p.spec.fld, "verify", reports, derived, [])
 
 
-def _cmd_build_crossed(spec):
-    tpa = spec.partial_action()
-    cp = build_partial_crossed(tpa)
+def _cmd_build_crossed(p):
+    cp = p.partial.cp
     reports = [
         verify_assoc_unital(cp),
         verify_crossed(cp),
@@ -82,12 +163,12 @@ def _cmd_build_crossed(spec):
     errors = []
     derived = {
         "dim": cp.dim,
-        "basis": _emit(spec.fld, cp.basis.rows),
-        "multiplication": _emit(spec.fld, cp.algebra.mult),
-        "unit": _emit(spec.fld, cp.algebra.unit),
+        "basis": _emit(p.spec.fld, cp.basis.rows),
+        "multiplication": _emit(p.spec.fld, cp.algebra.mult),
+        "unit": _emit(p.spec.fld, cp.algebra.unit),
     }
     try:
-        res, _, _ = canonical_map(cp)
+        res, _, _ = cp.canonical
         derived["canonical_map"] = {
             "quotient_dim": res.quotient_dim,
             "target_dim": res.target_dim,
@@ -99,24 +180,21 @@ def _cmd_build_crossed(spec):
     except HopfcrossError as exc:
         errors.append({"stage": "canonical_map",
                        "error": type(exc).__name__, "message": str(exc)})
-    return _assemble(spec.fld, "build-crossed", reports, derived, errors)
+    return _assemble(p.spec.fld, "build-crossed", reports, derived, errors)
 
 
-def _cmd_globalize(spec):
-    tpa = spec.partial_action()
-    env = globalize_group_partial(tpa, check=False)
+def _cmd_globalize(p):
+    env = p.env
     reports = [verify_enveloping(env), verify_induced_matches(env)]
     derived = {
         "ambient_dim": env.ambient.dim,
         "enveloping_dim": env.glob.alg.dim,
     }
-    return _assemble(spec.fld, "globalize", reports, derived, [])
+    return _assemble(p.spec.fld, "globalize", reports, derived, [])
 
 
-def _cmd_morita(spec):
-    tpa = spec.partial_action()
-    env = globalize_group_partial(tpa, check=False)
-    ctx = morita_context(env)
+def _cmd_morita(p):
+    ctx = p.morita
     reports = [verify_module_structures(ctx)]
     pr = verify_morita_pairings(ctx)
     reports.append(pr.report)
@@ -130,52 +208,37 @@ def _cmd_morita(spec):
         "sigma_surjective": pr.sigma_surjective,
         "tau_surjective": pr.tau_surjective,
     }
-    return _assemble(spec.fld, "morita", reports, derived, [])
+    return _assemble(p.spec.fld, "morita", reports, derived, [])
 
 
-def _cmd_gauge(spec):
-    tpa = spec.partial_action()
-    if spec.gauge is None:
-        raise SpecFileError("missing object 'gauge'")
-    pair = weak_conv_inverse(spec.gauge, tpa)
+def _cmd_gauge(p):
+    pair = p.gauge_pair
     if pair is None:
-        report = _assemble(spec.fld, "gauge", [], {}, [{
+        return _assemble(p.spec.fld, "gauge", [], {}, [{
             "stage": "weak_conv_inverse",
             "error": "NotInvertible",
             "message": "the gauge map has no weak convolution inverse",
         }])
-        return report
-    gt = gauge_transform(pair, tpa)
+    tpa, gauged = p.partial.tpa, p.gauged
     reports = [
-        verify_twisted_partial(gt),
-        verify_crossed_conditions(gt),
+        gauged.axioms,
+        gauged.conditions,
         verify_equisatisfiability(tpa, pair),
     ]
-    _, iso_report = gauge_crossed_iso(pair, tpa)
+    _, iso_report = gauge_crossed_iso(pair, tpa, p.partial.cp, gauged.cp)
     reports.append(iso_report)
     derived = {"fully_invertible": pair.fully_invertible}
-    return _assemble(spec.fld, "gauge", reports, derived, [])
+    return _assemble(p.spec.fld, "gauge", reports, derived, [])
 
 
-def _cmd_separability(spec):
-    tpa = spec.partial_action()
+def _cmd_separability(p):
+    spec, tpa = p.spec, p.partial.tpa
     if spec.integral_t is None:
         raise SpecFileError("missing object 'integral_t'")
     if spec.center_c is None:
         raise SpecFileError("missing object 'center_c'")
-    cp = build_partial_crossed(tpa)
-    if spec.gamma is not None or spec.gamma_prime is not None:
-        if spec.gamma is None or spec.gamma_prime is None:
-            raise SpecFileError(
-                "gamma and gamma_prime must be supplied together")
-        for name, mat in (("gamma", spec.gamma),
-                          ("gamma_prime", spec.gamma_prime)):
-            if mat.shape[1] != cp.dim:
-                raise SpecFileError(
-                    f"{name}: expected {cp.dim} columns, got {mat.shape[1]}")
-        cd = CleftData(cp, spec.gamma, spec.gamma_prime, tpa.action)
-    else:
-        cd = default_cleft(tpa, cp)
+    cd = p.cleft
+    cp = cd.cp
     reports = [verify_partially_cleft(cd)]
     errors = []
     derived = {"crossed_dim": cp.dim}
@@ -191,7 +254,7 @@ def _cmd_separability(spec):
         errors.append({"stage": "separability_idempotent",
                        "error": type(exc).__name__, "message": str(exc)})
     try:
-        res, _, _ = canonical_map(cp)
+        res, _, _ = cp.canonical
         derived["canonical_map_rank"] = res.rank
         derived["canonical_map_bijective"] = res.bijective
     except HopfcrossError as exc:
@@ -210,16 +273,17 @@ _DISPATCH = {
 }
 
 
-def _cmd_report(spec):
-    """Every applicable command in sequence.  Stages whose inputs are
-    absent or whose preconditions do not hold are recorded as skipped;
-    verdicts of the stages that did run decide the outcome."""
+def _cmd_report(p):
+    """Every applicable command in sequence, all reading one pipeline.
+    Stages whose inputs are absent or whose preconditions do not hold
+    are recorded as skipped; verdicts of the stages that did run decide
+    the outcome."""
     stages = []
     passed = True
     for name in ("verify", "build-crossed", "globalize", "morita", "gauge",
                  "separability"):
         try:
-            sub = _DISPATCH[name](spec)
+            sub = _DISPATCH[name](p)
             stages.append(sub)
             passed = passed and sub["passed"]
         except SpecFileError as exc:
@@ -229,7 +293,7 @@ def _cmd_report(spec):
                            f"{type(exc).__name__}: {exc}"})
     return {
         "command": "report",
-        "field": spec.fld.name,
+        "field": p.spec.fld.name,
         "stages": stages,
         "passed": passed,
     }
@@ -240,11 +304,11 @@ def run(command: str, spec) -> dict:
     the report dictionary.  SpecFileError means unusable input; other
     domain errors are folded into the report."""
     if command == "report":
-        return _cmd_report(spec)
+        return _cmd_report(Pipeline(spec))
     if command not in _DISPATCH:
         raise SpecFileError(f"unknown command {command!r}")
     try:
-        return _DISPATCH[command](spec)
+        return _DISPATCH[command](Pipeline(spec))
     except SpecFileError:
         raise
     except HopfcrossError as exc:

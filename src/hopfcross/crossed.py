@@ -18,6 +18,7 @@ Kronecker product of coordinate vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +57,10 @@ class CrossedProductAlgebra:
         iota: matrix of the base-algebra embedding a |-> a (x) 1.
         coaction: matrix of x |-> x_(0) (x) x_(1), shaped
             (dim, dim * dim H) with column index k * dim(H) + s.
+
+    The coinvariants, the base image, the balanced tensor square and the
+    canonical map are pure functions of these fields; the properties
+    below compute each once, through its module function, and keep it.
     """
 
     hopf: HopfAlgebraData
@@ -83,10 +88,25 @@ class CrossedProductAlgebra:
     def to_ambient(self, x):
         return x @ self.basis.rows
 
+    @cached_property
+    def coinvariant_space(self) -> SubspaceBasis:
+        return coinvariants(self)
+
+    @cached_property
+    def base_space(self) -> SubspaceBasis:
+        return base_image(self)
+
+    @cached_property
+    def balanced_square(self) -> QuotientSpace:
+        return balanced_tensor_square(self)
+
+    @cached_property
+    def canonical(self):
+        return canonical_map(self)
+
 
 def _build(hopf: HopfAlgebraData, alg: AlgebraData, action: np.ndarray,
-           cocycle: np.ndarray, cls=None) -> 'CrossedProductAlgebra':
-    cls = cls or CrossedProductAlgebra
+           cocycle: np.ndarray) -> CrossedProductAlgebra:
     fld = alg.fld
     na, nh = alg.dim, hopf.dim
     n = na * nh
@@ -126,13 +146,18 @@ def _build(hopf: HopfAlgebraData, alg: AlgebraData, action: np.ndarray,
             f"coaction of basis element {misses[0][0]} leaves the span")
     coaction = coaction.transpose(0, 2, 1).reshape(d, d * nh)
 
-    return cls(hopf, alg, basis, algebra, amb, iota, coaction)
+    return CrossedProductAlgebra(hopf, alg, basis, algebra, amb, iota,
+                                 coaction)
 
 
-class GlobalCrossedProduct(CrossedProductAlgebra):
-    """Crossed product of a global twisted action; the span is the full
-    tensor square, so ``basis.rows`` is the identity permutation of the
-    ambient coordinates."""
+def require_crossed_conditions(axioms: CheckReport, conditions: CheckReport):
+    """Raise PreconditionError unless both reports pass: ``axioms`` from
+    verify_twisted_partial and ``conditions`` from
+    verify_crossed_conditions on the same action."""
+    rep = axioms.merged(conditions)
+    if not rep.passed:
+        raise PreconditionError(
+            "input fails the crossed product conditions: " + rep.summary())
 
 
 def build_partial_crossed(tpa: TwistedPartialAction,
@@ -141,23 +166,21 @@ def build_partial_crossed(tpa: TwistedPartialAction,
     ``check`` the crossed-product conditions are verified first and a
     PreconditionError raised when they fail."""
     if check:
-        rep = verify_twisted_partial(tpa).merged(verify_crossed_conditions(tpa))
-        if not rep.passed:
-            raise PreconditionError(
-                "input fails the crossed product conditions: " + rep.summary())
+        require_crossed_conditions(verify_twisted_partial(tpa),
+                                   verify_crossed_conditions(tpa))
     return _build(tpa.hopf, tpa.alg, tpa.action, tpa.cocycle)
 
 
 def build_global_crossed(g: GlobalTwistedAction,
-                         check: bool = True) -> GlobalCrossedProduct:
+                         check: bool = True) -> CrossedProductAlgebra:
     """Crossed product of a global twisted action.  When the axioms hold
-    the span is all of B (x) H."""
+    the span is all of B (x) H, so ``basis.rows`` is the identity."""
     if check:
         rep = verify_global(g)
         if not rep.passed:
             raise PreconditionError(
                 "input fails the global twisted action axioms: " + rep.summary())
-    return _build(g.hopf, g.alg, g.action, g.twist, cls=GlobalCrossedProduct)
+    return _build(g.hopf, g.alg, g.action, g.twist)
 
 
 def verify_assoc_unital(cp: CrossedProductAlgebra) -> CheckReport:
@@ -219,9 +242,8 @@ def comodule_coaction(cp: CrossedProductAlgebra):
     Returns (map, coinvariants, report).
     """
     rho = LinMapHom(cp.dim, cp.dim * cp.hopf.dim, cp.coaction)
-    coin = coinvariants(cp)
     rep = verify_coaction(cp).merged(verify_coinvariants_are_base(cp))
-    return rho, coin, rep
+    return rho, cp.coinvariant_space, rep
 
 
 def coinvariants(cp: CrossedProductAlgebra) -> SubspaceBasis:
@@ -242,13 +264,22 @@ def base_image(cp: CrossedProductAlgebra) -> SubspaceBasis:
 
 def verify_coinvariants_are_base(cp: CrossedProductAlgebra) -> CheckReport:
     rb = ReportBuilder("coinvariants")
-    coin = coinvariants(cp)
-    base = base_image(cp)
+    coin, base = cp.coinvariant_space, cp.base_space
     rb.require("coinvariants_equal_base_image", coin == base,
                lhs=(coin.dim,), rhs=(base.dim,))
     if coin != base:
         rb.note("coinvariant subspace differs from the embedded base algebra")
     return rb.build()
+
+
+def require_coinvariants_are_base(cp: CrossedProductAlgebra):
+    """Raise CoinvariantsMismatch unless the coinvariants of the coaction
+    are exactly the embedded base algebra."""
+    coin, base = cp.coinvariant_space, cp.base_space
+    if coin != base:
+        raise CoinvariantsMismatch(
+            f"coinvariants (dim {coin.dim}) differ from the embedded base "
+            f"(dim {base.dim})")
 
 
 # ---------------------------------------------------------------------------
@@ -303,17 +334,12 @@ def canonical_map(cp: CrossedProductAlgebra):
     are not exactly the embedded base algebra, since the balanced tensor
     square is only the right source space in that case.
     """
-    coin = coinvariants(cp)
-    base = base_image(cp)
-    if coin != base:
-        raise CoinvariantsMismatch(
-            f"coinvariants (dim {coin.dim}) differ from the embedded base "
-            f"(dim {base.dim})")
+    require_coinvariants_are_base(cp)
     d, nh = cp.dim, cp.hopf.dim
     co = cp.coaction.reshape(d, d, nh)
     camb = contract("yms,xmk->xyks", co, cp.algebra.mult,
                     fld=cp.fld).reshape(d * d, d * nh)
-    q = balanced_tensor_square(cp)
+    q = cp.balanced_square
     balanced = is_zero(np.asarray(q.relations.rows @ camb)) if q.relations.rows.size else True
     mq = q.section @ camb
     rk = rank(mq, cp.fld)

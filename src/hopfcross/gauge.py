@@ -157,8 +157,8 @@ def gauge_crossed_iso(pair: GaugePair, tpa: TwistedPartialAction,
     fld = a.fld
     nh, na = h.dim, a.dim
     cp = original_cp if original_cp is not None else build_partial_crossed(tpa)
-    gt = gauge_transform(pair, tpa)
-    cpv = gauged_cp if gauged_cp is not None else build_partial_crossed(gt)
+    cpv = (gauged_cp if gauged_cp is not None
+           else build_partial_crossed(gauge_transform(pair, tpa)))
     rb = ReportBuilder("gauge isomorphism of crossed products")
 
     def induced(src, dst, f):

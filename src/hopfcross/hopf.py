@@ -44,12 +44,6 @@ class AlgebraData:
     def mul(self, x, y):
         return contract("i,j,ijk->k", x, y, self.mult, fld=self.fld)
 
-    def mul_many(self, *xs):
-        out = xs[0]
-        for x in xs[1:]:
-            out = self.mul(out, x)
-        return out
-
 
 @dataclass(frozen=True)
 class CoalgebraData:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import CheckReport, ReportBuilder
-from .crossed import (CrossedProductAlgebra, GlobalCrossedProduct,
-                      build_global_crossed, build_partial_crossed)
+from .crossed import (CrossedProductAlgebra, build_global_crossed,
+                      build_partial_crossed)
 from .globalize import EnvelopingAction
 from .linalg import (SubspaceBasis, contract, coords_in_many, identity,
                      kron, rank, span)
@@ -33,7 +33,7 @@ from .linalg import (SubspaceBasis, contract, coords_in_many, identity,
 
 def phi_embed(env: EnvelopingAction,
               partial_cp: CrossedProductAlgebra | None = None,
-              global_cp: GlobalCrossedProduct | None = None):
+              global_cp: CrossedProductAlgebra | None = None):
     """The algebra map from the partial crossed product into the global
     one induced by the base embedding, as a matrix on the chosen bases.
 
@@ -74,7 +74,7 @@ def phi_embed(env: EnvelopingAction,
 
 
 def build_M(env: EnvelopingAction,
-            global_cp: GlobalCrossedProduct | None = None) -> SubspaceBasis:
+            global_cp: CrossedProductAlgebra | None = None) -> SubspaceBasis:
     """The span of theta(a) (x) h inside the global crossed product."""
     s = global_cp if global_cp is not None else build_global_crossed(env.glob)
     nh = env.source.hopf.dim
@@ -85,7 +85,7 @@ def build_M(env: EnvelopingAction,
 
 
 def build_N(env: EnvelopingAction,
-            global_cp: GlobalCrossedProduct | None = None) -> SubspaceBasis:
+            global_cp: CrossedProductAlgebra | None = None) -> SubspaceBasis:
     """The span of (h_1 > theta(a)) (x) h_2 inside the global crossed
     product, with > the global action."""
     s = global_cp if global_cp is not None else build_global_crossed(env.glob)
@@ -114,7 +114,7 @@ class MoritaContextData:
 
     env: EnvelopingAction
     partial_cp: CrossedProductAlgebra
-    global_cp: GlobalCrossedProduct
+    global_cp: CrossedProductAlgebra
     phi: np.ndarray                # (dim R, dim S)
     phi_report: CheckReport
     bimodule_m: SubspaceBasis

@@ -96,6 +96,19 @@ def unit_translate_map(tpa) -> tuple[LinMapHom, CheckReport]:
 # shared identity kernels
 
 
+def _action_axioms(rb, hopf, alg, action):
+    """Record the two axioms every action here shares: the Hopf unit acts
+    as the identity, and the action splits over products through the
+    coproduct."""
+    rb.compare("unit_acts_trivially",
+               contract("i,ijk->jk", hopf.unit, action, fld=alg.fld),
+               identity(alg.fld, alg.dim))
+    lhs = contract("abm,imk->iabk", alg.mult, action, fld=alg.fld)
+    rhs = contract("ipq,pax,qby,xyk->iabk", hopf.comult, action, action,
+                   alg.mult, fld=alg.fld)
+    rb.compare("action_multiplicative", lhs, rhs)
+
+
 def _twisted_module_sides(hopf, action, cocycle, mult_a):
     lhs = contract("ipq,jrs,rax,pxy,qsz,yzk->ijak",
                    hopf.comult, hopf.comult, action, action, cocycle, mult_a,
@@ -127,13 +140,7 @@ def verify_partial_module_algebra(hopf: HopfAlgebraData, alg: AlgebraData,
     identity, the action splits over products, and the composition rule
     h . (g . a) = (h_1 . 1)((h_2 g) . a)."""
     rb = ReportBuilder("partial module algebra")
-    rb.compare("unit_acts_trivially",
-               contract("i,ijk->jk", hopf.unit, action, fld=alg.fld),
-               identity(alg.fld, alg.dim))
-    lhs = contract("abm,imk->iabk", alg.mult, action, fld=alg.fld)
-    rhs = contract("ipq,pax,qby,xyk->iabk", hopf.comult, action, action,
-                   alg.mult, fld=alg.fld)
-    rb.compare("action_multiplicative", lhs, rhs)
+    _action_axioms(rb, hopf, alg, action)
     e = contract("ija,j->ia", action, alg.unit, fld=alg.fld)
     lhs = contract("gax,ixk->igak", action, action, fld=alg.fld)
     rhs = contract("ipq,py,qgt,tak,ykz->igaz", hopf.comult, e, hopf.mult,
@@ -152,13 +159,7 @@ def verify_twisted_partial(tpa: TwistedPartialAction) -> CheckReport:
     """
     rb = ReportBuilder("twisted partial action")
     h, a = tpa.hopf, tpa.alg
-    rb.compare("unit_acts_trivially",
-               contract("i,ijk->jk", h.unit, tpa.action, fld=a.fld),
-               identity(a.fld, a.dim))
-    lhs = contract("abm,imk->iabk", a.mult, tpa.action, fld=a.fld)
-    rhs = contract("ipq,pax,qby,xyk->iabk", h.comult, tpa.action, tpa.action,
-                   a.mult, fld=a.fld)
-    rb.compare("action_multiplicative", lhs, rhs)
+    _action_axioms(rb, h, a, tpa.action)
     lhs, rhs = _twisted_module_sides(h, tpa.action, tpa.cocycle, a.mult)
     rb.compare("twisted_module", lhs, rhs)
     e = unit_translates(tpa)
@@ -235,13 +236,7 @@ def verify_global(g: GlobalTwistedAction) -> CheckReport:
     compatibility, and the 2-cocycle identity for the twist."""
     rb = ReportBuilder("global twisted action")
     h, b = g.hopf, g.alg
-    rb.compare("unit_acts_trivially",
-               contract("i,ijk->jk", h.unit, g.action, fld=b.fld),
-               identity(b.fld, b.dim))
-    lhs = contract("abm,imk->iabk", b.mult, g.action, fld=b.fld)
-    rhs = contract("ipq,pax,qby,xyk->iabk", h.comult, g.action, g.action,
-                   b.mult, fld=b.fld)
-    rb.compare("action_multiplicative", lhs, rhs)
+    _action_axioms(rb, h, b, g.action)
     rb.compare("unit_preserved",
                contract("ija,j->ia", g.action, b.unit, fld=b.fld),
                contract("i,a->ia", h.counit, b.unit, fld=b.fld))

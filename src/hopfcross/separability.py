@@ -25,11 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import CheckReport, ReportBuilder
-from .crossed import (CrossedProductAlgebra, balanced_tensor_square,
-                      base_image, build_global_crossed, build_partial_crossed,
-                      canonical_map, coinvariants)
-from .errors import (CoinvariantsMismatch, NormalizationFailed, NotCentral,
-                     NotCocommutative, NotIntegral, PreconditionError)
+from .crossed import (CrossedProductAlgebra, build_global_crossed,
+                      build_partial_crossed, require_coinvariants_are_base)
+from .errors import (NormalizationFailed, NotCentral, NotCocommutative,
+                     NotIntegral, PreconditionError)
 from .hopf import (LinMapHom, convolution_central_violations, is_cocommutative,
                    left_integrals, split, tensor_square_coalgebra)
 from .linalg import (QuotientSpace, contract, coords_in, coords_in_many,
@@ -97,12 +96,7 @@ def verify_partially_cleft(cd: CleftData) -> CheckReport:
     cp = cd.cp
     h = cp.hopf
     fld = cp.fld
-    coin = coinvariants(cp)
-    base = base_image(cp)
-    if coin != base:
-        raise CoinvariantsMismatch(
-            f"coinvariants (dim {coin.dim}) differ from the embedded base "
-            f"(dim {base.dim})")
+    require_coinvariants_are_base(cp)
     rb = ReportBuilder("partially cleft extension")
     rb.compare("unit_value", (h.unit @ cd.gamma).reshape(1, -1),
                cp.algebra.unit.reshape(1, -1))
@@ -262,13 +256,13 @@ def separability_idempotent(cd: CleftData, t: np.ndarray, c: np.ndarray):
     d = cp.dim
     lift = contract("pqr,pqy,rz->yz", w, first, cd.gamma,
                     fld=fld).reshape(d * d)
-    q = balanced_tensor_square(cp)
+    q = cp.balanced_square
     elem = BalancedTensorElement(q.project(lift), lift)
 
     rb = ReportBuilder("separability element construction")
     rb.require("normalization", True,
                lhs=tuple(normalized), rhs=tuple(a.unit))
-    res, _, _ = canonical_map(cp)
+    res, _, _ = cp.canonical
     rb.require("canonical_map_bijective", res.bijective,
                lhs=(res.quotient_dim, res.rank), rhs=(res.target_dim,))
     rb.absorb(check_separable_extension(cd, elem), "")
@@ -283,7 +277,7 @@ def check_separable_extension(cd: CleftData,
     identity checks idempotency under the factorwise product."""
     cp = cd.cp
     d = cp.dim
-    q = balanced_tensor_square(cp)
+    q = cp.balanced_square
     rb = ReportBuilder("separability conditions")
     lift = np.asarray(elem.lift).reshape(d, d)
     rb.compare("lift_projects_to_coordinates",

@@ -8,6 +8,12 @@ from importlib import resources
 
 import pytest
 
+from hopfcross import cli
+from hopfcross.crossed import (balanced_tensor_square, build_global_crossed,
+                               build_partial_crossed)
+from hopfcross.globalize import globalize_group_partial
+from hopfcross.specfile import load_spec
+
 DATA = resources.files("hopfcross") / "data"
 
 
@@ -147,6 +153,36 @@ def test_report_runs_everything_on_the_gauge_fixture():
     assert by_name["separability"]["passed"] is True
     b = run_json("report", data_path("f_coc_1.json"), "--parallel", "3")
     assert a.stdout == b.stdout
+
+
+def _record_calls(monkeypatch, fn):
+    """Rebind fn in every hopfcross module that imports it to a wrapper
+    that records the first argument of each call; returns that list."""
+    seen = []
+
+    def wrapper(*args, **kwargs):
+        seen.append(args[0])
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("hopfcross") and vars(mod).get(fn.__name__) is fn:
+            monkeypatch.setattr(mod, fn.__name__, wrapper)
+    return seen
+
+
+def test_report_builds_each_derived_object_once(monkeypatch):
+    builds = {fn.__name__: _record_calls(monkeypatch, fn)
+              for fn in (build_partial_crossed, build_global_crossed,
+                         globalize_group_partial)}
+    squares = _record_calls(monkeypatch, balanced_tensor_square)
+    doc = cli.run("report", load_spec(data_path("f_coc_1.json")))
+    assert doc["passed"] is True
+    assert [s["command"] for s in doc["stages"] if "skipped" not in s] == [
+        "verify", "build-crossed", "globalize", "morita", "separability"]
+    assert {name: len(calls) for name, calls in builds.items()} == {
+        "build_partial_crossed": 1, "build_global_crossed": 1,
+        "globalize_group_partial": 1}
+    assert len(squares) == len({id(cp) for cp in squares}) == 1
 
 
 def test_missing_file_is_an_input_error():

@@ -192,16 +192,26 @@ def test_wrong_shapes_raise_value_error():
 def test_shape_check_survives_optimized_mode():
     # assert statements vanish under python -O; the checks must not
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("from hopfcross.fields import Field\n"
+    code = ("from hopfcross.checks import CheckReport, ReportBuilder\n"
+            "from hopfcross.fields import Field\n"
             "from hopfcross.hopf import AlgebraData\n"
             "from hopfcross.linalg import zeros\n"
             "QQ = Field.rationals()\n"
-            "try:\n"
-            "    AlgebraData(QQ, 2, zeros(QQ, (2, 2, 3)), zeros(QQ, (2,)))\n"
-            "except ValueError as exc:\n"
-            "    print('ValueError:', exc)\n")
+            "for bad in (\n"
+            "        lambda: AlgebraData(QQ, 2, zeros(QQ, (2, 2, 3)),\n"
+            "                            zeros(QQ, (2,))),\n"
+            "        lambda: ReportBuilder('t').compare(\n"
+            "            'x', zeros(QQ, (2, 3)), zeros(QQ, (3, 2))),\n"
+            "        lambda: CheckReport('t', ('x',)).identity_passed('y')):\n"
+            "    try:\n"
+            "        bad()\n"
+            "    except ValueError as exc:\n"
+            "        print('ValueError:', exc)\n")
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
-    assert proc.stdout.strip() == \
-        "ValueError: mult has shape (2, 2, 3), expected (2, 2, 2)"
+    assert proc.stdout.splitlines() == [
+        "ValueError: mult has shape (2, 2, 3), expected (2, 2, 2)",
+        "ValueError: x: shape mismatch (2, 3) vs (3, 2)",
+        "ValueError: 'y' was not checked in 't'",
+    ]
