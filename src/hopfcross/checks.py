@@ -91,12 +91,14 @@ class ReportBuilder:
         self._violations = []
         self._notes = []
 
-    def compare(self, identity: str, lhs: np.ndarray, rhs: np.ndarray):
-        """Compare two tensors whose last axis is the output coordinate.
+    def compare(self, identity: str, lhs, rhs):
+        """Compare two tensors (arrays or Exact tensors) whose last axis is
+        the output coordinate.
 
         All leading axes are basis indices; every index tuple at which the
         output vectors differ becomes one violation.
         """
+        lhs, rhs = np.asarray(lhs), np.asarray(rhs)
         if lhs.shape != rhs.shape:
             raise ValueError(
                 f"{identity}: shape mismatch {lhs.shape} vs {rhs.shape}")

@@ -22,7 +22,8 @@ from functools import cached_property
 
 from .crossed import (build_global_crossed, build_partial_crossed,
                       comodule_coaction, require_crossed_conditions,
-                      verify_assoc_unital, verify_crossed)
+                      require_global_axioms, verify_assoc_unital,
+                      verify_crossed)
 from .errors import HopfcrossError, SpecFileError
 from .fields import Field
 from .gauge import (gauge_transform, gauge_crossed_iso, verify_equisatisfiability,
@@ -84,7 +85,8 @@ class Pipeline:
 
     @cached_property
     def global_cp(self):
-        return build_global_crossed(self.env.glob)
+        require_global_axioms(self.env.global_report)
+        return build_global_crossed(self.env.glob, check=False)
 
     @cached_property
     def morita(self):

@@ -58,9 +58,10 @@ class CrossedProductAlgebra:
         coaction: matrix of x |-> x_(0) (x) x_(1), shaped
             (dim, dim * dim H) with column index k * dim(H) + s.
 
-    The coinvariants, the base image, the balanced tensor square and the
-    canonical map are pure functions of these fields; the properties
-    below compute each once, through its module function, and keep it.
+    The check of the table, the coinvariants, the base image, the
+    balanced tensor square and the canonical map are pure functions of
+    these fields; the properties below compute each once, through its
+    module function, and keep it.
     """
 
     hopf: HopfAlgebraData
@@ -87,6 +88,10 @@ class CrossedProductAlgebra:
 
     def to_ambient(self, x):
         return x @ self.basis.rows
+
+    @cached_property
+    def algebra_report(self) -> CheckReport:
+        return verify_algebra(self.algebra)
 
     @cached_property
     def coinvariant_space(self) -> SubspaceBasis:
@@ -124,14 +129,14 @@ def _build(hopf: HopfAlgebraData, alg: AlgebraData, action: np.ndarray,
         raise ClosureViolation(
             f"product of crossed basis elements {s} and {u} leaves the span")
 
-    unit_c = coords_in(basis, kron(alg.unit, hopf.unit))
+    unit_c = coords_in(basis, kron(alg.unit.elements, hopf.unit.elements))
     if unit_c is None:
         raise ClosureViolation("the unit of A (x) H is not inside the span")
     algebra = AlgebraData(fld, d, table, unit_c)
 
     # a (x) 1 for each base basis element a
     iota, misses = coords_in_many(
-        basis, kron(identity(fld, na), hopf.unit.reshape(1, nh)))
+        basis, kron(identity(fld, na), hopf.unit.elements.reshape(1, nh)))
     if misses:
         raise ClosureViolation(
             f"base element {misses[0][0]} (x) 1 is not inside the span")
@@ -160,6 +165,14 @@ def require_crossed_conditions(axioms: CheckReport, conditions: CheckReport):
             "input fails the crossed product conditions: " + rep.summary())
 
 
+def require_global_axioms(axioms: CheckReport):
+    """Raise PreconditionError unless ``axioms``, from verify_global,
+    passes."""
+    if not axioms.passed:
+        raise PreconditionError(
+            "input fails the global twisted action axioms: " + axioms.summary())
+
+
 def build_partial_crossed(tpa: TwistedPartialAction,
                           check: bool = True) -> CrossedProductAlgebra:
     """Build the crossed product of a twisted partial action.  With
@@ -176,10 +189,7 @@ def build_global_crossed(g: GlobalTwistedAction,
     """Crossed product of a global twisted action.  When the axioms hold
     the span is all of B (x) H, so ``basis.rows`` is the identity."""
     if check:
-        rep = verify_global(g)
-        if not rep.passed:
-            raise PreconditionError(
-                "input fails the global twisted action axioms: " + rep.summary())
+        require_global_axioms(verify_global(g))
     return _build(g.hopf, g.alg, g.action, g.twist)
 
 
@@ -187,7 +197,7 @@ def verify_assoc_unital(cp: CrossedProductAlgebra) -> CheckReport:
     """Associativity and both unit laws of the crossed product table
     alone, with no embedding checks."""
     rb = ReportBuilder("crossed product table")
-    rb.absorb(verify_algebra(cp.algebra), "")
+    rb.absorb(cp.algebra_report, "")
     return rb.build()
 
 
@@ -195,17 +205,17 @@ def verify_crossed(cp: CrossedProductAlgebra) -> CheckReport:
     """Associativity and unitality of the crossed product table, plus
     multiplicativity and unitality of the base embedding."""
     rb = ReportBuilder("crossed product")
-    rb.absorb(verify_algebra(cp.algebra), "")
+    rb.absorb(cp.algebra_report, "")
     lhs = contract("ijm,mk->ijk", cp.base.mult, cp.iota, fld=cp.fld)
     rhs = contract("ix,jy,xyk->ijk", cp.iota, cp.iota, cp.algebra.mult,
                    fld=cp.fld)
     rb.compare("base_embedding_multiplicative", lhs, rhs)
     rb.compare("base_embedding_unital",
-               (cp.base.unit @ cp.iota).reshape(1, -1),
-               cp.algebra.unit.reshape(1, -1))
-    inj = rank(cp.iota, cp.fld) == cp.base.dim
-    rb.require("base_embedding_injective", inj,
-               lhs=(rank(cp.iota, cp.fld),), rhs=(cp.base.dim,))
+               (cp.base.unit.elements @ cp.iota).reshape(1, -1),
+               cp.algebra.unit.elements.reshape(1, -1))
+    rk = rank(cp.iota, cp.fld)
+    rb.require("base_embedding_injective", rk == cp.base.dim,
+               lhs=(rk,), rhs=(cp.base.dim,))
     return rb.build()
 
 
@@ -229,8 +239,9 @@ def verify_coaction(cp: CrossedProductAlgebra) -> CheckReport:
                    cp.hopf.mult, fld=cp.fld).reshape(d, d, d * nh)
     rb.compare("coaction_multiplicative", lhs, rhs)
     rb.compare("unit_coinvariant",
-               (cp.algebra.unit @ cp.coaction).reshape(1, -1),
-               kron(cp.algebra.unit, cp.hopf.unit).reshape(1, -1))
+               (cp.algebra.unit.elements @ cp.coaction).reshape(1, -1),
+               kron(cp.algebra.unit.elements,
+                    cp.hopf.unit.elements).reshape(1, -1))
     return rb.build()
 
 
@@ -253,7 +264,7 @@ def coinvariants(cp: CrossedProductAlgebra) -> SubspaceBasis:
     m = cp.coaction.copy().reshape(d, d, nh)
     for r in range(d):
         for s in range(nh):
-            m[r, r, s] = m[r, r, s] - cp.hopf.unit[s]
+            m[r, r, s] = m[r, r, s] - cp.hopf.unit.elements[s]
     rows = kernel_basis(m.reshape(d, d * nh).T, cp.fld)
     return span(rows, d, cp.fld)
 

@@ -142,6 +142,11 @@ def _is_prime(n):
     return True
 
 
+def _is_int(x):
+    """Whether x is an int other than a bool (JSON's true and false)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class Field:
     """Field descriptor: the rationals or F_p for a prime p.
 
@@ -188,11 +193,12 @@ class Field:
         return Fraction(1) if self.p is None else Fp(1, self.p)
 
     def coerce(self, x):
-        """Turn ints / strings / same-field elements into a field element."""
+        """Turn ints (not bools) / strings / same-field elements into a
+        field element."""
         if self.p is None:
             if isinstance(x, Fraction):
                 return x
-            if isinstance(x, int):
+            if _is_int(x):
                 return Fraction(x)
             if isinstance(x, str):
                 return self.parse(x)
@@ -201,7 +207,7 @@ class Field:
             if x.p != self.p:
                 raise FieldMismatchError(f"cannot coerce F_{x.p} into F_{self.p}")
             return x
-        if isinstance(x, int):
+        if _is_int(x):
             return Fp(x, self.p)
         if isinstance(x, str):
             return self.parse(x)
@@ -211,7 +217,7 @@ class Field:
 
     def parse(self, s):
         """Parse a scalar string: "p/q" or "n" over QQ, "k mod p" over F_p."""
-        if isinstance(s, int):
+        if _is_int(s):
             return self.coerce(s)
         if not isinstance(s, str):
             raise ValueError(f"scalar must be a string or int, got {type(s).__name__}")

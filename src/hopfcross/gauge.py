@@ -49,7 +49,7 @@ def weak_conv_inverse(v: np.ndarray, tpa: TwistedPartialAction) -> GaugePair | N
     fld = a.fld
     nh, na = h.dim, a.dim
     v = np.asarray(v)
-    if not np.array_equal(h.unit @ v, a.unit):
+    if not np.array_equal(h.unit.elements @ v, a.unit.elements):
         return None
     e = unit_translates(tpa)
     nun = nh * na
@@ -68,7 +68,7 @@ def weak_conv_inverse(v: np.ndarray, tpa: TwistedPartialAction) -> GaugePair | N
                           at_one], axis=0)
     erow = e.reshape(nun)
     rhs = np.concatenate([erow, erow, zeros(fld, (nun,)), zeros(fld, (nun,)),
-                          a.unit])
+                          a.unit.elements])
     x = solve(big, rhs, fld)
     if x is None:
         return None
@@ -176,8 +176,8 @@ def gauge_crossed_iso(pair: GaugePair, tpa: TwistedPartialAction,
     lhs = contract("xym,ms->xys", cpv.algebra.mult, phi, fld=fld)
     rhs = contract("xs,yt,stu->xyu", phi, phi, cp.algebra.mult, fld=fld)
     rb.compare("multiplicative", lhs, rhs)
-    rb.compare("unital", (cpv.algebra.unit @ phi).reshape(1, -1),
-               cp.algebra.unit.reshape(1, -1))
+    rb.compare("unital", (cpv.algebra.unit.elements @ phi).reshape(1, -1),
+               cp.algebra.unit.elements.reshape(1, -1))
     rb.require("bijective",
                cpv.dim == cp.dim and rank(phi, fld) == cp.dim,
                lhs=(rank(phi, fld),), rhs=(cp.dim,))

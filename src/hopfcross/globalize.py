@@ -15,6 +15,7 @@ with g . A = e_g A; these are checked up front.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,21 +33,22 @@ def _group_table(h: HopfAlgebraData):
     """Recover the group index table from a group algebra, or raise
     PreconditionError if the basis is not group-like."""
     n = h.dim
+    mult, comult = h.mult.elements, h.comult.elements
     table = []
     for i in range(n):
-        if h.counit[i] != h.fld.one():
+        if h.counit.elements[i] != h.fld.one():
             raise PreconditionError(f"basis element {i} is not group-like (counit)")
         for a in range(n):
             for b in range(n):
                 expected = h.fld.one() if (a == i and b == i) else h.fld.zero()
-                if h.comult[i, a, b] != expected:
+                if comult[i, a, b] != expected:
                     raise PreconditionError(
                         f"basis element {i} is not group-like (coproduct)")
     for i in range(n):
         row = []
         for j in range(n):
-            hits = [k for k in range(n) if h.mult[i, j, k] != 0]
-            if len(hits) != 1 or h.mult[i, j, hits[0]] != h.fld.one():
+            hits = [k for k in range(n) if mult[i, j, k] != 0]
+            if len(hits) != 1 or mult[i, j, hits[0]] != h.fld.one():
                 raise PreconditionError(
                     f"product of basis elements {i} and {j} is not a basis element")
             row.append(hits[0])
@@ -65,6 +67,8 @@ class EnvelopingAction:
         glob: the global action in carrier coordinates.
         theta: matrix of the embedding of the base algebra, in carrier
             coordinates.
+
+    ``global_report`` is verify_global of ``glob``, run once and kept.
     """
 
     source: TwistedPartialAction
@@ -75,7 +79,11 @@ class EnvelopingAction:
 
     @property
     def theta_one(self):
-        return self.source.alg.unit @ self.theta
+        return self.source.alg.unit.elements @ self.theta
+
+    @cached_property
+    def global_report(self) -> CheckReport:
+        return verify_global(self.glob)
 
 
 def globalize_group_partial(tpa: TwistedPartialAction,
@@ -103,7 +111,7 @@ def globalize_group_partial(tpa: TwistedPartialAction,
             raise NotCentralIdempotent(
                 f"group element {g} does not act by a central idempotent: "
                 + rep.summary())
-        acted = span(tpa.action[g], na, fld)
+        acted = span(tpa.action.elements[g], na, fld)
         corner = span(contract("j,ijk->ik", e[g], a.mult, fld=fld), na, fld)
         if acted != corner:
             raise NotCentralIdempotent(
@@ -116,7 +124,7 @@ def globalize_group_partial(tpa: TwistedPartialAction,
     theta_amb = zeros(fld, (na, nf))
     for i in range(na):
         for g in range(ng):
-            theta_amb[i, g * na:(g + 1) * na] = tpa.action[g, i]
+            theta_amb[i, g * na:(g + 1) * na] = tpa.action.elements[g, i]
 
     ident = next(c for c in range(ng) if all(table[c][j] == j for j in range(ng)))
     inv = [next(k for k in range(ng) if table[g][k] == ident) for g in range(ng)]
@@ -200,15 +208,15 @@ def verify_enveloping(env: EnvelopingAction) -> CheckReport:
     spanning; and compatibility of the twist with the partial cocycle.
     """
     rb = ReportBuilder("enveloping action")
-    rb.absorb(verify_global(env.glob), "global.")
+    rb.absorb(env.global_report, "global.")
     tpa = env.source
     b = env.glob.alg
     fld = b.fld
     na, nb, ng = tpa.alg.dim, b.dim, tpa.hopf.dim
     th = env.theta
 
-    rb.require("embedding_injective", rank(th, fld) == na,
-               lhs=(rank(th, fld),), rhs=(na,))
+    rk = rank(th, fld)
+    rb.require("embedding_injective", rk == na, lhs=(rk,), rhs=(na,))
     lhs = contract("ijm,mB->ijB", tpa.alg.mult, th, fld=fld)
     rhs = contract("iB,jC,BCD->ijD", th, th, b.mult, fld=fld)
     rb.compare("embedding_multiplicative", lhs, rhs)
@@ -232,8 +240,8 @@ def verify_enveloping(env: EnvelopingAction) -> CheckReport:
 
     trans = contract("iB,gBC->giC", th, env.glob.action,
                      fld=fld).reshape(ng * na, nb)
-    rb.require("translates_span", rank(trans, fld) == nb,
-               lhs=(rank(trans, fld),), rhs=(nb,))
+    rk = rank(trans, fld)
+    rb.require("translates_span", rk == nb, lhs=(rk,), rhs=(nb,))
 
     # the partial cocycle must match the twist cut down to the corner:
     # theta(a w(p, q)) = theta(a) u~(p, q) with u~ the corner twist of

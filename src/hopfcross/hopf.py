@@ -9,6 +9,9 @@ Conventions:
   coproduct of ``e_i``; ``counit`` is a plain vector of scalars.
 * The antipode and every other linear map are row-convention matrices:
   the image of ``e_i`` is row ``i``.
+* The data classes store these structure tensors as
+  :class:`~hopfcross.linalg.Exact`, built once from a copy of the input;
+  their entries are read through ``.elements``.
 
 Nothing here assumes the axioms hold: the ``verify_*`` functions check
 them instance by instance and report every failing basis tuple.
@@ -25,21 +28,22 @@ import numpy as np
 from .checks import CheckReport, ReportBuilder
 from .errors import NonGroupTable
 from .fields import Field
-from .linalg import (SubspaceBasis, arr, check_shape, contract, eqarr,
-                     identity, kernel_basis, kron, solve, span, zeros)
+from .linalg import (Exact, SubspaceBasis, arr, check_shape, contract, eqarr,
+                     freeze_tensors, identity, kernel_basis, kron, solve,
+                     span, zeros)
 
 
 @dataclass(frozen=True)
 class AlgebraData:
     fld: Field
     dim: int
-    mult: np.ndarray          # (dim, dim, dim)
-    unit: np.ndarray          # (dim,)
+    mult: Exact               # (dim, dim, dim)
+    unit: Exact               # (dim,)
     labels: tuple = None
 
     def __post_init__(self):
-        check_shape("mult", self.mult, (self.dim,) * 3)
-        check_shape("unit", self.unit, (self.dim,))
+        freeze_tensors(self, self.fld, mult=(self.dim,) * 3,
+                       unit=(self.dim,))
 
     def mul(self, x, y):
         return contract("i,j,ijk->k", x, y, self.mult, fld=self.fld)
@@ -49,26 +53,26 @@ class AlgebraData:
 class CoalgebraData:
     fld: Field
     dim: int
-    comult: np.ndarray        # (dim, dim, dim)
-    counit: np.ndarray        # (dim,)
+    comult: Exact             # (dim, dim, dim)
+    counit: Exact             # (dim,)
     labels: tuple = None
 
     def __post_init__(self):
-        check_shape("comult", self.comult, (self.dim,) * 3)
-        check_shape("counit", self.counit, (self.dim,))
+        freeze_tensors(self, self.fld, comult=(self.dim,) * 3,
+                       counit=(self.dim,))
 
 
 @dataclass(frozen=True)
 class HopfAlgebraData:
     algebra: AlgebraData
     coalgebra: CoalgebraData
-    antipode: np.ndarray      # (dim, dim), row convention
+    antipode: Exact           # (dim, dim), row convention
 
     def __post_init__(self):
         if self.algebra.dim != self.coalgebra.dim:
             raise ValueError(f"algebra of dimension {self.algebra.dim} and "
                              f"coalgebra of dimension {self.coalgebra.dim}")
-        check_shape("antipode", self.antipode, (self.dim,) * 2)
+        freeze_tensors(self, self.fld, antipode=(self.dim,) * 2)
 
     @property
     def fld(self):
@@ -162,7 +166,7 @@ def verify_hopf(h: HopfAlgebraData) -> CheckReport:
     rb.compare("comult_unital",
                contract("i,ijk->jk", h.unit, h.comult,
                         fld=h.fld).reshape(n * n),
-               kron(h.unit, h.unit))
+               kron(h.unit.elements, h.unit.elements))
     rb.compare("counit_multiplicative",
                contract("ijm,m->ij", h.mult, h.counit, fld=h.fld),
                contract("i,j->ij", h.counit, h.counit, fld=h.fld))
@@ -182,7 +186,8 @@ def verify_hopf(h: HopfAlgebraData) -> CheckReport:
 
 
 def is_cocommutative(c: CoalgebraData) -> bool:
-    return eqarr(c.comult, c.comult.transpose(0, 2, 1))
+    comult = c.comult.elements
+    return eqarr(comult, comult.transpose(0, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +219,7 @@ def tensor_square_coalgebra(c: CoalgebraData) -> CoalgebraData:
     n = c.dim
     comult2 = contract("iab,jcd->ijacbd", c.comult, c.comult,
                        fld=c.fld).reshape(n * n, n * n, n * n)
-    counit2 = kron(c.counit, c.counit)
+    counit2 = kron(c.counit.elements, c.counit.elements)
     return CoalgebraData(c.fld, n * n, comult2, counit2)
 
 
@@ -290,7 +295,7 @@ def left_integrals(h: HopfAlgebraData) -> SubspaceBasis:
     """The space of left integrals {t : x t = counit(x) t for all x}."""
     n = h.dim
     eye = identity(h.fld, n)
-    m = (h.mult.transpose(0, 2, 1)
+    m = (h.mult.elements.transpose(0, 2, 1)
          - contract("i,jk->ikj", h.counit, eye, fld=h.fld))
     rows = kernel_basis(m.reshape(n * n, n), h.fld)
     return span(rows, n, h.fld)
@@ -366,12 +371,12 @@ def dual_hopf(h: HopfAlgebraData) -> HopfAlgebraData:
     a nonabelian group) is produced from a group algebra.
     """
     n = h.dim
-    mult = np.ascontiguousarray(h.comult.transpose(1, 2, 0))
-    comult = np.ascontiguousarray(h.mult.transpose(2, 0, 1))
+    mult = h.comult.elements.transpose(1, 2, 0)
+    comult = h.mult.elements.transpose(2, 0, 1)
     return HopfAlgebraData(
-        AlgebraData(h.fld, n, mult, h.counit.copy(), h.labels),
-        CoalgebraData(h.fld, n, comult, h.unit.copy(), h.labels),
-        np.ascontiguousarray(h.antipode.T),
+        AlgebraData(h.fld, n, mult, h.counit, h.labels),
+        CoalgebraData(h.fld, n, comult, h.unit, h.labels),
+        h.antipode.elements.T,
     )
 
 
@@ -384,12 +389,9 @@ def function_algebra(a: AlgebraData, npoints: int) -> AlgebraData:
     n = a.dim
     d = npoints * n
     mult = zeros(a.fld, (d, d, d))
-    for s in range(npoints):
-        for i, j, k in iproduct(range(n), repeat=3):
-            if a.mult[i, j, k] != 0:
-                mult[s * n + i, s * n + j, s * n + k] = a.mult[i, j, k]
     unit = zeros(a.fld, (d,))
     for s in range(npoints):
-        for i in range(n):
-            unit[s * n + i] = a.unit[i]
+        block = slice(s * n, (s + 1) * n)
+        mult[block, block, block] = a.mult.elements
+        unit[block] = a.unit.elements
     return AlgebraData(a.fld, d, mult, unit)

@@ -1,20 +1,24 @@
 """Exact dense linear algebra over QQ or F_p.
 
 Vectors, matrices and order-3 tensors are numpy arrays with ``dtype=object``
-whose entries are field elements (see :mod:`hopfcross.fields`).  Every
-tensor contraction in the package goes through :func:`contract`, which
-takes an ``np.einsum`` subscript string and the field of the operands and
-runs the contraction once on Python integers: over QQ each operand is
-scaled to integers by the lcm of its denominators and the result is divided
-once by the product of the scales; over F_p the residues are contracted
-and reduced mod p once at the end.  The einsum subscripts and the greedy
-contraction path of each (spec, operand shapes) pair are planned once and
-kept in a fixed-size module cache (see :func:`_plan`).  Every subspace is
-represented by its reduced row echelon basis, so equal subspaces have
-identical representations and all reports built on top of them are
-reproducible byte for byte.  :func:`coords_in_many` expresses a whole
-stack of vectors on such a basis with one contraction; :func:`coords_in`
-is its one-vector case.
+whose entries are field elements (see :mod:`hopfcross.fields`).  The
+structure tensors of the algebras and actions are stored once as
+:class:`Exact`: Python ints over one common denominator over QQ,
+residues over F_p, beside a read-only array of the same entries as field
+elements.  Every tensor contraction in the package goes through
+:func:`contract`, which takes the einsum subscripts and the field of the
+operands and runs the contraction on Python integers: an Exact operand
+is used as it is, any other operand is scaled to integers once (over QQ
+by the lcm of its denominators), and the result is divided once by the
+product of the denominators over QQ, or reduced mod p once at the end
+over F_p.  The greedy contraction path of each (spec, operand shapes)
+pair is planned once and kept in a fixed-size module cache (see
+:func:`_plan`); :func:`contract` runs its pairwise steps itself, one
+plain ``np.einsum`` each.  Every subspace is represented by its reduced
+row echelon basis, so equal subspaces have identical representations
+and all reports built on top of them are reproducible byte for byte.
+:func:`coords_in_many` expresses a whole stack of vectors on such a
+basis with one contraction; :func:`coords_in` is its one-vector case.
 
 Conventions fixed here and used everywhere else:
 
@@ -51,14 +55,49 @@ from .fields import Field, FieldMismatchError, Fp
 EINSUM_PATH = ("greedy", 2**62)
 
 
+class Exact:
+    """An immutable exact tensor over ``fld``: the stored form of the
+    structure tensors.
+
+    ``ints`` is an object array of Python ints: over QQ the numerators
+    over the one common denominator ``den``, over F_p the residues in
+    0..p-1 with ``den`` 1.  :func:`contract` reads them as they are.
+    ``elements`` is the same tensor as field elements, for the places
+    where scalars leave the engine (comparisons, reports, files); numpy
+    reads it through ``__array__``.  Both arrays are read-only and are
+    built once, from a copy of the input.
+    """
+
+    __slots__ = ("fld", "ints", "den", "elements")
+
+    def __init__(self, a, fld: Field):
+        a = np.array(a, dtype=object)
+        if set(map(type, a.reshape(-1))) - {type(fld.one())}:
+            a = arr(fld, a)
+        self.ints, self.den = _integers(a, fld, "tensor")
+        self.ints.flags.writeable = a.flags.writeable = False
+        self.fld, self.elements = fld, a
+
+    @property
+    def shape(self) -> tuple:
+        return self.elements.shape
+
+    def __array__(self, dtype=None, copy=None):
+        if copy or dtype not in (None, object):
+            return np.array(self.elements, dtype=dtype)
+        return self.elements
+
+
 def contract(spec: str, *operands, fld: Field):
     """Exact ``np.einsum(spec, *operands)`` over ``fld``.
 
     ``spec`` names every axis of every operand and the output explicitly
-    (``"ij,jk->ik"``).  The entries must be elements of ``fld`` or plain
-    ints, which stand for their images in ``fld``; the contraction itself
-    runs once on Python integers (see the module docstring) along the
-    greedy path ``EINSUM_PATH``.
+    (``"ij,jk->ik"``).  An operand is an :class:`Exact` over ``fld``,
+    used as it is, or an array whose entries are elements of ``fld`` or
+    plain ints, which stand for their images in ``fld`` and are
+    converted to integers once.  The contraction runs on Python
+    integers (see the module docstring), one step of the greedy path
+    ``EINSUM_PATH`` at a time.
 
     Returns an object array of field elements, or a single element when
     the output has no axes.  Raises ValueError when the operands do not
@@ -73,20 +112,19 @@ def contract(spec: str, *operands, fld: Field):
                          f"operands, got {len(operands)}")
     ints, scale = [], 1
     for k, (term, op) in enumerate(zip(terms, operands)):
-        op = np.asarray(op, dtype=object)
-        if len(term) != op.ndim:
+        if isinstance(op, Exact) and op.fld == fld:
+            vals, den = op.ints, op.den
+        else:
+            vals, den = _integers(np.asarray(op, dtype=object), fld,
+                                  f"operand {k} of {spec!r}")
+        if len(term) != vals.ndim:
             raise ValueError(f"contraction spec {spec!r} gives operand {k} "
-                             f"{len(term)} axes, got shape {op.shape}")
-        scaled = _integers(op.reshape(-1), fld)
-        if scaled is None:
-            raise FieldMismatchError(
-                f"operand {k} of {spec!r} has entries outside {fld!r}")
-        vals, den = scaled
-        ints.append(np.array(vals, dtype=object).reshape(op.shape + (1,)))
+                             f"{len(term)} axes, got shape {vals.shape}")
+        ints.append(vals.reshape(vals.shape + (1,)))
         scale *= den
-    subscripts, path = _plan(spec, tuple(op.shape for op in ints))
-    res = np.einsum(subscripts, *ints, optimize=path)
-    shape, res = res.shape[:-1], res.reshape(-1)
+    for positions, subscripts in _plan(spec, tuple(op.shape for op in ints)):
+        ints.append(np.einsum(subscripts, *map(ints.pop, positions)))
+    shape, res = ints[0].shape[:-1], ints[0].reshape(-1)
     if fld.p is None:
         vals = [Fraction(v, scale) for v in res]
     else:
@@ -98,43 +136,56 @@ def contract(spec: str, *operands, fld: Field):
 
 @lru_cache(maxsize=1024)
 def _plan(spec: str, shapes: tuple):
-    """(einsum subscripts, contraction path) for integer operands of
-    ``shapes``, each with one extra trailing axis of extent 1.
+    """The steps that contract integer operands of ``shapes``, each with
+    one extra trailing axis of extent 1, along numpy's greedy path under
+    ``EINSUM_PATH``.
 
-    Every operand and the output carry that extra axis, so that no
-    intermediate of the path collapses to a bare Python int: numpy's
-    pairwise steps multiply such scalars as int64, with wraparound, or
-    fail on them outright.  The path is the one numpy's greedy search
-    picks under ``EINSUM_PATH``; it depends only on the spec and the
-    shapes, so one search serves every call that repeats them.
+    A step (positions, subscripts) pops the operands at ``positions``,
+    in that order, contracts them with one plain ``np.einsum`` and
+    appends the result, which keeps the axes that a later operand or the
+    output names.  The extra axis is never summed, so no step collapses
+    to a bare Python int, which numpy would multiply as int64, with
+    wraparound.  One search serves every call with the same spec and
+    shapes.
     """
     inputs, _, output = spec.partition("->")
     extra = next(ch for ch in ascii_letters if ch not in spec)
-    subscripts = (",".join(t + extra for t in inputs.split(","))
-                  + "->" + output + extra)
+    terms, output = [t + extra for t in inputs.split(",")], output + extra
     shells = [np.broadcast_to(0, shape) for shape in shapes]
-    path, _ = np.einsum_path(subscripts, *shells, optimize=EINSUM_PATH)
-    return subscripts, tuple(path)
+    path, _ = np.einsum_path(",".join(terms) + "->" + output, *shells,
+                             optimize=EINSUM_PATH)
+    steps = []
+    for step in path[1:]:
+        positions = tuple(sorted(step, reverse=True))
+        taken = [terms.pop(i) for i in positions]
+        keep = set("".join(terms) + output)
+        result = output if not terms else "".join(
+            ch for ch in dict.fromkeys("".join(taken)) if ch in keep)
+        steps.append((positions, ",".join(taken) + "->" + result))
+        terms.append(result)
+    return tuple(steps)
 
 
-def _integers(flat, fld: Field):
-    """(integer representatives of the entries of ``flat``, the common
-    scale they carry): the lcm of the denominators over QQ, 1 over F_p.
-    Plain ints are accepted as the element arithmetic accepts them.
-    None when an entry is neither an element of ``fld`` nor an int."""
+def _integers(a: np.ndarray, fld: Field, what: str):
+    """(an object array of integer representatives of the entries of
+    ``a``, in its shape, and the common scale they carry: the lcm of the
+    denominators over QQ, 1 over F_p).  Plain ints are accepted as the
+    element arithmetic accepts them.  Raises FieldMismatchError, naming
+    ``what``, when an entry is neither an element of ``fld`` nor an int."""
+    flat = a.reshape(-1)
     kinds = set(map(type, flat))
+    if (not all(issubclass(k, (type(fld.one()), int)) for k in kinds)
+            or Fp in kinds
+            and set(map(getattr, flat, repeat("p"), repeat(fld.p))) - {fld.p}):
+        raise FieldMismatchError(f"{what} has entries outside {fld!r}")
     if fld.p is None:
-        if not all(issubclass(k, (Fraction, int)) for k in kinds):
-            return None
         ratios = list(map(methodcaller("as_integer_ratio"), flat))
         den = math.lcm(*{d for _, d in ratios})
-        return [n * (den // d) for n, d in ratios], den
-    if not all(issubclass(k, (Fp, int)) for k in kinds):
-        return None
-    if set(map(getattr, flat, repeat("p"), repeat(fld.p))) - {fld.p}:
-        return None
-    # an int stands for itself: the result is reduced mod p once
-    return list(map(getattr, flat, repeat("value"), flat)), 1
+        vals = [n * (den // d) for n, d in ratios]
+    else:
+        # an int stands for itself: the result is reduced mod p once
+        vals, den = list(map(getattr, flat, repeat("value"), flat)), 1
+    return np.array(vals, dtype=object).reshape(a.shape), den
 
 
 def arr(fld: Field, nested) -> np.ndarray:
@@ -166,8 +217,21 @@ def check_shape(name: str, a: np.ndarray, shape: tuple):
         raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
 
 
-def eqarr(a: np.ndarray, b: np.ndarray) -> bool:
-    """Exact elementwise equality of two equally-shaped arrays."""
+def freeze_tensors(obj, fld: Field, **shapes):
+    """Store each named tensor field of the frozen dataclass ``obj`` as
+    an :class:`Exact` over ``fld``, after checking it has its shape."""
+    for name, shape in shapes.items():
+        tensor = getattr(obj, name)
+        if not (isinstance(tensor, Exact) and tensor.fld == fld):
+            tensor = Exact(tensor, fld)
+        check_shape(name, tensor, shape)
+        object.__setattr__(obj, name, tensor)
+
+
+def eqarr(a, b) -> bool:
+    """Exact elementwise equality of two equally-shaped arrays or Exact
+    tensors."""
+    a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         return False
     return all(x == y for x, y in zip(a.reshape(-1), b.reshape(-1)))

@@ -61,7 +61,7 @@ def phi_embed(env: EnvelopingAction,
     rb.compare("multiplicative", lhs, rhs)
     # the embedding is not unital: the base unit goes to the corner
     # idempotent tensor the Hopf unit, a local unit on the image
-    one = r.algebra.unit @ phi
+    one = r.algebra.unit.elements @ phi
     rb.compare("unit_maps_to_idempotent",
                s.multiply(one, one).reshape(1, -1), one.reshape(1, -1))
     lhs = contract("s,xt,stu->xu", one, phi, s.algebra.mult, fld=fld)
@@ -165,7 +165,7 @@ def verify_module_structures(ctx: MoritaContextData) -> CheckReport:
     rb.require_inside("n_closed_left_ring", sn, n, "inside the bimodule")
     rb.require_inside("n_closed_right_embedded", nr, n, "inside the bimodule")
 
-    one_r = ctx.partial_cp.algebra.unit @ ctx.phi
+    one_r = ctx.partial_cp.algebra.unit.elements @ ctx.phi
     one_s = s.algebra.unit
     mult = s.algebra.mult
     rb.compare("m_unit_left_embedded",

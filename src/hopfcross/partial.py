@@ -7,6 +7,9 @@ A twisted partial action is stored as two tensors over the base field:
 * ``action[i, j, k]``: coefficient of ``a_k`` in ``h_i . a_j``;
 * ``cocycle[i, j, :]``: the algebra element ``w(h_i, h_j)``.
 
+Both are stored as :class:`~hopfcross.linalg.Exact` tensors, as are the
+action and twist of a global action.
+
 The verifiers never assume anything; each identity is expanded on all
 basis tuples and failures are listed per tuple.
 """
@@ -21,21 +24,21 @@ from .checks import CheckReport, ReportBuilder
 from .errors import ClosureViolation, NotCentralIdempotent, PreconditionError
 from .hopf import (AlgebraData, HopfAlgebraData, LinMapHom,
                    convolution_central_violations, split, tensor_square_coalgebra)
-from .linalg import (SubspaceBasis, check_shape, contract, coords_in_many,
-                     identity, solve, span, zeros)
+from .linalg import (Exact, SubspaceBasis, contract, coords_in_many,
+                     freeze_tensors, identity, solve, span, zeros)
 
 
 @dataclass(frozen=True)
 class TwistedPartialAction:
     hopf: HopfAlgebraData
     alg: AlgebraData
-    action: np.ndarray        # (dim H, dim A, dim A)
-    cocycle: np.ndarray       # (dim H, dim H, dim A)
+    action: Exact             # (dim H, dim A, dim A)
+    cocycle: Exact            # (dim H, dim H, dim A)
 
     def __post_init__(self):
         nh, na = self.hopf.dim, self.alg.dim
-        check_shape("action", self.action, (nh, na, na))
-        check_shape("cocycle", self.cocycle, (nh, nh, na))
+        freeze_tensors(self, self.fld, action=(nh, na, na),
+                       cocycle=(nh, nh, na))
 
     @property
     def fld(self):
@@ -52,13 +55,13 @@ class GlobalTwistedAction:
 
     hopf: HopfAlgebraData
     alg: AlgebraData
-    action: np.ndarray        # (dim H, dim B, dim B)
-    twist: np.ndarray         # (dim H, dim H, dim B)
+    action: Exact             # (dim H, dim B, dim B)
+    twist: Exact              # (dim H, dim H, dim B)
 
     def __post_init__(self):
         nh, nb = self.hopf.dim, self.alg.dim
-        check_shape("action", self.action, (nh, nb, nb))
-        check_shape("twist", self.twist, (nh, nh, nb))
+        freeze_tensors(self, self.fld, action=(nh, nb, nb),
+                       twist=(nh, nh, nb))
 
     @property
     def fld(self):
@@ -300,7 +303,7 @@ def induce_partial(g: GlobalTwistedAction, e: np.ndarray,
     cannot happen when the global axioms hold).  With ``check`` the
     result is also run through verify_twisted_partial.
     """
-    b = g.alg
+    b, e = g.alg, np.asarray(e)
     fld = b.fld
     cr = central_idempotent_report(b, e)
     if not cr.passed:
@@ -336,7 +339,7 @@ def induce_partial(g: GlobalTwistedAction, e: np.ndarray,
         if not rep.passed:
             raise PreconditionError(
                 "induced data fails the partial axioms: " + rep.summary())
-    return InducedPartialAction(tpa, carrier, np.asarray(e))
+    return InducedPartialAction(tpa, carrier, e)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +392,7 @@ def verify_symmetric(tpa: TwistedPartialAction) -> CocycleInverse:
         return contract("ipr,py,rz,yzc->ic", c2.comult, x, y, a.mult, fld=fld)
 
     corner = conv(f1, f2)
-    w = tpa.cocycle.reshape(n2, na)
+    w = tpa.cocycle.elements.reshape(n2, na)
     nun = n2 * na
     left_by = lambda f: contract("ipr,py,yzc->icrz", c2.comult, f, a.mult,
                                  fld=fld).reshape(nun, nun)

@@ -72,7 +72,7 @@ def default_cleft(tpa, cp: CrossedProductAlgebra | None = None) -> CleftData:
     if misses:
         raise ValueError(
             f"unit section of basis element {misses[0][0]} left the span")
-    return CleftData(cp, gamma, h.antipode @ gamma, tpa.action)
+    return CleftData(cp, gamma, h.antipode.elements @ gamma, tpa.action)
 
 
 def _conv_product(cd: CleftData) -> np.ndarray:
@@ -98,8 +98,8 @@ def verify_partially_cleft(cd: CleftData) -> CheckReport:
     fld = cp.fld
     require_coinvariants_are_base(cp)
     rb = ReportBuilder("partially cleft extension")
-    rb.compare("unit_value", (h.unit @ cd.gamma).reshape(1, -1),
-               cp.algebra.unit.reshape(1, -1))
+    rb.compare("unit_value", (h.unit.elements @ cd.gamma).reshape(1, -1),
+               cp.algebra.unit.elements.reshape(1, -1))
     d, nh = cp.dim, h.dim
     co = cp.coaction.reshape(d, d, nh)
     lhs = contract("jm,mks->jks", cd.gamma, co, fld=fld)
@@ -147,7 +147,8 @@ def centralizer(cp: CrossedProductAlgebra):
     """The centralizer of the embedded base inside the crossed product,
     as a subspace in crossed-product coordinates."""
     d, na = cp.dim, cp.base.dim
-    diff = cp.algebra.mult - cp.algebra.mult.transpose(1, 0, 2)
+    mult = cp.algebra.mult.elements
+    diff = mult - mult.transpose(1, 0, 2)
     m = contract("aj,ijk->aki", cp.iota, diff, fld=cp.fld).reshape(na * d, d)
     return span(kernel_basis(m, cp.fld), d, cp.fld)
 
@@ -174,15 +175,15 @@ def verify_centralizer_identity(cd: CleftData, c: np.ndarray) -> CheckReport:
     if coords_in(cen, c) is None:
         raise NotCentral("the element does not centralize the embedded base")
     e = contract("ija,j->ia", cd.action, cp.base.unit, fld=fld)
-    iota_es = (h.antipode @ e) @ cp.iota
+    iota_es = (h.antipode.elements @ e) @ cp.iota
     s3 = split(h.coalgebra, 3)
     mult = cp.algebra.mult
     t1 = contract("pa,b,abm->pm", cd.gamma_prime, c, mult, fld=fld)
     t2 = contract("pm,qc,mcn->pqn", t1, iota_es, mult, fld=fld)
     t3 = contract("pqn,rd,ndk->pqrk", t2, cd.gamma, mult, fld=fld)
     e1 = contract("ipqr,pqrk->ik", s3, t3, fld=fld)
-    gs = h.antipode @ cd.gamma
-    gps = h.antipode @ cd.gamma_prime
+    gs = h.antipode.elements @ cd.gamma
+    gps = h.antipode.elements @ cd.gamma_prime
     t = contract("qa,b,abm->qm", gs, c, mult, fld=fld)
     e2 = contract("ipq,qm,pd,mdk->ik", h.comult, t, gps, mult, fld=fld)
     rb = ReportBuilder("centralizer conjugation")
@@ -240,15 +241,15 @@ def separability_idempotent(cd: CleftData, t: np.ndarray, c: np.ndarray):
                           contract("b,jbk->jk", c, a.mult, fld=fld)):
         raise NotCentral("the chosen element is not central in the base")
     normalized = contract("i,b,iba->a", t, c, cd.action, fld=fld)
-    if not np.array_equal(normalized, a.unit):
+    if not np.array_equal(normalized, a.unit.elements):
         raise NormalizationFailed(
             f"the integral does not collapse the element to the unit: got "
             f"{tuple(normalized)}")
 
-    u = t @ h.antipode
+    u = t @ h.antipode.elements
     w = contract("i,ipqr->pqr", u, split(h.coalgebra, 3), fld=fld)
     e = contract("ija,j->ia", cd.action, a.unit, fld=fld)
-    iota_es = (h.antipode @ e) @ cp.iota
+    iota_es = (h.antipode.elements @ e) @ cp.iota
     iota_c = c @ cp.iota
     mult = cp.algebra.mult
     first = contract("pa,b,abm,qc,mcn->pqn", cd.gamma_prime, iota_c, mult,
@@ -261,7 +262,7 @@ def separability_idempotent(cd: CleftData, t: np.ndarray, c: np.ndarray):
 
     rb = ReportBuilder("separability element construction")
     rb.require("normalization", True,
-               lhs=tuple(normalized), rhs=tuple(a.unit))
+               lhs=tuple(normalized), rhs=tuple(a.unit.elements))
     res, _, _ = cp.canonical
     rb.require("canonical_map_bijective", res.bijective,
                lhs=(res.quotient_dim, res.rank), rhs=(res.target_dim,))
@@ -295,7 +296,7 @@ def check_separable_extension(cd: CleftData,
                    rhs=tuple(q.project(right[x].reshape(d * d))))
     collapsed = contract("ab,abc->c", lift, mult, fld=cp.fld)
     rb.compare("multiplication_collapse", collapsed.reshape(1, -1),
-               cp.algebra.unit.reshape(1, -1))
+               cp.algebra.unit.elements.reshape(1, -1))
     squared = contract("yz,ab,yac,bzd->cd", lift, lift, mult, mult, fld=cp.fld)
     rb.compare("collapse_idempotent",
                q.project(squared.reshape(d * d)).reshape(1, -1),

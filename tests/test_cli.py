@@ -12,6 +12,8 @@ from hopfcross import cli
 from hopfcross.crossed import (balanced_tensor_square, build_global_crossed,
                                build_partial_crossed)
 from hopfcross.globalize import globalize_group_partial
+from hopfcross.hopf import verify_algebra
+from hopfcross.partial import verify_global
 from hopfcross.specfile import load_spec
 
 DATA = resources.files("hopfcross") / "data"
@@ -175,6 +177,8 @@ def test_report_builds_each_derived_object_once(monkeypatch):
               for fn in (build_partial_crossed, build_global_crossed,
                          globalize_group_partial)}
     squares = _record_calls(monkeypatch, balanced_tensor_square)
+    globals_checked = _record_calls(monkeypatch, verify_global)
+    algebras_checked = _record_calls(monkeypatch, verify_algebra)
     doc = cli.run("report", load_spec(data_path("f_coc_1.json")))
     assert doc["passed"] is True
     assert [s["command"] for s in doc["stages"] if "skipped" not in s] == [
@@ -183,6 +187,10 @@ def test_report_builds_each_derived_object_once(monkeypatch):
         "build_partial_crossed": 1, "build_global_crossed": 1,
         "globalize_group_partial": 1}
     assert len(squares) == len({id(cp) for cp in squares}) == 1
+    # the enveloping action's global axioms and each algebra's table are
+    # checked once, although two stages read each report
+    assert len(globals_checked) == 1
+    assert len(algebras_checked) == len({id(a) for a in algebras_checked})
 
 
 def test_missing_file_is_an_input_error():

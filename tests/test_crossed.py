@@ -105,8 +105,9 @@ def test_global_crossed_with_trivial_data_is_tensor_product():
         for hh in range(3):
             for j in range(2):
                 for ll in range(3):
-                    got = cp.algebra.mult[i * 3 + hh, j * 3 + ll]
-                    assert eqarr(got, kron(b.mult[i, j], h.mult[hh, ll]))
+                    got = cp.algebra.mult.elements[i * 3 + hh, j * 3 + ll]
+                    assert eqarr(got, kron(b.mult.elements[i, j],
+                                           h.mult.elements[hh, ll]))
 
 
 def test_base_embedding_is_unital_and_injective():
@@ -188,7 +189,7 @@ def test_closure_error_names_the_first_product_in_loop_order():
     # "for s: for u:" that the table was once filled by; the message
     # text is pinned because it reaches stderr.
     t = c3_partial()
-    action, cocycle = t.action.copy(), t.cocycle.copy()
+    action, cocycle = np.array(t.action), np.array(t.cocycle)
     action[0, 0, 0] -= 1
     action[1, 1, 0] -= 1
     cocycle[1, 1, 1] += 2

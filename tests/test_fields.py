@@ -124,6 +124,17 @@ def test_coerce_rejects_float():
         F5.coerce(0.5)
 
 
+@pytest.mark.parametrize("fld", [QQ, F5])
+@pytest.mark.parametrize("flag", [True, False])
+def test_bool_is_not_a_scalar(fld, flag):
+    # bool is an int subclass, so without a check True would parse as 1
+    with pytest.raises(ValueError, match="got bool"):
+        fld.parse(flag)
+    with pytest.raises(FieldMismatchError):
+        fld.coerce(flag)
+    assert fld.parse(1) == fld.coerce(1) == fld.one()
+
+
 def test_fp_equals_only_its_canonical_residue():
     assert Fp(1, 5) == 1 and 1 == Fp(1, 5)
     assert Fp(1, 5) != 6 and Fp(4, 5) != -1

@@ -49,7 +49,7 @@ def test_main_fixture_enveloping_structure(c3_env):
         m = zeros(QQ, (3, 3))
         for i in range(3):
             m[i, (i + g) % 3] = QQ.one()
-        assert eqarr(env.glob.action[g], m)
+        assert eqarr(env.glob.action.elements[g], m)
     assert eqarr(env.theta, arr(QQ, [[1, 0, 0], [0, 1, 0]]))
     assert eqarr(env.theta_one, arr(QQ, [1, 1, 0]))
 
@@ -80,7 +80,7 @@ def test_degenerate_swap_globalizes_to_two_blocks():
     env = globalize_group_partial(degenerate_swap())
     assert env.glob.alg.dim == 2
     assert eqarr(env.theta, arr(QQ, [[1, 0]]))
-    assert eqarr(env.glob.action[1], arr(QQ, [[0, 1], [1, 0]]))
+    assert eqarr(env.glob.action.elements[1], arr(QQ, [[0, 1], [1, 0]]))
     assert verify_enveloping(env).passed
     assert verify_induced_matches(env).passed
 
@@ -161,7 +161,7 @@ def test_every_theta_mutation_is_rejected(c3_env):
 def test_every_degenerate_twist_and_action_mutation_is_rejected():
     env = globalize_group_partial(degenerate_swap())
     for field in ("twist", "action"):
-        t = getattr(env.glob, field)
+        t = getattr(env.glob, field).elements
         for idx in np.ndindex(t.shape):
             old = t[idx]
             for nv in {QQ.zero(), QQ.one(), old + QQ.one()} - {old}:
@@ -184,8 +184,8 @@ def test_non_group_hopf_is_rejected():
     act = np.empty((6, 1, 1), dtype=object)
     coc = np.empty((6, 6, 1), dtype=object)
     for i in range(6):
-        act[i, 0, 0] = ds3.counit[i]
+        act[i, 0, 0] = ds3.counit.elements[i]
         for j in range(6):
-            coc[i, j, 0] = ds3.counit[i] * ds3.counit[j]
+            coc[i, j, 0] = ds3.counit.elements[i] * ds3.counit.elements[j]
     with pytest.raises(PreconditionError):
         globalize_group_partial(TwistedPartialAction(ds3, b1, act, coc))

@@ -13,17 +13,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hopfcross import linalg
 from hopfcross.errors import NonGroupTable
 from hopfcross.fields import Field
-from hopfcross.fixtures import group_tables_up_to_6, product_field_algebra, sym3_table
+from hopfcross.fixtures import (c3_partial, group_tables_up_to_6,
+                                product_field_algebra, sym3_table)
 from hopfcross.hopf import (AlgebraData, CoalgebraData, HopfAlgebraData,
                             LinMapHom, convolution, convolution_inverse,
-                            convolution_unit, dual_hopf, function_algebra,
+                            convolution_central_violations, convolution_unit,
+                            dual_hopf, function_algebra,
                             group_algebra, is_cocommutative, left_integrals,
                             split, verify_algebra, verify_coalgebra,
                             verify_hopf)
-from hopfcross.linalg import arr, eqarr, identity, zeros
-from hopfcross.partial import GlobalTwistedAction, TwistedPartialAction
+from hopfcross.linalg import Exact, arr, eqarr, identity, zeros
+from hopfcross.partial import (GlobalTwistedAction, TwistedPartialAction,
+                               unit_translates)
 
 QQ = Field.rationals()
 F5 = Field.prime(5)
@@ -78,7 +82,7 @@ def test_dual_of_group_algebra_multiplies_pointwise():
             expect = arr(QQ, [0, 0, 0])
             if i == j:
                 expect[i] = QQ.one()
-            assert eqarr(d.mult[i, j], expect)
+            assert eqarr(d.mult.elements[i, j], expect)
 
 
 def test_cocommutativity():
@@ -125,6 +129,26 @@ def test_convolution_inverse_absent_when_a_weight_vanishes():
     a = product_field_algebra(QQ, 1)
     f = LinMapHom(2, 1, arr(QQ, [[1], [0]]))
     assert convolution_inverse(f, h.coalgebra, a) is None
+
+
+def test_centrality_check_converts_only_the_maps(monkeypatch):
+    # the coproduct and the product are stored as Exact tensors, so
+    # contract converts only the map under test and each spanning map
+    # E_(i,j), once per convolution on each side
+    tpa = c3_partial()
+    c, a = tpa.hopf.coalgebra, tpa.alg
+    assert isinstance(c.comult, Exact) and isinstance(a.mult, Exact)
+    f = LinMapHom(c.dim, a.dim, unit_translates(tpa))
+    converted = []
+    integers = linalg._integers
+
+    def counting(a, fld, what):
+        converted.append(a.size)
+        return integers(a, fld, what)
+
+    monkeypatch.setattr(linalg, "_integers", counting)
+    assert convolution_central_violations(f, c, a) == []
+    assert converted == [c.dim * a.dim] * (4 * c.dim * a.dim)
 
 
 @pytest.mark.parametrize("name,table", group_tables_up_to_6().items())

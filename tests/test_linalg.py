@@ -17,12 +17,13 @@ from hypothesis import strategies as st
 import hopfcross
 from hopfcross import linalg
 from hopfcross.fields import Field, FieldMismatchError, Fp
-from hopfcross.linalg import (arr, contract, coords_in, coords_in_many,
+from hopfcross.linalg import (Exact, arr, contract, coords_in, coords_in_many,
                               eqarr, identity, is_zero, kernel_basis, kron,
                               quotient, rank, rref, solve, span, zeros)
 
 QQ = Field.rationals()
 F5 = Field.prime(5)
+F10007 = Field.prime(10007)
 F_MERSENNE61 = Field.prime(2**61 - 1)
 
 # small rational matrices for the property tests
@@ -174,8 +175,9 @@ def test_solve_solution_satisfies_system(rows):
 def contractions(draw):
     """A field, a 1-4 operand spec over axes a-e of extent 0-3 (repeated
     axes and rank-0 operands included), its operands and an output that
-    keeps any subset of the axes, possibly none."""
-    fld = draw(st.sampled_from([QQ, F5, Field.prime(10007), F_MERSENNE61]))
+    keeps any subset of the axes, possibly none.  Each operand is an
+    element array or an Exact tensor, so a spec may mix both."""
+    fld = draw(st.sampled_from([QQ, F5, F10007, F_MERSENNE61]))
     extent = {ch: draw(st.integers(0, 3)) for ch in "abcde"}
     terms = draw(st.lists(st.text("abcde", max_size=3), min_size=1,
                           max_size=4))
@@ -192,7 +194,8 @@ def contractions(draw):
                     for _ in range(size)]
         else:
             vals = [Fp(draw(big), fld.p) for _ in range(size)]
-        ops.append(np.array(vals, dtype=object).reshape(shape))
+        op = np.array(vals, dtype=object).reshape(shape)
+        ops.append(Exact(op, fld) if draw(st.booleans()) else op)
     return fld, ",".join(terms) + "->" + output, ops
 
 
@@ -201,11 +204,19 @@ def contractions(draw):
           [zeros(F_MERSENNE61, (2, 0)), zeros(F_MERSENNE61, (0, 3))]))
 @example((QQ, "ab,ba->", [arr(QQ, [["1/3", 10**18], ["-7/2", 5]]),
                           arr(QQ, [["2/9", 1], [f"1/{10**18}", "-1/6"]])]))
+# two scalars and an operand with an empty axis: every step of the
+# path must keep the extra axis, and the empty sum is zero
+@example((QQ, ",,d->", [Exact(arr(QQ, "-5/3"), QQ), arr(QQ, "7/2"),
+                        Exact(zeros(QQ, (0,)), QQ)]))
+# a 0-d output whose terms overflow int64 many times over
+@example((F_MERSENNE61, "ab,ab->",
+          [Exact(arr(F_MERSENNE61, [[-1, 2**60], [3, -2**59]]), F_MERSENNE61),
+           arr(F_MERSENNE61, [[-1, -2**60 + 7], [2**61, 5]])]))
 @settings(max_examples=300, deadline=None)
 def test_contract_matches_reference_einsum(case):
     fld, spec, ops = case
     got = contract(spec, *ops, fld=fld)
-    want = np.einsum(spec, *ops)
+    want = np.einsum(spec, *map(np.asarray, ops))
     kind = type(fld.one())
     if spec.endswith("->"):
         assert type(got) is kind and got == want
@@ -213,6 +224,25 @@ def test_contract_matches_reference_einsum(case):
         assert got.dtype == object and got.shape == want.shape
         assert all(type(x) is kind for x in got.reshape(-1))
         assert all(x == y for x, y in zip(got.reshape(-1), want.reshape(-1)))
+
+
+def test_exact_holds_integers_over_one_common_denominator():
+    src = arr(QQ, [["1/2", 3], ["-1/3", 0]])
+    t = Exact(src, QQ)
+    src[0, 0] = QQ.zero()
+    assert t.den == 6 and t.ints.tolist() == [[3, 18], [-2, 0]]
+    assert t.shape == (2, 2) and eqarr(t, arr(QQ, [["1/2", 3], ["-1/3", 0]]))
+    assert not t.ints.flags.writeable and not t.elements.flags.writeable
+    # plain ints are coerced: the residues are canonical
+    r = Exact(np.array([-1, 12], dtype=object), F5)
+    assert r.den == 1 and r.ints.tolist() == [4, 2]
+    assert all(type(x) is Fp for x in r.elements)
+    with pytest.raises(FieldMismatchError):
+        Exact(arr(F5, [1]), QQ)
+    with pytest.raises(FieldMismatchError):
+        Exact(r, Field.prime(7))
+    with pytest.raises(FieldMismatchError):
+        contract("i,i->", r, r, fld=Field.prime(7))
 
 
 def test_contract_of_disconnected_operands_is_exact():

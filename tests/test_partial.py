@@ -74,7 +74,7 @@ def test_shift_global_passes():
 
 def test_global_with_bad_twist_fails_cocycle_identity():
     g = shift_global()
-    u = g.twist.copy()
+    u = np.array(g.twist)
     u[1, 1] = arr(QQ, [1, 0, 0])
     rep = verify_global(dataclasses.replace(g, twist=u))
     assert not rep.identity_passed("twist_cocycle_identity")
@@ -108,7 +108,7 @@ def test_constant_cocycle_breaks_partial_axioms():
 
 def test_denormalized_cocycle_breaks_crossed_conditions():
     tpa = c3_partial()
-    u = tpa.cocycle.copy()
+    u = np.array(tpa.cocycle)
     u[0, 1] = arr(QQ, [1, 1])
     rep = verify_crossed_conditions(dataclasses.replace(tpa, cocycle=u))
     assert not rep.identity_passed("cocycle_normalized_left")
@@ -153,7 +153,7 @@ def test_unit_translate_map_flags_noncentral_range():
 
 def test_broken_action_fails_translate_factorization():
     src = c3_partial()
-    act = src.action.copy()
+    act = np.array(src.action)
     act[2] = arr(QQ, [[1, 0], [0, 0]])
     res = verify_symmetric(dataclasses.replace(src, action=act))
     assert not res.exists

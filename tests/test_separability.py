@@ -31,7 +31,8 @@ F2 = Field.prime(2)
 def collapse(cp, lift):
     """Multiply the two legs of a lifted tensor."""
     d = cp.dim
-    return np.einsum("p,pk->k", lift, cp.algebra.mult.reshape(d * d, d))
+    mult = cp.algebra.mult.elements.reshape(d * d, d)
+    return np.einsum("p,pk->k", lift, mult)
 
 
 def matrix_algebra_2x2():
@@ -46,7 +47,7 @@ def matrix_algebra_2x2():
 def trivial_action_on(alg):
     th = trivial_hopf()
     act = identity(QQ, alg.dim).reshape(1, alg.dim, alg.dim)
-    coc = alg.unit.reshape(1, 1, alg.dim)
+    coc = alg.unit.elements.reshape(1, 1, alg.dim)
     return TwistedPartialAction(th, alg, act, coc)
 
 
@@ -122,9 +123,9 @@ def dual_s3_trivial_cleft():
     act = np.empty((6, 1, 1), dtype=object)
     coc = np.empty((6, 6, 1), dtype=object)
     for i in range(6):
-        act[i, 0, 0] = ds3.counit[i]
+        act[i, 0, 0] = ds3.counit.elements[i]
         for j in range(6):
-            coc[i, j, 0] = ds3.counit[i] * ds3.counit[j]
+            coc[i, j, 0] = ds3.counit.elements[i] * ds3.counit.elements[j]
     return default_cleft(TwistedPartialAction(ds3, b, act, coc))
 
 

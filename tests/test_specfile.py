@@ -6,6 +6,7 @@ from importlib import resources
 
 import pytest
 
+from hopfcross.cli import main
 from hopfcross.errors import SpecFileError
 from hopfcross.fields import Field
 from hopfcross.fixtures import (c3_partial, cocycle_pair, degenerate_swap,
@@ -47,7 +48,7 @@ def test_bundled_pair_fixture_carries_integral_and_centre():
 def test_bundled_gauge_fixture():
     spec = parse_spec(data_text("f_coc_2.json"))
     assert eqarr(spec.gauge, arr(QQ, [[1], [3]]))
-    assert spec.partial_action().cocycle[1, 1, 0] == QQ.coerce(2)
+    assert spec.partial_action().cocycle.elements[1, 1, 0] == QQ.coerce(2)
 
 
 def test_bundled_degenerate_fixture():
@@ -127,6 +128,23 @@ def test_scalar_error_names_the_path():
     doc["cocycle"][0][0][0] = "one"
     with pytest.raises(SpecFileError, match=r"cocycle\[0\]\[0\]\[0\]"):
         parse_spec(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field", [None, "prime:5"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_json_boolean_scalar_is_an_input_error(tmp_path, capsys, field, flag):
+    doc = json.loads(data_text("f_c3.json"))
+    doc["cocycle"][0][1][0] = flag
+    fld = Field.from_name(field) if field else None
+    with pytest.raises(SpecFileError,
+                       match=r"cocycle\[0\]\[1\]\[0\]: .*got bool"):
+        parse_spec(json.dumps(doc), fld)
+    path = tmp_path / "flag.json"
+    path.write_text(json.dumps(doc))
+    argv = ["verify", str(path)] + (["--field", field] if field else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cocycle[0][1][0]: ") and "bool" in err
 
 
 def test_global_action_alias_and_top_level_twist():
