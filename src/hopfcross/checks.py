@@ -10,11 +10,10 @@ which it fails, and the two evaluated sides.  Violations are kept sorted
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iproduct
 
 import numpy as np
 
-from .linalg import SubspaceBasis, coords_in_many, eqarr
+from .linalg import SubspaceBasis, coords_in_many
 
 
 @dataclass(frozen=True)
@@ -96,19 +95,17 @@ class ReportBuilder:
         the output coordinate.
 
         All leading axes are basis indices; every index tuple at which the
-        output vectors differ becomes one violation.
+        output vectors differ becomes one violation, in row-major order.
         """
         lhs, rhs = np.asarray(lhs), np.asarray(rhs)
         if lhs.shape != rhs.shape:
             raise ValueError(
                 f"{identity}: shape mismatch {lhs.shape} vs {rhs.shape}")
         self._identities.append(identity)
-        lead = lhs.shape[:-1]
-        for idx in iproduct(*(range(n) for n in lead)):
-            lv, rv = lhs[idx], rhs[idx]
-            if not eqarr(lv, rv):
-                self._violations.append(
-                    Violation(identity, idx, tuple(lv), tuple(rv)))
+        differ = ~(lhs == rhs).all(axis=-1)
+        for idx in map(tuple, np.argwhere(differ).tolist()):
+            self._violations.append(
+                Violation(identity, idx, tuple(lhs[idx]), tuple(rhs[idx])))
 
     def require(self, identity: str, ok: bool, index=(), lhs=(), rhs=()):
         """Record a single named yes/no check."""

@@ -2,10 +2,11 @@
 
 Each command reads a definition file, dispatches to the owning module,
 and emits one report.  The commands read every derived object from one
-Pipeline per ``run`` call, which builds each of them once.  JSON reports
-are fully deterministic (sorted keys, no timing data) so identical
-inputs give byte-identical output; the text format adds a wall-time
-line at the end.
+Pipeline per ``run`` call, which builds each of them once, and every
+verifier report of an action or a cleft datum from the object itself,
+which computes it once.  JSON reports are fully deterministic (sorted
+keys, no timing data) so identical inputs give byte-identical output;
+the text format adds a wall-time line at the end.
 
 Exit codes: 0 when every requested check passed, 1 when some check or
 domain precondition failed, 2 for unusable input (parse errors, missing
@@ -21,9 +22,7 @@ import time
 from functools import cached_property
 
 from .crossed import (build_global_crossed, build_partial_crossed,
-                      comodule_coaction, require_crossed_conditions,
-                      require_global_axioms, verify_assoc_unital,
-                      verify_crossed)
+                      comodule_coaction, verify_assoc_unital, verify_crossed)
 from .errors import HopfcrossError, SpecFileError
 from .fields import Field
 from .gauge import (gauge_transform, gauge_crossed_iso, verify_equisatisfiability,
@@ -31,85 +30,68 @@ from .gauge import (gauge_transform, gauge_crossed_iso, verify_equisatisfiabilit
 from .globalize import (globalize_group_partial, verify_enveloping,
                         verify_induced_matches)
 from .hopf import verify_algebra, verify_hopf
-from .morita import (MoritaContextData, build_M, build_N, phi_embed,
-                     verify_module_structures, verify_morita_pairings)
-from .partial import (verify_absorption, verify_crossed_conditions,
-                      verify_symmetric, verify_twisted_partial)
-from .separability import (CleftData, check_separable_extension, default_cleft,
-                           separability_idempotent, verify_partially_cleft)
+from .morita import (morita_context, verify_module_structures,
+                     verify_morita_pairings)
+from .partial import verify_absorption, verify_symmetric
+from .separability import CleftData, default_cleft, separability_idempotent
 from .specfile import _emit, load_spec
 
 COMMANDS = ("verify", "build-crossed", "globalize", "morita", "gauge",
             "separability", "report")
 
 
-class _Partial:
-    """A twisted partial action with its two verify-stage reports and its
-    crossed product, each built on first use."""
-
-    def __init__(self, tpa):
-        self.tpa = tpa
-
-    @cached_property
-    def axioms(self):
-        return verify_twisted_partial(self.tpa)
-
-    @cached_property
-    def conditions(self):
-        return verify_crossed_conditions(self.tpa)
-
-    @cached_property
-    def cp(self):
-        require_crossed_conditions(self.axioms, self.conditions)
-        return build_partial_crossed(self.tpa, check=False)
-
-
 class Pipeline:
     """Every object the commands read, derived from one parsed spec: the
-    partial action, its enveloping action, the global crossed product,
-    the Morita context, the gauged action and the cleft data.  Each is
-    built on first use and kept for the life of the object, which is one
-    ``run`` call; a build that raises keeps nothing, so every stage that
-    needs it meets the same error."""
+    partial action and its crossed product, its enveloping action, the
+    global crossed product, the Morita context, the gauged action and
+    its crossed product, and the cleft data.  Each is built on first use
+    and kept for the life of the object, which is one ``run`` call; a
+    build that raises keeps nothing, so every stage that needs it meets
+    the same error.  The verifier reports of each action are held by the
+    action itself."""
 
     def __init__(self, spec):
         self.spec = spec
 
     @cached_property
-    def partial(self):
-        return _Partial(self.spec.partial_action())
+    def tpa(self):
+        return self.spec.partial_action()
+
+    @cached_property
+    def cp(self):
+        return build_partial_crossed(self.tpa)
 
     @cached_property
     def env(self):
-        return globalize_group_partial(self.partial.tpa, check=False)
+        return globalize_group_partial(self.tpa)
 
     @cached_property
     def global_cp(self):
-        require_global_axioms(self.env.global_report)
-        return build_global_crossed(self.env.glob, check=False)
+        return build_global_crossed(self.env.glob)
 
     @cached_property
     def morita(self):
-        env, r, s = self.env, self.partial.cp, self.global_cp
-        phi, phi_report = phi_embed(env, r, s)
-        return MoritaContextData(env, r, s, phi, phi_report,
-                                 build_M(env, s), build_N(env, s))
+        return morita_context(self.env, self.cp, self.global_cp)
 
     @cached_property
     def gauge_pair(self):
         """The spec's gauge with its weak inverse, or None without one."""
-        tpa = self.partial.tpa      # a missing action is reported first
+        tpa = self.tpa      # a missing action is reported first
         if self.spec.gauge is None:
             raise SpecFileError("missing object 'gauge'")
         return weak_conv_inverse(self.spec.gauge, tpa)
 
     @cached_property
     def gauged(self):
-        return _Partial(gauge_transform(self.gauge_pair, self.partial.tpa))
+        return gauge_transform(self.gauge_pair, self.tpa)
+
+    @cached_property
+    def gauged_cp(self):
+        return build_partial_crossed(self.gauged)
 
     @cached_property
     def cleft(self):
-        spec, tpa, cp = self.spec, self.partial.tpa, self.partial.cp
+        spec, tpa, cp = self.spec, self.tpa, self.cp
         if spec.gamma is None and spec.gamma_prime is None:
             return default_cleft(tpa, cp)
         if spec.gamma is None or spec.gamma_prime is None:
@@ -137,13 +119,13 @@ def _assemble(fld, command, reports, derived, errors):
 
 
 def _cmd_verify(p):
-    tpa = p.partial.tpa
+    tpa = p.tpa
     reports = [
         verify_hopf(tpa.hopf),
         verify_algebra(tpa.alg),
-        p.partial.axioms,
+        tpa.axioms_report,
         verify_absorption(tpa),
-        p.partial.conditions,
+        tpa.conditions_report,
     ]
     ci = verify_symmetric(tpa)
     reports.append(ci.report)
@@ -156,7 +138,7 @@ def _cmd_verify(p):
 
 
 def _cmd_build_crossed(p):
-    cp = p.partial.cp
+    cp = p.cp
     reports = [
         verify_assoc_unital(cp),
         verify_crossed(cp),
@@ -221,34 +203,34 @@ def _cmd_gauge(p):
             "error": "NotInvertible",
             "message": "the gauge map has no weak convolution inverse",
         }])
-    tpa, gauged = p.partial.tpa, p.gauged
+    gauged = p.gauged
     reports = [
-        gauged.axioms,
-        gauged.conditions,
-        verify_equisatisfiability(tpa, pair),
+        gauged.axioms_report,
+        gauged.conditions_report,
+        verify_equisatisfiability(p.tpa, gauged),
     ]
-    _, iso_report = gauge_crossed_iso(pair, tpa, p.partial.cp, gauged.cp)
+    _, iso_report = gauge_crossed_iso(pair, p.cp, p.gauged_cp)
     reports.append(iso_report)
     derived = {"fully_invertible": pair.fully_invertible}
     return _assemble(p.spec.fld, "gauge", reports, derived, [])
 
 
 def _cmd_separability(p):
-    spec, tpa = p.spec, p.partial.tpa
+    spec = p.spec
+    p.tpa       # a missing action is reported first
     if spec.integral_t is None:
         raise SpecFileError("missing object 'integral_t'")
     if spec.center_c is None:
         raise SpecFileError("missing object 'center_c'")
     cd = p.cleft
     cp = cd.cp
-    reports = [verify_partially_cleft(cd)]
+    reports = [cd.cleft_report]
     errors = []
     derived = {"crossed_dim": cp.dim}
     try:
-        elem, build_report = separability_idempotent(
+        elem, build_report, conditions = separability_idempotent(
             cd, spec.integral_t, spec.center_c)
-        reports.append(build_report)
-        reports.append(check_separable_extension(cd, elem))
+        reports += [build_report, conditions]
         derived["element_lift"] = [spec.fld.format(x) for x in elem.lift]
         derived["element_coordinates"] = [
             spec.fld.format(x) for x in elem.coordinates]

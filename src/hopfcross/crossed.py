@@ -8,7 +8,9 @@ the crossed product is the span of the elements a (h_1 . 1) (x) h_2.
 This module builds that span, the structure constants of the product on
 it, the natural right coaction of H, its coinvariants, the embedding of
 the base algebra, and the canonical Galois-type map on the balanced
-tensor square.
+tensor square.  The two builders always check their input first, from
+the verifier reports the action holds, and raise PreconditionError
+when those fail.
 
 Basis bookkeeping: the ambient space A (x) H is indexed row-major, so
 the pair (i, p) sits at position i * dim(H) + p and a pure tensor is a
@@ -28,9 +30,7 @@ from .hopf import AlgebraData, HopfAlgebraData, LinMapHom, split, verify_algebra
 from .linalg import (QuotientSpace, SubspaceBasis, contract, coords_in,
                      coords_in_many, identity, is_zero, kernel_basis, kron,
                      quotient, rank, span, zeros)
-from .partial import (GlobalTwistedAction, TwistedPartialAction,
-                      verify_crossed_conditions, verify_global,
-                      verify_twisted_partial)
+from .partial import GlobalTwistedAction, TwistedPartialAction
 
 
 def ambient_product_tensor(hopf: HopfAlgebraData, alg: AlgebraData,
@@ -155,41 +155,24 @@ def _build(hopf: HopfAlgebraData, alg: AlgebraData, action: np.ndarray,
                                  coaction)
 
 
-def require_crossed_conditions(axioms: CheckReport, conditions: CheckReport):
-    """Raise PreconditionError unless both reports pass: ``axioms`` from
-    verify_twisted_partial and ``conditions`` from
-    verify_crossed_conditions on the same action."""
-    rep = axioms.merged(conditions)
+def build_partial_crossed(tpa: TwistedPartialAction) -> CrossedProductAlgebra:
+    """Build the crossed product of a twisted partial action.  Raises
+    PreconditionError unless the action's axioms and crossed-product
+    conditions, the two reports it holds, both pass."""
+    rep = tpa.axioms_report.merged(tpa.conditions_report)
     if not rep.passed:
         raise PreconditionError(
             "input fails the crossed product conditions: " + rep.summary())
-
-
-def require_global_axioms(axioms: CheckReport):
-    """Raise PreconditionError unless ``axioms``, from verify_global,
-    passes."""
-    if not axioms.passed:
-        raise PreconditionError(
-            "input fails the global twisted action axioms: " + axioms.summary())
-
-
-def build_partial_crossed(tpa: TwistedPartialAction,
-                          check: bool = True) -> CrossedProductAlgebra:
-    """Build the crossed product of a twisted partial action.  With
-    ``check`` the crossed-product conditions are verified first and a
-    PreconditionError raised when they fail."""
-    if check:
-        require_crossed_conditions(verify_twisted_partial(tpa),
-                                   verify_crossed_conditions(tpa))
     return _build(tpa.hopf, tpa.alg, tpa.action, tpa.cocycle)
 
 
-def build_global_crossed(g: GlobalTwistedAction,
-                         check: bool = True) -> CrossedProductAlgebra:
-    """Crossed product of a global twisted action.  When the axioms hold
-    the span is all of B (x) H, so ``basis.rows`` is the identity."""
-    if check:
-        require_global_axioms(verify_global(g))
+def build_global_crossed(g: GlobalTwistedAction) -> CrossedProductAlgebra:
+    """Crossed product of a global twisted action.  Raises
+    PreconditionError unless the axioms report it holds passes; then the
+    span is all of B (x) H, so ``basis.rows`` is the identity."""
+    if not g.axioms_report.passed:
+        raise PreconditionError("input fails the global twisted action "
+                                "axioms: " + g.axioms_report.summary())
     return _build(g.hopf, g.alg, g.action, g.twist)
 
 
@@ -351,8 +334,9 @@ def canonical_map(cp: CrossedProductAlgebra):
     camb = contract("yms,xmk->xyks", co, cp.algebra.mult,
                     fld=cp.fld).reshape(d * d, d * nh)
     q = cp.balanced_square
-    balanced = is_zero(np.asarray(q.relations.rows @ camb)) if q.relations.rows.size else True
-    mq = q.section @ camb
+    balanced = is_zero(contract("rx,xy->ry", q.relations.rows, camb,
+                                fld=cp.fld))
+    mq = contract("qx,xy->qy", q.section, camb, fld=cp.fld)
     rk = rank(mq, cp.fld)
     res = CanonicalMapResult(
         quotient_dim=q.dim,

@@ -19,12 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import CheckReport, ReportBuilder
-from .crossed import CrossedProductAlgebra, build_partial_crossed
+from .crossed import CrossedProductAlgebra
 from .errors import CompositeNotGauge
 from .hopf import LinMapHom, convolution, convolution_unit, split
 from .linalg import contract, coords_in_many, identity, rank, solve, zeros
-from .partial import (TwistedPartialAction, unit_translates,
-                      verify_crossed_conditions)
+from .partial import TwistedPartialAction, unit_translates
 
 
 @dataclass(frozen=True)
@@ -140,12 +139,11 @@ def verify_gauge_composition(outer: GaugePair, inner: GaugePair,
     return rb.build()
 
 
-def gauge_crossed_iso(pair: GaugePair, tpa: TwistedPartialAction,
-                      original_cp: CrossedProductAlgebra | None = None,
-                      gauged_cp: CrossedProductAlgebra | None = None):
-    """The isomorphism from the crossed product of the gauged action to
-    the crossed product of the original, class of a (x) h |->
-    class of a v(h_1) (x) h_2.
+def gauge_crossed_iso(pair: GaugePair, cp: CrossedProductAlgebra,
+                      cpv: CrossedProductAlgebra):
+    """The isomorphism from the crossed product ``cpv`` of the action
+    gauged by ``pair`` to the crossed product ``cp`` of the original,
+    class of a (x) h |-> class of a v(h_1) (x) h_2.
 
     Returns (matrix, report).  The report checks multiplicativity, unit
     preservation, bijectivity, and that the companion map built from the
@@ -153,12 +151,9 @@ def gauge_crossed_iso(pair: GaugePair, tpa: TwistedPartialAction,
     the same formula read in the opposite direction, which fails in
     general.
     """
-    h, a = tpa.hopf, tpa.alg
+    h, a = cp.hopf, cp.base
     fld = a.fld
     nh, na = h.dim, a.dim
-    cp = original_cp if original_cp is not None else build_partial_crossed(tpa)
-    cpv = (gauged_cp if gauged_cp is not None
-           else build_partial_crossed(gauge_transform(pair, tpa)))
     rb = ReportBuilder("gauge isomorphism of crossed products")
 
     def induced(src, dst, f):
@@ -178,9 +173,9 @@ def gauge_crossed_iso(pair: GaugePair, tpa: TwistedPartialAction,
     rb.compare("multiplicative", lhs, rhs)
     rb.compare("unital", (cpv.algebra.unit.elements @ phi).reshape(1, -1),
                cp.algebra.unit.elements.reshape(1, -1))
-    rb.require("bijective",
-               cpv.dim == cp.dim and rank(phi, fld) == cp.dim,
-               lhs=(rank(phi, fld),), rhs=(cp.dim,))
+    rk = rank(phi, fld)
+    rb.require("bijective", cpv.dim == cp.dim and rk == cp.dim,
+               lhs=(rk,), rhs=(cp.dim,))
     psi = induced(cp, cpv, pair.v_inv)
     if psi is None:
         rb.require("inverse_lands_in_source_span", False)
@@ -203,11 +198,11 @@ def gauge_crossed_iso(pair: GaugePair, tpa: TwistedPartialAction,
 
 
 def verify_equisatisfiability(tpa: TwistedPartialAction,
-                              pair: GaugePair) -> CheckReport:
+                              gauged: TwistedPartialAction) -> CheckReport:
     """The crossed-product conditions hold for the original data exactly
-    when they hold for the gauged data, identity by identity."""
-    before = verify_crossed_conditions(tpa)
-    after = verify_crossed_conditions(gauge_transform(pair, tpa))
+    when they hold for the gauged data ``gauged``, identity by identity,
+    read from the conditions report each action holds."""
+    before, after = tpa.conditions_report, gauged.conditions_report
     rb = ReportBuilder("gauge equisatisfiability")
     for name in ("cocycle_normalized_left", "cocycle_normalized_right",
                  "twisted_module", "cocycle_identity"):

@@ -9,13 +9,14 @@ of all translates of the image.  The original partial action is
 recovered on the corner cut out by theta(1).
 
 The construction requires each e_g = g . 1 to be a central idempotent
-with g . A = e_g A; these are checked up front.
+with g . A = e_g A; these are checked up front.  The finished
+construction is not verified here: ``verify_enveloping(env)`` does that
+and lists every violation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .linalg import (SubspaceBasis, contract, coords_in_many, rank, solve,
                      span, zeros)
 from .partial import (GlobalTwistedAction, TwistedPartialAction,
                       central_idempotent_report, corner_twist, induce_partial,
-                      is_trivial_cocycle, unit_translates, verify_global)
+                      is_trivial_cocycle, unit_translates)
 
 
 def _group_table(h: HopfAlgebraData):
@@ -67,8 +68,6 @@ class EnvelopingAction:
         glob: the global action in carrier coordinates.
         theta: matrix of the embedding of the base algebra, in carrier
             coordinates.
-
-    ``global_report`` is verify_global of ``glob``, run once and kept.
     """
 
     source: TwistedPartialAction
@@ -81,21 +80,15 @@ class EnvelopingAction:
     def theta_one(self):
         return self.source.alg.unit.elements @ self.theta
 
-    @cached_property
-    def global_report(self) -> CheckReport:
-        return verify_global(self.glob)
 
-
-def globalize_group_partial(tpa: TwistedPartialAction,
-                            check: bool = True) -> EnvelopingAction:
+def globalize_group_partial(tpa: TwistedPartialAction) -> EnvelopingAction:
     """Build the enveloping action of a group-algebra partial action
     with trivial cocycle.
 
     Raises PreconditionError when the Hopf algebra is not a group
     algebra or the cocycle is not the trivial one, and
     NotCentralIdempotent when some g . 1 fails to be a central
-    idempotent with g . A = (g . 1) A.  With ``check`` the finished
-    construction is run through verify_enveloping before returning.
+    idempotent with g . A = (g . 1) A.
     """
     h, a = tpa.hopf, tpa.alg
     fld = a.fld
@@ -190,14 +183,7 @@ def globalize_group_partial(tpa: TwistedPartialAction,
 
     theta = in_carrier(theta_amb, "embedded base element {}")
 
-    env = EnvelopingAction(tpa, ambient, carrier, glob, theta)
-    if check:
-        rep = verify_enveloping(env)
-        if not rep.passed:
-            raise PreconditionError(
-                "constructed enveloping action fails verification: "
-                + rep.summary())
-    return env
+    return EnvelopingAction(tpa, ambient, carrier, glob, theta)
 
 
 def verify_enveloping(env: EnvelopingAction) -> CheckReport:
@@ -208,7 +194,7 @@ def verify_enveloping(env: EnvelopingAction) -> CheckReport:
     spanning; and compatibility of the twist with the partial cocycle.
     """
     rb = ReportBuilder("enveloping action")
-    rb.absorb(env.global_report, "global.")
+    rb.absorb(env.glob.axioms_report, "global.")
     tpa = env.source
     b = env.glob.alg
     fld = b.fld

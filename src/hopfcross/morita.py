@@ -24,27 +24,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import CheckReport, ReportBuilder
-from .crossed import (CrossedProductAlgebra, build_global_crossed,
-                      build_partial_crossed)
+from .crossed import CrossedProductAlgebra
 from .globalize import EnvelopingAction
 from .linalg import (SubspaceBasis, contract, coords_in_many, identity,
                      kron, rank, span)
 
 
-def phi_embed(env: EnvelopingAction,
-              partial_cp: CrossedProductAlgebra | None = None,
-              global_cp: CrossedProductAlgebra | None = None):
-    """The algebra map from the partial crossed product into the global
-    one induced by the base embedding, as a matrix on the chosen bases.
+def phi_embed(env: EnvelopingAction, r: CrossedProductAlgebra,
+              s: CrossedProductAlgebra):
+    """The algebra map from the partial crossed product ``r`` of
+    ``env.source`` into the crossed product ``s`` of ``env.glob`` induced
+    by the base embedding, as a matrix on the chosen bases.
 
     Returns (matrix, report); the report checks multiplicativity,
     preservation of the unit, and injectivity.
     """
-    tpa = env.source
-    r = partial_cp if partial_cp is not None else build_partial_crossed(tpa)
-    s = global_cp if global_cp is not None else build_global_crossed(env.glob)
-    fld = tpa.fld
-    nh = tpa.hopf.dim
+    fld = env.source.fld
+    nh = env.source.hopf.dim
     amb = kron(env.theta, identity(fld, nh))
     phi, misses = coords_in_many(
         s.basis, contract("xa,ab->xb", r.basis.rows, amb, fld=fld))
@@ -68,15 +64,13 @@ def phi_embed(env: EnvelopingAction,
     rb.compare("unit_local_left", lhs, phi)
     rhs = contract("xt,s,tsu->xu", phi, one, s.algebra.mult, fld=fld)
     rb.compare("unit_local_right", rhs, phi)
-    rb.require("injective", rank(phi, fld) == r.dim,
-               lhs=(rank(phi, fld),), rhs=(r.dim,))
+    rk = rank(phi, fld)
+    rb.require("injective", rk == r.dim, lhs=(rk,), rhs=(r.dim,))
     return phi, rb.build()
 
 
-def build_M(env: EnvelopingAction,
-            global_cp: CrossedProductAlgebra | None = None) -> SubspaceBasis:
-    """The span of theta(a) (x) h inside the global crossed product."""
-    s = global_cp if global_cp is not None else build_global_crossed(env.glob)
+def build_M(env: EnvelopingAction, s: CrossedProductAlgebra) -> SubspaceBasis:
+    """The span of theta(a) (x) h inside the global crossed product s."""
     nh = env.source.hopf.dim
     fld = env.source.fld
     amb_rows = kron(env.theta, identity(fld, nh))
@@ -84,11 +78,9 @@ def build_M(env: EnvelopingAction,
     return span(rows, s.dim, fld)
 
 
-def build_N(env: EnvelopingAction,
-            global_cp: CrossedProductAlgebra | None = None) -> SubspaceBasis:
+def build_N(env: EnvelopingAction, s: CrossedProductAlgebra) -> SubspaceBasis:
     """The span of (h_1 > theta(a)) (x) h_2 inside the global crossed
-    product, with > the global action."""
-    s = global_cp if global_cp is not None else build_global_crossed(env.glob)
+    product s, with > the global action."""
     tpa = env.source
     fld = tpa.fld
     nh, nb = tpa.hopf.dim, env.glob.alg.dim
@@ -121,9 +113,10 @@ class MoritaContextData:
     bimodule_n: SubspaceBasis
 
 
-def morita_context(env: EnvelopingAction) -> MoritaContextData:
-    r = build_partial_crossed(env.source)
-    s = build_global_crossed(env.glob)
+def morita_context(env: EnvelopingAction, r: CrossedProductAlgebra,
+                   s: CrossedProductAlgebra) -> MoritaContextData:
+    """The context between the crossed product r of ``env.source`` and
+    the crossed product s of ``env.glob``."""
     phi, prep = phi_embed(env, r, s)
     return MoritaContextData(env, r, s, phi, prep,
                              build_M(env, s), build_N(env, s))

@@ -8,7 +8,9 @@ A twisted partial action is stored as two tensors over the base field:
 * ``cocycle[i, j, :]``: the algebra element ``w(h_i, h_j)``.
 
 Both are stored as :class:`~hopfcross.linalg.Exact` tensors, as are the
-action and twist of a global action.
+action and twist of a global action.  Each action holds the reports of
+its defining verifiers, computed once on first use: the tensors are
+read-only, so a report never goes stale.
 
 The verifiers never assume anything; each identity is expanded on all
 basis tuples and failures are listed per tuple.
@@ -17,6 +19,7 @@ basis tuples and failures are listed per tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +50,14 @@ class TwistedPartialAction:
     def act(self, h, a):
         return contract("i,j,ijk->k", h, a, self.action, fld=self.fld)
 
+    @cached_property
+    def axioms_report(self) -> CheckReport:
+        return verify_twisted_partial(self)
+
+    @cached_property
+    def conditions_report(self) -> CheckReport:
+        return verify_crossed_conditions(self)
+
 
 @dataclass(frozen=True)
 class GlobalTwistedAction:
@@ -69,6 +80,10 @@ class GlobalTwistedAction:
 
     def act(self, h, b):
         return contract("i,j,ijk->k", h, b, self.action, fld=self.fld)
+
+    @cached_property
+    def axioms_report(self) -> CheckReport:
+        return verify_global(self)
 
 
 def unit_translates(tpa) -> np.ndarray:
@@ -334,11 +349,9 @@ def induce_partial(g: GlobalTwistedAction, e: np.ndarray,
     action_a = corner_coords(acted, "induced action at ({}, {})")
     cocycle_a = corner_coords(corner_twist(g, e), "induced cocycle at ({}, {})")
     tpa = TwistedPartialAction(g.hopf, alg_a, action_a, cocycle_a)
-    if check:
-        rep = verify_twisted_partial(tpa)
-        if not rep.passed:
-            raise PreconditionError(
-                "induced data fails the partial axioms: " + rep.summary())
+    if check and not tpa.axioms_report.passed:
+        raise PreconditionError("induced data fails the partial axioms: "
+                                + tpa.axioms_report.summary())
     return InducedPartialAction(tpa, carrier, e)
 
 

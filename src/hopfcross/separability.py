@@ -21,19 +21,19 @@ basis elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .checks import CheckReport, ReportBuilder
-from .crossed import (CrossedProductAlgebra, build_global_crossed,
-                      build_partial_crossed, require_coinvariants_are_base)
+from .crossed import CrossedProductAlgebra, require_coinvariants_are_base
 from .errors import (NormalizationFailed, NotCentral, NotCocommutative,
                      NotIntegral, PreconditionError)
 from .hopf import (LinMapHom, convolution_central_violations, is_cocommutative,
                    left_integrals, split, tensor_square_coalgebra)
 from .linalg import (QuotientSpace, contract, coords_in, coords_in_many,
                      is_zero, kernel_basis, solve, span, zeros)
-from .partial import GlobalTwistedAction
+from .partial import TwistedPartialAction
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,9 @@ class CleftData:
 
     ``action`` keeps the measuring of the base algebra; the centralizer
     and separability formulas quantify over terms like S(h) . 1 that
-    cannot be recovered from the maps alone.
+    cannot be recovered from the maps alone.  The two maps are kept as
+    read-only copies, so ``cleft_report``, verify_partially_cleft of the
+    datum, is computed once and kept.
     """
 
     cp: CrossedProductAlgebra
@@ -50,21 +52,27 @@ class CleftData:
     gamma_prime: np.ndarray
     action: np.ndarray         # (dim H, dim A, dim A)
 
+    def __post_init__(self):
+        for name in ("gamma", "gamma_prime"):
+            mat = np.array(getattr(self, name), dtype=object)
+            mat.flags.writeable = False
+            object.__setattr__(self, name, mat)
+
     @property
     def fld(self):
         return self.cp.fld
 
+    @cached_property
+    def cleft_report(self) -> CheckReport:
+        return verify_partially_cleft(self)
 
-def default_cleft(tpa, cp: CrossedProductAlgebra | None = None) -> CleftData:
-    """The unit section gamma(h) = class of (h_1 . 1) (x) h_2, with
-    gamma' = gamma after the antipode.  Accepts partial or global data
-    and builds the matching crossed product when none is supplied."""
+
+def default_cleft(tpa: TwistedPartialAction,
+                  cp: CrossedProductAlgebra) -> CleftData:
+    """The unit section gamma(h) = class of (h_1 . 1) (x) h_2 into the
+    crossed product cp of tpa, with gamma' = gamma after the
+    antipode."""
     h, a = tpa.hopf, tpa.alg
-    if cp is None:
-        if isinstance(tpa, GlobalTwistedAction):
-            cp = build_global_crossed(tpa)
-        else:
-            cp = build_partial_crossed(tpa)
     e = contract("ija,j->ia", tpa.action, a.unit, fld=a.fld)
     amb = contract("jpq,px->jxq", h.comult, e,
                    fld=a.fld).reshape(h.dim, a.dim * h.dim)
@@ -217,20 +225,21 @@ def separability_idempotent(cd: CleftData, t: np.ndarray, c: np.ndarray):
     be a nonzero left integral, c must be central in the base algebra,
     and t . c = sum t_i (h_i . c) must be the base unit.
 
-    Returns (element, report); the report covers the two separability
-    conditions for the element and whether the canonical Galois map of
-    the crossed product is bijective, which the separability theory
-    presumes and which can genuinely fail.
+    Returns (element, report, conditions): ``conditions`` is
+    check_separable_extension of the element, the two separability
+    conditions; ``report`` absorbs it and adds the normalization and
+    whether the canonical Galois map of the crossed product is
+    bijective, which the separability theory presumes and which can
+    genuinely fail.
     """
     cp = cd.cp
     h = cp.hopf
     fld = cp.fld
     if not is_cocommutative(h.coalgebra):
         raise NotCocommutative("the coproduct is not cocommutative")
-    cleft = verify_partially_cleft(cd)
-    if not cleft.passed:
-        raise PreconditionError(
-            "the section pair is not partially cleft: " + cleft.summary())
+    if not cd.cleft_report.passed:
+        raise PreconditionError("the section pair is not partially cleft: "
+                                + cd.cleft_report.summary())
     t = np.asarray(t)
     integrals = left_integrals(h)
     if is_zero(t) or coords_in(integrals, t) is None:
@@ -266,8 +275,9 @@ def separability_idempotent(cd: CleftData, t: np.ndarray, c: np.ndarray):
     res, _, _ = cp.canonical
     rb.require("canonical_map_bijective", res.bijective,
                lhs=(res.quotient_dim, res.rank), rhs=(res.target_dim,))
-    rb.absorb(check_separable_extension(cd, elem), "")
-    return elem, rb.build()
+    conditions = check_separable_extension(cd, elem)
+    rb.absorb(conditions, "")
+    return elem, rb.build(), conditions
 
 
 def check_separable_extension(cd: CleftData,

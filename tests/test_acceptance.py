@@ -25,7 +25,8 @@ import numpy as np
 import pytest
 
 from hopfcross import (Field, HopfcrossError, LinMapHom, NormalizationFailed,
-                       build_partial_crossed, canonical_map, convolution,
+                       build_global_crossed, build_partial_crossed,
+                       canonical_map, convolution,
                        convolution_inverse, convolution_unit, default_cleft,
                        gauge_crossed_iso, gauge_transform, globalize_group_partial,
                        group_algebra, left_integrals, morita_context,
@@ -187,12 +188,17 @@ def test_criterion_3_globalization_round_trip(capfd):
     assert ind_rep.identity_passed("corner_dimension_matches")
 
 
+def _context(env):
+    return morita_context(env, build_partial_crossed(env.source),
+                          build_global_crossed(env.glob))
+
+
 def test_criterion_4_morita_contexts(capfd):
     t0 = time.perf_counter()
-    ctx = morita_context(globalize_group_partial(c3_partial()))
+    ctx = _context(globalize_group_partial(c3_partial()))
     mod_rep = verify_module_structures(ctx)
     pairings = verify_morita_pairings(ctx)
-    dctx = morita_context(globalize_group_partial(degenerate_swap()))
+    dctx = _context(globalize_group_partial(degenerate_swap()))
     dmod_rep = verify_module_structures(dctx)
     dpairings = verify_morita_pairings(dctx)
     elapsed = time.perf_counter() - t0
@@ -230,7 +236,8 @@ def test_criterion_5_gauge_suite(capfd):
     assert outer is not None
     gauged = gauge_transform(outer, tpa)
     weight = gauged.cocycle.elements[1, 1, 0]
-    _, iso_rep = gauge_crossed_iso(outer, tpa)
+    _, iso_rep = gauge_crossed_iso(outer, build_partial_crossed(tpa),
+                                   build_partial_crossed(gauged))
     inner = weak_conv_inverse(pair_gauge(2), tpa)
     assert inner is not None
     comp_rep = verify_gauge_composition(outer, inner, tpa)
@@ -245,7 +252,8 @@ def test_criterion_5_gauge_suite(capfd):
         sample = cocycle_pair(_nonzero(rng, fld), fld)
         pair = weak_conv_inverse(pair_gauge(_nonzero(rng, fld), fld), sample)
         assert pair is not None
-        if verify_equisatisfiability(sample, pair).passed:
+        if verify_equisatisfiability(
+                sample, gauge_transform(pair, sample)).passed:
             agreed += 1
     for i in range(20):
         # breaking normalization must break it on both sides of the gauge
@@ -257,7 +265,8 @@ def test_criterion_5_gauge_suite(capfd):
         assert not verify_crossed_conditions(bad).passed
         pair = weak_conv_inverse(pair_gauge(_nonzero(rng, fld), fld), bad)
         assert pair is not None
-        if verify_equisatisfiability(bad, pair).passed:
+        if verify_equisatisfiability(
+                bad, gauge_transform(pair, bad)).passed:
             agreed += 1
     for i in range(16):
         fld = fields[i % 4]
@@ -265,14 +274,16 @@ def test_criterion_5_gauge_suite(capfd):
         f, _ = unit_translate_map(sample)
         pair = weak_conv_inverse(f.matrix, sample)
         assert pair is not None
-        if verify_equisatisfiability(sample, pair).passed:
+        if verify_equisatisfiability(
+                sample, gauge_transform(pair, sample)).passed:
             agreed += 1
     for i in range(8):
         sample = c3_partial()
         pair = weak_conv_inverse(
             c3_gauge(_nonzero(rng, QQ), _nonzero(rng, QQ)), sample)
         assert pair is not None
-        if verify_equisatisfiability(sample, pair).passed:
+        if verify_equisatisfiability(
+                sample, gauge_transform(pair, sample)).passed:
             agreed += 1
     elapsed = time.perf_counter() - t0
     ok = (weight == Fraction(18) and iso_rep.passed and comp_rep.passed
@@ -298,7 +309,7 @@ def test_criterion_6_separability(capfd):
     cd = default_cleft(tpa, cp)
     t = np.array([Fraction(1), Fraction(1)], dtype=object)
     c = np.array([Fraction(1, 2)], dtype=object)
-    elem, rep = separability_idempotent(cd, t, c)
+    elem, rep, _ = separability_idempotent(cd, t, c)
     res, _, _ = canonical_map(cp)
     fld2 = Field.prime(2)
     tpa2 = cocycle_pair(1, fld2)

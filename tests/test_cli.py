@@ -1,19 +1,27 @@
 """End-to-end runs of the command-line tool through a subprocess:
 exit codes, JSON determinism, and the text renderer."""
 
+import importlib
+import inspect
 import json
+import pkgutil
+import re
 import subprocess
 import sys
 from importlib import resources
 
 import pytest
 
+import hopfcross
 from hopfcross import cli
 from hopfcross.crossed import (balanced_tensor_square, build_global_crossed,
                                build_partial_crossed)
+from hopfcross.gauge import gauge_transform
 from hopfcross.globalize import globalize_group_partial
 from hopfcross.hopf import verify_algebra
-from hopfcross.partial import verify_global
+from hopfcross.partial import verify_crossed_conditions, verify_global
+from hopfcross.separability import (check_separable_extension,
+                                    verify_partially_cleft)
 from hopfcross.specfile import load_spec
 
 DATA = resources.files("hopfcross") / "data"
@@ -191,6 +199,61 @@ def test_report_builds_each_derived_object_once(monkeypatch):
     # checked once, although two stages read each report
     assert len(globals_checked) == 1
     assert len(algebras_checked) == len({id(a) for a in algebras_checked})
+
+
+def test_report_computes_each_verifier_report_once(monkeypatch):
+    # the cleft report and the separability conditions have two readers
+    # each, the crossed-product conditions of each action three, yet
+    # each is computed once
+    cleft = _record_calls(monkeypatch, verify_partially_cleft)
+    conditions = _record_calls(monkeypatch, check_separable_extension)
+    doc = cli.run("report", load_spec(data_path("f_coc_1.json")))
+    assert doc["stages"][-1]["command"] == "separability"
+    assert doc["stages"][-1]["passed"] is True
+    assert (len(cleft), len(conditions)) == (1, 1)
+
+    gauged = _record_calls(monkeypatch, gauge_transform)
+    crossed_conditions = _record_calls(monkeypatch, verify_crossed_conditions)
+    doc = cli.run("report", load_spec(data_path("f_coc_2.json")))
+    assert [s["command"] for s in doc["stages"] if "skipped" not in s] == [
+        "verify", "build-crossed", "gauge"]
+    assert len(gauged) == 1
+    assert len({id(t) for t in crossed_conditions}) == 2
+    assert len(crossed_conditions) == 2
+
+
+def _public_functions():
+    """(qualified name, function) for every public function and public
+    method defined in a hopfcross module."""
+    for info in pkgutil.iter_modules(hopfcross.__path__):
+        if info.name == "__main__":
+            continue
+        mod = importlib.import_module(f"hopfcross.{info.name}")
+        for name, obj in vars(mod).items():
+            if (name.startswith("_")
+                    or getattr(obj, "__module__", "") != mod.__name__):
+                continue
+            if inspect.isfunction(obj):
+                yield f"{info.name}.{name}", obj
+            elif inspect.isclass(obj):
+                for meth, fn in vars(obj).items():
+                    if inspect.isfunction(fn) and not meth.startswith("_"):
+                        yield f"{info.name}.{name}.{meth}", fn
+
+
+def test_consumers_take_every_built_object_they_read():
+    # one path per derived object: no builder has a switch to skip its
+    # precondition check, and no consumer rebuilds a crossed product or
+    # an enveloping action that was left out
+    params = [(name, p) for name, fn in _public_functions()
+              for p in inspect.signature(fn).parameters.values()]
+    assert [name for name, p in params if p.name == "check"] == [
+        "partial.induce_partial"]
+    typed = [(name, p) for name, p in params if re.search(
+        r"\b(CrossedProductAlgebra|EnvelopingAction)\b", str(p.annotation))]
+    assert len(typed) > 10
+    assert [f"{name}({p.name})" for name, p in typed
+            if p.default is not p.empty] == []
 
 
 def test_missing_file_is_an_input_error():

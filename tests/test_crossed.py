@@ -10,7 +10,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hopfcross.errors import ClosureViolation, CoinvariantsMismatch
+from hopfcross import crossed
+from hopfcross.errors import (ClosureViolation, CoinvariantsMismatch,
+                              PreconditionError)
 from hopfcross.fields import Field
 from hopfcross.fixtures import (c3_partial, cocycle_pair, cyclic_table,
                                 degenerate_swap, product_field_algebra,
@@ -89,17 +91,27 @@ def test_square_root_presentation():
     assert eqarr(cp.multiply(one, x), x)
 
 
-def test_global_crossed_with_trivial_data_is_tensor_product():
+def trivial_global(swap_generator=False):
+    """C3 acting trivially on k x k with the trivial twist; with
+    ``swap_generator`` the generator swaps the two factors instead,
+    which breaks the twisted module identity."""
     h = group_algebra(QQ, cyclic_table(3))
     b = product_field_algebra(QQ, 2)
     act = np.empty((3, 2, 2), dtype=object)
     for i in range(3):
         act[i] = arr(QQ, [[1, 0], [0, 1]])
+    if swap_generator:
+        act[1] = arr(QQ, [[0, 1], [1, 0]])
     u = np.empty((3, 3, 2), dtype=object)
     for i in range(3):
         for j in range(3):
             u[i, j] = b.unit
-    cp = build_global_crossed(GlobalTwistedAction(h, b, act, u))
+    return GlobalTwistedAction(h, b, act, u)
+
+
+def test_global_crossed_with_trivial_data_is_tensor_product():
+    h, b = group_algebra(QQ, cyclic_table(3)), product_field_algebra(QQ, 2)
+    cp = build_global_crossed(trivial_global())
     assert cp.dim == 6
     for i in range(2):
         for hh in range(3):
@@ -195,6 +207,24 @@ def test_closure_error_names_the_first_product_in_loop_order():
     cocycle[1, 1, 1] += 2
     broken = TwistedPartialAction(t.hopf, t.alg, action, cocycle)
     with pytest.raises(ClosureViolation) as info:
-        build_partial_crossed(broken, check=False)
+        crossed._build(broken.hopf, broken.alg, broken.action, broken.cocycle)
     assert str(info.value) == \
         "product of crossed basis elements 1 and 3 leaves the span"
+
+
+def test_builders_refuse_data_that_fails_their_conditions():
+    # both builders check the reports the action holds; the message text
+    # is pinned because it reaches the report of a skipped CLI stage
+    t = cocycle_pair(2)
+    cocycle = np.array(t.cocycle)
+    cocycle[0, 1, 0] = QQ.coerce(5)
+    with pytest.raises(PreconditionError) as info:
+        build_partial_crossed(dataclasses.replace(t, cocycle=cocycle))
+    assert str(info.value) == (
+        "input fails the crossed product conditions: "
+        "twisted partial action: FAIL (5 violations)")
+    with pytest.raises(PreconditionError) as info:
+        build_global_crossed(trivial_global(swap_generator=True))
+    assert str(info.value) == (
+        "input fails the global twisted action axioms: "
+        "global twisted action: FAIL (6 violations)")

@@ -12,6 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from hopfcross.crossed import build_partial_crossed
 from hopfcross.errors import CompositeNotGauge
 from hopfcross.fields import Field
 from hopfcross.fixtures import (c3_gauge, c3_partial, cocycle_pair,
@@ -25,6 +26,13 @@ from hopfcross.partial import (unit_translates, verify_crossed_conditions,
 
 QQ = Field.rationals()
 F5 = Field.prime(5)
+
+
+def crossed_iso(pair, tpa):
+    """gauge_crossed_iso between the crossed products of tpa gauged by
+    pair and of tpa."""
+    return gauge_crossed_iso(pair, build_partial_crossed(tpa),
+                             build_partial_crossed(gauge_transform(pair, tpa)))
 
 
 def test_weak_inverse_of_grouplike_gauge():
@@ -78,7 +86,7 @@ def test_identity_gauge_changes_nothing():
     gt = gauge_transform(pair, tpa)
     assert eqarr(gt.action, tpa.action)
     assert eqarr(gt.cocycle, tpa.cocycle)
-    phi, rep = gauge_crossed_iso(pair, tpa)
+    phi, rep = crossed_iso(pair, tpa)
     assert rep.passed
     assert eqarr(phi, identity(QQ, 2))
 
@@ -86,7 +94,7 @@ def test_identity_gauge_changes_nothing():
 def test_crossed_iso_rescales_odd_generator():
     tpa = cocycle_pair(2)
     pair = weak_conv_inverse(pair_gauge(3), tpa)
-    phi, rep = gauge_crossed_iso(pair, tpa)
+    phi, rep = crossed_iso(pair, tpa)
     assert rep.passed, rep.summary()
     assert eqarr(phi, arr(QQ, [[1, 0], [0, 3]]))
 
@@ -138,14 +146,14 @@ def test_two_parameter_gauge_on_main_fixture():
     gt = gauge_transform(pair, tpa)
     assert verify_twisted_partial(gt).passed
     assert verify_crossed_conditions(gt).passed
-    phi, rep = gauge_crossed_iso(pair, tpa)
+    phi, rep = crossed_iso(pair, tpa)
     assert rep.passed, rep.summary()
 
 
 def test_equisatisfiability_on_valid_data():
     tpa = cocycle_pair(2)
     pair = weak_conv_inverse(pair_gauge(3), tpa)
-    rep = verify_equisatisfiability(tpa, pair)
+    rep = verify_equisatisfiability(tpa, gauge_transform(pair, tpa))
     assert rep.passed
 
 
@@ -157,7 +165,7 @@ def test_equisatisfiability_on_corrupted_data():
     coc[0, 1] = arr(QQ, [5])
     broken = dataclasses.replace(tpa, cocycle=coc)
     pair = weak_conv_inverse(pair_gauge(3), broken)
-    rep = verify_equisatisfiability(broken, pair)
+    rep = verify_equisatisfiability(broken, gauge_transform(pair, broken))
     assert rep.passed, rep.summary()
     before = verify_crossed_conditions(broken)
     assert not before.identity_passed("cocycle_identity")

@@ -6,6 +6,7 @@ import dataclasses
 
 import numpy as np
 
+from hopfcross.crossed import build_global_crossed, build_partial_crossed
 from hopfcross.fields import Field
 from hopfcross.fixtures import c3_partial, cyclic_table, degenerate_swap, product_field_algebra
 from hopfcross.globalize import EnvelopingAction, globalize_group_partial
@@ -18,8 +19,13 @@ from hopfcross.partial import GlobalTwistedAction, induce_partial
 QQ = Field.rationals()
 
 
+def context(env):
+    return morita_context(env, build_partial_crossed(env.source),
+                          build_global_crossed(env.glob))
+
+
 def test_main_fixture_context_dimensions(c3_env):
-    ctx = morita_context(c3_env)
+    ctx = context(c3_env)
     assert ctx.partial_cp.dim == 4
     assert ctx.global_cp.dim == 9
     assert ctx.bimodule_m.dim == 6
@@ -29,7 +35,7 @@ def test_main_fixture_context_dimensions(c3_env):
 
 
 def test_main_fixture_modules_and_pairings(c3_env):
-    ctx = morita_context(c3_env)
+    ctx = context(c3_env)
     assert verify_module_structures(ctx).passed
     res = verify_morita_pairings(ctx)
     assert res.report.passed
@@ -38,7 +44,7 @@ def test_main_fixture_modules_and_pairings(c3_env):
 
 
 def test_degenerate_context():
-    ctx = morita_context(globalize_group_partial(degenerate_swap()))
+    ctx = context(globalize_group_partial(degenerate_swap()))
     assert ctx.partial_cp.dim == 1
     assert ctx.global_cp.dim == 4
     assert ctx.bimodule_m.dim == 2
@@ -69,7 +75,7 @@ def test_self_enveloping_context_is_the_identity():
     env = EnvelopingAction(source=src, ambient=b,
                            carrier=span(identity(QQ, 3), 3, QQ),
                            glob=glob, theta=identity(QQ, 3))
-    ctx = morita_context(env)
+    ctx = context(env)
     assert eqarr(ctx.phi, identity(QQ, 9))
     assert ctx.bimodule_m.dim == 9
     assert ctx.bimodule_n.dim == 9
@@ -83,14 +89,16 @@ def test_self_enveloping_context_is_the_identity():
 def test_corrupted_embedding_breaks_multiplicativity(c3_env):
     th = c3_env.theta.copy()
     th[0] = arr(QQ, [1, 1, 0])
-    _, rep = phi_embed(dataclasses.replace(c3_env, theta=th))
+    env = dataclasses.replace(c3_env, theta=th)
+    _, rep = phi_embed(env, build_partial_crossed(env.source),
+                       build_global_crossed(env.glob))
     assert not rep.identity_passed("multiplicative")
     assert not rep.identity_passed("unit_maps_to_idempotent")
     assert rep.identity_passed("lands_in_global_span")
 
 
 def test_non_ideal_bimodule_fails_closure(c3_env):
-    ctx = morita_context(c3_env)
+    ctx = context(c3_env)
     v = zeros(QQ, (1, 9))
     v[0, 0] = QQ.one()
     doctored = dataclasses.replace(ctx, bimodule_m=span(v, 9, QQ))
