@@ -27,8 +27,8 @@ from .gauge import (GaugePair, gauge_action, gauge_cocycle, gauge_crossed_iso,
 from .globalize import (EnvelopingAction, globalize_group_partial,
                         verify_enveloping, verify_induced_matches)
 from .hopf import (AlgebraData, CoalgebraData, HopfAlgebraData, LinMapHom,
-                   convolution, convolution_inverse, convolution_unit,
-                   dual_hopf, function_algebra, group_algebra,
+                   convolution, convolution_algebra, convolution_inverse,
+                   convolution_unit, dual_hopf, group_algebra,
                    is_cocommutative, left_integrals, verify_algebra,
                    verify_coalgebra, verify_hopf)
 from .morita import (MoritaContextData, MoritaPairingResult, morita_context,

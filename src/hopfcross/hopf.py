@@ -245,6 +245,18 @@ def convolution_unit(c: CoalgebraData, a: AlgebraData) -> LinMapHom:
                      contract("i,m->im", c.counit, a.unit, fld=a.fld))
 
 
+def convolution_algebra(c: CoalgebraData, a: AlgebraData) -> AlgebraData:
+    """The convolution algebra Hom(C, A) of :func:`convolution` on the
+    basis delta_s (x) a_i, the map e_s |-> a_i, at index s * a.dim + i;
+    its unit is counit (x) 1.  On a group-like coalgebra this is the
+    pointwise algebra of A-valued functions on the basis."""
+    d = c.dim * a.dim
+    mult = contract("ust,ijk->sitjuk", c.comult, a.mult,
+                    fld=a.fld).reshape(d, d, d)
+    unit = kron(c.counit.elements, a.unit.elements)
+    return AlgebraData(a.fld, d, mult, unit)
+
+
 def convolution_inverse(f: LinMapHom, c: CoalgebraData, a: AlgebraData):
     """Two-sided convolution inverse of f, or None if it does not exist.
 
@@ -378,20 +390,3 @@ def dual_hopf(h: HopfAlgebraData) -> HopfAlgebraData:
         CoalgebraData(h.fld, n, comult, h.unit, h.labels),
         h.antipode.elements.T,
     )
-
-
-def function_algebra(a: AlgebraData, npoints: int) -> AlgebraData:
-    """The algebra of A-valued functions on ``npoints`` points,
-    i.e. the direct product of ``npoints`` copies of A.
-
-    Basis index (s, i) -> s * a.dim + i for point s and A-basis i.
-    """
-    n = a.dim
-    d = npoints * n
-    mult = zeros(a.fld, (d, d, d))
-    unit = zeros(a.fld, (d,))
-    for s in range(npoints):
-        block = slice(s * n, (s + 1) * n)
-        mult[block, block, block] = a.mult.elements
-        unit[block] = a.unit.elements
-    return AlgebraData(a.fld, d, mult, unit)

@@ -383,7 +383,7 @@ def coords_in_many(sub: SubspaceBasis, vs: np.ndarray):
         raise ValueError(f"vectors of shape {vs.shape} do not lie in a "
                          f"space of dimension {sub.ambient_dim}")
     lead = vs.shape[:-1]
-    flat = vs.reshape(-1, sub.ambient_dim)
+    flat = vs.reshape(math.prod(lead), sub.ambient_dim)
     coords = flat[:, list(sub.pivots)]
     recon = contract("ki,ij->kj", coords, sub.rows, fld=sub.fld)
     members = (recon == flat).all(axis=1)

@@ -324,7 +324,7 @@ def induce_partial(g: GlobalTwistedAction, e: np.ndarray,
     if not cr.passed:
         raise NotCentralIdempotent(
             "corner generator is not a central idempotent: " + cr.summary())
-    rows = contract("i,ijk->jk", e, b.mult, fld=fld).T  # row j = e * b_j
+    rows = contract("i,ijk->jk", e, b.mult, fld=fld)  # row j = e * b_j
     carrier = span(rows, b.dim, fld)
     na = carrier.dim
     sect = carrier.rows

@@ -1,9 +1,13 @@
+import numpy as np
 import pytest
 
 from hopfcross.crossed import build_partial_crossed
 from hopfcross.fields import Field
-from hopfcross.fixtures import c3_partial
+from hopfcross.fixtures import c3_partial, sym3_table
 from hopfcross.globalize import globalize_group_partial
+from hopfcross.hopf import dual_hopf, group_algebra
+from hopfcross.linalg import arr, zeros
+from hopfcross.partial import GlobalTwistedAction, induce_partial
 
 
 @pytest.fixture(scope="session")
@@ -25,3 +29,30 @@ def c3_crossed(c3):
 @pytest.fixture(scope="session")
 def c3_env():
     return globalize_group_partial(c3_partial())
+
+
+# central idempotents of QS3 on the basis of sym3_table (0-2 even):
+# e_triv + e_sign, of corner dimension 2, and its complement, the
+# 4-dimensional matrix block
+KS3_CORNERS = {2: ["1/3", "1/3", "1/3", 0, 0, 0],
+               4: ["2/3", "-1/3", "-1/3", 0, 0, 0]}
+
+
+@pytest.fixture(scope="session", params=sorted(KS3_CORNERS),
+                ids=lambda d: f"corner{d}")
+def ks3_corner(request):
+    """A partial action of the dual k^{S3} of the group algebra, a
+    non-cocommutative Hopf algebra, and its enveloping action.  k^{S3}
+    acts globally on QS3 by the grading delta_g > h = [g = h] h with the
+    trivial twist; the partial action is its restriction to a corner."""
+    qq = Field.rationals()
+    ks3 = group_algebra(qq, sym3_table())
+    action = zeros(qq, (6, 6, 6))
+    for g in range(6):
+        action[g, g, g] = qq.one()
+    counit = ks3.unit.elements      # the counit of the dual
+    twist = np.multiply.outer(np.multiply.outer(counit, counit),
+                              ks3.unit.elements)
+    glob = GlobalTwistedAction(dual_hopf(ks3), ks3.algebra, action, twist)
+    tpa = induce_partial(glob, arr(qq, KS3_CORNERS[request.param])).tpa
+    return globalize_group_partial(tpa)

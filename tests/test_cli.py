@@ -100,6 +100,24 @@ def test_globalize_dimensions():
     assert doc["passed"] is True
 
 
+def test_globalize_of_a_zero_action_lists_violations(tmp_path):
+    # the unit acts as 0, so the enveloping span is zero-dimensional
+    doc = json.loads((DATA / "degenerate_swap.json").read_text())
+    doc["action"] = [[["0"]], [["0"]]]
+    doc["cocycle"] = [[["0"], ["0"]], [["0"], ["0"]]]
+    p = tmp_path / "zero.json"
+    p.write_text(json.dumps(doc))
+    res = run_json("globalize", str(p))
+    assert res.returncode == 1 and res.stderr == ""
+    doc = json.loads(res.stdout)
+    assert doc["derived"] == {"ambient_dim": 2, "enveloping_dim": 0}
+    found = [(c["title"], v["identity"], v["lhs"], v["rhs"])
+             for c in doc["checks"] for v in c["violations"]]
+    assert found == [
+        ("enveloping action", "embedding_injective", ["0"], ["1"]),
+        ("induced partial action", "corner_dimension_matches", ["0"], ["1"])]
+
+
 def test_morita_statistics():
     res = run_json("morita", data_path("f_c3.json"))
     assert res.returncode == 0, res.stderr

@@ -7,6 +7,7 @@ embedding matrix are pinned from a hand computation.
 """
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,10 +19,10 @@ from hopfcross.fixtures import (c3_partial, cocycle_pair, cyclic_table,
                                 sym3_table)
 from hopfcross.globalize import (EnvelopingAction, globalize_group_partial,
                                  verify_enveloping, verify_induced_matches)
-from hopfcross.hopf import dual_hopf, group_algebra
+from hopfcross.hopf import AlgebraData, dual_hopf, group_algebra
 from hopfcross.linalg import arr, eqarr, identity, span, zeros
 from hopfcross.partial import (GlobalTwistedAction, TwistedPartialAction,
-                               induce_partial)
+                               induce_partial, verify_symmetric)
 
 QQ = Field.rationals()
 F5 = Field.prime(5)
@@ -178,14 +179,66 @@ def test_nontrivial_cocycle_is_out_of_scope():
         globalize_group_partial(cocycle_pair(5))
 
 
-def test_non_group_hopf_is_rejected():
+def test_counit_action_of_dual_group_algebra_globalizes():
+    # k^{S3} acting on Q through its counit: theta(1) is the counit, and
+    # every translate of it is a multiple of it
     ds3 = dual_hopf(group_algebra(QQ, sym3_table()))
     b1 = product_field_algebra(QQ, 1)
-    act = np.empty((6, 1, 1), dtype=object)
-    coc = np.empty((6, 6, 1), dtype=object)
-    for i in range(6):
-        act[i, 0, 0] = ds3.counit.elements[i]
-        for j in range(6):
-            coc[i, j, 0] = ds3.counit.elements[i] * ds3.counit.elements[j]
-    with pytest.raises(PreconditionError):
-        globalize_group_partial(TwistedPartialAction(ds3, b1, act, coc))
+    eps = ds3.counit.elements
+    act = eps.reshape(6, 1, 1)
+    coc = np.multiply.outer(eps, eps).reshape(6, 6, 1)
+    env = globalize_group_partial(TwistedPartialAction(ds3, b1, act, coc))
+    assert env.ambient.dim == 6
+    assert env.glob.alg.dim == 1
+    assert verify_enveloping(env).passed
+    assert verify_induced_matches(env).passed
+
+
+def test_dual_group_algebra_corners_globalize(ks3_corner):
+    env = ks3_corner
+    assert env.ambient.dim == 6 * env.source.alg.dim
+    assert env.glob.alg.dim == 6
+    assert verify_enveloping(env).passed
+    assert verify_induced_matches(env).passed
+
+
+def test_dual_group_algebra_corners_stay_asymmetric(ks3_corner):
+    # an open finding: the corners are induced from a global action with
+    # trivial twist, yet f1 and f2 are not central in Hom(H (x) H, A)
+    rep = verify_symmetric(ks3_corner.source).report
+    counts = Counter(v.identity for v in rep.violations)
+    assert counts == {2: {"product_factor_central": 144},
+                      4: {"unit_factor_central": 144,
+                          "product_factor_central": 360}}[
+        ks3_corner.source.alg.dim]
+
+
+def upper_triangular():
+    """The upper-triangular 2x2 matrices on the basis E11, E12, E22."""
+    mult = zeros(QQ, (3, 3, 3))
+    for i, j, k in ((0, 0, 0), (0, 1, 1), (1, 2, 1), (2, 2, 2)):
+        mult[i, j, k] = QQ.one()
+    return AlgebraData(QQ, 3, mult, arr(QQ, [1, 0, 1]))
+
+
+def test_noncentral_unit_translate_is_reported():
+    # C2 acting by a |-> E11 a E11 with the trivial cocycle: g . 1 = E11
+    # is not central, so neither verifier may raise; each names the
+    # failures.  (The data also fail the twisted module identity.)
+    a = upper_triangular()
+    act = arr(QQ, [identity(QQ, 3).tolist(),
+                   [[1, 0, 0], [0, 0, 0], [0, 0, 0]]])
+    one, e11 = a.unit.elements.tolist(), [1, 0, 0]
+    coc = arr(QQ, [[one, e11], [e11, e11]])
+    env = globalize_group_partial(
+        TwistedPartialAction(group_algebra(QQ, [[0, 1], [1, 0]]), a, act, coc))
+    assert env.glob.alg.dim == 5
+    assert eqarr(env.theta_one, arr(QQ, [1, 0, 1, 0, 0]))
+    where = lambda rep: [(v.identity, v.index) for v in rep.violations]
+    assert where(verify_enveloping(env)) == [
+        ("action_intertwines", (1, 1)), ("corner_central", (3,)),
+        ("image_right_ideal", (0, 3))]
+    rep = verify_induced_matches(env)
+    assert rep.identities == ("corner_idempotent", "corner_central")
+    assert where(rep) == [("corner_central", (3,))]
+    assert rep.violations[0].lhs == tuple(arr(QQ, [0, 0, 0, 1, 0]))

@@ -16,12 +16,12 @@ import pytest
 from hopfcross import linalg
 from hopfcross.errors import NonGroupTable
 from hopfcross.fields import Field
-from hopfcross.fixtures import (c3_partial, group_tables_up_to_6,
+from hopfcross.fixtures import (c3_partial, cyclic_table, group_tables_up_to_6,
                                 product_field_algebra, sym3_table)
 from hopfcross.hopf import (AlgebraData, CoalgebraData, HopfAlgebraData,
-                            LinMapHom, convolution, convolution_inverse,
-                            convolution_central_violations, convolution_unit,
-                            dual_hopf, function_algebra,
+                            LinMapHom, convolution, convolution_algebra,
+                            convolution_central_violations,
+                            convolution_inverse, convolution_unit, dual_hopf,
                             group_algebra, is_cocommutative, left_integrals,
                             split, verify_algebra, verify_coalgebra,
                             verify_hopf)
@@ -174,14 +174,37 @@ def test_group_algebra_labels():
     assert h.labels == ("1", "g")
 
 
-def test_function_algebra_is_pointwise():
-    a = product_field_algebra(QQ, 1)
-    fa = function_algebra(a, 3)
-    assert verify_algebra(fa).passed
-    assert fa.dim == 3
+def test_convolution_algebra_is_pointwise_on_a_group_algebra():
+    c = group_algebra(QQ, cyclic_table(3)).coalgebra
+    ca = convolution_algebra(c, product_field_algebra(QQ, 1))
+    assert verify_algebra(ca).passed
+    assert ca.dim == 3
+    assert eqarr(ca.unit, arr(QQ, [1, 1, 1]))
     x = arr(QQ, [1, 2, 3])
     y = arr(QQ, [4, 5, 6])
-    assert eqarr(fa.mul(x, y), arr(QQ, [4, 10, 18]))
+    assert eqarr(ca.mul(x, y), arr(QQ, [4, 10, 18]))
+
+
+def test_convolution_algebra_matches_convolution_of_maps():
+    # k^{S3} is not cocommutative and kS3 is not commutative, so a wrong
+    # leg order in either structure tensor shows
+    c = dual_hopf(group_algebra(QQ, sym3_table())).coalgebra
+    a = group_algebra(QQ, sym3_table()).algebra
+    ca = convolution_algebra(c, a)
+    assert ca.dim == 36
+    assert eqarr(ca.unit, convolution_unit(c, a).matrix.reshape(36))
+    maps = [LinMapHom(6, 6, arr(QQ, [[(3 * s + 5 * i + k) % 7 - 3
+                                     for i in range(6)] for s in range(6)]))
+            for k in range(3)]
+    for f in maps:
+        for g in maps:
+            want = convolution(f, g, c, a).matrix.reshape(36)
+            got = ca.mul(f.matrix.reshape(36), g.matrix.reshape(36))
+            assert eqarr(got, want)
+    # the sample maps do not all commute, so the check has teeth
+    f, g = maps[0], maps[1]
+    assert not eqarr(convolution(f, g, c, a).matrix,
+                     convolution(g, f, c, a).matrix)
 
 
 def test_wrong_shapes_raise_value_error():

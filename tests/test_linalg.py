@@ -305,11 +305,11 @@ def test_only_linalg_calls_einsum():
 
 @st.composite
 def membership_cases(draw):
-    """A field, a subspace of F^n spanned by 0-3 random rows (so possibly
-    zero-dimensional), and a stack of 0-6 vectors mixing members,
-    zero vectors, non-members and random vectors."""
+    """A field, a subspace of F^n (n = 0 to 4) spanned by 0-3 random rows
+    (so possibly zero-dimensional), and a stack of 0-6 vectors mixing
+    members, zero vectors, non-members and random vectors."""
     fld = draw(st.sampled_from([QQ, Field.prime(7)]))
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 4))
     vec = st.lists(scalars, min_size=n, max_size=n)
     gens = draw(st.lists(vec, max_size=3))
     sub = span(arr(fld, gens).reshape(len(gens), n), n, fld)
@@ -332,6 +332,7 @@ def membership_cases(draw):
 
 
 @given(membership_cases())
+@example((span(zeros(QQ, (0, 0)), 0, QQ), zeros(QQ, (3, 0))))
 @settings(max_examples=200, deadline=None)
 def test_coords_in_many_matches_membership_by_rank(case):
     sub, vs = case

@@ -57,6 +57,16 @@ def test_degenerate_context():
     assert res.sigma_surjective and res.tau_surjective
 
 
+def test_dual_group_algebra_corner_contexts(ks3_corner):
+    ctx = context(ks3_corner)
+    assert verify_module_structures(ctx).passed
+    res = verify_morita_pairings(ctx)
+    assert res.report.passed
+    got = (res.sigma_rank, res.tau_rank, ctx.partial_cp.dim, ctx.global_cp.dim)
+    assert got == {2: (36, 4, 4, 36),
+                   4: (36, 16, 16, 36)}[ks3_corner.source.alg.dim]
+
+
 def test_self_enveloping_context_is_the_identity():
     h = group_algebra(QQ, cyclic_table(3))
     b = product_field_algebra(QQ, 3)

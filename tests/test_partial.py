@@ -14,8 +14,8 @@ from hopfcross.errors import NotCentralIdempotent
 from hopfcross.fields import Field
 from hopfcross.fixtures import (c3_partial, cocycle_pair, cyclic_table,
                                 degenerate_swap, product_field_algebra,
-                                sym3_table, trivial_partial)
-from hopfcross.hopf import dual_hopf, group_algebra
+                                sym3_table, trivial_hopf, trivial_partial)
+from hopfcross.hopf import AlgebraData, dual_hopf, group_algebra
 from hopfcross.linalg import arr, eqarr, identity, zeros
 from hopfcross.partial import (GlobalTwistedAction, TwistedPartialAction,
                                central_idempotent_report, induce_partial,
@@ -192,6 +192,21 @@ def test_corner_restriction_recovers_main_fixture():
 def test_corner_restriction_rejects_noncentral_idempotent():
     with pytest.raises(NotCentralIdempotent):
         induce_partial(shift_global(), arr(QQ, [1, 2, 0]))
+
+
+def test_corner_is_spanned_by_products_with_the_idempotent():
+    # Q x Q on the basis (1, u) with u idempotent: e * b_j is u for both
+    # basis elements, so the matrix of e * b_j is not symmetric and its
+    # columns span (1, 1), not the corner
+    b = AlgebraData(QQ, 2, arr(QQ, [[[1, 0], [0, 1]], [[0, 1], [0, 1]]]),
+                    arr(QQ, [1, 0]))
+    glob = GlobalTwistedAction(trivial_hopf(), b,
+                               identity(QQ, 2).reshape(1, 2, 2),
+                               b.unit.elements.reshape(1, 1, 2))
+    ind = induce_partial(glob, arr(QQ, [0, 1]))
+    assert eqarr(ind.carrier.rows, arr(QQ, [[0, 1]]))
+    assert ind.tpa.alg.dim == 1
+    assert eqarr(ind.tpa.action, arr(QQ, [[[1]]]))
 
 
 def test_central_idempotent_report():
