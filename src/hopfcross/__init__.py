@@ -26,7 +26,7 @@ from .gauge import (GaugePair, gauge_action, gauge_cocycle, gauge_crossed_iso,
                     verify_gauge_composition, weak_conv_inverse)
 from .globalize import (EnvelopingAction, globalize_group_partial,
                         verify_enveloping, verify_induced_matches)
-from .hopf import (AlgebraData, CoalgebraData, HopfAlgebraData, LinMapHom,
+from .hopf import (AlgebraData, CoalgebraData, HopfAlgebraData,
                    convolution, convolution_algebra, convolution_inverse,
                    convolution_unit, dual_hopf, group_algebra,
                    is_cocommutative, left_integrals, verify_algebra,

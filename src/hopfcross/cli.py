@@ -352,9 +352,6 @@ def main(argv=None) -> int:
     parser.add_argument("--field", default=None,
                         help="override the field: rational or prime:<p>")
     parser.add_argument("--format", choices=("json", "text"), default="text")
-    parser.add_argument("--parallel", type=int, default=1, metavar="N",
-                        help="accepted for compatibility and ignored; checks "
-                             "run one after another")
     args = parser.parse_args(argv)
 
     start = time.monotonic()

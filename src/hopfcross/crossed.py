@@ -26,10 +26,10 @@ import numpy as np
 
 from .checks import CheckReport, ReportBuilder
 from .errors import ClosureViolation, CoinvariantsMismatch, PreconditionError
-from .hopf import AlgebraData, HopfAlgebraData, LinMapHom, split, verify_algebra
+from .hopf import AlgebraData, HopfAlgebraData, split, verify_algebra
 from .linalg import (QuotientSpace, SubspaceBasis, contract, coords_in,
                      coords_in_many, identity, is_zero, kernel_basis, kron,
-                     quotient, rank, span, zeros)
+                     quotient, rank, span)
 from .partial import GlobalTwistedAction, TwistedPartialAction
 
 
@@ -229,25 +229,22 @@ def verify_coaction(cp: CrossedProductAlgebra) -> CheckReport:
 
 
 def comodule_coaction(cp: CrossedProductAlgebra):
-    """The coaction packaged as a linear map R -> R (x) H together with
-    its coinvariant subspace and a report covering the comodule axioms
-    and whether the coinvariants are exactly the embedded base.
+    """The coaction R -> R (x) H as its (dim, dim * dim H) matrix, together
+    with its coinvariant subspace and a report covering the comodule
+    axioms and whether the coinvariants are exactly the embedded base.
 
-    Returns (map, coinvariants, report).
+    Returns (matrix, coinvariants, report).
     """
-    rho = LinMapHom(cp.dim, cp.dim * cp.hopf.dim, cp.coaction)
     rep = verify_coaction(cp).merged(verify_coinvariants_are_base(cp))
-    return rho, cp.coinvariant_space, rep
+    return cp.coaction, cp.coinvariant_space, rep
 
 
 def coinvariants(cp: CrossedProductAlgebra) -> SubspaceBasis:
     """Elements x with coaction x (x) 1, as a subspace of the crossed
     product in its own basis."""
     d, nh = cp.dim, cp.hopf.dim
-    m = cp.coaction.copy().reshape(d, d, nh)
-    for r in range(d):
-        for s in range(nh):
-            m[r, r, s] = m[r, r, s] - cp.hopf.unit.elements[s]
+    m = cp.coaction.reshape(d, d, nh) - contract(
+        "rk,s->rks", identity(cp.fld, d), cp.hopf.unit, fld=cp.fld)
     rows = kernel_basis(m.reshape(d, d * nh).T, cp.fld)
     return span(rows, d, cp.fld)
 
@@ -283,22 +280,11 @@ def require_coinvariants_are_base(cp: CrossedProductAlgebra):
 def balanced_tensor_square(cp: CrossedProductAlgebra) -> QuotientSpace:
     """The quotient of R (x) R by the base-balancing relations
     x iota(a) (x) y - x (x) iota(a) y over all basis triples."""
-    d = cp.dim
-    na = cp.base.dim
-    rels = zeros(cp.fld, (d * d * na, d * d))
-    r = 0
-    for x in range(d):
-        ex = zeros(cp.fld, (d,))
-        ex[x] = cp.fld.one()
-        for a in range(na):
-            xa = cp.multiply(ex, cp.iota[a])
-            for y in range(d):
-                ey = zeros(cp.fld, (d,))
-                ey[y] = cp.fld.one()
-                ay = cp.multiply(cp.iota[a], ey)
-                rels[r] = kron(xa, ey) - kron(ex, ay)
-                r += 1
-    return quotient(d * d, rels, cp.fld)
+    d, na = cp.dim, cp.base.dim
+    eye, mult = identity(cp.fld, d), cp.algebra.mult
+    rels = (contract("ak,xkm,yn->xaymn", cp.iota, mult, eye, fld=cp.fld)
+            - contract("xm,ak,kyn->xaymn", eye, cp.iota, mult, fld=cp.fld))
+    return quotient(d * d, rels.reshape(d * na * d, d * d), cp.fld)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 from .checks import CheckReport, ReportBuilder
 from .crossed import CrossedProductAlgebra
 from .errors import CompositeNotGauge
-from .hopf import LinMapHom, convolution, convolution_unit, split
+from .hopf import convolution, convolution_unit, inverse_equations, split
 from .linalg import contract, coords_in_many, identity, rank, solve, zeros
 from .partial import TwistedPartialAction, unit_translates
 
@@ -50,35 +50,17 @@ def weak_conv_inverse(v: np.ndarray, tpa: TwistedPartialAction) -> GaugePair | N
     v = np.asarray(v)
     if not np.array_equal(h.unit.elements @ v, a.unit.elements):
         return None
-    e = unit_translates(tpa)
-    nun = nh * na
-    right_mul = contract("ijl,jy,ybk->iklb", h.comult, v, a.mult,
-                         fld=fld).reshape(nun, nun)
-    left_mul = contract("ijl,ly,byk->ikjb", h.comult, v, a.mult,
-                        fld=fld).reshape(nun, nun)
-    absorb_r = contract("ijl,lz,yzk->ikjy", h.comult, e, a.mult,
-                        fld=fld).reshape(nun, nun)
-    absorb_l = contract("ijl,jy,yzk->iklz", h.comult, e, a.mult,
-                        fld=fld).reshape(nun, nun)
+    rows, rhs = inverse_equations(v, unit_translates(tpa), h.coalgebra, a)
     at_one = contract("l,kb->klb", h.unit, identity(fld, na),
-                      fld=fld).reshape(na, nun)
-    eye = identity(fld, nun)
-    big = np.concatenate([right_mul, left_mul, eye - absorb_r, eye - absorb_l,
-                          at_one], axis=0)
-    erow = e.reshape(nun)
-    rhs = np.concatenate([erow, erow, zeros(fld, (nun,)), zeros(fld, (nun,)),
-                          a.unit.elements])
-    x = solve(big, rhs, fld)
+                      fld=fld).reshape(na, nh * na)
+    x = solve(np.concatenate([rows, at_one]),
+              np.concatenate([rhs, a.unit.elements]), fld)
     if x is None:
         return None
     u = x.reshape(nh, na)
-    cu = convolution_unit(h.coalgebra, a).matrix
-    fully = (np.array_equal(convolution(LinMapHom(nh, na, v),
-                                        LinMapHom(nh, na, u),
-                                        h.coalgebra, a).matrix, cu)
-             and np.array_equal(convolution(LinMapHom(nh, na, u),
-                                            LinMapHom(nh, na, v),
-                                            h.coalgebra, a).matrix, cu))
+    cu = convolution_unit(h.coalgebra, a)
+    fully = (np.array_equal(convolution(v, u, h.coalgebra, a), cu)
+             and np.array_equal(convolution(u, v, h.coalgebra, a), cu))
     return GaugePair(v, u, fully)
 
 
@@ -120,11 +102,8 @@ def verify_gauge_composition(outer: GaugePair, inner: GaugePair,
     two-step and one-step transforms.
     """
     h, a = tpa.hopf, tpa.alg
-    nh, na = h.dim, a.dim
-    comp = convolution(LinMapHom(nh, na, outer.v), LinMapHom(nh, na, inner.v),
-                       h.coalgebra, a).matrix
-    cand = convolution(LinMapHom(nh, na, inner.v_inv),
-                       LinMapHom(nh, na, outer.v_inv), h.coalgebra, a).matrix
+    comp = convolution(outer.v, inner.v, h.coalgebra, a)
+    cand = convolution(inner.v_inv, outer.v_inv, h.coalgebra, a)
     pair = weak_conv_inverse(comp, tpa)
     if pair is None:
         raise CompositeNotGauge(

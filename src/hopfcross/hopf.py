@@ -8,7 +8,8 @@ Conventions:
 * ``comult[i, j, k]`` is the coefficient of ``e_j (x) e_k`` in the
   coproduct of ``e_i``; ``counit`` is a plain vector of scalars.
 * The antipode and every other linear map are row-convention matrices:
-  the image of ``e_i`` is row ``i``.
+  the image of ``e_i`` is row ``i``.  A map C -> A in the convolution
+  algebra Hom(C, A) is a plain ``(dim C, dim A)`` matrix.
 * The data classes store these structure tensors as
   :class:`~hopfcross.linalg.Exact`, built once from a copy of the input;
   their entries are read through ``.elements``.
@@ -101,22 +102,6 @@ class HopfAlgebraData:
     @property
     def counit(self):
         return self.coalgebra.counit
-
-
-@dataclass(frozen=True)
-class LinMapHom:
-    """A linear map between based spaces, applied as ``v @ matrix``."""
-
-    domain_dim: int
-    codomain_dim: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        check_shape("matrix", self.matrix,
-                     (self.domain_dim, self.codomain_dim))
-
-    def __call__(self, v):
-        return v @ self.matrix
 
 
 # ---------------------------------------------------------------------------
@@ -227,22 +212,15 @@ def tensor_square_coalgebra(c: CoalgebraData) -> CoalgebraData:
 # convolution algebra Hom(C, A)
 
 
-def convolution(f: LinMapHom, g: LinMapHom, c: CoalgebraData, a: AlgebraData) -> LinMapHom:
-    """(f * g)(x) = f(x_(1)) g(x_(2))."""
-    if not f.domain_dim == g.domain_dim == c.dim:
-        raise ValueError(f"maps on spaces of dimension {f.domain_dim} and "
-                         f"{g.domain_dim} over a coalgebra of dimension {c.dim}")
-    if not f.codomain_dim == g.codomain_dim == a.dim:
-        raise ValueError(f"maps into spaces of dimension {f.codomain_dim} and "
-                         f"{g.codomain_dim} under an algebra of dimension {a.dim}")
-    m = contract("ijk,ja,kb,abm->im", c.comult, f.matrix, g.matrix, a.mult,
-                 fld=a.fld)
-    return LinMapHom(c.dim, a.dim, m)
+def convolution(f, g, c: CoalgebraData, a: AlgebraData) -> np.ndarray:
+    """(f * g)(x) = f(x_(1)) g(x_(2)) for (dim C, dim A) matrices f, g."""
+    check_shape("f", f, (c.dim, a.dim))
+    check_shape("g", g, (c.dim, a.dim))
+    return contract("ijk,ja,kb,abm->im", c.comult, f, g, a.mult, fld=a.fld)
 
 
-def convolution_unit(c: CoalgebraData, a: AlgebraData) -> LinMapHom:
-    return LinMapHom(c.dim, a.dim,
-                     contract("i,m->im", c.counit, a.unit, fld=a.fld))
+def convolution_unit(c: CoalgebraData, a: AlgebraData) -> np.ndarray:
+    return contract("i,m->im", c.counit, a.unit, fld=a.fld)
 
 
 def convolution_algebra(c: CoalgebraData, a: AlgebraData) -> AlgebraData:
@@ -257,27 +235,44 @@ def convolution_algebra(c: CoalgebraData, a: AlgebraData) -> AlgebraData:
     return AlgebraData(a.fld, d, mult, unit)
 
 
-def convolution_inverse(f: LinMapHom, c: CoalgebraData, a: AlgebraData):
+def inverse_equations(f, e, c: CoalgebraData, a: AlgebraData):
+    """The linear system (rows, rhs) over the flattened entries of u for
+    an inverse of f in the ideal of Hom(C, A) with local unit e:
+    f * u = u * f = e and u = e * u = u * e.
+
+    The row blocks are [L_f, R_f, I - L_e, I - R_e] with L_g u = g * u
+    and R_g u = u * g, and the right-hand side is [e, e, 0, 0].  With e
+    the convolution unit the last two blocks vanish whenever the counit
+    law of C and the unit law of A hold.
+    """
+    n = c.dim * a.dim
+
+    def left(g):
+        return contract("xpk,py,ybm->xmkb", c.comult, g, a.mult,
+                        fld=a.fld).reshape(n, n)
+
+    def right(g):
+        return contract("xkr,rz,bzm->xmkb", c.comult, g, a.mult,
+                        fld=a.fld).reshape(n, n)
+
+    eye = identity(a.fld, n)
+    e_row = np.asarray(e).reshape(n)
+    rows = np.concatenate([left(f), right(f), eye - left(e), eye - right(e)])
+    rhs = np.concatenate([e_row, e_row, zeros(a.fld, (2 * n,))])
+    return rows, rhs
+
+
+def convolution_inverse(f, c: CoalgebraData, a: AlgebraData):
     """Two-sided convolution inverse of f, or None if it does not exist.
 
-    Solves the linear system f*g = g*f = unit.counit over the matrix
-    entries of g; the deterministic solver makes the result canonical.
+    Solves f*g = g*f = counit.unit over the matrix entries of g; the
+    deterministic solver makes the result canonical.
     """
-    nc, na = c.dim, a.dim
-    l1 = contract("ijk,ja,abm->imkb", c.comult, f.matrix, a.mult,
-                  fld=a.fld).reshape(nc * na, nc * na)
-    l2 = contract("ijk,kb,abm->imja", c.comult, f.matrix, a.mult,
-                  fld=a.fld).reshape(nc * na, nc * na)
-    rhs = convolution_unit(c, a).matrix.reshape(nc * na)
-    big = np.concatenate([l1, l2], axis=0)
-    rhs2 = np.concatenate([rhs, rhs])
-    x = solve(big, rhs2, a.fld)
-    if x is None:
-        return None
-    return LinMapHom(nc, na, x.reshape(nc, na))
+    x = solve(*inverse_equations(f, convolution_unit(c, a), c, a), a.fld)
+    return None if x is None else x.reshape(c.dim, a.dim)
 
 
-def convolution_central_violations(f: LinMapHom, c: CoalgebraData, a: AlgebraData):
+def convolution_central_violations(f, c: CoalgebraData, a: AlgebraData):
     """Violations of centrality of f in Hom(C, A).
 
     Centrality is linear in the other factor, so it is enough to test
@@ -290,9 +285,8 @@ def convolution_central_violations(f: LinMapHom, c: CoalgebraData, a: AlgebraDat
         for j in range(a.dim):
             e = zeros(a.fld, (c.dim, a.dim))
             e[i, j] = a.fld.one()
-            em = LinMapHom(c.dim, a.dim, e)
-            lhs = convolution(f, em, c, a).matrix
-            rhs = convolution(em, f, c, a).matrix
+            lhs = convolution(f, e, c, a)
+            rhs = convolution(e, f, c, a)
             for x in range(c.dim):
                 if not eqarr(lhs[x], rhs[x]):
                     out.append(((i, j, x), tuple(lhs[x]), tuple(rhs[x])))

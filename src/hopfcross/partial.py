@@ -25,10 +25,11 @@ import numpy as np
 
 from .checks import CheckReport, ReportBuilder
 from .errors import ClosureViolation, NotCentralIdempotent, PreconditionError
-from .hopf import (AlgebraData, HopfAlgebraData, LinMapHom,
-                   convolution_central_violations, split, tensor_square_coalgebra)
+from .hopf import (AlgebraData, HopfAlgebraData, convolution,
+                   convolution_central_violations, inverse_equations, split,
+                   tensor_square_coalgebra)
 from .linalg import (Exact, SubspaceBasis, contract, coords_in_many,
-                     freeze_tensors, identity, solve, span, zeros)
+                     freeze_tensors, identity, solve, span)
 
 
 @dataclass(frozen=True)
@@ -95,19 +96,18 @@ def unit_translates(tpa) -> np.ndarray:
     return contract("ija,j->ia", tpa.action, tpa.alg.unit, fld=tpa.fld)
 
 
-def unit_translate_map(tpa) -> tuple[LinMapHom, CheckReport]:
+def unit_translate_map(tpa) -> tuple[np.ndarray, CheckReport]:
     """h |-> h . 1 as a map H -> A, together with a report on whether it
     is central in the convolution algebra Hom(H, A), a standing
     assumption of the gauge theory."""
     e = unit_translates(tpa)
-    f = LinMapHom(tpa.hopf.dim, tpa.alg.dim, e)
     rb = ReportBuilder("unit translate map")
-    viols = convolution_central_violations(f, tpa.hopf.coalgebra, tpa.alg)
+    viols = convolution_central_violations(e, tpa.hopf.coalgebra, tpa.alg)
     for idx, lhs, rhs in viols:
         rb.require("central_in_convolution", False, index=idx, lhs=lhs, rhs=rhs)
     if not viols:
         rb.require("central_in_convolution", True)
-    return f, rb.build()
+    return e, rb.build()
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +390,7 @@ def verify_symmetric(tpa: TwistedPartialAction) -> CocycleInverse:
     f1 = contract("iy,j->ijy", e, h.counit, fld=fld).reshape(n2, na)
     f2 = contract("ijt,ty->ijy", h.mult, e, fld=fld).reshape(n2, na)
     for name, f in (("unit_factor_central", f1), ("product_factor_central", f2)):
-        viols = convolution_central_violations(LinMapHom(n2, na, f), c2, a)
+        viols = convolution_central_violations(f, c2, a)
         for idx, lhs, rhs in viols:
             rb.require(name, False, index=idx, lhs=lhs, rhs=rhs)
         if not viols:
@@ -401,35 +401,18 @@ def verify_symmetric(tpa: TwistedPartialAction) -> CocycleInverse:
                     fld=fld)
     rb.compare("unit_action_factorizes", lhs3, rhs3)
 
-    def conv(x, y):
-        return contract("ipr,py,rz,yzc->ic", c2.comult, x, y, a.mult, fld=fld)
-
-    corner = conv(f1, f2)
+    corner = convolution(f1, f2, c2, a)
     w = tpa.cocycle.elements.reshape(n2, na)
-    nun = n2 * na
-    left_by = lambda f: contract("ipr,py,yzc->icrz", c2.comult, f, a.mult,
-                                 fld=fld).reshape(nun, nun)
-    right_by = lambda f: contract("ipr,rz,yzc->icpy", c2.comult, f, a.mult,
-                                  fld=fld).reshape(nun, nun)
-    eye = identity(fld, nun)
-    big = np.concatenate([
-        left_by(w),
-        right_by(w),
-        eye - left_by(corner),
-        eye - right_by(corner),
-    ], axis=0)
-    rhs = np.concatenate([corner.reshape(nun), corner.reshape(nun),
-                          zeros(fld, (nun,)), zeros(fld, (nun,))])
-    x = solve(big, rhs, fld)
+    x = solve(*inverse_equations(w, corner, c2, a), fld)
     if x is None:
         rb.require("inverse_exists", False,
                    lhs=("no solution",), rhs=("two-sided corner inverse",))
         return CocycleInverse(False, None, rb.build())
     rb.require("inverse_exists", True)
     wp = x.reshape(n2, na)
-    rb.compare("left_inverse", conv(w, wp), corner)
-    rb.compare("right_inverse", conv(wp, w), corner)
-    rb.compare("ideal_member_left", conv(corner, wp), wp)
-    rb.compare("ideal_member_right", conv(wp, corner), wp)
+    rb.compare("left_inverse", convolution(w, wp, c2, a), corner)
+    rb.compare("right_inverse", convolution(wp, w, c2, a), corner)
+    rb.compare("ideal_member_left", convolution(corner, wp, c2, a), wp)
+    rb.compare("ideal_member_right", convolution(wp, corner, c2, a), wp)
     rep = rb.build()
     return CocycleInverse(rep.passed, wp.reshape(nh, nh, na), rep)

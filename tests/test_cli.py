@@ -54,8 +54,7 @@ def test_verify_passes_on_main_fixture():
 def test_json_output_is_deterministic():
     a = run_json("verify", data_path("f_c3.json"))
     b = run_json("verify", data_path("f_c3.json"))
-    c = run_json("verify", data_path("f_c3.json"), "--parallel", "4")
-    assert a.stdout == b.stdout == c.stdout
+    assert a.stdout == b.stdout
 
 
 def test_verify_fails_on_corrupted_action(tmp_path):
@@ -179,7 +178,7 @@ def test_report_runs_everything_on_the_gauge_fixture():
     doc = json.loads(a.stdout)
     by_name = {s["command"]: s for s in doc["stages"]}
     assert by_name["separability"]["passed"] is True
-    b = run_json("report", data_path("f_coc_1.json"), "--parallel", "3")
+    b = run_json("report", data_path("f_coc_1.json"))
     assert a.stdout == b.stdout
 
 
@@ -290,6 +289,13 @@ def test_malformed_file_is_an_input_error(tmp_path):
 def test_unknown_field_is_an_input_error():
     res = run_cli("verify", data_path("f_c3.json"), "--field", "real")
     assert res.returncode == 2
+
+
+def test_parallel_option_is_gone():
+    res = run_cli("verify", data_path("f_c3.json"), "--parallel", "2")
+    assert res.returncode == 2
+    assert "--parallel" in res.stderr
+    assert res.stdout == ""
 
 
 def test_field_override_changes_the_arithmetic():

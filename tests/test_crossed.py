@@ -23,7 +23,7 @@ from hopfcross.crossed import (balanced_tensor_square, base_image,
                                verify_assoc_unital, verify_coaction,
                                verify_coinvariants_are_base, verify_crossed)
 from hopfcross.hopf import group_algebra
-from hopfcross.linalg import arr, eqarr, kron, zeros
+from hopfcross.linalg import arr, eqarr, kron, span, zeros
 from hopfcross.partial import GlobalTwistedAction, TwistedPartialAction
 
 QQ = Field.rationals()
@@ -153,7 +153,7 @@ def test_coinvariants_are_the_embedded_base(tpa, coin_dim):
 def test_comodule_coaction_bundle():
     cp = build_partial_crossed(c3_partial())
     rho, coin, rep = comodule_coaction(cp)
-    assert rho.matrix.shape == (4, 12)
+    assert rho.shape == (4, 12)
     assert coin.dim == 2
     assert rep.passed
 
@@ -162,6 +162,21 @@ def test_balanced_tensor_square_dims():
     assert balanced_tensor_square(build_partial_crossed(c3_partial())).dim == 8
     assert balanced_tensor_square(build_partial_crossed(cocycle_pair(1))).dim == 4
     assert balanced_tensor_square(build_partial_crossed(degenerate_swap())).dim == 1
+
+
+@pytest.mark.parametrize("tpa", [c3_partial(), cocycle_pair(1),
+                                 degenerate_swap()],
+                         ids=["c3", "pair1", "swap"])
+def test_balanced_relations_match_the_per_triple_products(tpa):
+    # reference: x iota(a) (x) y - x (x) iota(a) y built one basis triple
+    # at a time with the crossed-product multiplication
+    cp = build_partial_crossed(tpa)
+    d = cp.dim
+    ref = [kron(cp.multiply(basis_vec(cp, x), cp.iota[a]), basis_vec(cp, y))
+           - kron(basis_vec(cp, x), cp.multiply(cp.iota[a], basis_vec(cp, y)))
+           for x in range(d) for a in range(cp.base.dim) for y in range(d)]
+    got = balanced_tensor_square(cp).relations
+    assert got == span(np.array(ref, dtype=object), d * d, cp.fld)
 
 
 def test_canonical_map_bijective_for_square_root_pair():

@@ -6,6 +6,7 @@ convolution in the group ring and then frozen.
 
 import dataclasses
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -19,10 +20,11 @@ from hopfcross.fields import Field
 from hopfcross.fixtures import (c3_partial, cyclic_table, group_tables_up_to_6,
                                 product_field_algebra, sym3_table)
 from hopfcross.hopf import (AlgebraData, CoalgebraData, HopfAlgebraData,
-                            LinMapHom, convolution, convolution_algebra,
+                            convolution, convolution_algebra,
                             convolution_central_violations,
                             convolution_inverse, convolution_unit, dual_hopf,
-                            group_algebra, is_cocommutative, left_integrals,
+                            group_algebra, inverse_equations,
+                            is_cocommutative, left_integrals,
                             split, verify_algebra, verify_coalgebra,
                             verify_hopf)
 from hopfcross.linalg import Exact, arr, eqarr, identity, zeros
@@ -96,39 +98,89 @@ def test_cocommutativity():
 def test_convolution_unit_is_neutral():
     h = group_algebra(QQ, [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     a = product_field_algebra(QQ, 2)
-    f = LinMapHom(3, 2, arr(QQ, [[1, 1], [2, 3], ["1/2", 5]]))
+    f = arr(QQ, [[1, 1], [2, 3], ["1/2", 5]])
     e = convolution_unit(h.coalgebra, a)
-    assert eqarr(convolution(f, e, h.coalgebra, a).matrix, f.matrix)
-    assert eqarr(convolution(e, f, h.coalgebra, a).matrix, f.matrix)
+    assert eqarr(convolution(f, e, h.coalgebra, a), f)
+    assert eqarr(convolution(e, f, h.coalgebra, a), f)
 
 
 def test_convolution_is_associative():
     h = group_algebra(QQ, [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     a = product_field_algebra(QQ, 2)
-    f = LinMapHom(3, 2, arr(QQ, [[1, 0], [2, 1], [0, 3]]))
-    g = LinMapHom(3, 2, arr(QQ, [[1, 1], [0, 2], [5, 0]]))
-    k = LinMapHom(3, 2, arr(QQ, [[2, 1], [1, 1], [1, 4]]))
+    f = arr(QQ, [[1, 0], [2, 1], [0, 3]])
+    g = arr(QQ, [[1, 1], [0, 2], [5, 0]])
+    k = arr(QQ, [[2, 1], [1, 1], [1, 4]])
     left = convolution(convolution(f, g, h.coalgebra, a), k, h.coalgebra, a)
     right = convolution(f, convolution(g, k, h.coalgebra, a), h.coalgebra, a)
-    assert eqarr(left.matrix, right.matrix)
+    assert eqarr(left, right)
 
 
 def test_convolution_inverse_of_grouplike_weights():
     h = group_algebra(QQ, [[0, 1], [1, 0]])
     a = product_field_algebra(QQ, 1)
-    f = LinMapHom(2, 1, arr(QQ, [[1], [3]]))
+    f = arr(QQ, [[1], [3]])
     inv = convolution_inverse(f, h.coalgebra, a)
-    assert eqarr(inv.matrix, arr(QQ, [["1"], ["1/3"]]))
+    assert eqarr(inv, arr(QQ, [["1"], ["1/3"]]))
     # round trip back to the unit
     e = convolution_unit(h.coalgebra, a)
-    assert eqarr(convolution(f, inv, h.coalgebra, a).matrix, e.matrix)
+    assert eqarr(convolution(f, inv, h.coalgebra, a), e)
 
 
 def test_convolution_inverse_absent_when_a_weight_vanishes():
     h = group_algebra(QQ, [[0, 1], [1, 0]])
     a = product_field_algebra(QQ, 1)
-    f = LinMapHom(2, 1, arr(QQ, [[1], [0]]))
+    f = arr(QQ, [[1], [0]])
     assert convolution_inverse(f, h.coalgebra, a) is None
+
+
+def _random_map(fld, shape, seed):
+    rng = random.Random(seed)
+    return arr(fld, [[rng.randint(-3, 3) for _ in range(shape[1])]
+                     for _ in range(shape[0])])
+
+
+@pytest.mark.parametrize("fld", [QQ, Field.prime(7)], ids=["QQ", "F7"])
+@pytest.mark.parametrize("dual", [False, True], ids=["C3", "kS3"])
+def test_inverse_equations_columns_are_convolutions(fld, dual):
+    # column (k, b) of each block is the block applied to the spanning map
+    # E_(k,b); k^{S3} is not cocommutative and kS3 is not commutative, so
+    # a wrong leg order on either side shows
+    c = (dual_hopf(group_algebra(fld, sym3_table())) if dual
+         else group_algebra(fld, cyclic_table(3))).coalgebra
+    a = group_algebra(fld, sym3_table()).algebra
+    shape, n = (c.dim, a.dim), c.dim * a.dim
+    f, e = _random_map(fld, shape, 1), _random_map(fld, shape, 2)
+    rows, rhs = inverse_equations(f, e, c, a)
+    assert rows.shape == (4 * n, n)
+    blocks = rows.reshape(4, n, n)
+    for k, b in np.ndindex(*shape):
+        E = zeros(fld, shape)
+        E[k, b] = fld.one()
+        col = k * a.dim + b
+        assert eqarr(blocks[0][:, col], convolution(f, E, c, a).reshape(n))
+        assert eqarr(blocks[1][:, col], convolution(E, f, c, a).reshape(n))
+        assert eqarr(blocks[2][:, col],
+                     (E - convolution(e, E, c, a)).reshape(n))
+        assert eqarr(blocks[3][:, col],
+                     (E - convolution(E, e, c, a)).reshape(n))
+    assert eqarr(rhs, np.concatenate([e.reshape(n), e.reshape(n),
+                                      zeros(fld, (2 * n,))]))
+
+
+def test_ideal_blocks_vanish_at_the_convolution_unit():
+    # the two ideal blocks of convolution_inverse are zero on every Hopf
+    # fixture, so adding them leaves the plain inverse unchanged
+    hopfs = [group_algebra(QQ, t) for t in group_tables_up_to_6().values()]
+    hopfs += [group_algebra(F5, sym3_table()),
+              dual_hopf(group_algebra(QQ, sym3_table()))]
+    for h in hopfs:
+        for a in (h.algebra, product_field_algebra(h.fld, 2)):
+            n = h.dim * a.dim
+            f = _random_map(h.fld, (h.dim, a.dim), n)
+            rows, rhs = inverse_equations(
+                f, convolution_unit(h.coalgebra, a), h.coalgebra, a)
+            assert eqarr(rows[2 * n:], zeros(h.fld, (2 * n, n)))
+            assert eqarr(rhs[2 * n:], zeros(h.fld, (2 * n,)))
 
 
 def test_centrality_check_converts_only_the_maps(monkeypatch):
@@ -138,7 +190,7 @@ def test_centrality_check_converts_only_the_maps(monkeypatch):
     tpa = c3_partial()
     c, a = tpa.hopf.coalgebra, tpa.alg
     assert isinstance(c.comult, Exact) and isinstance(a.mult, Exact)
-    f = LinMapHom(c.dim, a.dim, unit_translates(tpa))
+    f = unit_translates(tpa)
     converted = []
     integers = linalg._integers
 
@@ -192,19 +244,18 @@ def test_convolution_algebra_matches_convolution_of_maps():
     a = group_algebra(QQ, sym3_table()).algebra
     ca = convolution_algebra(c, a)
     assert ca.dim == 36
-    assert eqarr(ca.unit, convolution_unit(c, a).matrix.reshape(36))
-    maps = [LinMapHom(6, 6, arr(QQ, [[(3 * s + 5 * i + k) % 7 - 3
-                                     for i in range(6)] for s in range(6)]))
+    assert eqarr(ca.unit, convolution_unit(c, a).reshape(36))
+    maps = [arr(QQ, [[(3 * s + 5 * i + k) % 7 - 3 for i in range(6)]
+                     for s in range(6)])
             for k in range(3)]
     for f in maps:
         for g in maps:
-            want = convolution(f, g, c, a).matrix.reshape(36)
-            got = ca.mul(f.matrix.reshape(36), g.matrix.reshape(36))
+            want = convolution(f, g, c, a).reshape(36)
+            got = ca.mul(f.reshape(36), g.reshape(36))
             assert eqarr(got, want)
     # the sample maps do not all commute, so the check has teeth
     f, g = maps[0], maps[1]
-    assert not eqarr(convolution(f, g, c, a).matrix,
-                     convolution(g, f, c, a).matrix)
+    assert not eqarr(convolution(f, g, c, a), convolution(g, f, c, a))
 
 
 def test_wrong_shapes_raise_value_error():
@@ -218,17 +269,14 @@ def test_wrong_shapes_raise_value_error():
         lambda: CoalgebraData(QQ, 2, h.comult, zeros(QQ, (3,))),
         lambda: HopfAlgebraData(a, h.coalgebra, h.antipode),
         lambda: HopfAlgebraData(h.algebra, h.coalgebra, identity(QQ, 3)),
-        lambda: LinMapHom(2, 3, identity(QQ, 2)),
         lambda: TwistedPartialAction(h, a, bad, zeros(QQ, (2, 2, 3))),
         lambda: TwistedPartialAction(h, a, zeros(QQ, (2, 3, 3)), bad),
         lambda: GlobalTwistedAction(h, a, bad, zeros(QQ, (2, 2, 3))),
         lambda: GlobalTwistedAction(h, a, zeros(QQ, (2, 3, 3)), bad),
         lambda: split(h.coalgebra, 0),
-        lambda: convolution(LinMapHom(2, 3, zeros(QQ, (2, 3))),
-                            LinMapHom(2, 3, zeros(QQ, (2, 3))),
+        lambda: convolution(zeros(QQ, (2, 3)), zeros(QQ, (2, 3)),
                             h.coalgebra, h.algebra),
-        lambda: convolution(LinMapHom(3, 2, zeros(QQ, (3, 2))),
-                            LinMapHom(3, 2, zeros(QQ, (3, 2))),
+        lambda: convolution(zeros(QQ, (3, 2)), zeros(QQ, (3, 2)),
                             h.coalgebra, h.algebra),
     ]
     for make in cases:

@@ -133,7 +133,7 @@ def test_unit_translates_of_main_fixture():
 def test_unit_translate_map_of_pair():
     m, rep = unit_translate_map(cocycle_pair(1))
     assert rep.passed
-    assert eqarr(m.matrix, arr(QQ, [[1], [1]]))
+    assert eqarr(m, arr(QQ, [[1], [1]]))
 
 
 def test_unit_translate_map_flags_noncentral_range():
