@@ -39,8 +39,7 @@ from .partial import (CocycleInverse, GlobalTwistedAction,
                       corner_twist, induce_partial, unit_translate_map,
                       unit_translates, verify_absorption,
                       verify_crossed_conditions, verify_global,
-                      verify_partial_module_algebra, verify_symmetric,
-                      verify_twisted_partial)
+                      verify_symmetric, verify_twisted_partial)
 from .separability import (BalancedTensorElement, CleftData, centralizer,
                            check_separable_extension, default_cleft,
                            separability_idempotent, verify_centralizer_identity,

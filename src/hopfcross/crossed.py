@@ -26,7 +26,8 @@ import numpy as np
 
 from .checks import CheckReport, ReportBuilder
 from .errors import ClosureViolation, CoinvariantsMismatch, PreconditionError
-from .hopf import AlgebraData, HopfAlgebraData, split, verify_algebra
+from .hopf import (AlgebraData, HopfAlgebraData, multiplicativity, split,
+                   verify_algebra)
 from .linalg import (QuotientSpace, SubspaceBasis, contract, coords_in,
                      coords_in_many, identity, is_zero, kernel_basis, kron,
                      quotient, rank, span)
@@ -53,7 +54,6 @@ class CrossedProductAlgebra:
         hopf, base: the inputs.
         basis: the span of the generators inside A (x) H.
         algebra: structure constants of the product on that basis.
-        ambient_product: the product tensor on all of A (x) H.
         iota: matrix of the base-algebra embedding a |-> a (x) 1.
         coaction: matrix of x |-> x_(0) (x) x_(1), shaped
             (dim, dim * dim H) with column index k * dim(H) + s.
@@ -68,7 +68,6 @@ class CrossedProductAlgebra:
     base: AlgebraData
     basis: SubspaceBasis
     algebra: AlgebraData
-    ambient_product: np.ndarray
     iota: np.ndarray
     coaction: np.ndarray
 
@@ -151,8 +150,7 @@ def _build(hopf: HopfAlgebraData, alg: AlgebraData, action: np.ndarray,
             f"coaction of basis element {misses[0][0]} leaves the span")
     coaction = coaction.transpose(0, 2, 1).reshape(d, d * nh)
 
-    return CrossedProductAlgebra(hopf, alg, basis, algebra, amb, iota,
-                                 coaction)
+    return CrossedProductAlgebra(hopf, alg, basis, algebra, iota, coaction)
 
 
 def build_partial_crossed(tpa: TwistedPartialAction) -> CrossedProductAlgebra:
@@ -189,10 +187,8 @@ def verify_crossed(cp: CrossedProductAlgebra) -> CheckReport:
     multiplicativity and unitality of the base embedding."""
     rb = ReportBuilder("crossed product")
     rb.absorb(cp.algebra_report, "")
-    lhs = contract("ijm,mk->ijk", cp.base.mult, cp.iota, fld=cp.fld)
-    rhs = contract("ix,jy,xyk->ijk", cp.iota, cp.iota, cp.algebra.mult,
-                   fld=cp.fld)
-    rb.compare("base_embedding_multiplicative", lhs, rhs)
+    rb.compare("base_embedding_multiplicative",
+               *multiplicativity(cp.iota, cp.base, cp.algebra))
     rb.compare("base_embedding_unital",
                (cp.base.unit.elements @ cp.iota).reshape(1, -1),
                cp.algebra.unit.elements.reshape(1, -1))

@@ -21,7 +21,8 @@ import numpy as np
 from .checks import CheckReport, ReportBuilder
 from .crossed import CrossedProductAlgebra
 from .errors import CompositeNotGauge
-from .hopf import convolution, convolution_unit, inverse_equations, split
+from .hopf import (convolution, convolution_unit, inverse_equations,
+                   multiplicativity, split)
 from .linalg import contract, coords_in_many, identity, rank, solve, zeros
 from .partial import TwistedPartialAction, unit_translates
 
@@ -147,9 +148,8 @@ def gauge_crossed_iso(pair: GaugePair, cp: CrossedProductAlgebra,
         rb.require("lands_in_target_span", False)
         return zeros(fld, (cpv.dim, cp.dim)), rb.build()
     rb.require("lands_in_target_span", True)
-    lhs = contract("xym,ms->xys", cpv.algebra.mult, phi, fld=fld)
-    rhs = contract("xs,yt,stu->xyu", phi, phi, cp.algebra.mult, fld=fld)
-    rb.compare("multiplicative", lhs, rhs)
+    rb.compare("multiplicative",
+               *multiplicativity(phi, cpv.algebra, cp.algebra))
     rb.compare("unital", (cpv.algebra.unit.elements @ phi).reshape(1, -1),
                cp.algebra.unit.elements.reshape(1, -1))
     rk = rank(phi, fld)
@@ -166,13 +166,9 @@ def gauge_crossed_iso(pair: GaugePair, cp: CrossedProductAlgebra,
     if fwd is None:
         rb.note("the same formula read from the original crossed product "
                 "does not even land in the gauged one")
-    else:
-        ok = np.array_equal(
-            contract("xym,ms->xys", cp.algebra.mult, fwd, fld=fld),
-            contract("xs,yt,stu->xyu", fwd, fwd, cpv.algebra.mult, fld=fld))
-        if not ok:
-            rb.note("the same formula read from the original crossed product "
-                    "is not multiplicative; only the stated direction is")
+    elif not np.array_equal(*multiplicativity(fwd, cp.algebra, cpv.algebra)):
+        rb.note("the same formula read from the original crossed product "
+                "is not multiplicative; only the stated direction is")
     return phi, rb.build()
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .checks import CheckReport, ReportBuilder
 from .errors import PreconditionError
-from .hopf import AlgebraData, convolution_algebra
+from .hopf import AlgebraData, convolution_algebra, multiplicativity
 from .linalg import (SubspaceBasis, contract, coords_in_many, identity, rank,
                      solve, span)
 from .partial import (GlobalTwistedAction, TwistedPartialAction,
@@ -138,9 +138,8 @@ def verify_enveloping(env: EnvelopingAction) -> CheckReport:
 
     rk = rank(th, fld)
     rb.require("embedding_injective", rk == na, lhs=(rk,), rhs=(na,))
-    lhs = contract("ijm,mB->ijB", tpa.alg.mult, th, fld=fld)
-    rhs = contract("iB,jC,BCD->ijD", th, th, b.mult, fld=fld)
-    rb.compare("embedding_multiplicative", lhs, rhs)
+    rb.compare("embedding_multiplicative",
+               *multiplicativity(th, tpa.alg, b))
 
     image = span(th, nb, fld)
     # b_i theta(a_j) at (i, j) and theta(a_j) b_i at (j, i)

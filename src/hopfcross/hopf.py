@@ -16,6 +16,11 @@ Conventions:
 
 Nothing here assumes the axioms hold: the ``verify_*`` functions check
 them instance by instance and report every failing basis tuple.
+
+Two identities the other modules check are owned here, each as a pair
+of tables for one ``ReportBuilder.compare``: :func:`centrality` of a map
+in Hom(C, A), and :func:`multiplicativity` of a linear map between
+algebras.
 """
 
 from __future__ import annotations
@@ -272,25 +277,33 @@ def convolution_inverse(f, c: CoalgebraData, a: AlgebraData):
     return None if x is None else x.reshape(c.dim, a.dim)
 
 
-def convolution_central_violations(f, c: CoalgebraData, a: AlgebraData):
-    """Violations of centrality of f in Hom(C, A).
+def centrality(f, c: CoalgebraData, a: AlgebraData):
+    """Both sides of centrality of f in Hom(C, A), stacked over the
+    spanning maps E_(i,j): e_i |-> a_j (zero elsewhere), which suffice
+    because centrality is linear in the other factor.
 
-    Centrality is linear in the other factor, so it is enough to test
-    against the spanning maps E_(i,j): e_i |-> a_j (zero elsewhere).
-    Returns a list of (index, lhs, rhs) with index = (i, j, x): the
-    spanning map that fails and the C-basis element where it fails.
+    Returns two (dim C, dim A, dim C, dim A) tables: f * E_(i,j) and
+    E_(i,j) * f at [i, j].  Compared as a report, each violation is
+    indexed (i, j, x): the spanning map and the C-basis element where
+    the two sides differ.
     """
-    out = []
+    lhs = np.empty((c.dim, a.dim, c.dim, a.dim), dtype=object)
+    rhs = np.empty_like(lhs)
     for i in range(c.dim):
         for j in range(a.dim):
             e = zeros(a.fld, (c.dim, a.dim))
             e[i, j] = a.fld.one()
-            lhs = convolution(f, e, c, a)
-            rhs = convolution(e, f, c, a)
-            for x in range(c.dim):
-                if not eqarr(lhs[x], rhs[x]):
-                    out.append(((i, j, x), tuple(lhs[x]), tuple(rhs[x])))
-    return out
+            lhs[i, j] = convolution(f, e, c, a)
+            rhs[i, j] = convolution(e, f, c, a)
+    return lhs, rhs
+
+
+def multiplicativity(f, src: AlgebraData, dst: AlgebraData):
+    """Both sides of multiplicativity of the linear map f: src -> dst,
+    a (dim src, dim dst) matrix: f(x y) and f(x) f(y) at [x, y]."""
+    lhs = contract("xym,ms->xys", src.mult, f, fld=dst.fld)
+    rhs = contract("xs,yt,stu->xyu", f, f, dst.mult, fld=dst.fld)
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------

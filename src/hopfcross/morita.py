@@ -26,6 +26,7 @@ import numpy as np
 from .checks import CheckReport, ReportBuilder
 from .crossed import CrossedProductAlgebra
 from .globalize import EnvelopingAction
+from .hopf import multiplicativity
 from .linalg import (SubspaceBasis, contract, coords_in_many, identity,
                      kron, rank, span)
 
@@ -52,9 +53,8 @@ def phi_embed(env: EnvelopingAction, r: CrossedProductAlgebra,
         phi[x:] = fld.zero()
         return phi, rb.build()
     rb.require("lands_in_global_span", True)
-    lhs = contract("xym,ms->xys", r.algebra.mult, phi, fld=fld)
-    rhs = contract("xs,yt,stu->xyu", phi, phi, s.algebra.mult, fld=fld)
-    rb.compare("multiplicative", lhs, rhs)
+    rb.compare("multiplicative",
+               *multiplicativity(phi, r.algebra, s.algebra))
     # the embedding is not unital: the base unit goes to the corner
     # idempotent tensor the Hopf unit, a local unit on the image
     one = r.algebra.unit.elements @ phi

@@ -15,19 +15,21 @@ The structured sections are
 and the flat sections are plain tensors: "action", "cocycle",
 "idempotent", "theta", "gauge", "gamma", "gamma_prime", "integral_t",
 "center_c".  Parse failures name the JSON path of the offending entry.
+
+:func:`serialize_spec` writes the one canonical text of a SpecFile, and
+two SpecFiles are equal exactly when their canonical texts are.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SpecFileError
 from .fields import Field
 from .hopf import AlgebraData, CoalgebraData, HopfAlgebraData
-from .linalg import eqarr
 from .partial import GlobalTwistedAction, TwistedPartialAction
 
 _FLAT_SECTIONS = ("action", "cocycle", "idempotent", "theta", "gauge",
@@ -53,22 +55,7 @@ class SpecFile:
     def __eq__(self, other):
         if not isinstance(other, SpecFile):
             return NotImplemented
-        if self.fld != other.fld:
-            return False
-        for f in dc_fields(self):
-            if f.name == "fld":
-                continue
-            a, b = getattr(self, f.name), getattr(other, f.name)
-            if (a is None) != (b is None):
-                return False
-            if a is None:
-                continue
-            if f.name in ("hopf", "algebra", "glob"):
-                if not _data_equal(a, b):
-                    return False
-            elif a.shape != b.shape or not eqarr(a, b):
-                return False
-        return True
+        return serialize_spec(self) == serialize_spec(other)
 
     def partial_action(self) -> TwistedPartialAction:
         """The twisted partial action the file describes, or a
@@ -78,21 +65,6 @@ class SpecFile:
                 raise SpecFileError(f"missing object {name!r}")
         return TwistedPartialAction(self.hopf, self.algebra, self.action,
                                     self.cocycle)
-
-
-def _data_equal(a, b):
-    if isinstance(a, HopfAlgebraData):
-        return (a.dim == b.dim and eqarr(a.mult, b.mult)
-                and eqarr(a.unit, b.unit) and eqarr(a.comult, b.comult)
-                and eqarr(a.counit, b.counit) and eqarr(a.antipode, b.antipode)
-                and a.labels == b.labels)
-    if isinstance(a, AlgebraData):
-        return (a.dim == b.dim and eqarr(a.mult, b.mult)
-                and eqarr(a.unit, b.unit) and a.labels == b.labels)
-    if isinstance(a, GlobalTwistedAction):
-        return (_data_equal(a.alg, b.alg) and eqarr(a.action, b.action)
-                and eqarr(a.twist, b.twist))
-    raise TypeError(type(a).__name__)
 
 
 def _tensor(fld, node, shape, path):

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line tool through a subprocess:
 exit codes, JSON determinism, and the text renderer."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -9,6 +10,7 @@ import re
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -271,6 +273,37 @@ def test_consumers_take_every_built_object_they_read():
     assert len(typed) > 10
     assert [f"{name}({p.name})" for name, p in typed
             if p.default is not p.empty] == []
+
+
+def test_every_public_function_has_a_caller():
+    # a public function or class of the package that is named nowhere
+    # outside its own definition and the package's re-export list (not in
+    # another module, a test or the benchmark) is dead code
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "hopfcross"
+    sources = {p: p.read_text(encoding="utf-8").splitlines()
+               for p in sorted([*package.glob("*.py"),
+                                *(root / "tests").rglob("*.py"),
+                                *(root / "perfbench").rglob("*.py")])
+               if p.name != "__init__.py" or p.parent != package}
+    uncalled = []
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("__init__.py", "__main__.py"):
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            first = min([node.lineno]
+                        + [d.lineno for d in node.decorator_list])
+            own = range(first, node.end_lineno + 1)
+            word = re.compile(rf"\b{node.name}\b")
+            if not any(word.search(line)
+                       for p, lines in sources.items()
+                       for n, line in enumerate(lines, 1)
+                       if not (p == path and n in own)):
+                uncalled.append(f"{path.stem}.{node.name}")
+    assert uncalled == []
 
 
 def test_missing_file_is_an_input_error():

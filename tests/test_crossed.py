@@ -131,6 +131,18 @@ def test_base_embedding_is_unital_and_injective():
     assert eqarr(cp.embed_base(c3_partial().alg.unit), cp.algebra.unit)
 
 
+def test_corrupted_base_embedding_violations_are_pinned():
+    cp = build_partial_crossed(c3_partial())
+    iota = cp.iota.copy()
+    iota[0] = arr(QQ, [0, 1, 1, 0])
+    rep = verify_crossed(dataclasses.replace(cp, iota=iota))
+    assert [(v.index, v.lhs, v.rhs) for v in rep.violations
+            if v.identity == "base_embedding_multiplicative"] == [
+        ((0, 1), (0, 0, 0, 0), (0, 1, 1, 0)),
+        ((1, 0), (0, 0, 0, 0), (0, 0, 1, 0)),
+    ]
+
+
 def test_to_ambient_of_basis_vectors():
     cp = build_partial_crossed(c3_partial())
     for i in range(cp.dim):

@@ -99,6 +99,24 @@ def test_crossed_iso_rescales_odd_generator():
     assert eqarr(phi, arr(QQ, [[1, 0], [0, 3]]))
 
 
+def test_mismatched_gauge_iso_violations_are_pinned():
+    # the map induced by mu = 3 into the crossed product gauged by mu = 5
+    # lands in the span but scales the cocycle weight by 9, not 25
+    tpa = cocycle_pair(2)
+    pair = weak_conv_inverse(pair_gauge(3), tpa)
+    other = gauge_transform(weak_conv_inverse(pair_gauge(5), tpa), tpa)
+    phi, rep = gauge_crossed_iso(pair, build_partial_crossed(tpa),
+                                 build_partial_crossed(other))
+    assert eqarr(phi, arr(QQ, [[1, 0], [0, 3]]))
+    assert [(v.identity, v.index, v.lhs, v.rhs) for v in rep.violations
+            if v.identity == "multiplicative"] == [
+        ("multiplicative", (1, 1), (50, 0), (18, 0)),
+    ]
+    assert rep.notes == ("the same formula read from the original crossed "
+                         "product is not multiplicative; only the stated "
+                         "direction is",)
+
+
 def test_gauge_composition_on_pair():
     tpa = cocycle_pair(2)
     outer = weak_conv_inverse(pair_gauge(2), tpa)

@@ -159,6 +159,17 @@ def test_every_theta_mutation_is_rejected(c3_env):
                     f"theta mutant at ({i},{j}) -> {nv} not caught"
 
 
+def test_corrupted_theta_multiplicativity_violations_are_pinned(c3_env):
+    th = c3_env.theta.copy()
+    th[0] = arr(QQ, [1, 1, 0])
+    rep = verify_enveloping(dataclasses.replace(c3_env, theta=th))
+    assert [(v.index, v.lhs, v.rhs) for v in rep.violations
+            if v.identity == "embedding_multiplicative"] == [
+        ((0, 1), (0, 0, 0), (0, 1, 0)),
+        ((1, 0), (0, 0, 0), (0, 1, 0)),
+    ]
+
+
 def test_every_degenerate_twist_and_action_mutation_is_rejected():
     env = globalize_group_partial(degenerate_swap())
     for field in ("twist", "action"):

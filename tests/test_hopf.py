@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 
 from hopfcross import linalg
+from hopfcross.checks import ReportBuilder
 from hopfcross.errors import NonGroupTable
 from hopfcross.fields import Field
 from hopfcross.fixtures import (c3_partial, cyclic_table, group_tables_up_to_6,
                                 product_field_algebra, sym3_table)
 from hopfcross.hopf import (AlgebraData, CoalgebraData, HopfAlgebraData,
-                            convolution, convolution_algebra,
-                            convolution_central_violations,
+                            centrality, convolution, convolution_algebra,
                             convolution_inverse, convolution_unit, dual_hopf,
                             group_algebra, inverse_equations,
                             is_cocommutative, left_integrals,
@@ -199,8 +199,47 @@ def test_centrality_check_converts_only_the_maps(monkeypatch):
         return integers(a, fld, what)
 
     monkeypatch.setattr(linalg, "_integers", counting)
-    assert convolution_central_violations(f, c, a) == []
+    assert eqarr(*centrality(f, c, a))
     assert converted == [c.dim * a.dim] * (4 * c.dim * a.dim)
+
+
+def central_violations_by_map(f, c, a):
+    """Centrality of f in Hom(C, A), one spanning map E_(i,j) at a time:
+    the reference for the stacked tables of ``centrality``.  Lists
+    (index, lhs, rhs) with index (i, j, x) wherever f * E_(i,j) and
+    E_(i,j) * f differ at the C-basis element x."""
+    out = []
+    for i in range(c.dim):
+        for j in range(a.dim):
+            e = zeros(a.fld, (c.dim, a.dim))
+            e[i, j] = a.fld.one()
+            lhs = convolution(f, e, c, a)
+            rhs = convolution(e, f, c, a)
+            for x in range(c.dim):
+                if not eqarr(lhs[x], rhs[x]):
+                    out.append(((i, j, x), tuple(lhs[x]), tuple(rhs[x])))
+    return out
+
+
+@pytest.mark.parametrize("fld", [QQ, Field.prime(7)], ids=["QQ", "F7"])
+@pytest.mark.parametrize("dual", [False, True], ids=["C3", "kS3-dual"])
+def test_centrality_tables_match_the_per_map_loop(fld, dual):
+    # maps into the non-commutative kS3 from the cocommutative kC3 and
+    # from the non-cocommutative k^{S3}: a compare of the two tables
+    # lists the violations of the reference loop, in its order
+    a = group_algebra(fld, sym3_table()).algebra
+    c = (dual_hopf(group_algebra(fld, sym3_table())).coalgebra if dual
+         else group_algebra(fld, cyclic_table(3)).coalgebra)
+    rng = random.Random(f"{fld.name}:{dual}")
+    f = arr(fld, [[rng.randint(-3, 3) for _ in range(a.dim)]
+                  for _ in range(c.dim)])
+    rb = ReportBuilder("centrality")
+    rb.compare("central", *centrality(f, c, a))
+    rb.compare("unit_central", *centrality(convolution_unit(c, a), c, a))
+    rep = rb.build()
+    expected = central_violations_by_map(f, c, a)
+    assert [(v.index, v.lhs, v.rhs) for v in rep.violations] == expected
+    assert expected and rep.identity_passed("unit_central")
 
 
 @pytest.mark.parametrize("name,table", group_tables_up_to_6().items())

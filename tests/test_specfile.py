@@ -1,6 +1,7 @@
 """The JSON definition-file format: round trips, bundled data files,
 and the error paths of the parser."""
 
+import dataclasses
 import json
 from importlib import resources
 
@@ -75,6 +76,38 @@ def test_save_and_load(tmp_path):
     p = tmp_path / "fixture.json"
     save_spec(spec, p)
     assert load_spec(p) == spec
+
+
+def test_specs_differing_in_one_tensor_entry_are_unequal():
+    spec = spec_from_tpa(c3_partial())
+    action = spec.action.elements.copy()
+    action[1, 0, 1] += 1
+    assert spec_from_tpa(c3_partial()) == spec
+    assert SpecFile(fld=QQ, hopf=spec.hopf, algebra=spec.algebra,
+                    action=action, cocycle=spec.cocycle) != spec
+
+
+def test_specs_differing_in_a_label_are_unequal():
+    tpa = c3_partial()
+    relabelled = dataclasses.replace(
+        tpa.hopf, algebra=dataclasses.replace(
+            tpa.hopf.algebra, labels=("1", "g", "h")))
+    assert spec_from_tpa(dataclasses.replace(tpa, hopf=relabelled)) != \
+        spec_from_tpa(tpa)
+
+
+def test_specs_differing_in_the_field_are_unequal():
+    qq, f5 = spec_from_tpa(cocycle_pair(3)), spec_from_tpa(cocycle_pair(3, F5))
+    assert qq != f5
+    assert parse_spec(serialize_spec(qq), field=F5) == f5
+
+
+def test_spec_missing_a_section_is_unequal():
+    spec = spec_from_tpa(cocycle_pair(1), integral_t=arr(QQ, [1, 1]))
+    assert spec != spec_from_tpa(cocycle_pair(1))
+    assert spec_from_tpa(cocycle_pair(1)) != spec
+    assert SpecFile(fld=QQ, hopf=spec.hopf) != SpecFile(fld=QQ)
+    assert spec != "not a spec"
 
 
 def test_field_override():
