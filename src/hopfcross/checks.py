@@ -9,7 +9,7 @@ which it fails, and the two evaluated sides.  Violations are kept sorted
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

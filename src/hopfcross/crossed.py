@@ -28,9 +28,9 @@ from .checks import CheckReport, ReportBuilder
 from .errors import ClosureViolation, CoinvariantsMismatch, PreconditionError
 from .hopf import (AlgebraData, HopfAlgebraData, multiplicativity, split,
                    verify_algebra)
-from .linalg import (QuotientSpace, SubspaceBasis, contract, coords_in,
-                     coords_in_many, identity, is_zero, kernel_basis, kron,
-                     quotient, rank, span)
+from .linalg import (QuotientSpace, SubspaceBasis, contract, coords_or_raise,
+                     identity, is_zero, kernel_basis, kron, quotient, rank,
+                     span)
 from .partial import GlobalTwistedAction, TwistedPartialAction
 
 
@@ -122,32 +122,26 @@ def _build(hopf: HopfAlgebraData, alg: AlgebraData, action: np.ndarray,
     amb = ambient_product_tensor(hopf, alg, action, cocycle)
 
     prods = contract("sa,ub,abc->suc", basis.rows, basis.rows, amb, fld=fld)
-    table, misses = coords_in_many(basis, prods)
-    if misses:
-        s, u = misses[0]
-        raise ClosureViolation(
-            f"product of crossed basis elements {s} and {u} leaves the span")
-
-    unit_c = coords_in(basis, kron(alg.unit.elements, hopf.unit.elements))
-    if unit_c is None:
-        raise ClosureViolation("the unit of A (x) H is not inside the span")
+    table = coords_or_raise(
+        basis, prods, ClosureViolation,
+        "product of crossed basis elements {} and {} leaves the span")
+    unit_c = coords_or_raise(
+        basis, kron(alg.unit.elements, hopf.unit.elements), ClosureViolation,
+        "the unit of A (x) H is not inside the span")
     algebra = AlgebraData(fld, d, table, unit_c)
 
     # a (x) 1 for each base basis element a
-    iota, misses = coords_in_many(
-        basis, kron(identity(fld, na), hopf.unit.elements.reshape(1, nh)))
-    if misses:
-        raise ClosureViolation(
-            f"base element {misses[0][0]} (x) 1 is not inside the span")
+    iota = coords_or_raise(
+        basis, kron(identity(fld, na), hopf.unit.elements.reshape(1, nh)),
+        ClosureViolation, "base element {} (x) 1 is not inside the span")
 
     # apply id (x) comult to each basis element, then express the first
     # two legs on the basis
     trip = contract("rmp,pts->rsmt", basis.rows.reshape(d, na, nh),
                     hopf.comult, fld=fld).reshape(d, nh, n)
-    coaction, misses = coords_in_many(basis, trip)
-    if misses:
-        raise ClosureViolation(
-            f"coaction of basis element {misses[0][0]} leaves the span")
+    coaction = coords_or_raise(
+        basis, trip, ClosureViolation,
+        "coaction of basis element {} leaves the span")
     coaction = coaction.transpose(0, 2, 1).reshape(d, d * nh)
 
     return CrossedProductAlgebra(hopf, alg, basis, algebra, iota, coaction)

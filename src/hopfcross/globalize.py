@@ -25,8 +25,8 @@ import numpy as np
 from .checks import CheckReport, ReportBuilder
 from .errors import PreconditionError
 from .hopf import AlgebraData, convolution_algebra, multiplicativity
-from .linalg import (SubspaceBasis, contract, coords_in_many, identity, rank,
-                     solve, span)
+from .linalg import (SubspaceBasis, contract, coords_in_many, coords_or_raise,
+                     identity, rank, solve, span)
 from .partial import (GlobalTwistedAction, TwistedPartialAction,
                       central_idempotent_report, corner_twist, induce_partial,
                       is_trivial_cocycle)
@@ -91,11 +91,8 @@ def globalize_group_partial(tpa: TwistedPartialAction) -> EnvelopingAction:
     def in_carrier(vecs, what):
         """Carrier coordinates of the vectors on the last axis of vecs;
         ``what`` names the first one outside, by its leading index."""
-        coords, misses = coords_in_many(carrier, vecs)
-        if misses:
-            raise PreconditionError(
-                f"{what.format(*misses[0])} left the enveloping span")
-        return coords
+        return coords_or_raise(carrier, vecs, PreconditionError,
+                               what + " left the enveloping span")
 
     mult_b = in_carrier(contract("ia,jb,abc->ijc", rows, rows, ambient.mult,
                                  fld=fld),

@@ -18,12 +18,15 @@ plain ``np.einsum`` each.  Every subspace is represented by its reduced
 row echelon basis, so equal subspaces have identical representations
 and all reports built on top of them are reproducible byte for byte.
 :func:`coords_in_many` expresses a whole stack of vectors on such a
-basis with one contraction; :func:`coords_in` is its one-vector case.
+basis with one contraction; :func:`coords_in` is its one-vector case,
+and :func:`coords_or_raise` raises the caller's error, naming the first
+non-member, where every vector must be a member.
 
 Conventions fixed here and used everywhere else:
 
 * ``solve(m, b)`` solves ``m @ x = b`` (column convention, free variables
-  pinned to zero -- the solver is deterministic).
+  pinned to zero -- the solver is deterministic); ``b`` may be a matrix
+  whose columns are solved together, with one elimination.
 * A linear map ``f`` with domain dimension ``d`` and codomain dimension
   ``c`` is stored as a ``(d, c)`` matrix applied on the right:
   ``f(v) = v @ mat`` (row convention).
@@ -288,22 +291,21 @@ def rank(m: np.ndarray, fld: Field) -> int:
 
 
 def solve(m: np.ndarray, b: np.ndarray, fld: Field):
-    """Solve m @ x = b exactly.
+    """Solve m @ x = b exactly, for ``b`` of shape (r,) or (r, k).
 
-    Returns the unique solution with all free variables set to zero, or
-    None when the system is inconsistent.
+    Returns the solution with all free variables set to zero, of shape
+    (c,) or (c, k), or None when any column of b is inconsistent.
     """
     r, c = m.shape
-    if b.shape != (r,):
+    if b.shape[:1] != (r,) or b.ndim > 2:
         raise ValueError(f"rhs shape {b.shape} does not match {r} rows")
-    aug = np.concatenate([m, b.reshape(r, 1)], axis=1)
-    R, pivots, _ = rref(aug, fld)
-    if c in pivots:
+    rhs = b.reshape(r, math.prod(b.shape[1:]))
+    R, pivots, rk = rref(np.concatenate([m, rhs], axis=1), fld)
+    if rk and pivots[-1] >= c:
         return None
-    x = zeros(fld, (c,))
-    for i, p in enumerate(pivots):
-        x[p] = R[i, c]
-    return x
+    x = zeros(fld, (c, rhs.shape[1]))
+    x[list(pivots)] = R[:rk, c:]
+    return x.reshape((c,) + b.shape[1:])
 
 
 def kernel_basis(m: np.ndarray, fld: Field) -> np.ndarray:
@@ -390,6 +392,16 @@ def coords_in_many(sub: SubspaceBasis, vs: np.ndarray):
     misses = tuple(index for index, ok in zip(np.ndindex(*lead), members)
                    if not ok)
     return coords.reshape(lead + (sub.dim,)), misses
+
+
+def coords_or_raise(sub: SubspaceBasis, vs: np.ndarray, error, message: str):
+    """The coordinates of :func:`coords_in_many`, or raise
+    ``error(message.format(*index))`` for the index of the first
+    non-member in row-major order (a single vector has the empty index)."""
+    coords, misses = coords_in_many(sub, vs)
+    if misses:
+        raise error(message.format(*misses[0]))
+    return coords
 
 
 def coords_in(sub: SubspaceBasis, v: np.ndarray):

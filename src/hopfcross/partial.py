@@ -29,7 +29,7 @@ from .checks import CheckReport, ReportBuilder
 from .errors import ClosureViolation, NotCentralIdempotent, PreconditionError
 from .hopf import (AlgebraData, HopfAlgebraData, centrality, convolution,
                    inverse_equations, split, tensor_square_coalgebra)
-from .linalg import (Exact, SubspaceBasis, contract, coords_in_many,
+from .linalg import (Exact, SubspaceBasis, contract, coords_or_raise,
                      freeze_tensors, identity, solve, span)
 
 
@@ -315,11 +315,8 @@ def induce_partial(g: GlobalTwistedAction, e: np.ndarray,
     def corner_coords(vecs, what):
         """Corner coordinates of the vectors on the last axis of vecs;
         ``what`` names the first one outside, by its leading index."""
-        coords, misses = coords_in_many(carrier, vecs)
-        if misses:
-            raise ClosureViolation(f"{what.format(*misses[0])} is not inside "
-                                   "the corner subalgebra")
-        return coords
+        return coords_or_raise(carrier, vecs, ClosureViolation,
+                               what + " is not inside the corner subalgebra")
 
     unit_a = corner_coords(e, "the idempotent itself")
     mult_a = corner_coords(

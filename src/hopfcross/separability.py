@@ -31,8 +31,8 @@ from .errors import (NormalizationFailed, NotCentral, NotCocommutative,
                      NotIntegral, PreconditionError)
 from .hopf import (centrality, is_cocommutative, left_integrals, split,
                    tensor_square_coalgebra)
-from .linalg import (QuotientSpace, contract, coords_in, coords_in_many,
-                     is_zero, kernel_basis, solve, span, zeros)
+from .linalg import (contract, coords_in, coords_or_raise, is_zero,
+                     kernel_basis, solve, span)
 from .partial import TwistedPartialAction
 
 
@@ -76,10 +76,8 @@ def default_cleft(tpa: TwistedPartialAction,
     e = contract("ija,j->ia", tpa.action, a.unit, fld=a.fld)
     amb = contract("jpq,px->jxq", h.comult, e,
                    fld=a.fld).reshape(h.dim, a.dim * h.dim)
-    gamma, misses = coords_in_many(cp.basis, amb)
-    if misses:
-        raise ValueError(
-            f"unit section of basis element {misses[0][0]} left the span")
+    gamma = coords_or_raise(cp.basis, amb, ValueError,
+                            "unit section of basis element {} left the span")
     return CleftData(cp, gamma, h.antipode.elements @ gamma, tpa.action)
 
 
@@ -118,21 +116,13 @@ def verify_partially_cleft(cd: CleftData) -> CheckReport:
                    fld=fld)
     rb.compare("cosection_colinear", lhs, rhs)
     q = _conv_product(cd)
-    qa = zeros(fld, (nh, cp.base.dim))
-    in_base = True
-    for i in range(nh):
-        c = solve(cp.iota.T, q[i], fld)
-        ok = c is not None
-        rb.require("product_valued_in_base", ok, index=(i,),
-                   lhs=tuple(q[i]), rhs=("inside the embedded base",))
-        if ok:
-            qa[i] = c
-        else:
-            in_base = False
-    if in_base:
+    rb.require_inside("product_valued_in_base", q, cp.base_space,
+                      "inside the embedded base")
+    qa = solve(cp.iota.T, q.T, fld)       # (dim A, dim H)
+    if qa is not None:
         # centrality lives in the convolution algebra of maps into the
         # base, so the product is pulled back through the embedding
-        q2 = contract("ijt,ty->ijy", h.mult, qa,
+        q2 = contract("ijt,yt->ijy", h.mult, qa,
                       fld=fld).reshape(nh * nh, cp.base.dim)
         rb.compare("product_convolution_central",
                    *centrality(q2, tensor_square_coalgebra(h.coalgebra),

@@ -12,8 +12,6 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-import pytest
-
 import hopfcross
 from hopfcross import cli
 from hopfcross.crossed import (balanced_tensor_square, build_global_crossed,
@@ -304,6 +302,33 @@ def test_every_public_function_has_a_caller():
                        if not (p == path and n in own)):
                 uncalled.append(f"{path.stem}.{node.name}")
     assert uncalled == []
+
+
+def test_no_module_has_an_unused_import():
+    # every name an import binds in a package module or a test module is
+    # read somewhere in that module; the package's __init__.py is exempt,
+    # since its imports are the public re-exports
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "hopfcross"
+    unused = []
+    for path in sorted([*package.glob("*.py"), *(root / "tests").glob("*.py")]):
+        if path == package / "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [(a.asname or a.name).partition(".")[0]
+                         for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.parent.name}/{path.name}: {name}"
+                       for name in bound if name not in read]
+    assert unused == []
 
 
 def test_missing_file_is_an_input_error():

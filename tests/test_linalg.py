@@ -18,8 +18,9 @@ import hopfcross
 from hopfcross import linalg
 from hopfcross.fields import Field, FieldMismatchError, Fp
 from hopfcross.linalg import (Exact, arr, contract, coords_in, coords_in_many,
-                              eqarr, identity, is_zero, kernel_basis, kron,
-                              quotient, rank, rref, solve, span, zeros)
+                              coords_or_raise, eqarr, identity, is_zero,
+                              kernel_basis, kron, quotient, rank, rref, solve,
+                              span, zeros)
 
 QQ = Field.rationals()
 F5 = Field.prime(5)
@@ -78,6 +79,34 @@ def test_solve_underdetermined_sets_free_vars_to_zero():
     m = arr(QQ, [[1, 1]])
     x = solve(m, arr(QQ, [5]), QQ)
     assert eqarr(x, arr(QQ, [5, 0]))
+
+
+@pytest.mark.parametrize("fld", [QQ, Field.prime(7)])
+def test_matrix_rhs_solve_matches_column_solves(fld):
+    # rank 2 with a free variable; the columns of b are m @ y for a few y,
+    # one of them with an entry that is a multiple of 7
+    m = arr(fld, [[1, 2, 0], [0, 1, 1], [1, 3, 1], [2, 4, 0]])
+    ys = arr(fld, [[1, 0, 0], [0, 1, 0], ["1/2", 7, 3], [0, 0, 0]])
+    b = contract("ij,kj->ik", m, ys, fld=fld)
+    x = solve(m, b, fld)
+    assert x.shape == (3, 4)
+    for k in range(4):
+        assert eqarr(x[:, k], solve(m, b[:, k], fld))
+        assert eqarr(contract("ij,j->i", m, x[:, k], fld=fld), b[:, k])
+    # one column is the 1-D case
+    assert eqarr(solve(m, b[:, :1], fld).reshape(3), solve(m, b[:, 0], fld))
+    # one inconsistent column makes the whole system inconsistent
+    bad = np.concatenate([b, arr(fld, [[1], [0], [0], [0]])], axis=1)
+    assert solve(m, bad[:, 4], fld) is None
+    assert solve(m, bad, fld) is None
+    assert solve(m, bad[:, [4, 0]], fld) is None
+    with pytest.raises(ValueError):
+        solve(m, zeros(fld, (3, 2)), fld)
+    # no equations: every column is solved by zero
+    assert eqarr(solve(zeros(fld, (0, 2)), zeros(fld, (0,)), fld),
+                 zeros(fld, (2,)))
+    assert eqarr(solve(zeros(fld, (0, 2)), zeros(fld, (0, 3)), fld),
+                 zeros(fld, (2, 3)))
 
 
 def test_kernel_basis_annihilates():
@@ -383,6 +412,39 @@ def test_coords_in_many_names_misses_in_loop_order():
     assert eqarr(coords[1, 1], arr(QQ, [5, "1/2"]))
     with pytest.raises(ValueError):
         coords_in_many(sub, arr(QQ, [[1, 2]]))
+
+
+class Outside(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fld", [QQ, Field.prime(7)])
+def test_coords_or_raise_names_the_first_miss_or_returns_the_coordinates(
+        fld):
+    sub = span(arr(fld, [[1, 0, 0], [0, 1, 0]]), 3, fld)
+    inside, outside = arr(fld, [5, "1/2", 0]), arr(fld, [0, 0, 3])
+    table = np.array([[inside, inside, outside],
+                      [outside, inside, outside]], dtype=object)
+    # the first miss of a stack in row-major order, with the caller's
+    # exception class and message
+    with pytest.raises(Outside) as info:
+        coords_or_raise(sub, table, Outside, "vector ({}, {}) is outside")
+    assert str(info.value) == "vector (0, 2) is outside"
+    # extra index parts are dropped by a message that names fewer
+    with pytest.raises(Outside) as info:
+        coords_or_raise(sub, table, Outside, "row {} is outside")
+    assert str(info.value) == "row 0 is outside"
+    # a single vector has no index to name
+    with pytest.raises(Outside) as info:
+        coords_or_raise(sub, outside, Outside, "the vector is outside")
+    assert str(info.value) == "the vector is outside"
+    members = np.array([[inside, inside], [zeros(fld, (3,)), inside]],
+                       dtype=object)
+    coords = coords_or_raise(sub, members, Outside, "never {} {}")
+    assert coords.shape == (2, 2, 2)
+    assert eqarr(coords, coords_in_many(sub, members)[0])
+    assert eqarr(coords_or_raise(sub, inside, Outside, "never"),
+                 coords_in(sub, inside))
 
 
 def test_contract_plans_each_spec_and_shapes_once(monkeypatch):

@@ -3,12 +3,15 @@ crossed product of its envelope: embedding, bimodules, pairings.
 """
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from hopfcross.crossed import build_global_crossed, build_partial_crossed
 from hopfcross.fields import Field
-from hopfcross.fixtures import c3_partial, cyclic_table, degenerate_swap, product_field_algebra
+from hopfcross.fixtures import cyclic_table, degenerate_swap, product_field_algebra
 from hopfcross.globalize import EnvelopingAction, globalize_group_partial
 from hopfcross.hopf import group_algebra
 from hopfcross.linalg import arr, eqarr, identity, rank, span, zeros
@@ -17,6 +20,15 @@ from hopfcross.morita import (morita_context, phi_embed,
 from hopfcross.partial import GlobalTwistedAction, induce_partial
 
 QQ = Field.rationals()
+
+# Both reports, as to_dict output, of the C3 context with one entry of
+# S's multiplication table raised by 1, keyed by that entry.
+NONASSOCIATIVE = json.loads(
+    (Path(__file__).parent / "morita_nonassociative.json").read_text(
+        encoding="utf-8"))
+SIX = ("m_actions_compatible", "n_actions_compatible",
+       "sigma_balanced_over_embedded", "tau_balanced_over_ring",
+       "mixed_associativity_ring_side", "mixed_associativity_embedded_side")
 
 
 def context(env):
@@ -117,3 +129,27 @@ def test_non_ideal_bimodule_fails_closure(c3_env):
     assert not rep.identity_passed("m_closed_left_embedded")
     # the untouched bimodule is still fine
     assert rep.identity_passed("n_closed_left_ring")
+
+
+@pytest.mark.parametrize("entry,counts", [
+    ((1, 2, 0), (2, 4, 0, 8, 3, 5)),
+    ((2, 2, 0), (8, 8, 8, 8, 8, 8)),
+], ids=["sigma_holds", "all_six_fail"])
+def test_nonassociative_global_product_fails_only_the_six(c3_env, entry,
+                                                          counts):
+    # the bimodules and the embedding are kept; only S's table changes,
+    # so closure and the unit laws still hold and each violation is a
+    # failure of (xy)z = x(yz) on one of the six families
+    ctx = context(c3_env)
+    s = ctx.global_cp
+    mult = np.array(s.algebra.mult)
+    mult[entry] += 1
+    broken = dataclasses.replace(ctx, global_cp=dataclasses.replace(
+        s, algebra=dataclasses.replace(s.algebra, mult=mult)))
+    reports = {"module_structures": verify_module_structures(broken),
+               "pairings": verify_morita_pairings(broken).report}
+    found = [v.identity for rep in reports.values() for v in rep.violations]
+    assert tuple(map(found.count, SIX)) == counts
+    assert len(found) == sum(counts)
+    assert {name: rep.to_dict(QQ) for name, rep in reports.items()} == \
+        NONASSOCIATIVE["%d,%d,%d" % entry]

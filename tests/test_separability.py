@@ -16,7 +16,7 @@ from hopfcross.fields import Field
 from hopfcross.fixtures import (c3_partial, cocycle_pair, product_field_algebra,
                                 sym3_table, trivial_hopf)
 from hopfcross.hopf import AlgebraData, dual_hopf, group_algebra
-from hopfcross.linalg import arr, eqarr, identity, is_zero, zeros
+from hopfcross.linalg import arr, eqarr, identity, zeros
 from hopfcross.partial import TwistedPartialAction
 from hopfcross.separability import (BalancedTensorElement, CleftData,
                                     centralizer, check_separable_extension,
@@ -74,6 +74,27 @@ def test_doctored_section_fails_unit_value():
     g[0] = arr(QQ, [1, 1])
     rep = verify_partially_cleft(CleftData(cd.cp, g, cd.gamma_prime, cd.action))
     assert not rep.identity_passed("unit_value")
+
+
+def test_section_product_outside_the_base_is_pinned():
+    # with gamma(h_1), gamma(h_2) moved off the section, gamma * gamma'
+    # leaves the embedded base at h_1 and h_2, and centrality is skipped
+    cd = cleft(c3_partial())
+    g = cd.gamma.copy()
+    g[1], g[2] = arr(QQ, [1, 1, 0, 0]), arr(QQ, [0, 1, 1, 0])
+    rep = verify_partially_cleft(CleftData(cd.cp, g, cd.gamma_prime,
+                                           cd.action))
+    assert [v for v in rep.to_dict(QQ)["violations"]
+            if v["identity"] == "product_valued_in_base"] == [
+        {"identity": "product_valued_in_base", "index": [1],
+         "lhs": ["0", "1", "0", "0"], "rhs": ["inside the embedded base"]},
+        {"identity": "product_valued_in_base", "index": [2],
+         "lhs": ["1", "0", "0", "1"], "rhs": ["inside the embedded base"]},
+    ]
+    assert "product_convolution_central" not in rep.identities
+    assert rep.notes == ("centrality of the section product was skipped "
+                         "because the product does not land in the "
+                         "embedded base",)
 
 
 def test_centralizer_of_main_fixture():
