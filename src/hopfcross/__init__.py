@@ -37,7 +37,7 @@ from .morita import (MoritaContextData, MoritaPairingResult, morita_context,
 from .partial import (CocycleInverse, GlobalTwistedAction,
                       InducedPartialAction, TwistedPartialAction,
                       corner_twist, induce_partial, unit_translate_map,
-                      unit_translates, verify_absorption,
+                      verify_absorption,
                       verify_crossed_conditions, verify_global,
                       verify_symmetric, verify_twisted_partial)
 from .separability import (BalancedTensorElement, CleftData, centralizer,

@@ -44,12 +44,14 @@ class CheckReport:
         return all(v.identity != name for v in self.violations)
 
     def merged(self, other: "CheckReport", title=None) -> "CheckReport":
-        vs = sorted(self.violations + other.violations, key=Violation.sort_key)
+        """The union of both reports, with each (identity, index) once:
+        an identity both checked fails at the same indices in both."""
+        vs = {v.sort_key(): v for v in self.violations + other.violations}
         return CheckReport(
             title=title or self.title,
             identities=self.identities + tuple(
                 n for n in other.identities if n not in self.identities),
-            violations=tuple(vs),
+            violations=tuple(vs[k] for k in sorted(vs)),
             notes=self.notes + tuple(n for n in other.notes if n not in self.notes),
         )
 

@@ -102,7 +102,7 @@ class Pipeline:
             if mat.shape[1] != cp.dim:
                 raise SpecFileError(
                     f"{name}: expected {cp.dim} columns, got {mat.shape[1]}")
-        return CleftData(cp, spec.gamma, spec.gamma_prime, tpa.action)
+        return CleftData(cp, spec.gamma, spec.gamma_prime, tpa)
 
 
 def _assemble(fld, command, reports, derived, errors):

@@ -26,22 +26,21 @@ import numpy as np
 
 from .checks import CheckReport, ReportBuilder
 from .errors import ClosureViolation, CoinvariantsMismatch, PreconditionError
-from .hopf import (AlgebraData, HopfAlgebraData, multiplicativity, split,
+from .hopf import (AlgebraData, HopfAlgebraData, multiplicativity,
                    verify_algebra)
 from .linalg import (QuotientSpace, SubspaceBasis, contract, coords_or_raise,
                      identity, is_zero, kernel_basis, kron, quotient, rank,
-                     span)
+                     restricted_product, span)
 from .partial import GlobalTwistedAction, TwistedPartialAction
 
 
 def ambient_product_tensor(hopf: HopfAlgebraData, alg: AlgebraData,
                            action: np.ndarray, cocycle: np.ndarray) -> np.ndarray:
     """Structure tensor of the twisted product on all of A (x) H."""
-    d3 = split(hopf.coalgebra, 3)
     na, nh = alg.dim, hopf.dim
     t = contract("pabc,qde,ajx,ixy,bdz,yzw,cet->ipjqwt",
-                 d3, hopf.comult, action, alg.mult, cocycle, alg.mult,
-                 hopf.mult, fld=alg.fld)
+                 hopf.coalgebra.split3, hopf.comult, action, alg.mult,
+                 cocycle, alg.mult, hopf.mult, fld=alg.fld)
     n = na * nh
     return t.reshape(n, n, n)
 
@@ -109,21 +108,20 @@ class CrossedProductAlgebra:
         return canonical_map(self)
 
 
-def _build(hopf: HopfAlgebraData, alg: AlgebraData, action: np.ndarray,
+def _build(t: TwistedPartialAction | GlobalTwistedAction,
            cocycle: np.ndarray) -> CrossedProductAlgebra:
-    fld = alg.fld
+    """The crossed product of the action t with its cocycle or twist."""
+    hopf, alg, fld = t.hopf, t.alg, t.fld
     na, nh = alg.dim, hopf.dim
     n = na * nh
-    e = contract("ija,j->ia", action, alg.unit, fld=fld)
-    gens = contract("jpt,px,ixm->ijmt", hopf.comult, e, alg.mult,
-                    fld=fld).reshape(na * nh, n)
+    gens = contract("jpt,px,ixm->ijmt", hopf.comult, t.unit_translates,
+                    alg.mult, fld=fld).reshape(na * nh, n)
     basis = span(gens, n, fld)
     d = basis.dim
-    amb = ambient_product_tensor(hopf, alg, action, cocycle)
+    amb = ambient_product_tensor(hopf, alg, t.action, cocycle)
 
-    prods = contract("sa,ub,abc->suc", basis.rows, basis.rows, amb, fld=fld)
-    table = coords_or_raise(
-        basis, prods, ClosureViolation,
+    table = restricted_product(
+        basis, amb, ClosureViolation,
         "product of crossed basis elements {} and {} leaves the span")
     unit_c = coords_or_raise(
         basis, kron(alg.unit.elements, hopf.unit.elements), ClosureViolation,
@@ -155,7 +153,7 @@ def build_partial_crossed(tpa: TwistedPartialAction) -> CrossedProductAlgebra:
     if not rep.passed:
         raise PreconditionError(
             "input fails the crossed product conditions: " + rep.summary())
-    return _build(tpa.hopf, tpa.alg, tpa.action, tpa.cocycle)
+    return _build(tpa, tpa.cocycle)
 
 
 def build_global_crossed(g: GlobalTwistedAction) -> CrossedProductAlgebra:
@@ -165,7 +163,7 @@ def build_global_crossed(g: GlobalTwistedAction) -> CrossedProductAlgebra:
     if not g.axioms_report.passed:
         raise PreconditionError("input fails the global twisted action "
                                 "axioms: " + g.axioms_report.summary())
-    return _build(g.hopf, g.alg, g.action, g.twist)
+    return _build(g, g.twist)
 
 
 def verify_assoc_unital(cp: CrossedProductAlgebra) -> CheckReport:

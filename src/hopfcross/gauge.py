@@ -24,7 +24,7 @@ from .errors import CompositeNotGauge
 from .hopf import (convolution, convolution_unit, inverse_equations,
                    multiplicativity, split)
 from .linalg import contract, coords_in_many, identity, rank, solve, zeros
-from .partial import TwistedPartialAction, unit_translates
+from .partial import TwistedPartialAction
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def weak_conv_inverse(v: np.ndarray, tpa: TwistedPartialAction) -> GaugePair | N
     v = np.asarray(v)
     if not np.array_equal(h.unit.elements @ v, a.unit.elements):
         return None
-    rows, rhs = inverse_equations(v, unit_translates(tpa), h.coalgebra, a)
+    rows, rhs = inverse_equations(v, tpa.unit_translates, h.coalgebra, a)
     at_one = contract("l,kb->klb", h.unit, identity(fld, na),
                       fld=fld).reshape(na, nh * na)
     x = solve(np.concatenate([rows, at_one]),
@@ -68,21 +68,19 @@ def weak_conv_inverse(v: np.ndarray, tpa: TwistedPartialAction) -> GaugePair | N
 def gauge_action(pair: GaugePair, tpa: TwistedPartialAction) -> np.ndarray:
     """The conjugated action h . a = v(h_1)(h_2 . a)v'(h_3)."""
     h, a = tpa.hopf, tpa.alg
-    s3 = split(h.coalgebra, 3)
     return contract("ipqr,px,qay,xyA,rw,Awk->iak",
-                    s3, pair.v, tpa.action, a.mult, pair.v_inv, a.mult,
-                    fld=a.fld)
+                    h.coalgebra.split3, pair.v, tpa.action, a.mult,
+                    pair.v_inv, a.mult, fld=a.fld)
 
 
 def gauge_cocycle(pair: GaugePair, tpa: TwistedPartialAction) -> np.ndarray:
     """The conjugated cocycle
     w(h, g) = v(h_1)(h_2 . v(g_1)) w(h_3, g_2) v'(h_4 g_3)."""
     h, a = tpa.hopf, tpa.alg
-    s4 = split(h.coalgebra, 4)
-    s3 = split(h.coalgebra, 3)
     return contract("ipqrs,jabc,px,aA,qAy,xyB,rbz,BzC,sct,tw,CwD->ijD",
-                    s4, s3, pair.v, pair.v, tpa.action, a.mult, tpa.cocycle,
-                    a.mult, h.mult, pair.v_inv, a.mult, fld=a.fld)
+                    split(h.coalgebra, 4), h.coalgebra.split3, pair.v,
+                    pair.v, tpa.action, a.mult, tpa.cocycle, a.mult, h.mult,
+                    pair.v_inv, a.mult, fld=a.fld)
 
 
 def gauge_transform(pair: GaugePair, tpa: TwistedPartialAction) -> TwistedPartialAction:

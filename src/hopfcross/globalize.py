@@ -26,7 +26,7 @@ from .checks import CheckReport, ReportBuilder
 from .errors import PreconditionError
 from .hopf import AlgebraData, convolution_algebra, multiplicativity
 from .linalg import (SubspaceBasis, contract, coords_in_many, coords_or_raise,
-                     identity, rank, solve, span)
+                     identity, rank, restricted_product, solve, span)
 from .partial import (GlobalTwistedAction, TwistedPartialAction,
                       central_idempotent_report, corner_twist, induce_partial,
                       is_trivial_cocycle)
@@ -86,17 +86,9 @@ def globalize_group_partial(tpa: TwistedPartialAction) -> EnvelopingAction:
                      fld=fld).reshape(nh * na, nf)
     carrier = span(trans, nf, fld)
     nb = carrier.dim
-    rows = carrier.rows
-
-    def in_carrier(vecs, what):
-        """Carrier coordinates of the vectors on the last axis of vecs;
-        ``what`` names the first one outside, by its leading index."""
-        return coords_or_raise(carrier, vecs, PreconditionError,
-                               what + " left the enveloping span")
-
-    mult_b = in_carrier(contract("ia,jb,abc->ijc", rows, rows, ambient.mult,
-                                 fld=fld),
-                        "product of span elements {}, {}")
+    mult_b = restricted_product(
+        carrier, ambient.mult, PreconditionError,
+        "product of span elements {}, {} left the enveloping span")
 
     # the unit of the enveloping algebra: solve u b_t = b_t = b_t u for
     # every t; it need not be the unit of the ambient convolution algebra
@@ -108,12 +100,15 @@ def globalize_group_partial(tpa: TwistedPartialAction) -> EnvelopingAction:
         raise PreconditionError("the enveloping span has no two-sided unit")
     alg_b = AlgebraData(fld, nb, mult_b, unit_b)
 
-    act_b = in_carrier(contract("ia,gab->gib", rows, act_amb, fld=fld),
-                       "translate of span element {1}")
+    act_b = coords_or_raise(
+        carrier, contract("ia,gab->gib", carrier.rows, act_amb, fld=fld),
+        PreconditionError,
+        "translate of span element {1} left the enveloping span")
     twist = contract("p,q,k->pqk", h.counit, h.counit, unit_b, fld=fld)
     glob = GlobalTwistedAction(h, alg_b, act_b, twist)
 
-    theta = in_carrier(theta_amb, "embedded base element {}")
+    theta = coords_or_raise(carrier, theta_amb, PreconditionError,
+                            "embedded base element {} left the enveloping span")
 
     return EnvelopingAction(tpa, ambient, carrier, glob, theta)
 

@@ -12,7 +12,10 @@ Conventions:
   algebra Hom(C, A) is a plain ``(dim C, dim A)`` matrix.
 * The data classes store these structure tensors as
   :class:`~hopfcross.linalg.Exact`, built once from a copy of the input;
-  their entries are read through ``.elements``.
+  their entries are read through ``.elements``.  A coalgebra also
+  holds the two objects derived from it that the other modules read,
+  its double coproduct and its tensor square, each computed once on
+  first use.
 
 Nothing here assumes the axioms hold: the ``verify_*`` functions check
 them instance by instance and report every failing basis tuple.
@@ -26,6 +29,7 @@ algebras.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iproduct
 from string import ascii_letters
 
@@ -66,6 +70,21 @@ class CoalgebraData:
     def __post_init__(self):
         freeze_tensors(self, self.fld, comult=(self.dim,) * 3,
                        counit=(self.dim,))
+
+    @cached_property
+    def split3(self) -> np.ndarray:
+        """The double coproduct, :func:`split` with three output legs."""
+        return split(self, 3)
+
+    @cached_property
+    def tensor_square(self) -> CoalgebraData:
+        """The coalgebra C (x) C with the leg-swapped coproduct
+        (id (x) tau (x) id)(comult (x) comult) and product counit."""
+        n = self.dim
+        comult2 = contract("iab,jcd->ijacbd", self.comult, self.comult,
+                           fld=self.fld).reshape(n * n, n * n, n * n)
+        counit2 = kron(self.counit.elements, self.counit.elements)
+        return CoalgebraData(self.fld, n * n, comult2, counit2)
 
 
 @dataclass(frozen=True)
@@ -181,7 +200,7 @@ def is_cocommutative(c: CoalgebraData) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Sweedler splitting and derived coalgebras
+# Sweedler splitting
 
 
 def split(c: CoalgebraData, n: int) -> np.ndarray:
@@ -201,16 +220,6 @@ def split(c: CoalgebraData, n: int) -> np.ndarray:
         s = contract(f"{keep}{last},{last}{new}->{keep}{new}", s, c.comult,
                      fld=c.fld)
     return s
-
-
-def tensor_square_coalgebra(c: CoalgebraData) -> CoalgebraData:
-    """The coalgebra H (x) H with the leg-swapped coproduct
-    (id (x) tau (x) id)(comult (x) comult) and product counit."""
-    n = c.dim
-    comult2 = contract("iab,jcd->ijacbd", c.comult, c.comult,
-                       fld=c.fld).reshape(n * n, n * n, n * n)
-    counit2 = kron(c.counit.elements, c.counit.elements)
-    return CoalgebraData(c.fld, n * n, comult2, counit2)
 
 
 # ---------------------------------------------------------------------------

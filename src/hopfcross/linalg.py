@@ -314,16 +314,19 @@ def kernel_basis(m: np.ndarray, fld: Field) -> np.ndarray:
     Returns a (k, c) matrix whose rows form the canonical RREF basis of
     the kernel; k may be zero.
     """
-    r, c = m.shape
-    R, pivots, _ = rref(m, fld)
-    free = [j for j in range(c) if j not in pivots]
-    vecs = zeros(fld, (len(free), c))
-    one = fld.one()
-    for row_i, f in enumerate(free):
-        vecs[row_i, f] = one
-        for i, p in enumerate(pivots):
-            vecs[row_i, p] = -R[i, f]
-    return span(vecs, c, fld).rows
+    c = m.shape[1]
+    return span(_null_vectors(span(m, c, fld))[1], c, fld).rows
+
+
+def _null_vectors(sub: SubspaceBasis):
+    """The vectors x with sub.rows @ x = 0, one per non-pivot column f:
+    1 at f and -rows[i, f] at the i-th pivot column.  Returns (the
+    non-pivot columns, the vectors as the rows of a matrix)."""
+    free = [j for j in range(sub.ambient_dim) if j not in sub.pivots]
+    vecs = zeros(sub.fld, (len(free), sub.ambient_dim))
+    vecs[range(len(free)), free] = sub.fld.one()
+    vecs[:, list(sub.pivots)] = -sub.rows[:, free].T
+    return free, vecs
 
 
 @dataclass(frozen=True)
@@ -404,6 +407,15 @@ def coords_or_raise(sub: SubspaceBasis, vs: np.ndarray, error, message: str):
     return coords
 
 
+def restricted_product(sub: SubspaceBasis, mult, error, message: str):
+    """Structure constants of the product ``mult`` of the ambient space
+    restricted to ``sub``: the coordinates of the product of every two
+    basis rows at [i, j], or raise as :func:`coords_or_raise` does for
+    the first product outside ``sub``."""
+    prods = contract("ia,jb,abc->ijc", sub.rows, sub.rows, mult, fld=sub.fld)
+    return coords_or_raise(sub, prods, error, message)
+
+
 def coords_in(sub: SubspaceBasis, v: np.ndarray):
     """Coordinates of v in the echelon basis, or None if v is not a member
     (the one-vector case of :func:`coords_in_many`)."""
@@ -444,21 +456,10 @@ class QuotientSpace:
 
 def quotient(ambient_dim: int, relations: np.ndarray, fld: Field) -> QuotientSpace:
     """Build the quotient of F^ambient_dim by the span of ``relations``."""
-    rel = span(relations, ambient_dim, fld) if len(relations) else \
-        SubspaceBasis(fld, ambient_dim, zeros(fld, (0, ambient_dim)), ())
-    pivots = set(rel.pivots)
-    free = [j for j in range(ambient_dim) if j not in pivots]
-    q = len(free)
-    proj = zeros(fld, (ambient_dim, q))
-    sect = zeros(fld, (q, ambient_dim))
-    one = fld.one()
-    for c, f in enumerate(free):
-        proj[f, c] = one
-        sect[c, f] = one
-    for i, p in enumerate(rel.pivots):
-        for c, f in enumerate(free):
-            proj[p, c] = -rel.rows[i, f]
-    return QuotientSpace(fld, ambient_dim, rel, proj, sect)
+    rel = span(relations, ambient_dim, fld)
+    free, null = _null_vectors(rel)
+    return QuotientSpace(fld, ambient_dim, rel, null.T,
+                         identity(fld, ambient_dim)[free])
 
 
 def kron(v: np.ndarray, w: np.ndarray) -> np.ndarray:

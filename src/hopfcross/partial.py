@@ -9,8 +9,11 @@ A twisted partial action is stored as two tensors over the base field:
 
 Both are stored as :class:`~hopfcross.linalg.Exact` tensors, as are the
 action and twist of a global action.  Each action holds the reports of
-its defining verifiers, computed once on first use: the tensors are
-read-only, so a report never goes stale.
+its defining verifiers and the unit translates h . 1; a partial action
+also holds the two sides of the twisted module identity, the nested
+unit action h . (l . 1) and the product unit action
+(h_1 . 1)((h_2 l) . 1).  Each is computed once on first use: the
+tensors are read-only, so nothing held ever goes stale.
 
 The verifiers never assume anything; each identity is expanded on all
 basis tuples and failures are listed per tuple.  Centrality in a
@@ -28,13 +31,29 @@ import numpy as np
 from .checks import CheckReport, ReportBuilder
 from .errors import ClosureViolation, NotCentralIdempotent, PreconditionError
 from .hopf import (AlgebraData, HopfAlgebraData, centrality, convolution,
-                   inverse_equations, split, tensor_square_coalgebra)
+                   inverse_equations)
 from .linalg import (Exact, SubspaceBasis, contract, coords_or_raise,
-                     freeze_tensors, identity, solve, span)
+                     freeze_tensors, identity, restricted_product, solve,
+                     span)
+
+
+class _Action:
+    """What a partial and a global action share: the field and the unit
+    translates."""
+
+    @property
+    def fld(self):
+        return self.alg.fld
+
+    @cached_property
+    def unit_translates(self) -> np.ndarray:
+        """The matrix of h |-> h . 1, one row per Hopf basis element (for
+        global data, counit multiples of the unit when the axioms hold)."""
+        return contract("ija,j->ia", self.action, self.alg.unit, fld=self.fld)
 
 
 @dataclass(frozen=True)
-class TwistedPartialAction:
+class TwistedPartialAction(_Action):
     hopf: HopfAlgebraData
     alg: AlgebraData
     action: Exact             # (dim H, dim A, dim A)
@@ -45,13 +64,6 @@ class TwistedPartialAction:
         freeze_tensors(self, self.fld, action=(nh, na, na),
                        cocycle=(nh, nh, na))
 
-    @property
-    def fld(self):
-        return self.alg.fld
-
-    def act(self, h, a):
-        return contract("i,j,ijk->k", h, a, self.action, fld=self.fld)
-
     @cached_property
     def axioms_report(self) -> CheckReport:
         return verify_twisted_partial(self)
@@ -60,9 +72,29 @@ class TwistedPartialAction:
     def conditions_report(self) -> CheckReport:
         return verify_crossed_conditions(self)
 
+    @cached_property
+    def twisted_module_sides(self) -> tuple[np.ndarray, np.ndarray]:
+        """(h_1 . (l_1 . a)) w(h_2, l_2) and w(h_1, l_1)((h_2 l_2) . a) at
+        [h, l, a]: the twisted module identity."""
+        return _twisted_module_sides(self.hopf, self.action, self.cocycle,
+                                     self.alg.mult)
+
+    @cached_property
+    def nested_unit_action(self) -> np.ndarray:
+        """h . (l . 1) at [h, l]."""
+        return contract("jx,ixk->ijk", self.unit_translates, self.action,
+                        fld=self.fld)
+
+    @cached_property
+    def product_unit_action(self) -> np.ndarray:
+        """(h_1 . 1)((h_2 l) . 1) at [h, l]."""
+        h, e = self.hopf, self.unit_translates
+        return contract("ipq,py,qjt,tz,yzk->ijk", h.comult, e, h.mult, e,
+                        self.alg.mult, fld=self.fld)
+
 
 @dataclass(frozen=True)
-class GlobalTwistedAction:
+class GlobalTwistedAction(_Action):
     """An everywhere-defined twisted action: the Hopf algebra measures the
     whole algebra and the twist is a plain convolution cocycle."""
 
@@ -76,32 +108,16 @@ class GlobalTwistedAction:
         freeze_tensors(self, self.fld, action=(nh, nb, nb),
                        twist=(nh, nh, nb))
 
-    @property
-    def fld(self):
-        return self.alg.fld
-
-    def act(self, h, b):
-        return contract("i,j,ijk->k", h, b, self.action, fld=self.fld)
-
     @cached_property
     def axioms_report(self) -> CheckReport:
         return verify_global(self)
-
-
-def unit_translates(tpa) -> np.ndarray:
-    """The matrix of h |-> h . 1, one row per Hopf basis element.
-
-    Works for both partial and global data (for global data the rows are
-    counit multiples of the unit whenever the axioms hold).
-    """
-    return contract("ija,j->ia", tpa.action, tpa.alg.unit, fld=tpa.fld)
 
 
 def unit_translate_map(tpa) -> tuple[np.ndarray, CheckReport]:
     """h |-> h . 1 as a map H -> A, together with a report on whether it
     is central in the convolution algebra Hom(H, A), a standing
     assumption of the gauge theory."""
-    e = unit_translates(tpa)
+    e = tpa.unit_translates
     rb = ReportBuilder("unit translate map")
     rb.compare("central_in_convolution",
                *centrality(e, tpa.hopf.coalgebra, tpa.alg))
@@ -161,13 +177,11 @@ def verify_twisted_partial(tpa: TwistedPartialAction) -> CheckReport:
     rb = ReportBuilder("twisted partial action")
     h, a = tpa.hopf, tpa.alg
     _action_axioms(rb, h, a, tpa.action)
-    lhs, rhs = _twisted_module_sides(h, tpa.action, tpa.cocycle, a.mult)
+    lhs, rhs = tpa.twisted_module_sides
     rb.compare("twisted_module", lhs, rhs)
-    e = unit_translates(tpa)
-    rhs = contract("ipq,jrs,pry,qst,tz,yzk->ijk",
-                   h.comult, h.comult, tpa.cocycle, h.mult, e, a.mult,
-                   fld=a.fld)
-    rb.compare("cocycle_right_absorption", tpa.cocycle, rhs)
+    # w(h_1, l_1)((h_2 l_2) . 1): the right side at a = 1
+    rb.compare("cocycle_right_absorption", tpa.cocycle,
+               contract("ijak,a->ijk", rhs, a.unit, fld=a.fld))
     return rb.build()
 
 
@@ -177,13 +191,12 @@ def verify_absorption(tpa: TwistedPartialAction) -> CheckReport:
     plain action on the unit from the left."""
     rb = ReportBuilder("cocycle absorption")
     h, a = tpa.hopf, tpa.alg
-    e = unit_translates(tpa)
-    rhs = contract("ipq,jrs,rx,pxy,qsz,yzk->ijk",
-                   h.comult, h.comult, e, tpa.action, tpa.cocycle, a.mult,
-                   fld=a.fld)
-    rb.compare("absorption_nested", tpa.cocycle, rhs)
-    rhs = contract("ipq,py,qjz,yzk->ijk", h.comult, e, tpa.cocycle, a.mult,
-                   fld=a.fld)
+    # (h_1 . (l_1 . 1)) w(h_2, l_2): the twisted module left side at a = 1
+    rb.compare("absorption_nested", tpa.cocycle,
+               contract("ijak,a->ijk", tpa.twisted_module_sides[0], a.unit,
+                        fld=a.fld))
+    rhs = contract("ipq,py,qjz,yzk->ijk", h.comult, tpa.unit_translates,
+                   tpa.cocycle, a.mult, fld=a.fld)
     rb.compare("absorption_left", tpa.cocycle, rhs)
     return rb.build()
 
@@ -194,13 +207,12 @@ def verify_crossed_conditions(tpa: TwistedPartialAction) -> CheckReport:
     partial 2-cocycle identity."""
     rb = ReportBuilder("crossed product conditions")
     h, a = tpa.hopf, tpa.alg
-    e = unit_translates(tpa)
+    e = tpa.unit_translates
     rb.compare("cocycle_normalized_left",
                contract("i,ijk->jk", h.unit, tpa.cocycle, fld=a.fld), e)
     rb.compare("cocycle_normalized_right",
                contract("j,ijk->ik", h.unit, tpa.cocycle, fld=a.fld), e)
-    lhs, rhs = _twisted_module_sides(h, tpa.action, tpa.cocycle, a.mult)
-    rb.compare("twisted_module", lhs, rhs)
+    rb.compare("twisted_module", *tpa.twisted_module_sides)
     lhs, rhs = _cocycle_identity_sides(h, tpa.action, tpa.cocycle, a.mult)
     rb.compare("cocycle_identity", lhs, rhs)
     return rb.build()
@@ -211,15 +223,9 @@ def trivial_cocycle_report(tpa: TwistedPartialAction) -> CheckReport:
     both equivalent phrasings: w(h, l) = h . (l . 1) and
     w(h, l) = (h_1 . 1)((h_2 l) . 1)."""
     rb = ReportBuilder("trivial cocycle")
-    h, a = tpa.hopf, tpa.alg
-    e = unit_translates(tpa)
-    rb.compare("trivial_cocycle_nested",
-               tpa.cocycle,
-               contract("jx,ixk->ijk", e, tpa.action, fld=a.fld))
-    rb.compare("trivial_cocycle_product",
-               tpa.cocycle,
-               contract("ipq,py,qjt,tz,yzk->ijk", h.comult, e, h.mult, e,
-                        a.mult, fld=a.fld))
+    rb.compare("trivial_cocycle_nested", tpa.cocycle, tpa.nested_unit_action)
+    rb.compare("trivial_cocycle_product", tpa.cocycle,
+               tpa.product_unit_action)
     return rb.build()
 
 
@@ -238,10 +244,8 @@ def verify_global(g: GlobalTwistedAction) -> CheckReport:
     rb = ReportBuilder("global twisted action")
     h, b = g.hopf, g.alg
     _action_axioms(rb, h, b, g.action)
-    rb.compare("unit_preserved",
-               contract("ija,j->ia", g.action, b.unit, fld=b.fld),
-               contract("i,a->ia", h.counit, b.unit, fld=b.fld))
     eps_unit = contract("i,a->ia", h.counit, b.unit, fld=b.fld)
+    rb.compare("unit_preserved", g.unit_translates, eps_unit)
     rb.compare("twist_normalized_left",
                contract("i,ijk->jk", h.unit, g.twist, fld=b.fld), eps_unit)
     rb.compare("twist_normalized_right",
@@ -270,9 +274,8 @@ def corner_twist(g: GlobalTwistedAction, e: np.ndarray) -> np.ndarray:
     b = g.alg
     ea = contract("pjb,j->pb", g.action, e, fld=b.fld)
     ea = contract("x,pb,xbc->pc", e, ea, b.mult, fld=b.fld)
-    s3 = split(g.hopf.coalgebra, 3)
     return contract("ipqr,juv,rvt,py,quz,yzw,tx,wxc->ijc",
-                    s3, g.hopf.comult, g.hopf.mult,
+                    g.hopf.coalgebra.split3, g.hopf.comult, g.hopf.mult,
                     ea, g.twist, b.mult, ea, b.mult, fld=b.fld)
 
 
@@ -319,9 +322,9 @@ def induce_partial(g: GlobalTwistedAction, e: np.ndarray,
                                what + " is not inside the corner subalgebra")
 
     unit_a = corner_coords(e, "the idempotent itself")
-    mult_a = corner_coords(
-        contract("ia,jb,abc->ijc", sect, sect, b.mult, fld=fld),
-        "product of corner basis {}, {}")
+    mult_a = restricted_product(
+        carrier, b.mult, ClosureViolation,
+        "product of corner basis {}, {} is not inside the corner subalgebra")
     alg_a = AlgebraData(fld, na, mult_a, unit_a)
 
     # e (h_p > corner basis j)
@@ -362,9 +365,9 @@ def verify_symmetric(tpa: TwistedPartialAction) -> CocycleInverse:
     h, a = tpa.hopf, tpa.alg
     fld = a.fld
     nh, na = h.dim, a.dim
-    c2 = tensor_square_coalgebra(h.coalgebra)
+    c2 = h.coalgebra.tensor_square
     n2 = nh * nh
-    e = unit_translates(tpa)
+    e = tpa.unit_translates
     rb = ReportBuilder("symmetric twisted partial action")
 
     f1 = contract("iy,j->ijy", e, h.counit, fld=fld).reshape(n2, na)
@@ -372,10 +375,8 @@ def verify_symmetric(tpa: TwistedPartialAction) -> CocycleInverse:
     rb.compare("unit_factor_central", *centrality(f1, c2, a))
     rb.compare("product_factor_central", *centrality(f2, c2, a))
 
-    lhs3 = contract("jy,iyk->ijk", e, tpa.action, fld=fld)
-    rhs3 = contract("ipq,py,qjt,tz,yzk->ijk", h.comult, e, h.mult, e, a.mult,
-                    fld=fld)
-    rb.compare("unit_action_factorizes", lhs3, rhs3)
+    rb.compare("unit_action_factorizes", tpa.nested_unit_action,
+               tpa.product_unit_action)
 
     corner = convolution(f1, f2, c2, a)
     w = tpa.cocycle.elements.reshape(n2, na)

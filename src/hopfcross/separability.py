@@ -29,8 +29,7 @@ from .checks import CheckReport, ReportBuilder
 from .crossed import CrossedProductAlgebra, require_coinvariants_are_base
 from .errors import (NormalizationFailed, NotCentral, NotCocommutative,
                      NotIntegral, PreconditionError)
-from .hopf import (centrality, is_cocommutative, left_integrals, split,
-                   tensor_square_coalgebra)
+from .hopf import centrality, is_cocommutative, left_integrals
 from .linalg import (contract, coords_in, coords_or_raise, is_zero,
                      kernel_basis, solve, span)
 from .partial import TwistedPartialAction
@@ -40,17 +39,18 @@ from .partial import TwistedPartialAction
 class CleftData:
     """A crossed product with a section/cosection pair.
 
-    ``action`` keeps the measuring of the base algebra; the centralizer
-    and separability formulas quantify over terms like S(h) . 1 that
-    cannot be recovered from the maps alone.  The two maps are kept as
-    read-only copies, so ``cleft_report``, verify_partially_cleft of the
-    datum, is computed once and kept.
+    ``tpa`` is the twisted partial action that ``cp`` is the crossed
+    product of: the centralizer and separability formulas quantify over
+    terms like S(h) . 1 that cannot be recovered from the maps alone,
+    and read the action and its unit translates from it.  The two maps
+    are kept as read-only copies, so ``cleft_report``,
+    verify_partially_cleft of the datum, is computed once and kept.
     """
 
     cp: CrossedProductAlgebra
     gamma: np.ndarray          # (dim H, dim R)
     gamma_prime: np.ndarray
-    action: np.ndarray         # (dim H, dim A, dim A)
+    tpa: TwistedPartialAction
 
     def __post_init__(self):
         for name in ("gamma", "gamma_prime"):
@@ -73,12 +73,11 @@ def default_cleft(tpa: TwistedPartialAction,
     crossed product cp of tpa, with gamma' = gamma after the
     antipode."""
     h, a = tpa.hopf, tpa.alg
-    e = contract("ija,j->ia", tpa.action, a.unit, fld=a.fld)
-    amb = contract("jpq,px->jxq", h.comult, e,
+    amb = contract("jpq,px->jxq", h.comult, tpa.unit_translates,
                    fld=a.fld).reshape(h.dim, a.dim * h.dim)
     gamma = coords_or_raise(cp.basis, amb, ValueError,
                             "unit section of basis element {} left the span")
-    return CleftData(cp, gamma, h.antipode.elements @ gamma, tpa.action)
+    return CleftData(cp, gamma, h.antipode.elements @ gamma, tpa)
 
 
 def _conv_product(cd: CleftData) -> np.ndarray:
@@ -125,8 +124,7 @@ def verify_partially_cleft(cd: CleftData) -> CheckReport:
         q2 = contract("ijt,yt->ijy", h.mult, qa,
                       fld=fld).reshape(nh * nh, cp.base.dim)
         rb.compare("product_convolution_central",
-                   *centrality(q2, tensor_square_coalgebra(h.coalgebra),
-                               cp.base))
+                   *centrality(q2, h.coalgebra.tensor_square, cp.base))
     else:
         rb.note("centrality of the section product was skipped because the "
                 "product does not land in the embedded base")
@@ -167,14 +165,12 @@ def verify_centralizer_identity(cd: CleftData, c: np.ndarray) -> CheckReport:
     c = np.asarray(c)
     if coords_in(cen, c) is None:
         raise NotCentral("the element does not centralize the embedded base")
-    e = contract("ija,j->ia", cd.action, cp.base.unit, fld=fld)
-    iota_es = (h.antipode.elements @ e) @ cp.iota
-    s3 = split(h.coalgebra, 3)
+    iota_es = (h.antipode.elements @ cd.tpa.unit_translates) @ cp.iota
     mult = cp.algebra.mult
     t1 = contract("pa,b,abm->pm", cd.gamma_prime, c, mult, fld=fld)
     t2 = contract("pm,qc,mcn->pqn", t1, iota_es, mult, fld=fld)
     t3 = contract("pqn,rd,ndk->pqrk", t2, cd.gamma, mult, fld=fld)
-    e1 = contract("ipqr,pqrk->ik", s3, t3, fld=fld)
+    e1 = contract("ipqr,pqrk->ik", h.coalgebra.split3, t3, fld=fld)
     gs = h.antipode.elements @ cd.gamma
     gps = h.antipode.elements @ cd.gamma_prime
     t = contract("qa,b,abm->qm", gs, c, mult, fld=fld)
@@ -186,7 +182,8 @@ def verify_centralizer_identity(cd: CleftData, c: np.ndarray) -> CheckReport:
         rb.note("the element is outside the embedded base, so the comparison "
                 "with the measured value does not apply")
     else:
-        acted = contract("ij,b,jba->ia", h.antipode, c_a, cd.action, fld=fld)
+        acted = contract("ij,b,jba->ia", h.antipode, c_a, cd.tpa.action,
+                         fld=fld)
         rb.compare("conjugation_equals_action", e2, acted @ cp.iota)
     return rb.build()
 
@@ -234,16 +231,15 @@ def separability_idempotent(cd: CleftData, t: np.ndarray, c: np.ndarray):
     if not np.array_equal(contract("b,bjk->jk", c, a.mult, fld=fld),
                           contract("b,jbk->jk", c, a.mult, fld=fld)):
         raise NotCentral("the chosen element is not central in the base")
-    normalized = contract("i,b,iba->a", t, c, cd.action, fld=fld)
+    normalized = contract("i,b,iba->a", t, c, cd.tpa.action, fld=fld)
     if not np.array_equal(normalized, a.unit.elements):
         raise NormalizationFailed(
             f"the integral does not collapse the element to the unit: got "
             f"{tuple(normalized)}")
 
     u = t @ h.antipode.elements
-    w = contract("i,ipqr->pqr", u, split(h.coalgebra, 3), fld=fld)
-    e = contract("ija,j->ia", cd.action, a.unit, fld=fld)
-    iota_es = (h.antipode.elements @ e) @ cp.iota
+    w = contract("i,ipqr->pqr", u, h.coalgebra.split3, fld=fld)
+    iota_es = (h.antipode.elements @ cd.tpa.unit_translates) @ cp.iota
     iota_c = c @ cp.iota
     mult = cp.algebra.mult
     first = contract("pa,b,abm,qc,mcn->pqn", cd.gamma_prime, iota_c, mult,

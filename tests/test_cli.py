@@ -12,13 +12,16 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import pytest
+
 import hopfcross
 from hopfcross import cli
 from hopfcross.crossed import (balanced_tensor_square, build_global_crossed,
                                build_partial_crossed)
 from hopfcross.gauge import gauge_transform
 from hopfcross.globalize import globalize_group_partial
-from hopfcross.hopf import verify_algebra
+from hopfcross.hopf import split, verify_algebra
+from hopfcross.linalg import contract
 from hopfcross.partial import verify_crossed_conditions, verify_global
 from hopfcross.separability import (check_separable_extension,
                                     verify_partially_cleft)
@@ -182,13 +185,14 @@ def test_report_runs_everything_on_the_gauge_fixture():
     assert a.stdout == b.stdout
 
 
-def _record_calls(monkeypatch, fn):
+def _record_calls(monkeypatch, fn, key=lambda args: args[0]):
     """Rebind fn in every hopfcross module that imports it to a wrapper
-    that records the first argument of each call; returns that list."""
+    that records key(args) of each call, by default the first argument;
+    returns that list."""
     seen = []
 
     def wrapper(*args, **kwargs):
-        seen.append(args[0])
+        seen.append(key(args))
         return fn(*args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
@@ -237,6 +241,37 @@ def test_report_computes_each_verifier_report_once(monkeypatch):
     assert len(gauged) == 1
     assert len({id(t) for t in crossed_conditions}) == 2
     assert len(crossed_conditions) == 2
+
+
+# The contractions that build the tensors an action or a coalgebra holds:
+# the unit translates h . 1, both sides of the twisted module identity,
+# the nested and the product unit action, and the tensor square.
+DERIVED_TENSOR_SPECS = (
+    "ija,j->ia",
+    "ipq,jrs,rax,pxy,qsz,yzk->ijak",
+    "ipq,jrs,pry,qst,taz,yzk->ijak",
+    "jx,ixk->ijk",
+    "ipq,py,qjt,tz,yzk->ijk",
+    "iab,jcd->ijacbd",
+)
+
+
+@pytest.mark.parametrize("name", ["f_c3.json", "f_coc_1.json", "f_coc_2.json"])
+def test_report_derives_each_tensor_once_per_owner(monkeypatch, name):
+    # f_c3 runs up to the Morita stage, f_coc_1 the separability stage and
+    # f_coc_2 the gauge stage.  No contraction that builds a derived tensor
+    # runs twice on the same operands, and the double coproduct is split
+    # once per coalgebra.  The recorded calls keep their operands alive,
+    # so no two distinct operands share an id.
+    contractions = _record_calls(monkeypatch, contract, key=lambda args: args)
+    splits = _record_calls(monkeypatch, split, key=lambda args: args)
+    cli.run("report", load_spec(data_path(name)))
+    derived = [(args[0], tuple(map(id, args[1:]))) for args in contractions
+               if args[0] in DERIVED_TENSOR_SPECS]
+    assert {spec for spec, _ in derived} >= {"ija,j->ia", "jx,ixk->ijk"}
+    assert len(derived) == len(set(derived))
+    doubles = [id(c) for c, n in splits if n == 3]
+    assert doubles and len(doubles) == len(set(doubles))
 
 
 def _public_functions():
@@ -329,6 +364,32 @@ def test_no_module_has_an_unused_import():
             unused += [f"{path.parent.name}/{path.name}: {name}"
                        for name in bound if name not in read]
     assert unused == []
+
+
+def _package_nodes():
+    """(module file name, node) for every AST node of the package."""
+    package = Path(__file__).resolve().parents[1] / "src" / "hopfcross"
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            yield path.name, node
+
+
+def test_no_assert_statement_in_the_package():
+    # python -O strips assert statements, so bad input is rejected by
+    # explicit errors instead
+    assert [f"{name}:{node.lineno}" for name, node in _package_nodes()
+            if isinstance(node, ast.Assert)] == []
+
+
+def test_contract_is_the_one_einsum_kernel():
+    # every contraction goes through linalg.contract, the one module that
+    # calls np.einsum
+    calls = [(name, node.lineno) for name, node in _package_nodes()
+             if isinstance(node, ast.Call)
+             and "einsum" in (getattr(node.func, "attr", None),
+                              getattr(node.func, "id", None))]
+    assert [c for c in calls if c[0] != "linalg.py"] == []
+    assert calls        # the guard sees the kernel's own calls
 
 
 def test_missing_file_is_an_input_error():

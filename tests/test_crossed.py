@@ -234,7 +234,7 @@ def test_closure_error_names_the_first_product_in_loop_order():
     cocycle[1, 1, 1] += 2
     broken = TwistedPartialAction(t.hopf, t.alg, action, cocycle)
     with pytest.raises(ClosureViolation) as info:
-        crossed._build(broken.hopf, broken.alg, broken.action, broken.cocycle)
+        crossed._build(broken, broken.cocycle)
     assert str(info.value) == \
         "product of crossed basis elements 1 and 3 leaves the span"
 
@@ -255,3 +255,22 @@ def test_builders_refuse_data_that_fails_their_conditions():
     assert str(info.value) == (
         "input fails the global twisted action axioms: "
         "global twisted action: FAIL (6 violations)")
+
+
+def test_builder_counts_an_identity_both_reports_check_once():
+    # the axioms and the crossed-product conditions both check the twisted
+    # module identity; its 4 violations count once in the 14, not twice
+    t = c3_partial()
+    action = np.array(t.action)
+    action[0, 0, 0] += 1
+    broken = dataclasses.replace(t, action=action)
+    shared = [[v for v in rep.violations if v.identity == "twisted_module"]
+              for rep in (broken.axioms_report, broken.conditions_report)]
+    assert len(shared[0]) == 4 and shared[0] == shared[1]
+    assert (len(broken.axioms_report.violations)
+            + len(broken.conditions_report.violations)) == 18
+    with pytest.raises(PreconditionError) as info:
+        build_partial_crossed(broken)
+    assert str(info.value) == (
+        "input fails the crossed product conditions: "
+        "twisted partial action: FAIL (14 violations)")

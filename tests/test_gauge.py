@@ -21,8 +21,7 @@ from hopfcross.gauge import (GaugePair, gauge_crossed_iso, gauge_transform,
                              verify_equisatisfiability,
                              verify_gauge_composition, weak_conv_inverse)
 from hopfcross.linalg import arr, eqarr, identity
-from hopfcross.partial import (unit_translates, verify_crossed_conditions,
-                               verify_twisted_partial)
+from hopfcross.partial import verify_crossed_conditions, verify_twisted_partial
 
 QQ = Field.rationals()
 F5 = Field.prime(5)
@@ -144,7 +143,7 @@ def test_unit_translate_gauge_fixes_main_fixture():
     # e itself is a gauge; it is self inverse and conjugating by it
     # leaves both the action and the cocycle untouched
     tpa = c3_partial()
-    e = unit_translates(tpa)
+    e = tpa.unit_translates
     pair = weak_conv_inverse(e, tpa)
     assert pair is not None
     assert not pair.fully_invertible

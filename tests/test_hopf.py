@@ -28,8 +28,7 @@ from hopfcross.hopf import (AlgebraData, CoalgebraData, HopfAlgebraData,
                             split, verify_algebra, verify_coalgebra,
                             verify_hopf)
 from hopfcross.linalg import Exact, arr, eqarr, identity, zeros
-from hopfcross.partial import (GlobalTwistedAction, TwistedPartialAction,
-                               unit_translates)
+from hopfcross.partial import GlobalTwistedAction, TwistedPartialAction
 
 QQ = Field.rationals()
 F5 = Field.prime(5)
@@ -190,7 +189,7 @@ def test_centrality_check_converts_only_the_maps(monkeypatch):
     tpa = c3_partial()
     c, a = tpa.hopf.coalgebra, tpa.alg
     assert isinstance(c.comult, Exact) and isinstance(a.mult, Exact)
-    f = unit_translates(tpa)
+    f = tpa.unit_translates
     converted = []
     integers = linalg._integers
 

@@ -20,7 +20,7 @@ from hopfcross.linalg import arr, eqarr, identity, zeros
 from hopfcross.partial import (GlobalTwistedAction, TwistedPartialAction,
                                central_idempotent_report, induce_partial,
                                is_trivial_cocycle, unit_translate_map,
-                               unit_translates, verify_absorption,
+                               verify_absorption,
                                verify_crossed_conditions, verify_global,
                                verify_symmetric, verify_twisted_partial)
 
@@ -126,7 +126,7 @@ def test_trivial_cocycle_detection():
 
 
 def test_unit_translates_of_main_fixture():
-    e = unit_translates(c3_partial())
+    e = c3_partial().unit_translates
     assert eqarr(e, arr(QQ, [[1, 1], [0, 1], [1, 0]]))
 
 

@@ -72,7 +72,7 @@ def test_doctored_section_fails_unit_value():
     cd = cleft(cocycle_pair(1))
     g = cd.gamma.copy()
     g[0] = arr(QQ, [1, 1])
-    rep = verify_partially_cleft(CleftData(cd.cp, g, cd.gamma_prime, cd.action))
+    rep = verify_partially_cleft(CleftData(cd.cp, g, cd.gamma_prime, cd.tpa))
     assert not rep.identity_passed("unit_value")
 
 
@@ -83,7 +83,7 @@ def test_section_product_outside_the_base_is_pinned():
     g = cd.gamma.copy()
     g[1], g[2] = arr(QQ, [1, 1, 0, 0]), arr(QQ, [0, 1, 1, 0])
     rep = verify_partially_cleft(CleftData(cd.cp, g, cd.gamma_prime,
-                                           cd.action))
+                                           cd.tpa))
     assert [v for v in rep.to_dict(QQ)["violations"]
             if v["identity"] == "product_valued_in_base"] == [
         {"identity": "product_valued_in_base", "index": [1],
