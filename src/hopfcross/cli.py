@@ -75,7 +75,8 @@ class Pipeline:
 
     @cached_property
     def gauge_pair(self):
-        """The spec's gauge with its weak inverse, or None without one."""
+        """The spec's gauge with its weak inverse, or None when the gauge
+        has no weak inverse; a spec without a gauge raises SpecFileError."""
         tpa = self.tpa      # a missing action is reported first
         if self.spec.gauge is None:
             raise SpecFileError("missing object 'gauge'")

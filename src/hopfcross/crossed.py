@@ -59,8 +59,7 @@ class CrossedProductAlgebra:
 
     The check of the table, the coinvariants, the base image, the
     balanced tensor square and the canonical map are pure functions of
-    these fields; the properties below compute each once, through its
-    module function, and keep it.
+    these fields; the properties below compute each once and keep it.
     """
 
     hopf: HopfAlgebraData
@@ -78,26 +77,22 @@ class CrossedProductAlgebra:
     def dim(self):
         return self.algebra.dim
 
-    def multiply(self, x, y):
-        return self.algebra.mul(x, y)
-
-    def embed_base(self, a):
-        return a @ self.iota
-
-    def to_ambient(self, x):
-        return x @ self.basis.rows
-
     @cached_property
     def algebra_report(self) -> CheckReport:
         return verify_algebra(self.algebra)
 
     @cached_property
     def coinvariant_space(self) -> SubspaceBasis:
-        return coinvariants(self)
+        """The x with coaction x (x) 1, in the crossed product's basis."""
+        d, nh = self.dim, self.hopf.dim
+        m = self.coaction.reshape(d, d, nh) - contract(
+            "rk,s->rks", identity(self.fld, d), self.hopf.unit, fld=self.fld)
+        return span(kernel_basis(m.reshape(d, d * nh).T, self.fld), d,
+                    self.fld)
 
     @cached_property
     def base_space(self) -> SubspaceBasis:
-        return base_image(self)
+        return span(self.iota, self.dim, self.fld)
 
     @cached_property
     def balanced_square(self) -> QuotientSpace:
@@ -225,20 +220,6 @@ def comodule_coaction(cp: CrossedProductAlgebra):
     """
     rep = verify_coaction(cp).merged(verify_coinvariants_are_base(cp))
     return cp.coaction, cp.coinvariant_space, rep
-
-
-def coinvariants(cp: CrossedProductAlgebra) -> SubspaceBasis:
-    """Elements x with coaction x (x) 1, as a subspace of the crossed
-    product in its own basis."""
-    d, nh = cp.dim, cp.hopf.dim
-    m = cp.coaction.reshape(d, d, nh) - contract(
-        "rk,s->rks", identity(cp.fld, d), cp.hopf.unit, fld=cp.fld)
-    rows = kernel_basis(m.reshape(d, d * nh).T, cp.fld)
-    return span(rows, d, cp.fld)
-
-
-def base_image(cp: CrossedProductAlgebra) -> SubspaceBasis:
-    return span(cp.iota, cp.dim, cp.fld)
 
 
 def verify_coinvariants_are_base(cp: CrossedProductAlgebra) -> CheckReport:

@@ -266,7 +266,7 @@ class Field:
         """Build a descriptor from its wire name: "rational" or "prime:<p>"."""
         if name == "rational":
             return cls.rationals()
-        if name.startswith("prime:"):
+        if isinstance(name, str) and name.startswith("prime:"):
             try:
                 p = int(name.split(":", 1)[1])
             except ValueError:

@@ -134,14 +134,18 @@ def gauge_crossed_iso(pair: GaugePair, cp: CrossedProductAlgebra,
     nh, na = h.dim, a.dim
     rb = ReportBuilder("gauge isomorphism of crossed products")
 
-    def induced(src, dst, f):
-        amb = contract("pqt,qx,ixm->ipmt", h.comult, f, a.mult,
-                       fld=fld).reshape(na * nh, na * nh)
+    def ambient(f):
+        """a (x) h |-> a f(h_1) (x) h_2 on all of A (x) H."""
+        return contract("pqt,qx,ixm->ipmt", h.comult, f, a.mult,
+                        fld=fld).reshape(na * nh, na * nh)
+
+    def induced(src, dst, amb):
         mat, misses = coords_in_many(
             dst.basis, contract("xa,ab->xb", src.basis.rows, amb, fld=fld))
         return None if misses else mat
 
-    phi = induced(cpv, cp, pair.v)
+    amb_v = ambient(pair.v)
+    phi = induced(cpv, cp, amb_v)
     if phi is None:
         rb.require("lands_in_target_span", False)
         return zeros(fld, (cpv.dim, cp.dim)), rb.build()
@@ -153,14 +157,14 @@ def gauge_crossed_iso(pair: GaugePair, cp: CrossedProductAlgebra,
     rk = rank(phi, fld)
     rb.require("bijective", cpv.dim == cp.dim and rk == cp.dim,
                lhs=(rk,), rhs=(cp.dim,))
-    psi = induced(cp, cpv, pair.v_inv)
+    psi = induced(cp, cpv, ambient(pair.v_inv))
     if psi is None:
         rb.require("inverse_lands_in_source_span", False)
     else:
         rb.compare("inverse_after_map", phi @ psi, identity(fld, cpv.dim))
         rb.compare("map_after_inverse", psi @ phi, identity(fld, cp.dim))
 
-    fwd = induced(cp, cpv, pair.v)
+    fwd = induced(cp, cpv, amb_v)
     if fwd is None:
         rb.note("the same formula read from the original crossed product "
                 "does not even land in the gauged one")

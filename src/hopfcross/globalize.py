@@ -19,6 +19,7 @@ front.  The finished construction is not verified here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,8 +28,8 @@ from .errors import PreconditionError
 from .hopf import AlgebraData, convolution_algebra, multiplicativity
 from .linalg import (SubspaceBasis, contract, coords_in_many, coords_or_raise,
                      identity, rank, restricted_product, solve, span)
-from .partial import (GlobalTwistedAction, TwistedPartialAction,
-                      central_idempotent_report, corner_twist, induce_partial,
+from .partial import (GlobalTwistedAction, TwistedPartialAction, _induce,
+                      central_idempotent_report, corner_twist,
                       is_trivial_cocycle)
 
 
@@ -44,6 +45,9 @@ class EnvelopingAction:
         glob: the global action in carrier coordinates.
         theta: matrix of the embedding of the base algebra, in carrier
             coordinates.
+
+    theta(1), its central-idempotent report and its corner twist are
+    each computed once, on first use.
     """
 
     source: TwistedPartialAction
@@ -52,9 +56,17 @@ class EnvelopingAction:
     glob: GlobalTwistedAction
     theta: np.ndarray
 
-    @property
-    def theta_one(self):
+    @cached_property
+    def theta_one(self) -> np.ndarray:
         return self.source.alg.unit.elements @ self.theta
+
+    @cached_property
+    def corner_report(self) -> CheckReport:
+        return central_idempotent_report(self.glob.alg, self.theta_one)
+
+    @cached_property
+    def corner_twist(self) -> np.ndarray:
+        return corner_twist(self.glob, self.theta_one)
 
 
 def globalize_group_partial(tpa: TwistedPartialAction) -> EnvelopingAction:
@@ -143,7 +155,7 @@ def verify_enveloping(env: EnvelopingAction) -> CheckReport:
                       "in image")
 
     one = env.theta_one
-    rb.absorb(central_idempotent_report(b, one), "corner_")
+    rb.absorb(env.corner_report, "corner_")
 
     lhs = contract("gjm,mB->gjB", tpa.action, th, fld=fld)
     rhs = contract("jC,gCD,E,EDB->gjB", th, env.glob.action, one, b.mult,
@@ -160,7 +172,7 @@ def verify_enveloping(env: EnvelopingAction) -> CheckReport:
     # theta(1).  When theta(1) is the unit of B this is the plain
     # statement theta(a w(p, q)) = theta(a) u(p, q).
     w = tpa.cocycle
-    ut = corner_twist(env.glob, one)
+    ut = env.corner_twist
     lhs = contract("pqz,izm,mB->ipqB", w, tpa.alg.mult, th, fld=fld)
     rhs = contract("iB,pqC,BCD->ipqD", th, ut, b.mult, fld=fld)
     rb.compare("twist_compatible_right", lhs, rhs)
@@ -174,14 +186,12 @@ def verify_induced_matches(env: EnvelopingAction) -> CheckReport:
     """Induce a partial action back from the global one on the corner of
     theta(1) and compare it, through theta, with the original."""
     rb = ReportBuilder("induced partial action")
-    one = env.theta_one
-    # induce_partial refuses a corner generator that is not a central
-    # idempotent; report that instead, as verify_enveloping does
-    cr = central_idempotent_report(env.glob.alg, one)
-    if not cr.passed:
-        rb.absorb(cr, "corner_")
+    # a corner is induced only from a central idempotent; report a
+    # failure instead, as verify_enveloping does
+    if not env.corner_report.passed:
+        rb.absorb(env.corner_report, "corner_")
         return rb.build()
-    ind = induce_partial(env.glob, one)
+    ind = _induce(env.glob, env.theta_one, env.corner_twist, True)
     tpa = env.source
     fld = tpa.fld
     na = tpa.alg.dim

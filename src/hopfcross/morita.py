@@ -29,6 +29,7 @@ on the 2- and 4-dimensional k^{S3} corners, where the six took 8.2 s,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -114,6 +115,15 @@ class MoritaContextData:
     bimodule_m: SubspaceBasis
     bimodule_n: SubspaceBasis
 
+    @cached_property
+    def pair_tables(self) -> tuple:
+        """(rm, ms, nr, sn): the row products phi(R) M, M S, N phi(R) and
+        S N at (left row, right row, :), which both verifiers read."""
+        s, m, n = self.global_cp, self.bimodule_m.rows, self.bimodule_n.rows
+        eye = identity(s.fld, s.dim)
+        return (_prod(s, self.phi, m), _prod(s, m, eye),
+                _prod(s, n, self.phi), _prod(s, eye, n))
+
 
 def morita_context(env: EnvelopingAction, r: CrossedProductAlgebra,
                    s: CrossedProductAlgebra) -> MoritaContextData:
@@ -149,9 +159,7 @@ def verify_module_structures(ctx: MoritaContextData) -> CheckReport:
     m, n = ctx.bimodule_m, ctx.bimodule_n
     s_eye = identity(fld, s.dim)
     r_img = ctx.phi
-
-    ms, rm = _prod(s, m.rows, s_eye), _prod(s, r_img, m.rows)
-    sn, nr = _prod(s, s_eye, n.rows), _prod(s, n.rows, r_img)
+    rm, ms, nr, sn = ctx.pair_tables
     for name, table, sub in [("m_closed_right_ring", ms, m),
                              ("m_closed_left_embedded", rm, m),
                              ("n_closed_left_ring", sn, n),
@@ -195,16 +203,13 @@ def verify_morita_pairings(ctx: MoritaContextData) -> MoritaPairingResult:
     fld = s.fld
     m, n = ctx.bimodule_m, ctx.bimodule_n
     phi_image = span(ctx.phi, s.dim, fld)
-    r_img = ctx.phi
-    s_eye = identity(fld, s.dim)
 
     mn = _prod(s, m.rows, n.rows)
     nm = _prod(s, n.rows, m.rows)
     rb.require_inside("tau_lands_in_embedded", mn, phi_image,
                       "inside the embedded ring")
 
-    nr, rm = _prod(s, n.rows, r_img), _prod(s, r_img, m.rows)
-    ms, sn = _prod(s, m.rows, s_eye), _prod(s, s_eye, n.rows)
+    rm, ms, nr, sn = ctx.pair_tables
     rb.compare("sigma_balanced_over_embedded",
                *_associativity(s, nr, m.rows, n.rows, rm))
     rb.compare("tau_balanced_over_ring",

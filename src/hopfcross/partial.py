@@ -289,7 +289,6 @@ class InducedPartialAction:
 
     tpa: TwistedPartialAction
     carrier: SubspaceBasis
-    idempotent: np.ndarray
 
 
 def induce_partial(g: GlobalTwistedAction, e: np.ndarray,
@@ -304,12 +303,18 @@ def induce_partial(g: GlobalTwistedAction, e: np.ndarray,
     cannot happen when the global axioms hold).  With ``check`` the
     result is also run through verify_twisted_partial.
     """
-    b, e = g.alg, np.asarray(e)
-    fld = b.fld
-    cr = central_idempotent_report(b, e)
+    e = np.asarray(e)
+    cr = central_idempotent_report(g.alg, e)
     if not cr.passed:
         raise NotCentralIdempotent(
             "corner generator is not a central idempotent: " + cr.summary())
+    return _induce(g, e, corner_twist(g, e), check)
+
+
+def _induce(g, e, twist, check):
+    """induce_partial past its guard, with the corner twist of e given."""
+    b = g.alg
+    fld = b.fld
     rows = contract("i,ijk->jk", e, b.mult, fld=fld)  # row j = e * b_j
     carrier = span(rows, b.dim, fld)
     na = carrier.dim
@@ -330,12 +335,12 @@ def induce_partial(g: GlobalTwistedAction, e: np.ndarray,
     # e (h_p > corner basis j)
     acted = contract("x,jb,pbc,xcd->pjd", e, sect, g.action, b.mult, fld=fld)
     action_a = corner_coords(acted, "induced action at ({}, {})")
-    cocycle_a = corner_coords(corner_twist(g, e), "induced cocycle at ({}, {})")
+    cocycle_a = corner_coords(twist, "induced cocycle at ({}, {})")
     tpa = TwistedPartialAction(g.hopf, alg_a, action_a, cocycle_a)
     if check and not tpa.axioms_report.passed:
         raise PreconditionError("induced data fails the partial axioms: "
                                 + tpa.axioms_report.summary())
-    return InducedPartialAction(tpa, carrier, e)
+    return InducedPartialAction(tpa, carrier)
 
 
 # ---------------------------------------------------------------------------

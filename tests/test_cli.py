@@ -2,17 +2,23 @@
 exit codes, JSON determinism, and the text renderer."""
 
 import ast
+import contextlib
 import importlib
 import inspect
+import io
 import json
 import pkgutil
 import re
 import subprocess
 import sys
+import tempfile
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hopfcross
 from hopfcross import cli
@@ -28,6 +34,7 @@ from hopfcross.separability import (check_separable_extension,
 from hopfcross.specfile import load_spec
 
 DATA = resources.files("hopfcross") / "data"
+BUNDLED = sorted(p.name for p in DATA.iterdir() if p.name.endswith(".json"))
 
 
 def run_cli(*args):
@@ -274,6 +281,23 @@ def test_report_derives_each_tensor_once_per_owner(monkeypatch, name):
     assert doubles and len(doubles) == len(set(doubles))
 
 
+@pytest.mark.parametrize("name", BUNDLED)
+def test_no_command_repeats_a_contraction(monkeypatch, capsys, name):
+    # every object a command reads is built once, so no contraction runs
+    # twice on the same operands within one command.  The recorded calls
+    # keep their operands alive, so no two distinct operands share an id.
+    contractions = _record_calls(monkeypatch, contract, key=lambda args: args)
+    repeated = {}
+    for command in cli.COMMANDS:
+        contractions.clear()
+        cli.main([command, data_path(name), "--format", "json"])
+        keys = Counter((args[0], tuple(map(id, args[1:])))
+                       for args in contractions)
+        repeated[command] = sorted({spec for (spec, _), n in keys.items()
+                                    if n > 1})
+    assert repeated == {command: [] for command in cli.COMMANDS}
+
+
 def _public_functions():
     """(qualified name, function) for every public function and public
     method defined in a hopfcross module."""
@@ -408,6 +432,71 @@ def test_malformed_file_is_an_input_error(tmp_path):
 def test_unknown_field_is_an_input_error():
     res = run_cli("verify", data_path("f_c3.json"), "--field", "real")
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("value", [5, None, True, 1.5, ["rational"],
+                                   {"name": "rational"}])
+def test_field_descriptor_that_is_not_a_string_is_an_input_error(
+        tmp_path, value):
+    doc = json.loads((DATA / "f_c3.json").read_text())
+    doc["field"] = value
+    p = tmp_path / "field.json"
+    p.write_text(json.dumps(doc))
+    res = run_cli("verify", str(p))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: field:")
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+def _nodes(doc, path=()):
+    """The path of every node of a parsed JSON document, the root first."""
+    yield path
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                 st.floats(-4, 4), st.text(max_size=4),
+                 st.sampled_from([[], {}, "1/0", "3 mod 7"]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.data())
+def test_one_mutation_of_a_bundled_file_gives_a_report_or_an_input_error(
+        data):
+    # delete a key or put junk in place of one value, anywhere in a
+    # bundled file; every command answers with an explicit input error
+    # (exit 2) or with a report whose verdict is the exit code, never
+    # with a traceback
+    name = data.draw(st.sampled_from(BUNDLED))
+    command = data.draw(st.sampled_from(cli.COMMANDS))
+    doc = json.loads((DATA / name).read_text())
+    top = data.draw(st.booleans())
+    path = data.draw(st.sampled_from(
+        [q for q in _nodes(doc) if (len(q) == 1) == top and q]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(JUNK)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / name
+        p.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, str(p), "--format", "json"])
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+        assert json.loads(out.getvalue())["passed"] is (code == 0)
 
 
 def test_parallel_option_is_gone():

@@ -194,7 +194,7 @@ def test_separability_element_of_main_fixture_fails_honestly():
     # the element collapses to the embedded centre element, not the unit
     collapsed = collapse(cd.cp, elem.lift)
     assert eqarr(collapsed, arr(QQ, ["1/2", 0, "1/2", 0]))
-    assert eqarr(collapsed, cd.cp.embed_base(arr(QQ, ["1/2", "1/2"])))
+    assert eqarr(collapsed, arr(QQ, ["1/2", "1/2"]) @ cd.cp.iota)
 
 
 def test_separability_requires_integral():
