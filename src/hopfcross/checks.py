@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SubspaceBasis, coords_in_many
+from .linalg import (SubspaceBasis, as_exact, coords_in_many, equal_entries,
+                     field_of)
 
 
 @dataclass(frozen=True)
@@ -98,16 +99,20 @@ class ReportBuilder:
 
         All leading axes are basis indices; every index tuple at which the
         output vectors differ becomes one violation, in row-major order.
+        The entries are compared as integers; field elements are built
+        only for violating rows.  FieldMismatchError across two fields.
         """
-        lhs, rhs = np.asarray(lhs), np.asarray(rhs)
-        if lhs.shape != rhs.shape:
-            raise ValueError(
-                f"{identity}: shape mismatch {lhs.shape} vs {rhs.shape}")
+        if np.shape(lhs) != np.shape(rhs):
+            raise ValueError(f"{identity}: shape mismatch "
+                             f"{np.shape(lhs)} vs {np.shape(rhs)}")
         self._identities.append(identity)
-        differ = ~(lhs == rhs).all(axis=-1)
+        fld = field_of(lhs, rhs)
+        lhs, rhs = as_exact(lhs, fld), as_exact(rhs, fld)
+        differ = ~equal_entries(lhs, rhs).all(axis=-1)
         for idx in map(tuple, np.argwhere(differ).tolist()):
-            self._violations.append(
-                Violation(identity, idx, tuple(lhs[idx]), tuple(rhs[idx])))
+            self._violations.append(Violation(
+                identity, idx, tuple(lhs[idx].elements),
+                tuple(rhs[idx].elements)))
 
     def require(self, identity: str, ok: bool, index=(), lhs=(), rhs=()):
         """Record a single named yes/no check."""
@@ -115,15 +120,16 @@ class ReportBuilder:
         if not ok:
             self._violations.append(Violation(identity, tuple(index), tuple(lhs), tuple(rhs)))
 
-    def require_inside(self, identity: str, table: np.ndarray,
-                       sub: SubspaceBasis, where: str):
+    def require_inside(self, identity: str, table, sub: SubspaceBasis,
+                       where: str):
         """Check that every vector on the last axis of ``table`` lies in the
         subspace ``sub``: each one outside is a violation at its index in
         the leading axes, with the vector as lhs and ``where`` as rhs."""
         self._identities.append(identity)
+        table = as_exact(table, sub.fld)
         for index in coords_in_many(sub, table)[1]:
-            self._violations.append(
-                Violation(identity, index, tuple(table[index]), (where,)))
+            self._violations.append(Violation(
+                identity, index, tuple(table[index].elements), (where,)))
 
     def note(self, text: str):
         self._notes.append(text)

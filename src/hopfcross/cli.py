@@ -232,7 +232,7 @@ def _cmd_separability(p):
         elem, build_report, conditions = separability_idempotent(
             cd, spec.integral_t, spec.center_c)
         reports += [build_report, conditions]
-        derived["element_lift"] = [spec.fld.format(x) for x in elem.lift]
+        derived["element_lift"] = _emit(spec.fld, elem.lift)
         derived["element_coordinates"] = [
             spec.fld.format(x) for x in elem.coordinates]
     except HopfcrossError as exc:

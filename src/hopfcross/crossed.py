@@ -137,7 +137,8 @@ def _build(t: TwistedPartialAction | GlobalTwistedAction,
         "coaction of basis element {} leaves the span")
     coaction = coaction.transpose(0, 2, 1).reshape(d, d * nh)
 
-    return CrossedProductAlgebra(hopf, alg, basis, algebra, iota, coaction)
+    return CrossedProductAlgebra(hopf, alg, basis, algebra, iota.elements,
+                                 coaction.elements)
 
 
 def build_partial_crossed(tpa: TwistedPartialAction) -> CrossedProductAlgebra:
@@ -251,8 +252,9 @@ def balanced_tensor_square(cp: CrossedProductAlgebra) -> QuotientSpace:
     x iota(a) (x) y - x (x) iota(a) y over all basis triples."""
     d, na = cp.dim, cp.base.dim
     eye, mult = identity(cp.fld, d), cp.algebra.mult
-    rels = (contract("ak,xkm,yn->xaymn", cp.iota, mult, eye, fld=cp.fld)
-            - contract("xm,ak,kyn->xaymn", eye, cp.iota, mult, fld=cp.fld))
+    rels = np.subtract(
+        contract("ak,xkm,yn->xaymn", cp.iota, mult, eye, fld=cp.fld),
+        contract("xm,ak,kyn->xaymn", eye, cp.iota, mult, fld=cp.fld))
     return quotient(d * d, rels.reshape(d * na * d, d * d), cp.fld)
 
 

@@ -23,7 +23,8 @@ from .crossed import CrossedProductAlgebra
 from .errors import CompositeNotGauge
 from .hopf import (convolution, convolution_unit, inverse_equations,
                    multiplicativity, split)
-from .linalg import contract, coords_in_many, identity, rank, solve, zeros
+from .linalg import (contract, coords_in_many, eqarr, identity, rank, solve,
+                     zeros)
 from .partial import TwistedPartialAction
 
 
@@ -49,7 +50,7 @@ def weak_conv_inverse(v: np.ndarray, tpa: TwistedPartialAction) -> GaugePair | N
     fld = a.fld
     nh, na = h.dim, a.dim
     v = np.asarray(v)
-    if not np.array_equal(h.unit.elements @ v, a.unit.elements):
+    if not eqarr(h.unit.elements @ v, a.unit):
         return None
     rows, rhs = inverse_equations(v, tpa.unit_translates, h.coalgebra, a)
     at_one = contract("l,kb->klb", h.unit, identity(fld, na),
@@ -60,8 +61,8 @@ def weak_conv_inverse(v: np.ndarray, tpa: TwistedPartialAction) -> GaugePair | N
         return None
     u = x.reshape(nh, na)
     cu = convolution_unit(h.coalgebra, a)
-    fully = (np.array_equal(convolution(v, u, h.coalgebra, a), cu)
-             and np.array_equal(convolution(u, v, h.coalgebra, a), cu))
+    fully = (eqarr(convolution(v, u, h.coalgebra, a), cu)
+             and eqarr(convolution(u, v, h.coalgebra, a), cu))
     return GaugePair(v, u, fully)
 
 
@@ -142,7 +143,7 @@ def gauge_crossed_iso(pair: GaugePair, cp: CrossedProductAlgebra,
     def induced(src, dst, amb):
         mat, misses = coords_in_many(
             dst.basis, contract("xa,ab->xb", src.basis.rows, amb, fld=fld))
-        return None if misses else mat
+        return None if misses else mat.elements
 
     amb_v = ambient(pair.v)
     phi = induced(cpv, cp, amb_v)
@@ -168,7 +169,7 @@ def gauge_crossed_iso(pair: GaugePair, cp: CrossedProductAlgebra,
     if fwd is None:
         rb.note("the same formula read from the original crossed product "
                 "does not even land in the gauged one")
-    elif not np.array_equal(*multiplicativity(fwd, cp.algebra, cpv.algebra)):
+    elif not eqarr(*multiplicativity(fwd, cp.algebra, cpv.algebra)):
         rb.note("the same formula read from the original crossed product "
                 "is not multiplicative; only the stated direction is")
     return phi, rb.build()

@@ -122,7 +122,7 @@ def globalize_group_partial(tpa: TwistedPartialAction) -> EnvelopingAction:
     theta = coords_or_raise(carrier, theta_amb, PreconditionError,
                             "embedded base element {} left the enveloping span")
 
-    return EnvelopingAction(tpa, ambient, carrier, glob, theta)
+    return EnvelopingAction(tpa, ambient, carrier, glob, theta.elements)
 
 
 def verify_enveloping(env: EnvelopingAction) -> CheckReport:

@@ -12,10 +12,11 @@ Conventions:
   algebra Hom(C, A) is a plain ``(dim C, dim A)`` matrix.
 * The data classes store these structure tensors as
   :class:`~hopfcross.linalg.Exact`, built once from a copy of the input;
-  their entries are read through ``.elements``.  A coalgebra also
-  holds the two objects derived from it that the other modules read,
-  its double coproduct and its tensor square, each computed once on
-  first use.
+  their entries are read through ``.elements``.  Every contraction
+  returns an Exact too, so the tables the verifiers compare are Exact
+  tensors, compared on integers.  A coalgebra also holds the two
+  objects derived from it that the other modules read, its double
+  coproduct and its tensor square, each computed once on first use.
 
 Nothing here assumes the axioms hold: the ``verify_*`` functions check
 them instance by instance and report every failing basis tuple.
@@ -40,7 +41,7 @@ from .errors import NonGroupTable
 from .fields import Field
 from .linalg import (Exact, SubspaceBasis, arr, check_shape, contract, eqarr,
                      freeze_tensors, identity, kernel_basis, kron, solve,
-                     span, zeros)
+                     span, stack, zeros)
 
 
 @dataclass(frozen=True)
@@ -195,8 +196,7 @@ def verify_hopf(h: HopfAlgebraData) -> CheckReport:
 
 
 def is_cocommutative(c: CoalgebraData) -> bool:
-    comult = c.comult.elements
-    return eqarr(comult, comult.transpose(0, 2, 1))
+    return eqarr(c.comult, c.comult.transpose(0, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -291,20 +291,18 @@ def centrality(f, c: CoalgebraData, a: AlgebraData):
     spanning maps E_(i,j): e_i |-> a_j (zero elsewhere), which suffice
     because centrality is linear in the other factor.
 
-    Returns two (dim C, dim A, dim C, dim A) tables: f * E_(i,j) and
-    E_(i,j) * f at [i, j].  Compared as a report, each violation is
+    Returns two (dim C, dim A, dim C, dim A) Exact tables: f * E_(i,j)
+    and E_(i,j) * f at [i, j].  Compared as a report, each violation is
     indexed (i, j, x): the spanning map and the C-basis element where
     the two sides differ.
     """
-    lhs = np.empty((c.dim, a.dim, c.dim, a.dim), dtype=object)
-    rhs = np.empty_like(lhs)
-    for i in range(c.dim):
-        for j in range(a.dim):
-            e = zeros(a.fld, (c.dim, a.dim))
-            e[i, j] = a.fld.one()
-            lhs[i, j] = convolution(f, e, c, a)
-            rhs[i, j] = convolution(e, f, c, a)
-    return lhs, rhs
+    shape = (c.dim, a.dim)
+    maps = [zeros(a.fld, shape) for _ in range(c.dim * a.dim)]
+    for k, e in enumerate(maps):
+        e.reshape(-1)[k] = a.fld.one()       # E_(i,j) at k = i * dim A + j
+    lhs = stack([convolution(f, e, c, a) for e in maps], shape, a.fld)
+    rhs = stack([convolution(e, f, c, a) for e in maps], shape, a.fld)
+    return lhs.reshape(shape * 2), rhs.reshape(shape * 2)
 
 
 def multiplicativity(f, src: AlgebraData, dst: AlgebraData):

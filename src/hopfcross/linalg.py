@@ -1,22 +1,26 @@
 """Exact dense linear algebra over QQ or F_p.
 
 Vectors, matrices and order-3 tensors are numpy arrays with ``dtype=object``
-whose entries are field elements (see :mod:`hopfcross.fields`).  The
-structure tensors of the algebras and actions are stored once as
-:class:`Exact`: Python ints over one common denominator over QQ,
-residues over F_p, beside a read-only array of the same entries as field
-elements.  Every tensor contraction in the package goes through
-:func:`contract`, which takes the einsum subscripts and the field of the
-operands and runs the contraction on Python integers: an Exact operand
-is used as it is, any other operand is scaled to integers once (over QQ
-by the lcm of its denominators), and the result is divided once by the
-product of the denominators over QQ, or reduced mod p once at the end
-over F_p.  The greedy contraction path of each (spec, operand shapes)
-pair is planned once and kept in a fixed-size module cache (see
-:func:`_plan`); :func:`contract` runs its pairwise steps itself, one
-plain ``np.einsum`` each.  Every subspace is represented by its reduced
-row echelon basis, so equal subspaces have identical representations
-and all reports built on top of them are reproducible byte for byte.
+whose entries are field elements (see :mod:`hopfcross.fields`), or
+:class:`Exact` tensors: Python ints over one common denominator over QQ,
+residues over F_p, whose field elements are built only when read.  The
+structure tensors of the algebras and actions are stored as Exact.
+Every tensor contraction in the package goes through :func:`contract`,
+which takes the einsum subscripts and the field of the operands, runs
+the contraction on Python integers and returns an Exact: an Exact
+operand is used as it is, any other operand is scaled to integers once
+(over QQ by the lcm of its denominators), and the result is reduced once,
+by the gcd of the scale and all entries over QQ or mod p over F_p.  The
+verdicts compare those integers (:func:`equal_entries`, and on it
+:func:`eqarr`, :func:`is_zero` and ``ReportBuilder.compare``), so a
+passing check builds no field element; the membership test of
+:func:`coords_in_many` still compares field elements.  The greedy
+contraction path of each (spec, operand shapes) pair is planned once
+and kept in a fixed-size module cache (see :func:`_plan`);
+:func:`contract` runs its pairwise steps itself, one plain
+``np.einsum`` each.  Every subspace is represented by its reduced row
+echelon basis, so equal subspaces have identical representations and
+all reports built on top of them are reproducible byte for byte.
 :func:`coords_in_many` expresses a whole stack of vectors on such a
 basis with one contraction; :func:`coords_in` is its one-vector case,
 and :func:`coords_or_raise` raises the caller's error, naming the first
@@ -59,19 +63,19 @@ EINSUM_PATH = ("greedy", 2**62)
 
 
 class Exact:
-    """An immutable exact tensor over ``fld``: the stored form of the
-    structure tensors.
+    """An immutable exact tensor over ``fld``: what :func:`contract`
+    returns, and the stored form of the structure tensors.
 
-    ``ints`` is an object array of Python ints: over QQ the numerators
-    over the one common denominator ``den``, over F_p the residues in
-    0..p-1 with ``den`` 1.  :func:`contract` reads them as they are.
-    ``elements`` is the same tensor as field elements, for the places
-    where scalars leave the engine (comparisons, reports, files); numpy
-    reads it through ``__array__``.  Both arrays are read-only and are
-    built once, from a copy of the input.
+    ``ints`` is a read-only object array of Python ints: over QQ the
+    numerators over the one common denominator ``den``, over F_p the
+    residues in 0..p-1 with ``den`` 1.  ``elements``, the same tensor as
+    read-only field elements for where scalars leave the engine, is
+    built on first read; numpy reads it through ``__array__``.
+    ``reshape``, ``transpose`` and indexing give views over the same
+    ``den``; an index that picks one entry gives that element.
     """
 
-    __slots__ = ("fld", "ints", "den", "elements")
+    __slots__ = ("fld", "ints", "den", "_elements")
 
     def __init__(self, a, fld: Field):
         a = np.array(a, dtype=object)
@@ -79,16 +83,52 @@ class Exact:
             a = arr(fld, a)
         self.ints, self.den = _integers(a, fld, "tensor")
         self.ints.flags.writeable = a.flags.writeable = False
-        self.fld, self.elements = fld, a
+        self.fld, self._elements = fld, a
 
     @property
     def shape(self) -> tuple:
-        return self.elements.shape
+        return self.ints.shape
+
+    @property
+    def elements(self) -> np.ndarray:
+        if self._elements is None:
+            self._elements = _elements(self.ints, self.den, self.fld)
+            self._elements.flags.writeable = False
+        return self._elements
+
+    def reshape(self, *shape):
+        return _exact(self.fld, self.ints.reshape(*shape), self.den)
+
+    def transpose(self, *axes):
+        return _exact(self.fld, self.ints.transpose(*axes), self.den)
+
+    def __getitem__(self, index):
+        v = self.ints[index]
+        if isinstance(v, np.ndarray):
+            return _exact(self.fld, v, self.den)
+        return Fp(v, self.fld.p) if self.fld.p else Fraction(v, self.den)
 
     def __array__(self, dtype=None, copy=None):
         if copy or dtype not in (None, object):
             return np.array(self.elements, dtype=dtype)
         return self.elements
+
+
+def _exact(fld: Field, ints: np.ndarray, den: int) -> Exact:
+    """An Exact over ``fld`` of the integers ``ints`` over ``den``."""
+    t = object.__new__(Exact)
+    ints.flags.writeable = False
+    t.fld, t.ints, t.den, t._elements = fld, ints, den, None
+    return t
+
+
+def _elements(ints: np.ndarray, den: int, fld: Field) -> np.ndarray:
+    """The field elements of the integers ``ints`` over ``den``."""
+    if fld.p is None:
+        vals = [Fraction(v, den) for v in ints.reshape(-1)]
+    else:
+        vals = [Fp(v, fld.p) for v in ints.reshape(-1)]
+    return np.array(vals, dtype=object).reshape(ints.shape)
 
 
 def contract(spec: str, *operands, fld: Field):
@@ -102,8 +142,9 @@ def contract(spec: str, *operands, fld: Field):
     integers (see the module docstring), one step of the greedy path
     ``EINSUM_PATH`` at a time.
 
-    Returns an object array of field elements, or a single element when
-    the output has no axes.  Raises ValueError when the operands do not
+    Returns an :class:`Exact` in canonical form (over QQ, ``den`` is the
+    lcm of the entries' denominators), or one field element when the
+    output has no axes.  Raises ValueError when the operands do not
     match the spec and FieldMismatchError on an entry outside ``fld``.
     """
     inputs, arrow, output = spec.partition("->")
@@ -127,14 +168,13 @@ def contract(spec: str, *operands, fld: Field):
         scale *= den
     for positions, subscripts in _plan(spec, tuple(op.shape for op in ints)):
         ints.append(np.einsum(subscripts, *map(ints.pop, positions)))
-    shape, res = ints[0].shape[:-1], ints[0].reshape(-1)
-    if fld.p is None:
-        vals = [Fraction(v, scale) for v in res]
-    else:
-        vals = [Fp(v, fld.p) for v in res]
+    res = ints[0].reshape(ints[0].shape[:-1])
     if not output:
-        return vals[0]
-    return np.array(vals, dtype=object).reshape(shape)
+        return _exact(fld, res, scale)[()]
+    if fld.p is not None:
+        return _exact(fld, res % fld.p, 1)
+    g = math.gcd(scale, *res.reshape(-1))
+    return _exact(fld, res // g, scale // g)
 
 
 @lru_cache(maxsize=1024)
@@ -224,24 +264,53 @@ def freeze_tensors(obj, fld: Field, **shapes):
     """Store each named tensor field of the frozen dataclass ``obj`` as
     an :class:`Exact` over ``fld``, after checking it has its shape."""
     for name, shape in shapes.items():
-        tensor = getattr(obj, name)
-        if not (isinstance(tensor, Exact) and tensor.fld == fld):
-            tensor = Exact(tensor, fld)
+        tensor = as_exact(getattr(obj, name), fld)
         check_shape(name, tensor, shape)
         object.__setattr__(obj, name, tensor)
 
 
+def as_exact(a, fld: Field) -> Exact:
+    """``a`` as an :class:`Exact` over ``fld``: one over ``fld`` as it is,
+    anything else converted, which raises FieldMismatchError on an entry
+    outside ``fld``."""
+    return a if isinstance(a, Exact) and a.fld == fld else Exact(a, fld)
+
+
+def field_of(*tensors) -> Field:
+    """The field of the first Exact among ``tensors``, else F_p for the
+    first Fp entry in them, else QQ."""
+    held = [t.fld for t in tensors if isinstance(t, Exact)]
+    return held[0] if held else Field(next((x.p for t in tensors for x in (
+        np.asarray(t, dtype=object).reshape(-1)) if isinstance(x, Fp)), None))
+
+
+def equal_entries(a, b) -> np.ndarray:
+    """Entrywise equality of two equally shaped tensors (Exact or element
+    arrays) as a bool array, on integers cross-multiplied by the two
+    denominators.  FieldMismatchError unless both lie over one field."""
+    fld = field_of(a, b)
+    a, b = as_exact(a, fld), as_exact(b, fld)
+    return a.ints * b.den == b.ints * a.den
+
+
 def eqarr(a, b) -> bool:
-    """Exact elementwise equality of two equally-shaped arrays or Exact
-    tensors."""
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape:
-        return False
-    return all(x == y for x, y in zip(a.reshape(-1), b.reshape(-1)))
+    """Exact equality of two arrays or Exact tensors: False when their
+    shapes differ, FieldMismatchError when their fields do."""
+    return np.shape(a) == np.shape(b) and bool(equal_entries(a, b).all())
 
 
-def is_zero(a: np.ndarray) -> bool:
-    return all(x == 0 for x in a.reshape(-1))
+def is_zero(a) -> bool:
+    return not as_exact(a, field_of(a)).ints.any()
+
+
+def stack(tensors: list, shape: tuple, fld: Field) -> Exact:
+    """Exact tensors of ``shape`` over ``fld``, stacked on a new first
+    axis over their common denominator."""
+    den = math.lcm(*(t.den for t in tensors))
+    ints = np.empty((len(tensors),) + shape, dtype=object)
+    for k, t in enumerate(tensors):
+        ints[k] = t.ints * (den // t.den)
+    return _exact(fld, ints, den)
 
 
 def rref(m: np.ndarray, fld: Field):
@@ -258,7 +327,7 @@ def rref(m: np.ndarray, fld: Field):
         entries of their columns.
     """
     r, c = m.shape
-    R = m.copy()
+    R = np.array(m, dtype=object)
     pivots = []
     row = 0
     for col in range(c):
@@ -296,6 +365,7 @@ def solve(m: np.ndarray, b: np.ndarray, fld: Field):
     Returns the solution with all free variables set to zero, of shape
     (c,) or (c, k), or None when any column of b is inconsistent.
     """
+    m, b = np.asarray(m), np.asarray(b)
     r, c = m.shape
     if b.shape[:1] != (r,) or b.ndim > 2:
         raise ValueError(f"rhs shape {b.shape} does not match {r} rows")
@@ -347,6 +417,7 @@ class SubspaceBasis:
 
     def __eq__(self, other):
         return (isinstance(other, SubspaceBasis)
+                and self.fld == other.fld
                 and self.ambient_dim == other.ambient_dim
                 and eqarr(self.rows, other.rows))
 
@@ -362,36 +433,38 @@ def span(vectors: np.ndarray, ambient_dim: int, fld: Field) -> SubspaceBasis:
 
     The result is independent of the order and scaling of the inputs.
     """
+    vectors = np.asarray(vectors, dtype=object)
     if len(vectors) == 0:
         return SubspaceBasis(fld, ambient_dim, zeros(fld, (0, ambient_dim)), ())
-    vectors = np.asarray(vectors, dtype=object)
     if vectors.ndim != 2 or vectors.shape[1] != ambient_dim:
         raise ValueError(f"vectors of shape {vectors.shape} do not lie in "
                          f"a space of dimension {ambient_dim}")
-    R, pivots, rk = rref(vectors.copy(), fld)
+    R, pivots, rk = rref(vectors, fld)
     return SubspaceBasis(fld, ambient_dim, R[:rk].copy(), pivots)
 
 
-def coords_in_many(sub: SubspaceBasis, vs: np.ndarray):
+def coords_in_many(sub: SubspaceBasis, vs):
     """Coordinates in the echelon basis of a stack of vectors.
 
     ``vs`` holds one vector of the ambient space on its last axis at each
-    index of its leading axes.  Returns (coords, misses): ``coords`` has
-    the leading axes of ``vs`` and the entries at the pivot columns on the
-    last axis, which are the coordinates of every member, and ``misses``
-    is the tuple of the leading indices of the non-members, in row-major
-    order.  One contraction rebuilds every vector from its pivot entries;
-    a vector is a member iff the rebuild equals it.
+    index of its leading axes.  Returns (coords, misses): ``coords`` is
+    an Exact with the leading axes of ``vs`` and the entries at the pivot
+    columns on the last axis, which are the coordinates of every member,
+    and ``misses`` is the tuple of the leading indices of the
+    non-members, in row-major order.  One contraction rebuilds every
+    vector from its pivot entries; a vector is a member iff the rebuild
+    equals it.
     """
-    vs = np.asarray(vs, dtype=object)
-    if vs.ndim == 0 or vs.shape[-1] != sub.ambient_dim:
-        raise ValueError(f"vectors of shape {vs.shape} do not lie in a "
+    if np.shape(vs)[-1:] != (sub.ambient_dim,):
+        raise ValueError(f"vectors of shape {np.shape(vs)} do not lie in a "
                          f"space of dimension {sub.ambient_dim}")
+    vs = as_exact(vs, sub.fld)
     lead = vs.shape[:-1]
     flat = vs.reshape(math.prod(lead), sub.ambient_dim)
     coords = flat[:, list(sub.pivots)]
     recon = contract("ki,ij->kj", coords, sub.rows, fld=sub.fld)
-    members = (recon == flat).all(axis=1)
+    # compared as field elements: see ROADMAP item 3
+    members = (recon.elements == flat.elements).all(axis=1)
     misses = tuple(index for index, ok in zip(np.ndindex(*lead), members)
                    if not ok)
     return coords.reshape(lead + (sub.dim,)), misses

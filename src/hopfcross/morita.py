@@ -55,6 +55,7 @@ def phi_embed(env: EnvelopingAction, r: CrossedProductAlgebra,
     amb = kron(env.theta, identity(fld, nh))
     phi, misses = coords_in_many(
         s.basis, contract("xa,ab->xb", r.basis.rows, amb, fld=fld))
+    phi = np.array(phi)
     rb = ReportBuilder("crossed product embedding")
     if misses:
         x, = misses[0]

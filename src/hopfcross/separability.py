@@ -30,8 +30,8 @@ from .crossed import CrossedProductAlgebra, require_coinvariants_are_base
 from .errors import (NormalizationFailed, NotCentral, NotCocommutative,
                      NotIntegral, PreconditionError)
 from .hopf import centrality, is_cocommutative, left_integrals
-from .linalg import (contract, coords_in, coords_or_raise, is_zero,
-                     kernel_basis, solve, span)
+from .linalg import (contract, coords_in, coords_or_raise, eqarr,
+                     is_zero, kernel_basis, solve, span)
 from .partial import TwistedPartialAction
 
 
@@ -117,7 +117,7 @@ def verify_partially_cleft(cd: CleftData) -> CheckReport:
     q = _conv_product(cd)
     rb.require_inside("product_valued_in_base", q, cp.base_space,
                       "inside the embedded base")
-    qa = solve(cp.iota.T, q.T, fld)       # (dim A, dim H)
+    qa = solve(cp.iota.T, q.transpose(), fld)       # (dim A, dim H)
     if qa is not None:
         # centrality lives in the convolution algebra of maps into the
         # base, so the product is pulled back through the embedding
@@ -228,14 +228,14 @@ def separability_idempotent(cd: CleftData, t: np.ndarray, c: np.ndarray):
         raise NotIntegral("the chosen element is not a nonzero left integral")
     c = np.asarray(c)
     a = cp.base
-    if not np.array_equal(contract("b,bjk->jk", c, a.mult, fld=fld),
-                          contract("b,jbk->jk", c, a.mult, fld=fld)):
+    if not eqarr(contract("b,bjk->jk", c, a.mult, fld=fld),
+                 contract("b,jbk->jk", c, a.mult, fld=fld)):
         raise NotCentral("the chosen element is not central in the base")
     normalized = contract("i,b,iba->a", t, c, cd.tpa.action, fld=fld)
-    if not np.array_equal(normalized, a.unit.elements):
+    if not eqarr(normalized, a.unit):
         raise NormalizationFailed(
             f"the integral does not collapse the element to the unit: got "
-            f"{tuple(normalized)}")
+            f"{tuple(normalized.elements)}")
 
     u = t @ h.antipode.elements
     w = contract("i,ipqr->pqr", u, h.coalgebra.split3, fld=fld)
@@ -252,7 +252,7 @@ def separability_idempotent(cd: CleftData, t: np.ndarray, c: np.ndarray):
 
     rb = ReportBuilder("separability element construction")
     rb.require("normalization", True,
-               lhs=tuple(normalized), rhs=tuple(a.unit.elements))
+               lhs=tuple(normalized.elements), rhs=tuple(a.unit.elements))
     res, _, _ = cp.canonical
     rb.require("canonical_map_bijective", res.bijective,
                lhs=(res.quotient_dim, res.rank), rhs=(res.target_dim,))

@@ -1,9 +1,20 @@
 """ReportBuilder.compare: one violation per differing index tuple, with
-both sides of the output vector, in row-major order."""
+both sides of the output vector, in row-major order; and the integer
+verdicts (compare, eqarr, is_zero, coords_in_many) against the entrywise
+Fraction/Fp reference."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfcross.checks import ReportBuilder, Violation
-from hopfcross.fields import Field
-from hopfcross.linalg import Exact, arr, zeros
+from hopfcross.fields import Field, FieldMismatchError
+from hopfcross.linalg import (Exact, arr, contract, coords_in_many, eqarr,
+                              is_zero, span, zeros)
 
 QQ = Field.rationals()
 
@@ -42,3 +53,136 @@ def test_compare_zero_extent_leading_axis():
     assert rep.identities == ("same",) and rep.passed
     rep = compared(zeros(QQ, (2, 0, 3)), zeros(QQ, (2, 0, 3)))
     assert rep.identities == ("same",) and rep.passed
+
+
+# -- the integer verdicts against the entrywise element reference ----------
+
+FIELDS = [QQ, Field.prime(10007), Field.prime(2**61 - 1)]
+
+
+def entries(fld):
+    """Scalars of ``fld`` that collide often: small fractions over QQ,
+    small residues, -1 and a large residue over F_p."""
+    if fld.p is None:
+        return st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+    return st.sampled_from([0, 1, 2, -1, 2**40 + 3]).map(fld.coerce)
+
+
+@st.composite
+def tables(draw, fld, shape):
+    return np.array(draw(st.lists(entries(fld), min_size=math.prod(shape),
+                                  max_size=math.prod(shape))),
+                    dtype=object).reshape(shape)
+
+
+@st.composite
+def held(draw, fld, values):
+    """``values`` as given, as an Exact of them, or as a view of an Exact
+    that also holds a slab of other entries, whose denominator it keeps."""
+    kind = draw(st.sampled_from(["array", "exact", "view"]))
+    if kind == "array":
+        return values
+    if kind == "exact":
+        return Exact(values, fld)
+    other = draw(tables(fld, values.shape))
+    return Exact(np.stack([other, values]), fld)[1]
+
+
+@st.composite
+def table_pairs(draw):
+    """A field, a (lead..., n) table and a second one that differs from it
+    at a few random entries, each held as :func:`held` draws it."""
+    fld = draw(st.sampled_from(FIELDS))
+    shape = tuple(draw(st.lists(st.integers(0, 3), max_size=2))) + (
+        draw(st.integers(1, 3)),)
+    lhs = draw(tables(fld, shape))
+    rhs = lhs.copy()
+    for _ in range(draw(st.integers(0, 3)) if lhs.size else 0):
+        idx = tuple(draw(st.integers(0, n - 1)) for n in shape)
+        rhs[idx] = draw(entries(fld))
+    return fld, lhs, rhs, draw(held(fld, lhs)), draw(held(fld, rhs))
+
+
+def reference_violations(lhs, rhs):
+    """compare's violations, found entry by entry with element equality."""
+    return [Violation("t", idx, tuple(lhs[idx]), tuple(rhs[idx]))
+            for idx in np.ndindex(*lhs.shape[:-1])
+            if not all(x == y for x, y in zip(lhs[idx], rhs[idx]))]
+
+
+@given(table_pairs())
+@settings(max_examples=300, deadline=None)
+def test_integer_verdicts_match_the_element_reference(case):
+    fld, lhs, rhs, held_lhs, held_rhs = case
+    rb = ReportBuilder("r")
+    rb.compare("t", held_lhs, held_rhs)
+    got = rb.build().violations
+    assert list(got) == reference_violations(lhs, rhs)
+    kind = type(fld.one())
+    assert all(type(x) is kind for v in got for x in v.lhs + v.rhs)
+    same = all(x == y for x, y in zip(lhs.reshape(-1), rhs.reshape(-1)))
+    assert eqarr(held_lhs, held_rhs) is same
+    assert is_zero(held_lhs) is all(x == 0 for x in lhs.reshape(-1))
+
+
+@st.composite
+def memberships(draw):
+    """A field, the span of 0-2 random rows of F^n and a table of vectors:
+    combinations of the rows, some moved off the span."""
+    fld = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 3))
+    sub = span(draw(tables(fld, (draw(st.integers(0, 2)), n))), n, fld)
+    lead = tuple(draw(st.lists(st.integers(0, 3), max_size=2)))
+    combos = draw(tables(fld, (math.prod(lead), sub.dim)))
+    vs = np.array(contract("ki,ij->kj", combos, sub.rows,
+                           fld=fld)).reshape(lead + (n,))
+    if vs.size:
+        for _ in range(draw(st.integers(0, 3))):
+            idx = tuple(draw(st.integers(0, k - 1)) for k in vs.shape)
+            vs[idx] = draw(entries(fld))
+    return fld, sub, vs, draw(held(fld, vs))
+
+
+def reference_coords(sub, vs):
+    """(coords, misses) of coords_in_many, rebuilt entry by entry."""
+    coords = vs[..., list(sub.pivots)]
+    misses = []
+    for idx in np.ndindex(*vs.shape[:-1]):
+        rebuilt = [sum((c * row[j] for c, row in zip(coords[idx], sub.rows)),
+                       sub.fld.zero()) for j in range(sub.ambient_dim)]
+        if not all(x == y for x, y in zip(rebuilt, vs[idx])):
+            misses.append(idx)
+    return coords, tuple(misses)
+
+
+@given(memberships())
+@settings(max_examples=200, deadline=None)
+def test_integer_membership_matches_the_element_reference(case):
+    fld, sub, vs, held_vs = case
+    coords, misses = coords_in_many(sub, held_vs)
+    want_coords, want_misses = reference_coords(sub, vs)
+    assert misses == want_misses
+    assert coords.shape == want_coords.shape
+    assert all(x == y for x, y in zip(coords.elements.reshape(-1),
+                                      want_coords.reshape(-1)))
+    rb = ReportBuilder("r")
+    rb.require_inside("t", held_vs, sub, "inside")
+    assert list(rb.build().violations) == [
+        Violation("t", idx, tuple(vs[idx]), ("inside",)) for idx in misses]
+
+
+@pytest.mark.parametrize("other", [Field.prime(5), Field.prime(7)])
+@pytest.mark.parametrize("exact", [False, True], ids=["array", "Exact"])
+def test_a_verdict_across_two_fields_raises(other, exact):
+    # QQ against F_5 and F_5 against F_7, as element arrays or Exact
+    # tensors: each verdict refuses instead of reading a difference
+    fld = QQ if other.p == 5 else Field.prime(5)
+    lhs, rhs = arr(fld, [[1, 2], [0, 1]]), arr(other, [[1, 2], [0, 1]])
+    if exact:
+        lhs, rhs = Exact(lhs, fld), Exact(rhs, other)
+    with pytest.raises(FieldMismatchError):
+        ReportBuilder("r").compare("t", lhs, rhs)
+    with pytest.raises(FieldMismatchError):
+        eqarr(lhs, rhs)
+    with pytest.raises(FieldMismatchError):
+        coords_in_many(span(lhs, 2, fld), rhs)

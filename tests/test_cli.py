@@ -13,17 +13,21 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfcross
-from hopfcross import cli
+from hopfcross import cli, linalg
+from hopfcross.checks import ReportBuilder
 from hopfcross.crossed import (balanced_tensor_square, build_global_crossed,
                                build_partial_crossed)
+from hopfcross.fixtures import c3_partial
 from hopfcross.gauge import gauge_transform
 from hopfcross.globalize import globalize_group_partial
 from hopfcross.hopf import split, verify_algebra
@@ -414,6 +418,44 @@ def test_contract_is_the_one_einsum_kernel():
                               getattr(node.func, "id", None))]
     assert [c for c in calls if c[0] != "linalg.py"] == []
     assert calls        # the guard sees the kernel's own calls
+
+
+def test_only_the_kernel_and_the_fields_build_scalars():
+    # Fraction and Fp objects are built where a scalar leaves the engine:
+    # by the field descriptors and by linalg (Exact.elements, one-entry
+    # results); every other module compares and contracts integers
+    calls = [(name, node.lineno) for name, node in _package_nodes()
+             if isinstance(node, ast.Call)
+             and {"Fraction", "Fp"} & {getattr(node.func, "attr", None),
+                                       getattr(node.func, "id", None)}]
+    assert [c for c in calls
+            if c[0] not in ("linalg.py", "fields.py")] == []
+    assert {c[0] for c in calls} == {"linalg.py", "fields.py"}
+
+
+def test_a_passing_compare_of_exact_tables_builds_no_elements(monkeypatch):
+    built = []
+    elements = linalg._elements
+
+    def counting(ints, den, fld):
+        built.append(ints.shape)
+        return elements(ints, den, fld)
+
+    monkeypatch.setattr(linalg, "_elements", counting)
+    tpa = c3_partial()
+    lhs, rhs = tpa.twisted_module_sides
+    rb = ReportBuilder("t")
+    rb.compare("twisted_module", lhs, rhs)
+    # the same values as a view of a larger Exact, whose denominator
+    # (a multiple of 7) the view keeps
+    sevenths = np.full(lhs.shape, Fraction(1, 7), dtype=object)
+    view = linalg.Exact(np.stack([sevenths, lhs.elements]), tpa.fld)[1]
+    built.clear()
+    rb.compare("over_another_denominator", view, rhs)
+    rep = rb.build()
+    assert rep.passed and view.den != rhs.den and built == []
+    # the counter sees a build: reading the elements of a result
+    assert rhs.elements.shape == rhs.shape and built == [rhs.shape]
 
 
 def test_missing_file_is_an_input_error():

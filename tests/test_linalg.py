@@ -5,6 +5,7 @@ equality, solving, quotients), so the properties here are checked both
 on pinned examples and with randomized inputs.
 """
 
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -241,6 +242,10 @@ def contractions(draw):
 @example((F_MERSENNE61, "ab,ab->",
           [Exact(arr(F_MERSENNE61, [[-1, 2**60], [3, -2**59]]), F_MERSENNE61),
            arr(F_MERSENNE61, [[-1, -2**60 + 7], [2**61, 5]])]))
+# outputs whose content divides out: 2/3 * 3 = 2 over the scale 3, and
+# [2/3, 1/2] * [3, 4] = [2, 2] over the scale 6
+@example((QQ, "i,i->", [arr(QQ, ["2/3"]), arr(QQ, [3])]))
+@example((QQ, "i,i->i", [Exact(arr(QQ, ["2/3", "1/2"]), QQ), arr(QQ, [3, 4])]))
 @settings(max_examples=300, deadline=None)
 def test_contract_matches_reference_einsum(case):
     fld, spec, ops = case
@@ -249,10 +254,19 @@ def test_contract_matches_reference_einsum(case):
     kind = type(fld.one())
     if spec.endswith("->"):
         assert type(got) is kind and got == want
+        return
+    assert isinstance(got, Exact) and got.fld == fld
+    assert got.shape == want.shape and got.ints.dtype == object
+    ints = got.ints.reshape(-1).tolist()
+    assert all(type(v) is int for v in ints) and type(got.den) is int
+    # the canonical form
+    if fld.p is None:
+        assert got.den > 0 and math.gcd(got.den, *ints) == 1
     else:
-        assert got.dtype == object and got.shape == want.shape
-        assert all(type(x) is kind for x in got.reshape(-1))
-        assert all(x == y for x, y in zip(got.reshape(-1), want.reshape(-1)))
+        assert got.den == 1 and all(0 <= v < fld.p for v in ints)
+    elements = got.elements.reshape(-1)
+    assert all(type(x) is kind for x in elements)
+    assert all(x == y for x, y in zip(elements, want.reshape(-1)))
 
 
 def test_exact_holds_integers_over_one_common_denominator():
@@ -353,7 +367,7 @@ def membership_cases(draw):
         if kind != "random":
             # a combination of the basis rows, plus a unit vector at a
             # non-pivot column, which is never a member, for "outside"
-            v = contract("i,ij->j", v[:sub.dim], sub.rows, fld=fld)
+            v = np.array(contract("i,ij->j", v[:sub.dim], sub.rows, fld=fld))
             if kind == "outside":
                 v[draw(st.sampled_from(free))] += fld.one()
         vs.append(v)
