@@ -233,8 +233,7 @@ def _cmd_separability(p):
             cd, spec.integral_t, spec.center_c)
         reports += [build_report, conditions]
         derived["element_lift"] = _emit(spec.fld, elem.lift)
-        derived["element_coordinates"] = [
-            spec.fld.format(x) for x in elem.coordinates]
+        derived["element_coordinates"] = _emit(spec.fld, elem.coordinates)
     except HopfcrossError as exc:
         errors.append({"stage": "separability_idempotent",
                        "error": type(exc).__name__, "message": str(exc)})

@@ -22,20 +22,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .checks import CheckReport, ReportBuilder
 from .errors import ClosureViolation, CoinvariantsMismatch, PreconditionError
 from .hopf import (AlgebraData, HopfAlgebraData, multiplicativity,
                    verify_algebra)
-from .linalg import (QuotientSpace, SubspaceBasis, contract, coords_or_raise,
-                     identity, is_zero, kernel_basis, kron, quotient, rank,
-                     restricted_product, span)
+from .linalg import (Exact, QuotientSpace, SubspaceBasis, contract,
+                     coords_or_raise, identity, is_zero, kernel_basis, kron,
+                     quotient, rank, restricted_product, span)
 from .partial import GlobalTwistedAction, TwistedPartialAction
 
 
 def ambient_product_tensor(hopf: HopfAlgebraData, alg: AlgebraData,
-                           action: np.ndarray, cocycle: np.ndarray) -> np.ndarray:
+                           action: Exact, cocycle: Exact) -> Exact:
     """Structure tensor of the twisted product on all of A (x) H."""
     na, nh = alg.dim, hopf.dim
     t = contract("pabc,qde,ajx,ixy,bdz,yzw,cet->ipjqwt",
@@ -53,8 +51,8 @@ class CrossedProductAlgebra:
         hopf, base: the inputs.
         basis: the span of the generators inside A (x) H.
         algebra: structure constants of the product on that basis.
-        iota: matrix of the base-algebra embedding a |-> a (x) 1.
-        coaction: matrix of x |-> x_(0) (x) x_(1), shaped
+        iota: Exact matrix of the base-algebra embedding a |-> a (x) 1.
+        coaction: Exact matrix of x |-> x_(0) (x) x_(1), shaped
             (dim, dim * dim H) with column index k * dim(H) + s.
 
     The check of the table, the coinvariants, the base image, the
@@ -66,8 +64,8 @@ class CrossedProductAlgebra:
     base: AlgebraData
     basis: SubspaceBasis
     algebra: AlgebraData
-    iota: np.ndarray
-    coaction: np.ndarray
+    iota: Exact
+    coaction: Exact
 
     @property
     def fld(self):
@@ -87,8 +85,8 @@ class CrossedProductAlgebra:
         d, nh = self.dim, self.hopf.dim
         m = self.coaction.reshape(d, d, nh) - contract(
             "rk,s->rks", identity(self.fld, d), self.hopf.unit, fld=self.fld)
-        return span(kernel_basis(m.reshape(d, d * nh).T, self.fld), d,
-                    self.fld)
+        rows = kernel_basis(m.reshape(d, d * nh).transpose(), self.fld)
+        return span(rows, d, self.fld)
 
     @cached_property
     def base_space(self) -> SubspaceBasis:
@@ -104,7 +102,7 @@ class CrossedProductAlgebra:
 
 
 def _build(t: TwistedPartialAction | GlobalTwistedAction,
-           cocycle: np.ndarray) -> CrossedProductAlgebra:
+           cocycle: Exact) -> CrossedProductAlgebra:
     """The crossed product of the action t with its cocycle or twist."""
     hopf, alg, fld = t.hopf, t.alg, t.fld
     na, nh = alg.dim, hopf.dim
@@ -118,15 +116,15 @@ def _build(t: TwistedPartialAction | GlobalTwistedAction,
     table = restricted_product(
         basis, amb, ClosureViolation,
         "product of crossed basis elements {} and {} leaves the span")
+    # a (x) 1 for each base basis element a, and their sum 1 (x) 1
+    amb_iota = contract("ik,p->ikp", identity(fld, na), hopf.unit,
+                        fld=fld).reshape(na, n)
     unit_c = coords_or_raise(
-        basis, kron(alg.unit.elements, hopf.unit.elements), ClosureViolation,
-        "the unit of A (x) H is not inside the span")
+        basis, contract("i,ij->j", alg.unit, amb_iota, fld=fld),
+        ClosureViolation, "the unit of A (x) H is not inside the span")
     algebra = AlgebraData(fld, d, table, unit_c)
-
-    # a (x) 1 for each base basis element a
-    iota = coords_or_raise(
-        basis, kron(identity(fld, na), hopf.unit.elements.reshape(1, nh)),
-        ClosureViolation, "base element {} (x) 1 is not inside the span")
+    iota = coords_or_raise(basis, amb_iota, ClosureViolation,
+                           "base element {} (x) 1 is not inside the span")
 
     # apply id (x) comult to each basis element, then express the first
     # two legs on the basis
@@ -137,8 +135,7 @@ def _build(t: TwistedPartialAction | GlobalTwistedAction,
         "coaction of basis element {} leaves the span")
     coaction = coaction.transpose(0, 2, 1).reshape(d, d * nh)
 
-    return CrossedProductAlgebra(hopf, alg, basis, algebra, iota.elements,
-                                 coaction.elements)
+    return CrossedProductAlgebra(hopf, alg, basis, algebra, iota, coaction)
 
 
 def build_partial_crossed(tpa: TwistedPartialAction) -> CrossedProductAlgebra:
@@ -177,9 +174,9 @@ def verify_crossed(cp: CrossedProductAlgebra) -> CheckReport:
     rb.absorb(cp.algebra_report, "")
     rb.compare("base_embedding_multiplicative",
                *multiplicativity(cp.iota, cp.base, cp.algebra))
-    rb.compare("base_embedding_unital",
-               (cp.base.unit.elements @ cp.iota).reshape(1, -1),
-               cp.algebra.unit.elements.reshape(1, -1))
+    one = contract("i,ij->j", cp.base.unit, cp.iota, fld=cp.fld)
+    rb.compare("base_embedding_unital", one.reshape(1, -1),
+               cp.algebra.unit.reshape(1, -1))
     rk = rank(cp.iota, cp.fld)
     rb.require("base_embedding_injective", rk == cp.base.dim,
                lhs=(rk,), rhs=(cp.base.dim,))
@@ -205,10 +202,9 @@ def verify_coaction(cp: CrossedProductAlgebra) -> CheckReport:
     rhs = contract("xas,ybt,abk,stu->xyku", co, co, cp.algebra.mult,
                    cp.hopf.mult, fld=cp.fld).reshape(d, d, d * nh)
     rb.compare("coaction_multiplicative", lhs, rhs)
-    rb.compare("unit_coinvariant",
-               (cp.algebra.unit.elements @ cp.coaction).reshape(1, -1),
-               kron(cp.algebra.unit.elements,
-                    cp.hopf.unit.elements).reshape(1, -1))
+    one = contract("i,ij->j", cp.algebra.unit, cp.coaction, fld=cp.fld)
+    rb.compare("unit_coinvariant", one.reshape(1, -1),
+               kron(cp.algebra.unit, cp.hopf.unit).reshape(1, -1))
     return rb.build()
 
 
@@ -252,9 +248,8 @@ def balanced_tensor_square(cp: CrossedProductAlgebra) -> QuotientSpace:
     x iota(a) (x) y - x (x) iota(a) y over all basis triples."""
     d, na = cp.dim, cp.base.dim
     eye, mult = identity(cp.fld, d), cp.algebra.mult
-    rels = np.subtract(
-        contract("ak,xkm,yn->xaymn", cp.iota, mult, eye, fld=cp.fld),
-        contract("xm,ak,kyn->xaymn", eye, cp.iota, mult, fld=cp.fld))
+    rels = (contract("ak,xkm,yn->xaymn", cp.iota, mult, eye, fld=cp.fld)
+            - contract("xm,ak,kyn->xaymn", eye, cp.iota, mult, fld=cp.fld))
     return quotient(d * d, rels.reshape(d * na * d, d * d), cp.fld)
 
 

@@ -9,7 +9,11 @@ raises :class:`FieldMismatchError` instead of silently coercing.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+# "n" or "p/q" only: Fraction(s) also reads "1e999999999" and never ends
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 class FieldMismatchError(TypeError):
@@ -216,7 +220,7 @@ class Field:
     # -- serialization ---------------------------------------------------
 
     def parse(self, s):
-        """Parse a scalar string: "p/q" or "n" over QQ, "k mod p" over F_p."""
+        """Parse a scalar string: "n" or "p/q" over QQ, "k mod p" over F_p."""
         if _is_int(s):
             return self.coerce(s)
         if not isinstance(s, str):
@@ -225,8 +229,12 @@ class Field:
         if self.p is None:
             if "mod" in s:
                 raise ValueError(f"prime-field scalar {s!r} in a rational context")
+            m = _RATIONAL.fullmatch(s)
+            if m is None:
+                raise ValueError(
+                    f"bad rational scalar {s!r}: expected n or p/q")
             try:
-                return Fraction(s)
+                return Fraction(int(m[1]), int(m[2] or 1))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"bad rational scalar {s!r}: {exc}") from None
         if "mod" in s:

@@ -16,15 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .checks import CheckReport, ReportBuilder
 from .crossed import CrossedProductAlgebra
 from .errors import CompositeNotGauge
 from .hopf import (convolution, convolution_unit, inverse_equations,
                    multiplicativity, split)
-from .linalg import (contract, coords_in_many, eqarr, identity, rank, solve,
-                     zeros)
+from .linalg import (Exact, as_exact, concat, contract, coords_in_many, eqarr,
+                     identity, rank, solve, zeros)
 from .partial import TwistedPartialAction
 
 
@@ -32,12 +30,12 @@ from .partial import TwistedPartialAction
 class GaugePair:
     """A gauge map v together with its weak convolution inverse."""
 
-    v: np.ndarray           # (dim H, dim A)
-    v_inv: np.ndarray
+    v: Exact                # (dim H, dim A)
+    v_inv: Exact
     fully_invertible: bool
 
 
-def weak_conv_inverse(v: np.ndarray, tpa: TwistedPartialAction) -> GaugePair | None:
+def weak_conv_inverse(v, tpa: TwistedPartialAction) -> GaugePair | None:
     """Solve for the weak convolution inverse of v relative to the
     corner with local unit e(h) = h . 1: an u with v * u = u * v = e,
     u = u * e = e * u, and u(1) = 1.
@@ -49,14 +47,13 @@ def weak_conv_inverse(v: np.ndarray, tpa: TwistedPartialAction) -> GaugePair | N
     h, a = tpa.hopf, tpa.alg
     fld = a.fld
     nh, na = h.dim, a.dim
-    v = np.asarray(v)
-    if not eqarr(h.unit.elements @ v, a.unit):
+    v = as_exact(v, fld)
+    if not eqarr(contract("i,ij->j", h.unit, v, fld=fld), a.unit):
         return None
     rows, rhs = inverse_equations(v, tpa.unit_translates, h.coalgebra, a)
     at_one = contract("l,kb->klb", h.unit, identity(fld, na),
                       fld=fld).reshape(na, nh * na)
-    x = solve(np.concatenate([rows, at_one]),
-              np.concatenate([rhs, a.unit.elements]), fld)
+    x = solve(concat([rows, at_one], fld), concat([rhs, a.unit], fld), fld)
     if x is None:
         return None
     u = x.reshape(nh, na)
@@ -66,7 +63,7 @@ def weak_conv_inverse(v: np.ndarray, tpa: TwistedPartialAction) -> GaugePair | N
     return GaugePair(v, u, fully)
 
 
-def gauge_action(pair: GaugePair, tpa: TwistedPartialAction) -> np.ndarray:
+def gauge_action(pair: GaugePair, tpa: TwistedPartialAction) -> Exact:
     """The conjugated action h . a = v(h_1)(h_2 . a)v'(h_3)."""
     h, a = tpa.hopf, tpa.alg
     return contract("ipqr,px,qay,xyA,rw,Awk->iak",
@@ -74,7 +71,7 @@ def gauge_action(pair: GaugePair, tpa: TwistedPartialAction) -> np.ndarray:
                     pair.v_inv, a.mult, fld=a.fld)
 
 
-def gauge_cocycle(pair: GaugePair, tpa: TwistedPartialAction) -> np.ndarray:
+def gauge_cocycle(pair: GaugePair, tpa: TwistedPartialAction) -> Exact:
     """The conjugated cocycle
     w(h, g) = v(h_1)(h_2 . v(g_1)) w(h_3, g_2) v'(h_4 g_3)."""
     h, a = tpa.hopf, tpa.alg
@@ -143,18 +140,18 @@ def gauge_crossed_iso(pair: GaugePair, cp: CrossedProductAlgebra,
     def induced(src, dst, amb):
         mat, misses = coords_in_many(
             dst.basis, contract("xa,ab->xb", src.basis.rows, amb, fld=fld))
-        return None if misses else mat.elements
+        return None if misses else mat
 
     amb_v = ambient(pair.v)
     phi = induced(cpv, cp, amb_v)
     if phi is None:
         rb.require("lands_in_target_span", False)
-        return zeros(fld, (cpv.dim, cp.dim)), rb.build()
+        return as_exact(zeros(fld, (cpv.dim, cp.dim)), fld), rb.build()
     rb.require("lands_in_target_span", True)
     rb.compare("multiplicative",
                *multiplicativity(phi, cpv.algebra, cp.algebra))
-    rb.compare("unital", (cpv.algebra.unit.elements @ phi).reshape(1, -1),
-               cp.algebra.unit.elements.reshape(1, -1))
+    one = contract("i,ij->j", cpv.algebra.unit, phi, fld=fld)
+    rb.compare("unital", one.reshape(1, -1), cp.algebra.unit.reshape(1, -1))
     rk = rank(phi, fld)
     rb.require("bijective", cpv.dim == cp.dim and rk == cp.dim,
                lhs=(rk,), rhs=(cp.dim,))
@@ -162,8 +159,10 @@ def gauge_crossed_iso(pair: GaugePair, cp: CrossedProductAlgebra,
     if psi is None:
         rb.require("inverse_lands_in_source_span", False)
     else:
-        rb.compare("inverse_after_map", phi @ psi, identity(fld, cpv.dim))
-        rb.compare("map_after_inverse", psi @ phi, identity(fld, cp.dim))
+        for name, f, g in (("inverse_after_map", phi, psi),
+                           ("map_after_inverse", psi, phi)):
+            rb.compare(name, contract("ij,jk->ik", f, g, fld=fld),
+                       identity(fld, f.shape[0]))
 
     fwd = induced(cp, cpv, amb_v)
     if fwd is None:

@@ -21,13 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .checks import CheckReport, ReportBuilder
 from .errors import PreconditionError
 from .hopf import AlgebraData, convolution_algebra, multiplicativity
-from .linalg import (SubspaceBasis, contract, coords_in_many, coords_or_raise,
-                     identity, rank, restricted_product, solve, span)
+from .linalg import (Exact, SubspaceBasis, concat, contract, coords_in_many,
+                     coords_or_raise, identity, rank, restricted_product,
+                     solve, span)
 from .partial import (GlobalTwistedAction, TwistedPartialAction, _induce,
                       central_idempotent_report, corner_twist,
                       is_trivial_cocycle)
@@ -43,8 +42,8 @@ class EnvelopingAction:
             lives in.
         carrier: the enveloping algebra as a subspace of the ambient.
         glob: the global action in carrier coordinates.
-        theta: matrix of the embedding of the base algebra, in carrier
-            coordinates.
+        theta: Exact matrix of the embedding of the base algebra, in
+            carrier coordinates.
 
     theta(1), its central-idempotent report and its corner twist are
     each computed once, on first use.
@@ -54,18 +53,19 @@ class EnvelopingAction:
     ambient: AlgebraData
     carrier: SubspaceBasis
     glob: GlobalTwistedAction
-    theta: np.ndarray
+    theta: Exact
 
     @cached_property
-    def theta_one(self) -> np.ndarray:
-        return self.source.alg.unit.elements @ self.theta
+    def theta_one(self) -> Exact:
+        return contract("i,ij->j", self.source.alg.unit, self.theta,
+                        fld=self.glob.fld)
 
     @cached_property
     def corner_report(self) -> CheckReport:
         return central_idempotent_report(self.glob.alg, self.theta_one)
 
     @cached_property
-    def corner_twist(self) -> np.ndarray:
+    def corner_twist(self) -> Exact:
         return corner_twist(self.glob, self.theta_one)
 
 
@@ -88,7 +88,7 @@ def globalize_group_partial(tpa: TwistedPartialAction) -> EnvelopingAction:
     nf = ambient.dim
 
     # theta(a_i) = sum over s of delta_s (x) (h_s . a_i)
-    theta_amb = tpa.action.elements.transpose(1, 0, 2).reshape(na, nf)
+    theta_amb = tpa.action.transpose(1, 0, 2).reshape(na, nf)
     # (h_g > f)(h_u) = f(h_u h_g), so delta_s (x) a_i moves to the sum
     # over u of mult[u, g, s] delta_u (x) a_i
     act_amb = contract("ugs,ij->gsiuj", h.mult, identity(fld, na),
@@ -104,10 +104,10 @@ def globalize_group_partial(tpa: TwistedPartialAction) -> EnvelopingAction:
 
     # the unit of the enveloping algebra: solve u b_t = b_t = b_t u for
     # every t; it need not be the unit of the ambient convolution algebra
-    eqs = np.concatenate([mult_b.transpose(1, 2, 0),
-                          mult_b.transpose(0, 2, 1)]).reshape(2 * nb * nb, nb)
+    eqs = concat([mult_b.transpose(1, 2, 0), mult_b.transpose(0, 2, 1)],
+                 fld).reshape(2 * nb * nb, nb)
     eye = identity(fld, nb).reshape(nb * nb)
-    unit_b = solve(eqs, np.concatenate([eye, eye]), fld)
+    unit_b = solve(eqs, concat([eye, eye], fld), fld)
     if unit_b is None:
         raise PreconditionError("the enveloping span has no two-sided unit")
     alg_b = AlgebraData(fld, nb, mult_b, unit_b)
@@ -122,7 +122,7 @@ def globalize_group_partial(tpa: TwistedPartialAction) -> EnvelopingAction:
     theta = coords_or_raise(carrier, theta_amb, PreconditionError,
                             "embedded base element {} left the enveloping span")
 
-    return EnvelopingAction(tpa, ambient, carrier, glob, theta.elements)
+    return EnvelopingAction(tpa, ambient, carrier, glob, theta)
 
 
 def verify_enveloping(env: EnvelopingAction) -> CheckReport:

@@ -11,12 +11,12 @@ Conventions:
   the image of ``e_i`` is row ``i``.  A map C -> A in the convolution
   algebra Hom(C, A) is a plain ``(dim C, dim A)`` matrix.
 * The data classes store these structure tensors as
-  :class:`~hopfcross.linalg.Exact`, built once from a copy of the input;
-  their entries are read through ``.elements``.  Every contraction
-  returns an Exact too, so the tables the verifiers compare are Exact
-  tensors, compared on integers.  A coalgebra also holds the two
-  objects derived from it that the other modules read, its double
-  coproduct and its tensor square, each computed once on first use.
+  :class:`~hopfcross.linalg.Exact`, built once from a copy of the input.
+  Every contraction returns an Exact too, so every map built here and
+  every table the verifiers compare is an Exact tensor, compared on
+  integers.  A coalgebra also holds the two objects derived from it
+  that the other modules read, its double coproduct and its tensor
+  square, each computed once on first use.
 
 Nothing here assumes the axioms hold: the ``verify_*`` functions check
 them instance by instance and report every failing basis tuple.
@@ -39,9 +39,9 @@ import numpy as np
 from .checks import CheckReport, ReportBuilder
 from .errors import NonGroupTable
 from .fields import Field
-from .linalg import (Exact, SubspaceBasis, arr, check_shape, contract, eqarr,
-                     freeze_tensors, identity, kernel_basis, kron, solve,
-                     span, stack, zeros)
+from .linalg import (Exact, SubspaceBasis, as_exact, check_shape, concat,
+                     contract, eqarr, freeze_tensors, identity, kernel_basis,
+                     kron, solve, span, zeros)
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class CoalgebraData:
                        counit=(self.dim,))
 
     @cached_property
-    def split3(self) -> np.ndarray:
+    def split3(self) -> Exact:
         """The double coproduct, :func:`split` with three output legs."""
         return split(self, 3)
 
@@ -84,7 +84,7 @@ class CoalgebraData:
         n = self.dim
         comult2 = contract("iab,jcd->ijacbd", self.comult, self.comult,
                            fld=self.fld).reshape(n * n, n * n, n * n)
-        counit2 = kron(self.counit.elements, self.counit.elements)
+        counit2 = kron(self.counit, self.counit)
         return CoalgebraData(self.fld, n * n, comult2, counit2)
 
 
@@ -176,10 +176,10 @@ def verify_hopf(h: HopfAlgebraData) -> CheckReport:
     rb.compare("comult_unital",
                contract("i,ijk->jk", h.unit, h.comult,
                         fld=h.fld).reshape(n * n),
-               kron(h.unit.elements, h.unit.elements))
+               kron(h.unit, h.unit))
     rb.compare("counit_multiplicative",
                contract("ijm,m->ij", h.mult, h.counit, fld=h.fld),
-               contract("i,j->ij", h.counit, h.counit, fld=h.fld))
+               h.coalgebra.tensor_square.counit.reshape(n, n))
     eps_of_one = contract("i,i->", h.unit, h.counit, fld=h.fld)
     rb.require("counit_unital", eps_of_one == h.fld.one(),
                lhs=(eps_of_one,), rhs=(h.fld.one(),))
@@ -203,7 +203,7 @@ def is_cocommutative(c: CoalgebraData) -> bool:
 # Sweedler splitting
 
 
-def split(c: CoalgebraData, n: int) -> np.ndarray:
+def split(c: CoalgebraData, n: int) -> Exact:
     """Iterated coproduct as a tensor with ``n`` output legs.
 
     ``split(c, n)[i, a1, ..., an]`` is the coefficient of
@@ -226,14 +226,14 @@ def split(c: CoalgebraData, n: int) -> np.ndarray:
 # convolution algebra Hom(C, A)
 
 
-def convolution(f, g, c: CoalgebraData, a: AlgebraData) -> np.ndarray:
+def convolution(f, g, c: CoalgebraData, a: AlgebraData) -> Exact:
     """(f * g)(x) = f(x_(1)) g(x_(2)) for (dim C, dim A) matrices f, g."""
     check_shape("f", f, (c.dim, a.dim))
     check_shape("g", g, (c.dim, a.dim))
     return contract("ijk,ja,kb,abm->im", c.comult, f, g, a.mult, fld=a.fld)
 
 
-def convolution_unit(c: CoalgebraData, a: AlgebraData) -> np.ndarray:
+def convolution_unit(c: CoalgebraData, a: AlgebraData) -> Exact:
     return contract("i,m->im", c.counit, a.unit, fld=a.fld)
 
 
@@ -245,7 +245,7 @@ def convolution_algebra(c: CoalgebraData, a: AlgebraData) -> AlgebraData:
     d = c.dim * a.dim
     mult = contract("ust,ijk->sitjuk", c.comult, a.mult,
                     fld=a.fld).reshape(d, d, d)
-    unit = kron(c.counit.elements, a.unit.elements)
+    unit = kron(c.counit, a.unit)
     return AlgebraData(a.fld, d, mult, unit)
 
 
@@ -269,10 +269,9 @@ def inverse_equations(f, e, c: CoalgebraData, a: AlgebraData):
         return contract("xkr,rz,bzm->xmkb", c.comult, g, a.mult,
                         fld=a.fld).reshape(n, n)
 
-    eye = identity(a.fld, n)
-    e_row = np.asarray(e).reshape(n)
-    rows = np.concatenate([left(f), right(f), eye - left(e), eye - right(e)])
-    rhs = np.concatenate([e_row, e_row, zeros(a.fld, (2 * n,))])
+    eye = as_exact(identity(a.fld, n), a.fld)
+    rows = concat([left(f), right(f), eye - left(e), eye - right(e)], a.fld)
+    rhs = concat([e.reshape(n), e.reshape(n), zeros(a.fld, (2 * n,))], a.fld)
     return rows, rhs
 
 
@@ -297,11 +296,10 @@ def centrality(f, c: CoalgebraData, a: AlgebraData):
     the two sides differ.
     """
     shape = (c.dim, a.dim)
-    maps = [zeros(a.fld, shape) for _ in range(c.dim * a.dim)]
-    for k, e in enumerate(maps):
-        e.reshape(-1)[k] = a.fld.one()       # E_(i,j) at k = i * dim A + j
-    lhs = stack([convolution(f, e, c, a) for e in maps], shape, a.fld)
-    rhs = stack([convolution(e, f, c, a) for e in maps], shape, a.fld)
+    # E_(i,j) at k = i * dim A + j
+    maps = identity(a.fld, c.dim * a.dim).reshape((-1,) + shape)
+    lhs = concat([convolution(f, e, c, a) for e in maps], a.fld)
+    rhs = concat([convolution(e, f, c, a) for e in maps], a.fld)
     return lhs.reshape(shape * 2), rhs.reshape(shape * 2)
 
 
@@ -321,7 +319,7 @@ def left_integrals(h: HopfAlgebraData) -> SubspaceBasis:
     """The space of left integrals {t : x t = counit(x) t for all x}."""
     n = h.dim
     eye = identity(h.fld, n)
-    m = (h.mult.elements.transpose(0, 2, 1)
+    m = (h.mult.transpose(0, 2, 1)
          - contract("i,jk->ikj", h.counit, eye, fld=h.fld))
     rows = kernel_basis(m.reshape(n * n, n), h.fld)
     return span(rows, n, h.fld)
@@ -366,25 +364,16 @@ def group_algebra(fld: Field, table, inverse=None, labels=None) -> HopfAlgebraDa
     if inverse is not None and list(inverse) != inv:
         raise NonGroupTable(f"declared inverses {list(inverse)} != computed {inv}")
 
-    one, zero = fld.one(), fld.zero()
-    mult = zeros(fld, (n, n, n))
-    comult = zeros(fld, (n, n, n))
-    for i, j in iproduct(range(n), repeat=2):
-        mult[i, j, table[i][j]] = one
-    unit = zeros(fld, (n,))
-    unit[ident] = one
-    for i in range(n):
-        comult[i, i, i] = one
-    counit = arr(fld, [1] * n)
-    antipode = zeros(fld, (n, n))
-    for i in range(n):
-        antipode[i, inv[i]] = one
+    # 0/1 integer tables, which the data classes coerce into fld
+    eye = np.eye(n, dtype=object)
+    comult = np.zeros((n, n, n), dtype=object)
+    comult[range(n), range(n), range(n)] = 1
     if labels is None:
         labels = tuple(f"g{i}" for i in range(n))
     return HopfAlgebraData(
-        AlgebraData(fld, n, mult, unit, tuple(labels)),
-        CoalgebraData(fld, n, comult, counit, tuple(labels)),
-        antipode,
+        AlgebraData(fld, n, eye[np.array(table)], eye[ident], tuple(labels)),
+        CoalgebraData(fld, n, comult, [1] * n, tuple(labels)),
+        eye[inv],
     )
 
 
@@ -397,10 +386,10 @@ def dual_hopf(h: HopfAlgebraData) -> HopfAlgebraData:
     a nonabelian group) is produced from a group algebra.
     """
     n = h.dim
-    mult = h.comult.elements.transpose(1, 2, 0)
-    comult = h.mult.elements.transpose(2, 0, 1)
+    mult = h.comult.transpose(1, 2, 0)
+    comult = h.mult.transpose(2, 0, 1)
     return HopfAlgebraData(
         AlgebraData(h.fld, n, mult, h.counit, h.labels),
         CoalgebraData(h.fld, n, comult, h.unit, h.labels),
-        h.antipode.elements.T,
+        h.antipode.transpose(),
     )

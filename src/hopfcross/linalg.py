@@ -1,30 +1,30 @@
 """Exact dense linear algebra over QQ or F_p.
 
-Vectors, matrices and order-3 tensors are numpy arrays with ``dtype=object``
-whose entries are field elements (see :mod:`hopfcross.fields`), or
-:class:`Exact` tensors: Python ints over one common denominator over QQ,
-residues over F_p, whose field elements are built only when read.  The
-structure tensors of the algebras and actions are stored as Exact.
-Every tensor contraction in the package goes through :func:`contract`,
-which takes the einsum subscripts and the field of the operands, runs
-the contraction on Python integers and returns an Exact: an Exact
-operand is used as it is, any other operand is scaled to integers once
-(over QQ by the lcm of its denominators), and the result is reduced once,
-by the gcd of the scale and all entries over QQ or mod p over F_p.  The
-verdicts compare those integers (:func:`equal_entries`, and on it
-:func:`eqarr`, :func:`is_zero` and ``ReportBuilder.compare``), so a
-passing check builds no field element; the membership test of
-:func:`coords_in_many` still compares field elements.  The greedy
-contraction path of each (spec, operand shapes) pair is planned once
-and kept in a fixed-size module cache (see :func:`_plan`);
-:func:`contract` runs its pairwise steps itself, one plain
-``np.einsum`` each.  Every subspace is represented by its reduced row
-echelon basis, so equal subspaces have identical representations and
-all reports built on top of them are reproducible byte for byte.
-:func:`coords_in_many` expresses a whole stack of vectors on such a
-basis with one contraction; :func:`coords_in` is its one-vector case,
-and :func:`coords_or_raise` raises the caller's error, naming the first
-non-member, where every vector must be a member.
+Every tensor the engine holds or hands out is an :class:`Exact`: Python
+ints over one common denominator over QQ, residues over F_p, whose
+field elements are built only when read.  Numpy arrays with
+``dtype=object`` whose entries are field elements (see
+:mod:`hopfcross.fields`) are input only: parsed files, fixtures and the
+:func:`arr`, :func:`zeros` and :func:`identity` builders.  Every tensor
+product in the package goes through :func:`contract`, which takes the
+einsum subscripts and the field of the operands, runs the contraction
+on Python integers and returns an Exact: an Exact operand is used as it
+is, any other operand is scaled to integers once (over QQ by the lcm of
+its denominators), and the result is reduced once, by the gcd of the
+scale and all entries over QQ or mod p over F_p.  Every verdict compares
+those integers (:func:`equal_entries`, and on it :func:`eqarr`,
+:func:`is_zero`, ``ReportBuilder.compare`` and the membership test of
+:func:`coords_in_many`), so a passing check builds no field element;
+only :func:`rref` eliminates on field elements.  The greedy contraction
+path of each (spec, operand shapes) pair is planned once and kept in a
+fixed-size module cache (see :func:`_plan`); :func:`contract` runs its
+pairwise steps itself, one plain ``np.einsum`` each.  Every subspace is
+represented by its reduced row echelon basis, so equal subspaces have
+identical representations and all reports built on top of them are
+reproducible byte for byte.  :func:`coords_in_many` expresses a whole
+stack of vectors on such a basis with one contraction; :func:`coords_in`
+is its one-vector case, and :func:`coords_or_raise` raises the caller's
+error, naming the first non-member, where every vector must be a member.
 
 Conventions fixed here and used everywhere else:
 
@@ -72,7 +72,8 @@ class Exact:
     read-only field elements for where scalars leave the engine, is
     built on first read; numpy reads it through ``__array__``.
     ``reshape``, ``transpose`` and indexing give views over the same
-    ``den``; an index that picks one entry gives that element.
+    ``den``; an index that picks one entry gives that element; ``a - b``
+    is an Exact.
     """
 
     __slots__ = ("fld", "ints", "den", "_elements")
@@ -108,6 +109,11 @@ class Exact:
             return _exact(self.fld, v, self.den)
         return Fp(v, self.fld.p) if self.fld.p else Fraction(v, self.den)
 
+    def __sub__(self, other):
+        b = as_exact(other, self.fld)
+        return _canonical(self.fld, self.ints * b.den - b.ints * self.den,
+                          self.den * b.den)
+
     def __array__(self, dtype=None, copy=None):
         if copy or dtype not in (None, object):
             return np.array(self.elements, dtype=dtype)
@@ -120,6 +126,15 @@ def _exact(fld: Field, ints: np.ndarray, den: int) -> Exact:
     ints.flags.writeable = False
     t.fld, t.ints, t.den, t._elements = fld, ints, den, None
     return t
+
+
+def _canonical(fld: Field, ints: np.ndarray, den: int) -> Exact:
+    """``ints`` over ``den`` as a canonical Exact: over QQ divided by the
+    gcd of ``den`` and all entries, over F_p (``den`` 1) the residues."""
+    if fld.p is not None:
+        return _exact(fld, ints % fld.p, 1)
+    g = math.gcd(den, *ints.reshape(-1))
+    return _exact(fld, ints // g, den // g)
 
 
 def _elements(ints: np.ndarray, den: int, fld: Field) -> np.ndarray:
@@ -171,10 +186,7 @@ def contract(spec: str, *operands, fld: Field):
     res = ints[0].reshape(ints[0].shape[:-1])
     if not output:
         return _exact(fld, res, scale)[()]
-    if fld.p is not None:
-        return _exact(fld, res % fld.p, 1)
-    g = math.gcd(scale, *res.reshape(-1))
-    return _exact(fld, res // g, scale // g)
+    return _canonical(fld, res, scale)
 
 
 @lru_cache(maxsize=1024)
@@ -241,17 +253,11 @@ def arr(fld: Field, nested) -> np.ndarray:
 
 
 def zeros(fld: Field, shape) -> np.ndarray:
-    a = np.empty(shape, dtype=object)
-    a.reshape(-1)[:] = [fld.zero()] * a.size
-    return a
+    return np.full(shape, fld.zero(), dtype=object)
 
 
 def identity(fld: Field, n: int) -> np.ndarray:
-    m = zeros(fld, (n, n))
-    one = fld.one()
-    for i in range(n):
-        m[i, i] = one
-    return m
+    return arr(fld, np.eye(n, dtype=object))
 
 
 def check_shape(name: str, a: np.ndarray, shape: tuple):
@@ -303,14 +309,13 @@ def is_zero(a) -> bool:
     return not as_exact(a, field_of(a)).ints.any()
 
 
-def stack(tensors: list, shape: tuple, fld: Field) -> Exact:
-    """Exact tensors of ``shape`` over ``fld``, stacked on a new first
-    axis over their common denominator."""
+def concat(tensors: list, fld: Field) -> Exact:
+    """Tensors over ``fld`` (Exact or element arrays) joined along their
+    first axis, over their common denominator."""
+    tensors = [as_exact(t, fld) for t in tensors]
     den = math.lcm(*(t.den for t in tensors))
-    ints = np.empty((len(tensors),) + shape, dtype=object)
-    for k, t in enumerate(tensors):
-        ints[k] = t.ints * (den // t.den)
-    return _exact(fld, ints, den)
+    return _exact(fld, np.concatenate(
+        [t.ints * (den // t.den) for t in tensors]), den)
 
 
 def rref(m: np.ndarray, fld: Field):
@@ -359,11 +364,11 @@ def rank(m: np.ndarray, fld: Field) -> int:
     return rref(m, fld)[2]
 
 
-def solve(m: np.ndarray, b: np.ndarray, fld: Field):
+def solve(m, b, fld: Field):
     """Solve m @ x = b exactly, for ``b`` of shape (r,) or (r, k).
 
-    Returns the solution with all free variables set to zero, of shape
-    (c,) or (c, k), or None when any column of b is inconsistent.
+    Returns the Exact solution with all free variables set to zero, of
+    shape (c,) or (c, k), or None when any column of b is inconsistent.
     """
     m, b = np.asarray(m), np.asarray(b)
     r, c = m.shape
@@ -375,13 +380,13 @@ def solve(m: np.ndarray, b: np.ndarray, fld: Field):
         return None
     x = zeros(fld, (c, rhs.shape[1]))
     x[list(pivots)] = R[:rk, c:]
-    return x.reshape((c,) + b.shape[1:])
+    return Exact(x.reshape((c,) + b.shape[1:]), fld)
 
 
-def kernel_basis(m: np.ndarray, fld: Field) -> np.ndarray:
+def kernel_basis(m, fld: Field) -> Exact:
     """Echelon basis of the right null space {x : m @ x = 0}.
 
-    Returns a (k, c) matrix whose rows form the canonical RREF basis of
+    Returns a (k, c) Exact whose rows form the canonical RREF basis of
     the kernel; k may be zero.
     """
     c = m.shape[1]
@@ -393,10 +398,11 @@ def _null_vectors(sub: SubspaceBasis):
     1 at f and -rows[i, f] at the i-th pivot column.  Returns (the
     non-pivot columns, the vectors as the rows of a matrix)."""
     free = [j for j in range(sub.ambient_dim) if j not in sub.pivots]
-    vecs = zeros(sub.fld, (len(free), sub.ambient_dim))
-    vecs[range(len(free)), free] = sub.fld.one()
-    vecs[:, list(sub.pivots)] = -sub.rows[:, free].T
-    return free, vecs
+    rows = sub.rows
+    vecs = np.zeros((len(free), sub.ambient_dim), dtype=object)
+    vecs[range(len(free)), free] = rows.den
+    vecs[:, list(sub.pivots)] = -rows.ints[:, free].T
+    return free, _canonical(sub.fld, vecs, rows.den)
 
 
 @dataclass(frozen=True)
@@ -408,7 +414,7 @@ class SubspaceBasis:
 
     fld: Field
     ambient_dim: int
-    rows: np.ndarray          # (dim, ambient_dim), RREF, no zero rows
+    rows: Exact               # (dim, ambient_dim), RREF, no zero rows
     pivots: tuple = dc_field(default=())
 
     @property
@@ -435,12 +441,13 @@ def span(vectors: np.ndarray, ambient_dim: int, fld: Field) -> SubspaceBasis:
     """
     vectors = np.asarray(vectors, dtype=object)
     if len(vectors) == 0:
-        return SubspaceBasis(fld, ambient_dim, zeros(fld, (0, ambient_dim)), ())
+        return SubspaceBasis(fld, ambient_dim,
+                             Exact(zeros(fld, (0, ambient_dim)), fld), ())
     if vectors.ndim != 2 or vectors.shape[1] != ambient_dim:
         raise ValueError(f"vectors of shape {vectors.shape} do not lie in "
                          f"a space of dimension {ambient_dim}")
     R, pivots, rk = rref(vectors, fld)
-    return SubspaceBasis(fld, ambient_dim, R[:rk].copy(), pivots)
+    return SubspaceBasis(fld, ambient_dim, Exact(R[:rk], fld), pivots)
 
 
 def coords_in_many(sub: SubspaceBasis, vs):
@@ -463,8 +470,7 @@ def coords_in_many(sub: SubspaceBasis, vs):
     flat = vs.reshape(math.prod(lead), sub.ambient_dim)
     coords = flat[:, list(sub.pivots)]
     recon = contract("ki,ij->kj", coords, sub.rows, fld=sub.fld)
-    # compared as field elements: see ROADMAP item 3
-    members = (recon.elements == flat.elements).all(axis=1)
+    members = equal_entries(recon, flat).all(axis=1)
     misses = tuple(index for index, ok in zip(np.ndindex(*lead), members)
                    if not ok)
     return coords.reshape(lead + (sub.dim,)), misses
@@ -504,7 +510,7 @@ class QuotientSpace:
     """F^ambient_dim modulo the span of the relation vectors.
 
     ``projection`` (ambient_dim x dim) and ``section`` (dim x ambient_dim)
-    are row-convention maps with projection . section = identity; the
+    are row-convention Exact maps with projection . section = identity; the
     projection kills exactly the relations.  The section picks the
     complement spanned by the standard basis vectors at the non-pivot
     columns of the relation echelon form.
@@ -513,28 +519,36 @@ class QuotientSpace:
     fld: Field
     ambient_dim: int
     relations: SubspaceBasis
-    projection: np.ndarray
-    section: np.ndarray
+    projection: Exact
+    section: Exact
 
     @property
     def dim(self) -> int:
         return self.ambient_dim - self.relations.dim
 
-    def project(self, v: np.ndarray) -> np.ndarray:
-        return v @ self.projection
+    def project(self, v) -> Exact:
+        """The image of the vectors on the last axis of ``v``."""
+        return _apply(v, self.projection, self.fld)
 
-    def lift(self, q: np.ndarray) -> np.ndarray:
-        return q @ self.section
+    def lift(self, q) -> Exact:
+        return _apply(q, self.section, self.fld)
+
+
+def _apply(v, mat, fld: Field) -> Exact:
+    """``v @ mat`` by :func:`contract`, for ``v`` with any leading axes."""
+    lead = ascii_letters[:len(np.shape(v)) - 1]
+    return contract(f"{lead}Y,YZ->{lead}Z", v, mat, fld=fld)
 
 
 def quotient(ambient_dim: int, relations: np.ndarray, fld: Field) -> QuotientSpace:
     """Build the quotient of F^ambient_dim by the span of ``relations``."""
     rel = span(relations, ambient_dim, fld)
     free, null = _null_vectors(rel)
-    return QuotientSpace(fld, ambient_dim, rel, null.T,
-                         identity(fld, ambient_dim)[free])
+    return QuotientSpace(fld, ambient_dim, rel, null.transpose(),
+                         Exact(identity(fld, ambient_dim)[free], fld))
 
 
-def kron(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Tensor product of coordinate vectors, index (i, j) -> i*len(w)+j."""
-    return np.kron(v, w)
+def kron(v, w) -> Exact:
+    """Tensor product of coordinate vectors, by :func:`contract`: index
+    (i, j) -> i * len(w) + j."""
+    return contract("i,j->ij", v, w, fld=field_of(v, w)).reshape(-1)

@@ -31,14 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .checks import CheckReport, ReportBuilder
 from .crossed import CrossedProductAlgebra
 from .globalize import EnvelopingAction
 from .hopf import multiplicativity
-from .linalg import (SubspaceBasis, contract, coords_in_many,
-                     coords_or_raise, identity, kron, rank, span)
+from .linalg import (Exact, SubspaceBasis, concat, contract, coords_in_many,
+                     coords_or_raise, identity, rank, span, zeros)
 
 
 def phi_embed(env: EnvelopingAction, r: CrossedProductAlgebra,
@@ -52,23 +50,23 @@ def phi_embed(env: EnvelopingAction, r: CrossedProductAlgebra,
     """
     fld = env.source.fld
     nh = env.source.hopf.dim
-    amb = kron(env.theta, identity(fld, nh))
-    phi, misses = coords_in_many(
-        s.basis, contract("xa,ab->xb", r.basis.rows, amb, fld=fld))
-    phi = np.array(phi)
+    # the class of a (x) h goes to theta(a) (x) h
+    images = contract("xah,ab->xbh", r.basis.rows.reshape(r.dim, -1, nh),
+                      env.theta, fld=fld)
+    phi, misses = coords_in_many(s.basis, images.reshape(r.dim, -1))
     rb = ReportBuilder("crossed product embedding")
     if misses:
         x, = misses[0]
         rb.require("lands_in_global_span", False, index=(x,))
         # only the rows before the first miss are kept
-        phi[x:] = fld.zero()
-        return phi, rb.build()
+        tail = zeros(fld, (phi.shape[0] - x, phi.shape[1]))
+        return concat([phi[:x], tail], fld), rb.build()
     rb.require("lands_in_global_span", True)
     rb.compare("multiplicative",
                *multiplicativity(phi, r.algebra, s.algebra))
     # the embedding is not unital: the base unit goes to the corner
     # idempotent tensor the Hopf unit, a local unit on the image
-    one = (r.algebra.unit.elements @ phi).reshape(1, -1)
+    one = contract("i,ij->j", r.algebra.unit, phi, fld=fld).reshape(1, -1)
     rb.compare("unit_maps_to_idempotent", _prod(s, one, one)[0], one)
     rb.compare("unit_local_left", _prod(s, one, phi)[0], phi)
     rb.compare("unit_local_right", _prod(s, phi, one)[:, 0], phi)
@@ -81,7 +79,8 @@ def build_M(env: EnvelopingAction, s: CrossedProductAlgebra) -> SubspaceBasis:
     """The span of theta(a) (x) h inside the global crossed product s."""
     nh = env.source.hopf.dim
     fld = env.source.fld
-    amb_rows = kron(env.theta, identity(fld, nh))
+    amb_rows = contract("ab,hk->ahbk", env.theta, identity(fld, nh),
+                        fld=fld).reshape(-1, s.basis.ambient_dim)
     rows = coords_or_raise(s.basis, amb_rows, ValueError,
                            "generator of the first bimodule {} is outside "
                            "the crossed product span")
@@ -111,7 +110,7 @@ class MoritaContextData:
     env: EnvelopingAction
     partial_cp: CrossedProductAlgebra
     global_cp: CrossedProductAlgebra
-    phi: np.ndarray                # (dim R, dim S)
+    phi: Exact                     # (dim R, dim S)
     phi_report: CheckReport
     bimodule_m: SubspaceBasis
     bimodule_n: SubspaceBasis
@@ -167,12 +166,14 @@ def verify_module_structures(ctx: MoritaContextData) -> CheckReport:
                              ("n_closed_right_embedded", nr, n)]:
         rb.require_inside(name, table, sub, "inside the bimodule")
 
-    one_r = (ctx.partial_cp.algebra.unit.elements @ ctx.phi).reshape(1, -1)
-    one_s = s.algebra.unit.elements.reshape(1, -1)
-    rb.compare("m_unit_left_embedded", _prod(s, one_r, m.rows)[0], m.rows)
-    rb.compare("m_unit_right_ring", _prod(s, m.rows, one_s)[:, 0], m.rows)
-    rb.compare("n_unit_left_ring", _prod(s, one_s, n.rows)[0], n.rows)
-    rb.compare("n_unit_right_embedded", _prod(s, n.rows, one_r)[:, 0], n.rows)
+    # each unit law sums a pair table against the unit of R or of S
+    one_r, one_s = ctx.partial_cp.algebra.unit, s.algebra.unit
+    for name, spec, one, table, sub in [
+            ("m_unit_left_embedded", "x,xbk->bk", one_r, rm, m),
+            ("m_unit_right_ring", "x,bxk->bk", one_s, ms, m),
+            ("n_unit_left_ring", "x,xbk->bk", one_s, sn, n),
+            ("n_unit_right_embedded", "x,bxk->bk", one_r, nr, n)]:
+        rb.compare(name, contract(spec, one, table, fld=fld), sub.rows)
 
     rb.compare("m_actions_compatible",
                *_associativity(s, rm, s_eye, r_img, ms))

@@ -46,7 +46,7 @@ class _Action:
         return self.alg.fld
 
     @cached_property
-    def unit_translates(self) -> np.ndarray:
+    def unit_translates(self) -> Exact:
         """The matrix of h |-> h . 1, one row per Hopf basis element (for
         global data, counit multiples of the unit when the axioms hold)."""
         return contract("ija,j->ia", self.action, self.alg.unit, fld=self.fld)
@@ -73,20 +73,20 @@ class TwistedPartialAction(_Action):
         return verify_crossed_conditions(self)
 
     @cached_property
-    def twisted_module_sides(self) -> tuple[np.ndarray, np.ndarray]:
+    def twisted_module_sides(self) -> tuple[Exact, Exact]:
         """(h_1 . (l_1 . a)) w(h_2, l_2) and w(h_1, l_1)((h_2 l_2) . a) at
         [h, l, a]: the twisted module identity."""
         return _twisted_module_sides(self.hopf, self.action, self.cocycle,
                                      self.alg.mult)
 
     @cached_property
-    def nested_unit_action(self) -> np.ndarray:
+    def nested_unit_action(self) -> Exact:
         """h . (l . 1) at [h, l]."""
         return contract("jx,ixk->ijk", self.unit_translates, self.action,
                         fld=self.fld)
 
     @cached_property
-    def product_unit_action(self) -> np.ndarray:
+    def product_unit_action(self) -> Exact:
         """(h_1 . 1)((h_2 l) . 1) at [h, l]."""
         h, e = self.hopf, self.unit_translates
         return contract("ipq,py,qjt,tz,yzk->ijk", h.comult, e, h.mult, e,
@@ -113,7 +113,7 @@ class GlobalTwistedAction(_Action):
         return verify_global(self)
 
 
-def unit_translate_map(tpa) -> tuple[np.ndarray, CheckReport]:
+def unit_translate_map(tpa) -> tuple[Exact, CheckReport]:
     """h |-> h . 1 as a map H -> A, together with a report on whether it
     is central in the convolution algebra Hom(H, A), a standing
     assumption of the gauge theory."""
@@ -266,7 +266,7 @@ def central_idempotent_report(alg: AlgebraData, e: np.ndarray) -> CheckReport:
     return rb.build()
 
 
-def corner_twist(g: GlobalTwistedAction, e: np.ndarray) -> np.ndarray:
+def corner_twist(g: GlobalTwistedAction, e: np.ndarray) -> Exact:
     """The twist the corner of e inherits from a global twisted action:
     (h_1 . e) u(h_2, l_1) ((h_3 l_2) . e) with h . b = e (h > b),
     returned in ambient coordinates as a (dim H, dim H, dim B) tensor.
@@ -303,7 +303,6 @@ def induce_partial(g: GlobalTwistedAction, e: np.ndarray,
     cannot happen when the global axioms hold).  With ``check`` the
     result is also run through verify_twisted_partial.
     """
-    e = np.asarray(e)
     cr = central_idempotent_report(g.alg, e)
     if not cr.passed:
         raise NotCentralIdempotent(
@@ -350,7 +349,7 @@ def _induce(g, e, twist, check):
 @dataclass(frozen=True)
 class CocycleInverse:
     exists: bool
-    inverse: np.ndarray | None    # (dim H, dim H, dim A) when it exists
+    inverse: Exact | None         # (dim H, dim H, dim A) when it exists
     report: CheckReport
 
 
@@ -384,7 +383,7 @@ def verify_symmetric(tpa: TwistedPartialAction) -> CocycleInverse:
                tpa.product_unit_action)
 
     corner = convolution(f1, f2, c2, a)
-    w = tpa.cocycle.elements.reshape(n2, na)
+    w = tpa.cocycle.reshape(n2, na)
     x = solve(*inverse_equations(w, corner, c2, a), fld)
     if x is None:
         rb.require("inverse_exists", False,

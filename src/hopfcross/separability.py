@@ -23,15 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .checks import CheckReport, ReportBuilder
 from .crossed import CrossedProductAlgebra, require_coinvariants_are_base
 from .errors import (NormalizationFailed, NotCentral, NotCocommutative,
                      NotIntegral, PreconditionError)
 from .hopf import centrality, is_cocommutative, left_integrals
-from .linalg import (contract, coords_in, coords_or_raise, eqarr,
-                     is_zero, kernel_basis, solve, span)
+from .linalg import (Exact, concat, contract, coords_in, coords_or_raise,
+                     eqarr, freeze_tensors, is_zero, kernel_basis, solve,
+                     span)
 from .partial import TwistedPartialAction
 
 
@@ -43,20 +42,18 @@ class CleftData:
     product of: the centralizer and separability formulas quantify over
     terms like S(h) . 1 that cannot be recovered from the maps alone,
     and read the action and its unit translates from it.  The two maps
-    are kept as read-only copies, so ``cleft_report``,
-    verify_partially_cleft of the datum, is computed once and kept.
+    are stored as Exact, so ``cleft_report``, verify_partially_cleft of
+    the datum, is computed once and kept.
     """
 
     cp: CrossedProductAlgebra
-    gamma: np.ndarray          # (dim H, dim R)
-    gamma_prime: np.ndarray
+    gamma: Exact               # (dim H, dim R)
+    gamma_prime: Exact
     tpa: TwistedPartialAction
 
     def __post_init__(self):
-        for name in ("gamma", "gamma_prime"):
-            mat = np.array(getattr(self, name), dtype=object)
-            mat.flags.writeable = False
-            object.__setattr__(self, name, mat)
+        shape = (self.cp.hopf.dim, self.cp.dim)
+        freeze_tensors(self, self.fld, gamma=shape, gamma_prime=shape)
 
     @property
     def fld(self):
@@ -77,10 +74,11 @@ def default_cleft(tpa: TwistedPartialAction,
                    fld=a.fld).reshape(h.dim, a.dim * h.dim)
     gamma = coords_or_raise(cp.basis, amb, ValueError,
                             "unit section of basis element {} left the span")
-    return CleftData(cp, gamma, h.antipode.elements @ gamma, tpa)
+    return CleftData(cp, gamma,
+                     contract("ij,jk->ik", h.antipode, gamma, fld=a.fld), tpa)
 
 
-def _conv_product(cd: CleftData) -> np.ndarray:
+def _conv_product(cd: CleftData) -> Exact:
     """(gamma * gamma')(h) on the Hopf basis, valued in the crossed
     product."""
     h = cd.cp.hopf
@@ -103,8 +101,9 @@ def verify_partially_cleft(cd: CleftData) -> CheckReport:
     fld = cp.fld
     require_coinvariants_are_base(cp)
     rb = ReportBuilder("partially cleft extension")
-    rb.compare("unit_value", (h.unit.elements @ cd.gamma).reshape(1, -1),
-               cp.algebra.unit.elements.reshape(1, -1))
+    rb.compare("unit_value",
+               contract("i,ij->j", h.unit, cd.gamma, fld=fld).reshape(1, -1),
+               cp.algebra.unit.reshape(1, -1))
     d, nh = cp.dim, h.dim
     co = cp.coaction.reshape(d, d, nh)
     lhs = contract("jm,mks->jks", cd.gamma, co, fld=fld)
@@ -117,7 +116,7 @@ def verify_partially_cleft(cd: CleftData) -> CheckReport:
     q = _conv_product(cd)
     rb.require_inside("product_valued_in_base", q, cp.base_space,
                       "inside the embedded base")
-    qa = solve(cp.iota.T, q.transpose(), fld)       # (dim A, dim H)
+    qa = solve(cp.iota.transpose(), q.transpose(), fld)     # (dim A, dim H)
     if qa is not None:
         # centrality lives in the convolution algebra of maps into the
         # base, so the product is pulled back through the embedding
@@ -138,13 +137,13 @@ def centralizer(cp: CrossedProductAlgebra):
     """The centralizer of the embedded base inside the crossed product,
     as a subspace in crossed-product coordinates."""
     d, na = cp.dim, cp.base.dim
-    mult = cp.algebra.mult.elements
+    mult = cp.algebra.mult
     diff = mult - mult.transpose(1, 0, 2)
     m = contract("aj,ijk->aki", cp.iota, diff, fld=cp.fld).reshape(na * d, d)
     return span(kernel_basis(m, cp.fld), d, cp.fld)
 
 
-def verify_centralizer_identity(cd: CleftData, c: np.ndarray) -> CheckReport:
+def verify_centralizer_identity(cd: CleftData, c) -> CheckReport:
     """For cocommutative H and c centralizing the base, conjugating c by
     the cosection/section pair
 
@@ -162,29 +161,30 @@ def verify_centralizer_identity(cd: CleftData, c: np.ndarray) -> CheckReport:
     if not is_cocommutative(h.coalgebra):
         raise NotCocommutative("the coproduct is not cocommutative")
     cen = centralizer(cp)
-    c = np.asarray(c)
     if coords_in(cen, c) is None:
         raise NotCentral("the element does not centralize the embedded base")
-    iota_es = (h.antipode.elements @ cd.tpa.unit_translates) @ cp.iota
+    iota_es = contract("ij,jk,kl->il", h.antipode, cd.tpa.unit_translates,
+                       cp.iota, fld=fld)
     mult = cp.algebra.mult
     t1 = contract("pa,b,abm->pm", cd.gamma_prime, c, mult, fld=fld)
     t2 = contract("pm,qc,mcn->pqn", t1, iota_es, mult, fld=fld)
     t3 = contract("pqn,rd,ndk->pqrk", t2, cd.gamma, mult, fld=fld)
     e1 = contract("ipqr,pqrk->ik", h.coalgebra.split3, t3, fld=fld)
-    gs = h.antipode.elements @ cd.gamma
-    gps = h.antipode.elements @ cd.gamma_prime
+    gs = contract("ij,jk->ik", h.antipode, cd.gamma, fld=fld)
+    gps = contract("ij,jk->ik", h.antipode, cd.gamma_prime, fld=fld)
     t = contract("qa,b,abm->qm", gs, c, mult, fld=fld)
     e2 = contract("ipq,qm,pd,mdk->ik", h.comult, t, gps, mult, fld=fld)
     rb = ReportBuilder("centralizer conjugation")
     rb.compare("conjugation_equals_swapped", e1, e2)
-    c_a = solve(cp.iota.T, c, fld)
+    c_a = solve(cp.iota.transpose(), c, fld)
     if c_a is None:
         rb.note("the element is outside the embedded base, so the comparison "
                 "with the measured value does not apply")
     else:
         acted = contract("ij,b,jba->ia", h.antipode, c_a, cd.tpa.action,
                          fld=fld)
-        rb.compare("conjugation_equals_action", e2, acted @ cp.iota)
+        rb.compare("conjugation_equals_action", e2,
+                   contract("ia,ab->ib", acted, cp.iota, fld=fld))
     return rb.build()
 
 
@@ -194,11 +194,11 @@ class BalancedTensorElement:
     over its base, kept both as quotient coordinates and as a lift on
     the plain tensor square (row-major pair indexing)."""
 
-    coordinates: np.ndarray
-    lift: np.ndarray
+    coordinates: Exact
+    lift: Exact
 
 
-def separability_idempotent(cd: CleftData, t: np.ndarray, c: np.ndarray):
+def separability_idempotent(cd: CleftData, t, c):
     """The candidate separability element built from a left integral t
     and a base element c, as an element of the balanced tensor square.
 
@@ -222,11 +222,9 @@ def separability_idempotent(cd: CleftData, t: np.ndarray, c: np.ndarray):
     if not cd.cleft_report.passed:
         raise PreconditionError("the section pair is not partially cleft: "
                                 + cd.cleft_report.summary())
-    t = np.asarray(t)
     integrals = left_integrals(h)
     if is_zero(t) or coords_in(integrals, t) is None:
         raise NotIntegral("the chosen element is not a nonzero left integral")
-    c = np.asarray(c)
     a = cp.base
     if not eqarr(contract("b,bjk->jk", c, a.mult, fld=fld),
                  contract("b,jbk->jk", c, a.mult, fld=fld)):
@@ -237,10 +235,11 @@ def separability_idempotent(cd: CleftData, t: np.ndarray, c: np.ndarray):
             f"the integral does not collapse the element to the unit: got "
             f"{tuple(normalized.elements)}")
 
-    u = t @ h.antipode.elements
+    u = contract("i,ij->j", t, h.antipode, fld=fld)
     w = contract("i,ipqr->pqr", u, h.coalgebra.split3, fld=fld)
-    iota_es = (h.antipode.elements @ cd.tpa.unit_translates) @ cp.iota
-    iota_c = c @ cp.iota
+    iota_es = contract("ij,jk,kl->il", h.antipode, cd.tpa.unit_translates,
+                       cp.iota, fld=fld)
+    iota_c = contract("i,ij->j", c, cp.iota, fld=fld)
     mult = cp.algebra.mult
     first = contract("pa,b,abm,qc,mcn->pqn", cd.gamma_prime, iota_c, mult,
                      iota_es, mult, fld=fld)
@@ -251,8 +250,7 @@ def separability_idempotent(cd: CleftData, t: np.ndarray, c: np.ndarray):
     elem = BalancedTensorElement(q.project(lift), lift)
 
     rb = ReportBuilder("separability element construction")
-    rb.require("normalization", True,
-               lhs=tuple(normalized.elements), rhs=tuple(a.unit.elements))
+    rb.require("normalization", True)
     res, _, _ = cp.canonical
     rb.require("canonical_map_bijective", res.bijective,
                lhs=(res.quotient_dim, res.rank), rhs=(res.target_dim,))
@@ -271,20 +269,21 @@ def check_separable_extension(cd: CleftData,
     d = cp.dim
     q = cp.balanced_square
     rb = ReportBuilder("separability conditions")
-    lift = np.asarray(elem.lift).reshape(d, d)
-    rb.compare("lift_projects_to_coordinates",
-               q.project(elem.lift).reshape(1, -1),
-               np.asarray(elem.coordinates).reshape(1, -1))
+    lift = elem.lift.reshape(d, d)
     mult = cp.algebra.mult
     left = contract("ab,xac->xcb", lift, mult, fld=cp.fld)
     right = contract("ab,bxc->xac", lift, mult, fld=cp.fld)
-    rb.compare("two_sided_translation", q.project(left.reshape(d, d * d)),
-               q.project(right.reshape(d, d * d)))
+    squared = contract("yz,ab,yac,bzd->cd", lift, lift, mult, mult, fld=cp.fld)
+    # the quotient classes of every tensor read here, by one projection:
+    # the lift at 0, the translates at 1..2d, the square at 2d + 1
+    proj = q.project(concat([elem.lift.reshape(1, -1),
+                             left.reshape(d, d * d), right.reshape(d, d * d),
+                             squared.reshape(1, d * d)], cp.fld))
+    coords = elem.coordinates.reshape(1, -1)
+    rb.compare("lift_projects_to_coordinates", proj[:1], coords)
+    rb.compare("two_sided_translation", proj[1:d + 1], proj[d + 1:2 * d + 1])
     collapsed = contract("ab,abc->c", lift, mult, fld=cp.fld)
     rb.compare("multiplication_collapse", collapsed.reshape(1, -1),
-               cp.algebra.unit.elements.reshape(1, -1))
-    squared = contract("yz,ab,yac,bzd->cd", lift, lift, mult, mult, fld=cp.fld)
-    rb.compare("collapse_idempotent",
-               q.project(squared.reshape(d * d)).reshape(1, -1),
-               np.asarray(elem.coordinates).reshape(1, -1))
+               cp.algebra.unit.reshape(1, -1))
+    rb.compare("collapse_idempotent", proj[2 * d + 1:], coords)
     return rb.build()

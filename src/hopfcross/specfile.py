@@ -84,19 +84,14 @@ def _tensor(fld, node, shape, path):
         raise SpecFileError(f"{path}: expected length {want}, got {len(node)}")
     if want is None and not node:
         raise SpecFileError(f"{path}: empty dimension")
-    sub = [
-        _tensor(fld, item, shape[1:], f"{path}[{i}]")
-        for i, item in enumerate(node)
-    ]
-    first = np.asarray(sub[0], dtype=object) if shape[1:] else None
-    out = np.empty((len(node),) + (first.shape if first is not None else ()),
-                   dtype=object)
+    sub = [_tensor(fld, item, shape[1:], f"{path}[{i}]")
+           for i, item in enumerate(node)]
+    if not shape[1:]:
+        return np.array(sub, dtype=object)
     for i, item in enumerate(sub):
-        if shape[1:]:
-            if np.asarray(item, dtype=object).shape != first.shape:
-                raise SpecFileError(f"{path}[{i}]: ragged nesting")
-        out[i] = item
-    return out
+        if item.shape != sub[0].shape:
+            raise SpecFileError(f"{path}[{i}]: ragged nesting")
+    return np.stack(sub)
 
 
 def _require(obj, key, path):

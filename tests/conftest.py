@@ -40,11 +40,11 @@ KS3_CORNERS = {2: ["1/3", "1/3", "1/3", 0, 0, 0],
 
 @pytest.fixture(scope="session", params=sorted(KS3_CORNERS),
                 ids=lambda d: f"corner{d}")
-def ks3_corner(request):
+def ks3_partial(request):
     """A partial action of the dual k^{S3} of the group algebra, a
-    non-cocommutative Hopf algebra, and its enveloping action.  k^{S3}
-    acts globally on QS3 by the grading delta_g > h = [g = h] h with the
-    trivial twist; the partial action is its restriction to a corner."""
+    non-cocommutative Hopf algebra.  k^{S3} acts globally on QS3 by the
+    grading delta_g > h = [g = h] h with the trivial twist; the partial
+    action is its restriction to a corner."""
     qq = Field.rationals()
     ks3 = group_algebra(qq, sym3_table())
     action = zeros(qq, (6, 6, 6))
@@ -54,5 +54,10 @@ def ks3_corner(request):
     twist = np.multiply.outer(np.multiply.outer(counit, counit),
                               ks3.unit.elements)
     glob = GlobalTwistedAction(dual_hopf(ks3), ks3.algebra, action, twist)
-    tpa = induce_partial(glob, arr(qq, KS3_CORNERS[request.param])).tpa
-    return globalize_group_partial(tpa)
+    return induce_partial(glob, arr(qq, KS3_CORNERS[request.param])).tpa
+
+
+@pytest.fixture(scope="session")
+def ks3_corner(ks3_partial):
+    """The enveloping action of :func:`ks3_partial`."""
+    return globalize_group_partial(ks3_partial)

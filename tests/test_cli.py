@@ -3,6 +3,7 @@ exit codes, JSON determinism, and the text renderer."""
 
 import ast
 import contextlib
+import dataclasses
 import importlib
 import inspect
 import io
@@ -12,6 +13,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
 from fractions import Fraction
 from importlib import resources
@@ -27,14 +29,17 @@ from hopfcross import cli, linalg
 from hopfcross.checks import ReportBuilder
 from hopfcross.crossed import (balanced_tensor_square, build_global_crossed,
                                build_partial_crossed)
-from hopfcross.fixtures import c3_partial
-from hopfcross.gauge import gauge_transform
+from hopfcross.fields import QQ
+from hopfcross.fixtures import c3_gauge, c3_partial
+from hopfcross.gauge import (gauge_crossed_iso, gauge_transform,
+                             weak_conv_inverse)
 from hopfcross.globalize import globalize_group_partial
 from hopfcross.hopf import split, verify_algebra
 from hopfcross.linalg import contract
+from hopfcross.morita import morita_context, phi_embed
 from hopfcross.partial import verify_crossed_conditions, verify_global
-from hopfcross.separability import (check_separable_extension,
-                                    verify_partially_cleft)
+from hopfcross.separability import (CleftData, check_separable_extension,
+                                    default_cleft, verify_partially_cleft)
 from hopfcross.specfile import load_spec
 
 DATA = resources.files("hopfcross") / "data"
@@ -420,6 +425,61 @@ def test_contract_is_the_one_einsum_kernel():
     assert calls        # the guard sees the kernel's own calls
 
 
+def _is_product(node):
+    """Whether an AST node multiplies tensors outside the kernel: an @
+    operator or a call of np.kron, np.dot or np.matmul."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.MatMult)
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) in ("kron", "dot", "matmul")
+            and getattr(node.func.value, "id", None) in ("np", "numpy"))
+
+
+def test_every_product_goes_through_the_kernel():
+    # the engine multiplies tensors only by linalg.contract: no module
+    # but linalg.py has an @ operator or calls np.kron, np.dot, np.matmul
+    found = [(name, node.lineno) for name, node in _package_nodes()
+             if _is_product(node)]
+    assert [f for f in found if f[0] != "linalg.py"] == []
+    # the guard sees each form
+    snippet = "a @ b\na @= b\nnp.kron(a, b)\nnp.dot(a, b)\nnumpy.matmul(a, b)"
+    assert sum(map(_is_product, ast.walk(ast.parse(snippet)))) == 5
+
+
+def test_every_map_the_engine_hands_out_is_exact():
+    # one tensor form at every interface: the maps of the C3 fixture's
+    # crossed products, enveloping action, Morita context, gauge and
+    # cleft datum, and the results of the linalg solvers, are Exact
+    tpa = c3_partial()
+    cp = build_partial_crossed(tpa)
+    env = globalize_group_partial(tpa)
+    s = build_global_crossed(env.glob)
+    ctx = morita_context(env, cp, s)
+    cut = dataclasses.replace(s, basis=linalg.span(s.basis.rows[:1], 9, QQ))
+    pair = weak_conv_inverse(c3_gauge(2, 5), tpa)
+    cpv = build_partial_crossed(gauge_transform(pair, tpa))
+    cd = default_cleft(tpa, cp)
+    given = CleftData(cp, np.array(cd.gamma), np.array(cd.gamma_prime), tpa)
+    square = cp.balanced_square
+    maps = {
+        "iota": cp.iota, "coaction": cp.coaction, "theta": env.theta,
+        "theta_one": env.theta_one, "corner_twist": env.corner_twist,
+        "phi": ctx.phi, "phi_past_a_miss": phi_embed(env, cp, cut)[0],
+        "v": pair.v, "v_inv": pair.v_inv,
+        "gauge_iso": gauge_crossed_iso(pair, cp, cpv)[0],
+        "gauge_iso_reversed": gauge_crossed_iso(pair, cpv, cp)[0],
+        "gamma": cd.gamma, "gamma_prime": cd.gamma_prime,
+        "given_gamma": given.gamma, "given_gamma_prime": given.gamma_prime,
+        "basis_rows": cp.basis.rows, "solve": linalg.solve(
+            cp.iota.transpose(), cp.algebra.unit, QQ),
+        "kernel_basis": linalg.kernel_basis(cp.iota, QQ),
+        "projection": square.projection, "section": square.section,
+        "project": square.project(linalg.identity(QQ, cp.dim ** 2)),
+        "lift": square.lift(linalg.identity(QQ, square.dim))}
+    assert [name for name, m in maps.items()
+            if not isinstance(m, linalg.Exact)] == []
+
+
 def test_only_the_kernel_and_the_fields_build_scalars():
     # Fraction and Fp objects are built where a scalar leaves the engine:
     # by the field descriptors and by linalg (Exact.elements, one-entry
@@ -539,6 +599,18 @@ def test_one_mutation_of_a_bundled_file_gives_a_report_or_an_input_error(
     else:
         assert err.getvalue() == ""
         assert json.loads(out.getvalue())["passed"] is (code == 0)
+
+
+def test_scalar_with_a_huge_exponent_is_an_input_error(tmp_path, capsys):
+    # parsed by Fraction, "1e999999999" would not finish
+    doc = json.loads((DATA / "f_c3.json").read_text())
+    doc["action"][0][0][0] = "1e999999999"
+    p = tmp_path / "exponent.json"
+    p.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert cli.main(["verify", str(p)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "bad rational scalar '1e999999999'" in capsys.readouterr().err
 
 
 def test_parallel_option_is_gone():

@@ -133,7 +133,7 @@ def test_base_embedding_is_unital_and_injective():
 
 def test_corrupted_base_embedding_violations_are_pinned():
     cp = build_partial_crossed(c3_partial())
-    iota = cp.iota.copy()
+    iota = np.array(cp.iota)
     iota[0] = arr(QQ, [0, 1, 1, 0])
     rep = verify_crossed(dataclasses.replace(cp, iota=iota))
     assert [(v.index, v.lhs, v.rhs) for v in rep.violations

@@ -48,6 +48,15 @@ def test_rational_parse_format_round_trip(s):
     assert QQ.format(QQ.parse(s)) == s
 
 
+@pytest.mark.parametrize("s", ["0.5", "1_000", "1e6", "1e999999999", "1/-2",
+                               "1 / 2", "/2", "", "inf", "1/0"])
+def test_rational_parse_accepts_only_integers_and_quotients(s):
+    # Fraction's own parser also reads decimals, underscores and
+    # exponents, and takes unbounded time on a large exponent
+    with pytest.raises(ValueError, match="bad rational scalar"):
+        QQ.parse(s)
+
+
 def test_rational_format_reduces():
     assert QQ.format(Fraction(2, 4)) == "1/2"
     assert QQ.format(Fraction(-4, 2)) == "-2"

@@ -20,7 +20,7 @@ from hopfcross.fixtures import (c3_gauge, c3_partial, cocycle_pair,
 from hopfcross.gauge import (GaugePair, gauge_crossed_iso, gauge_transform,
                              verify_equisatisfiability,
                              verify_gauge_composition, weak_conv_inverse)
-from hopfcross.linalg import arr, eqarr, identity
+from hopfcross.linalg import arr, eqarr, identity, rank, zeros
 from hopfcross.partial import verify_crossed_conditions, verify_twisted_partial
 
 QQ = Field.rationals()
@@ -114,6 +114,42 @@ def test_mismatched_gauge_iso_violations_are_pinned():
     assert rep.notes == ("the same formula read from the original crossed "
                          "product is not multiplicative; only the stated "
                          "direction is",)
+
+
+def matrix_corner_maps(tpa):
+    """The crossed product of the partial action of k^{S3} on its matrix
+    corner, the unit translates e(h) = h . 1 and a map f that is not a
+    gauge.  k^{S3} is not cocommutative, and the ambient map
+    a (x) h |-> a f(h_1) (x) h_2 leaves the crossed span, while that of
+    e lands, since the span is that of a (h_1 . 1) (x) h_2."""
+    junk = arr(QQ, [[i] * 4 for i in range(6)])
+    return build_partial_crossed(tpa), tpa.unit_translates, junk
+
+
+@pytest.mark.parametrize("ks3_partial", [4], indirect=True, ids=["corner4"])
+def test_map_outside_the_target_span_is_reported(ks3_partial):
+    cp, e, junk = matrix_corner_maps(ks3_partial)
+    phi, rep = gauge_crossed_iso(GaugePair(junk, e, False), cp, cp)
+    assert eqarr(phi, zeros(QQ, (16, 16)))
+    assert rep.to_dict(QQ) == {
+        "title": "gauge isomorphism of crossed products", "passed": False,
+        "identities": ["lands_in_target_span"], "notes": [],
+        "violations": [{"identity": "lands_in_target_span", "index": [],
+                        "lhs": [], "rhs": []}]}
+
+
+@pytest.mark.parametrize("ks3_partial", [4], indirect=True, ids=["corner4"])
+def test_inverse_outside_the_source_span_is_reported(ks3_partial):
+    cp, e, junk = matrix_corner_maps(ks3_partial)
+    phi, rep = gauge_crossed_iso(GaugePair(e, junk, False), cp, cp)
+    assert rank(phi, QQ) == 16
+    assert rep.to_dict(QQ) == {
+        "title": "gauge isomorphism of crossed products", "passed": False,
+        "identities": ["lands_in_target_span", "multiplicative", "unital",
+                       "bijective", "inverse_lands_in_source_span"],
+        "notes": [],
+        "violations": [{"identity": "inverse_lands_in_source_span",
+                        "index": [], "lhs": [], "rhs": []}]}
 
 
 def test_gauge_composition_on_pair():

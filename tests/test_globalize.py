@@ -153,14 +153,14 @@ def test_every_theta_mutation_is_rejected(c3_env):
         for j in range(env.theta.shape[1]):
             old = env.theta[i, j]
             for nv in {QQ.zero(), QQ.one(), old + QQ.one()} - {old}:
-                th = env.theta.copy()
+                th = np.array(env.theta)
                 th[i, j] = nv
                 assert rejected(dataclasses.replace(env, theta=th)), \
                     f"theta mutant at ({i},{j}) -> {nv} not caught"
 
 
 def test_corrupted_theta_multiplicativity_violations_are_pinned(c3_env):
-    th = c3_env.theta.copy()
+    th = np.array(c3_env.theta)
     th[0] = arr(QQ, [1, 1, 0])
     rep = verify_enveloping(dataclasses.replace(c3_env, theta=th))
     assert [(v.index, v.lhs, v.rhs) for v in rep.violations
@@ -168,6 +168,21 @@ def test_corrupted_theta_multiplicativity_violations_are_pinned(c3_env):
         ((0, 1), (0, 0, 0), (0, 1, 0)),
         ((1, 0), (0, 0, 0), (0, 1, 0)),
     ]
+
+
+def test_embedding_outside_the_corner_is_reported_at_its_first_row(c3_env):
+    # theta(1) and so the corner are kept, but both rows of theta leave
+    # the corner: the report names the first, with the row as lhs, and
+    # stops before comparing the induced action
+    th = arr(QQ, [[1, 0, 1], [0, 1, -1]])
+    env = dataclasses.replace(c3_env, theta=th)
+    assert eqarr(env.theta_one, c3_env.theta_one) and env.corner_report.passed
+    assert verify_induced_matches(env).to_dict(QQ) == {
+        "title": "induced partial action", "passed": False,
+        "identities": ["embedding_lands_in_corner"], "notes": [],
+        "violations": [{"identity": "embedding_lands_in_corner",
+                        "index": [0], "lhs": ["1", "0", "1"],
+                        "rhs": ["in corner"]}]}
 
 
 def test_every_degenerate_twist_and_action_mutation_is_rejected():

@@ -389,7 +389,7 @@ def test_coords_in_many_matches_membership_by_rank(case):
     for k, v in enumerate(vs):
         if (k,) not in misses:
             rebuilt = zeros(fld, (n,))
-            for c, row in zip(coords[k], sub.rows):
+            for c, row in zip(coords[k], np.array(sub.rows)):
                 rebuilt = rebuilt + c * row
             assert eqarr(rebuilt, v)
             assert eqarr(coords_in(sub, v), coords[k])

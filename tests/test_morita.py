@@ -109,7 +109,7 @@ def test_self_enveloping_context_is_the_identity():
 
 
 def test_corrupted_embedding_breaks_multiplicativity(c3_env):
-    th = c3_env.theta.copy()
+    th = np.array(c3_env.theta)
     th[0] = arr(QQ, [1, 1, 0])
     env = dataclasses.replace(c3_env, theta=th)
     _, rep = phi_embed(env, build_partial_crossed(env.source),
@@ -117,6 +117,24 @@ def test_corrupted_embedding_breaks_multiplicativity(c3_env):
     assert not rep.identity_passed("multiplicative")
     assert not rep.identity_passed("unit_maps_to_idempotent")
     assert rep.identity_passed("lands_in_global_span")
+
+
+def test_embedding_outside_the_global_span_zeroes_the_rows_past_the_miss(
+        c3_env):
+    # the partial basis rows go to the unit vectors 0, 2, 3 and 4 of the
+    # global crossed product; cut its span down to those of rows 0 and 2,
+    # and row 1 is the first miss: the report stops there, and every row
+    # from it on is zero, row 2 too, though it lands
+    r = build_partial_crossed(c3_env.source)
+    s = build_global_crossed(c3_env.glob)
+    cut = dataclasses.replace(s, basis=span(identity(QQ, 9)[[0, 3]], 9, QQ))
+    phi, rep = phi_embed(c3_env, r, cut)
+    assert eqarr(phi, arr(QQ, [[1, 0], [0, 0], [0, 0], [0, 0]]))
+    assert rep.to_dict(QQ) == {
+        "title": "crossed product embedding", "passed": False,
+        "identities": ["lands_in_global_span"], "notes": [],
+        "violations": [{"identity": "lands_in_global_span", "index": [1],
+                        "lhs": [], "rhs": []}]}
 
 
 def test_non_ideal_bimodule_fails_closure(c3_env):

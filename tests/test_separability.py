@@ -70,7 +70,7 @@ def test_cleft_reports_pass():
 
 def test_doctored_section_fails_unit_value():
     cd = cleft(cocycle_pair(1))
-    g = cd.gamma.copy()
+    g = np.array(cd.gamma)
     g[0] = arr(QQ, [1, 1])
     rep = verify_partially_cleft(CleftData(cd.cp, g, cd.gamma_prime, cd.tpa))
     assert not rep.identity_passed("unit_value")
@@ -80,7 +80,7 @@ def test_section_product_outside_the_base_is_pinned():
     # with gamma(h_1), gamma(h_2) moved off the section, gamma * gamma'
     # leaves the embedded base at h_1 and h_2, and centrality is skipped
     cd = cleft(c3_partial())
-    g = cd.gamma.copy()
+    g = np.array(cd.gamma)
     g[1], g[2] = arr(QQ, [1, 1, 0, 0]), arr(QQ, [0, 1, 1, 0])
     rep = verify_partially_cleft(CleftData(cd.cp, g, cd.gamma_prime,
                                            cd.tpa))
@@ -255,7 +255,7 @@ def test_extension_check_ignores_choice_of_lift():
     elem, base_rep, _ = separability_idempotent(cd, arr(QQ, [1, 1, 1]),
                                                 arr(QQ, ["1/2", "1/2"]))
     q = balanced_tensor_square(cd.cp)
-    pert = elem.lift + q.relations.rows[0] * QQ.coerce(7)
+    pert = elem.lift + np.array(q.relations.rows[0]) * QQ.coerce(7)
     moved = BalancedTensorElement(coordinates=q.project(pert), lift=pert)
     assert eqarr(moved.coordinates, elem.coordinates)
     rep = check_separable_extension(cd, moved)
