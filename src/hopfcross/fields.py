@@ -12,8 +12,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-# "n" or "p/q" only: Fraction(s) also reads "1e999999999" and never ends
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+# "n" or "p/q" in ASCII digits, then " mod p" over F_p: Fraction(s) also
+# reads "1e999999999" and never ends, and int(s) reads "1_0" and digits
+# of other scripts
+_SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?(?: mod ([0-9]+))?")
 
 
 class FieldMismatchError(TypeError):
@@ -220,45 +222,34 @@ class Field:
     # -- serialization ---------------------------------------------------
 
     def parse(self, s):
-        """Parse a scalar string: "n" or "p/q" over QQ, "k mod p" over F_p."""
+        """Parse a scalar string: "n" or "p/q" in ASCII digits, over F_p
+        optionally followed by " mod p"."""
         if _is_int(s):
             return self.coerce(s)
         if not isinstance(s, str):
             raise ValueError(f"scalar must be a string or int, got {type(s).__name__}")
         s = s.strip()
-        if self.p is None:
-            if "mod" in s:
-                raise ValueError(f"prime-field scalar {s!r} in a rational context")
-            m = _RATIONAL.fullmatch(s)
-            if m is None:
-                raise ValueError(
-                    f"bad rational scalar {s!r}: expected n or p/q")
-            try:
-                return Fraction(int(m[1]), int(m[2] or 1))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"bad rational scalar {s!r}: {exc}") from None
-        if "mod" in s:
-            left, _, right = s.partition("mod")
-            try:
-                k, q = int(left.strip()), int(right.strip())
-            except ValueError:
-                raise ValueError(f"bad prime-field scalar {s!r}") from None
-            if q != self.p:
-                raise ValueError(f"scalar {s!r} has modulus {q}, field is F_{self.p}")
-            return Fp(k, self.p)
-        if "/" in s:
-            num, _, den = s.partition("/")
-            try:
-                n, d = int(num.strip()), int(den.strip())
-            except ValueError:
-                raise ValueError(f"bad scalar {s!r}") from None
-            if d % self.p == 0:
-                raise ValueError(f"scalar {s!r} has non-invertible denominator in F_{self.p}")
-            return Fp(n, self.p) / Fp(d, self.p)
+        if self.p is None and "mod" in s:
+            raise ValueError(f"prime-field scalar {s!r} in a rational context")
+        m = _SCALAR.fullmatch(s)
+        if m is None and self.p is None:
+            raise ValueError(f"bad rational scalar {s!r}: expected n or p/q")
+        if m is None:
+            raise ValueError(f"bad prime-field scalar {s!r}: expected n or "
+                             f"p/q, optionally followed by ' mod {self.p}'")
         try:
-            return Fp(int(s), self.p)
-        except ValueError:
-            raise ValueError(f"bad scalar {s!r}") from None
+            num, den = int(m[1]), int(m[2] or 1)
+        except ValueError as exc:       # more digits than int() reads
+            raise ValueError(f"bad scalar {s!r}: {exc}") from None
+        if self.p is None:
+            if den == 0:
+                raise ValueError(f"bad rational scalar {s!r}: zero denominator")
+            return Fraction(num, den)
+        if m[3] and int(m[3]) != self.p:
+            raise ValueError(f"scalar {s!r} has modulus {int(m[3])}, field is F_{self.p}")
+        if den % self.p == 0:
+            raise ValueError(f"scalar {s!r} has non-invertible denominator in F_{self.p}")
+        return Fp(num * pow(den, -1, self.p), self.p)
 
     def format(self, x):
         """Canonical string form, the inverse of :meth:`parse`."""

@@ -39,7 +39,7 @@ import numpy as np
 from .checks import CheckReport, ReportBuilder
 from .errors import NonGroupTable
 from .fields import Field
-from .linalg import (Exact, SubspaceBasis, as_exact, check_shape, concat,
+from .linalg import (Exact, SubspaceBasis, check_shape, concat,
                      contract, eqarr, freeze_tensors, identity, kernel_basis,
                      kron, solve, span, zeros)
 
@@ -269,7 +269,7 @@ def inverse_equations(f, e, c: CoalgebraData, a: AlgebraData):
         return contract("xkr,rz,bzm->xmkb", c.comult, g, a.mult,
                         fld=a.fld).reshape(n, n)
 
-    eye = as_exact(identity(a.fld, n), a.fld)
+    eye = identity(a.fld, n)
     rows = concat([left(f), right(f), eye - left(e), eye - right(e)], a.fld)
     rhs = concat([e.reshape(n), e.reshape(n), zeros(a.fld, (2 * n,))], a.fld)
     return rows, rhs

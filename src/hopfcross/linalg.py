@@ -1,22 +1,24 @@
 """Exact dense linear algebra over QQ or F_p.
 
 Every tensor the engine holds or hands out is an :class:`Exact`: Python
-ints over one common denominator over QQ, residues over F_p, whose
-field elements are built only when read.  Numpy arrays with
-``dtype=object`` whose entries are field elements (see
+ints over one common denominator over QQ, residues over F_p, whose field
+elements are built only when read; :func:`identity` is one.  Numpy arrays
+with ``dtype=object`` whose entries are field elements (see
 :mod:`hopfcross.fields`) are input only: parsed files, fixtures and the
-:func:`arr`, :func:`zeros` and :func:`identity` builders.  Every tensor
-product in the package goes through :func:`contract`, which takes the
-einsum subscripts and the field of the operands, runs the contraction
-on Python integers and returns an Exact: an Exact operand is used as it
-is, any other operand is scaled to integers once (over QQ by the lcm of
-its denominators), and the result is reduced once, by the gcd of the
-scale and all entries over QQ or mod p over F_p.  Every verdict compares
-those integers (:func:`equal_entries`, and on it :func:`eqarr`,
+input builders :func:`arr` and :func:`zeros`.  Every tensor product in
+the package goes through :func:`contract`, which takes the einsum
+subscripts and the field of the operands, runs the contraction on Python
+integers and returns an Exact: an Exact operand is used as it is, any
+other operand is scaled to integers once (over QQ by the lcm of its
+denominators), and the result is reduced once, by the gcd of the scale
+and all entries over QQ or mod p over F_p.  Every verdict compares those
+integers (:func:`equal_entries`, and on it :func:`eqarr`,
 :func:`is_zero`, ``ReportBuilder.compare`` and the membership test of
-:func:`coords_in_many`), so a passing check builds no field element;
-only :func:`rref` eliminates on field elements.  The greedy contraction
-path of each (spec, operand shapes) pair is planned once and kept in a
+:func:`coords_in_many`), so a passing check builds no field element.
+:func:`rref` eliminates on those integers too, and :func:`span`,
+:func:`solve`, :func:`rank`, :func:`kernel_basis` and :func:`quotient`
+take and return Exact tensors through it.  The greedy contraction path
+of each (spec, operand shapes) pair is planned once and kept in a
 fixed-size module cache (see :func:`_plan`); :func:`contract` runs its
 pairwise steps itself, one plain ``np.einsum`` each.  Every subspace is
 represented by its reduced row echelon basis, so equal subspaces have
@@ -256,8 +258,8 @@ def zeros(fld: Field, shape) -> np.ndarray:
     return np.full(shape, fld.zero(), dtype=object)
 
 
-def identity(fld: Field, n: int) -> np.ndarray:
-    return arr(fld, np.eye(n, dtype=object))
+def identity(fld: Field, n: int) -> Exact:
+    return _exact(fld, np.eye(n, dtype=object), 1)
 
 
 def check_shape(name: str, a: np.ndarray, shape: tuple):
@@ -318,69 +320,76 @@ def concat(tensors: list, fld: Field) -> Exact:
         [t.ints * (den // t.den) for t in tensors]), den)
 
 
-def rref(m: np.ndarray, fld: Field):
-    """Reduced row echelon form.
+def rref(m, fld: Field):
+    """Reduced row echelon form, eliminated on the integers of an Exact.
+
+    The elimination is fraction-free, one vectorized step per pivot:
+    every other row is scaled by the pivot and the matching multiple of
+    the pivot row is subtracted; over F_p the rows are then reduced mod
+    p, over QQ divided by their content (the gcd of their entries), so
+    the entries stay small.  At the end each pivot row is divided by its
+    pivot, over one common denominator over QQ.
 
     Args:
-        m: matrix, shape (r, c).
+        m: matrix, shape (r, c): an Exact over ``fld`` or its elements.
         fld: field descriptor of the entries.
 
     Returns:
-        (R, pivots, rank) where R is the RREF matrix (same shape), pivots
-        the tuple of pivot column indices in increasing order, and
-        rank == len(pivots).  Pivot entries are 1 and are the only nonzero
-        entries of their columns.
+        (R, pivots, rank) where R is the RREF as an Exact of m's shape,
+        zero rows last, pivots the tuple of pivot column indices in
+        increasing order, and rank == len(pivots).  Pivot entries are 1
+        and are the only nonzero entries of their columns.
     """
-    r, c = m.shape
-    R = np.array(m, dtype=object)
+    R = np.array(as_exact(m, fld).ints)
     pivots = []
-    row = 0
-    for col in range(c):
-        # find a nonzero entry at or below `row` in this column
-        sel = None
-        for i in range(row, r):
-            if R[i, col] != 0:
-                sel = i
-                break
-        if sel is None:
+    for col in range(R.shape[1]):
+        row = len(pivots)
+        nonzero = np.flatnonzero(R[row:, col])
+        if not nonzero.size:
             continue
-        if sel != row:
-            R[[row, sel]] = R[[sel, row]]
-        piv = R[row, col]
-        if piv != fld.one():
-            R[row] = [x / piv for x in R[row]]
-        for i in range(r):
-            if i != row and R[i, col] != 0:
-                f = R[i, col]
-                R[i] = [x - f * y for x, y in zip(R[i], R[row])]
+        R[[row, row + nonzero[0]]] = R[[row + nonzero[0], row]]
+        rows = [i for i in np.flatnonzero(R[:, col]) if i != row]
+        reduced = (R[rows] * R[row, col]
+                   - np.multiply.outer(R[rows, col], R[row]))
+        if fld.p is not None:
+            R[rows] = reduced % fld.p
+        else:
+            content = np.gcd.reduce(reduced, axis=1)
+            R[rows] = reduced // np.maximum(content, 1)[:, None]
         pivots.append(col)
-        row += 1
-        if row == r:
-            break
-    return R, tuple(pivots), len(pivots)
+    leads = [R[i, col] for i, col in enumerate(pivots)]
+    if fld.p is not None:
+        den, scale = 1, [pow(v, -1, fld.p) for v in leads]
+    else:
+        den = math.lcm(*map(abs, leads))
+        scale = [den // v for v in leads]
+    R[:len(pivots)] *= np.array(scale, dtype=object)[:, None]
+    return _canonical(fld, R, den), tuple(pivots), len(pivots)
 
 
-def rank(m: np.ndarray, fld: Field) -> int:
+def rank(m, fld: Field) -> int:
     return rref(m, fld)[2]
 
 
 def solve(m, b, fld: Field):
-    """Solve m @ x = b exactly, for ``b`` of shape (r,) or (r, k).
+    """Solve m @ x = b exactly, for ``b`` of shape (r,) or (r, k), by one
+    :func:`rref` of the integers of [m | b] over their denominators.
 
     Returns the Exact solution with all free variables set to zero, of
     shape (c,) or (c, k), or None when any column of b is inconsistent.
     """
-    m, b = np.asarray(m), np.asarray(b)
+    m, b = as_exact(m, fld), as_exact(b, fld)
     r, c = m.shape
-    if b.shape[:1] != (r,) or b.ndim > 2:
+    if b.shape[:1] != (r,) or len(b.shape) > 2:
         raise ValueError(f"rhs shape {b.shape} does not match {r} rows")
-    rhs = b.reshape(r, math.prod(b.shape[1:]))
-    R, pivots, rk = rref(np.concatenate([m, rhs], axis=1), fld)
+    k = math.prod(b.shape[1:])
+    R, pivots, rk = rref(_exact(fld, np.concatenate(
+        [m.ints * b.den, b.ints.reshape(r, k) * m.den], axis=1), 1), fld)
     if rk and pivots[-1] >= c:
         return None
-    x = zeros(fld, (c, rhs.shape[1]))
-    x[list(pivots)] = R[:rk, c:]
-    return Exact(x.reshape((c,) + b.shape[1:]), fld)
+    x = np.zeros((c, k), dtype=object)
+    x[list(pivots)] = R.ints[:rk, c:]
+    return _canonical(fld, x.reshape((c,) + b.shape[1:]), R.den)
 
 
 def kernel_basis(m, fld: Field) -> Exact:
@@ -439,15 +448,14 @@ def span(vectors: np.ndarray, ambient_dim: int, fld: Field) -> SubspaceBasis:
 
     The result is independent of the order and scaling of the inputs.
     """
-    vectors = np.asarray(vectors, dtype=object)
-    if len(vectors) == 0:
-        return SubspaceBasis(fld, ambient_dim,
-                             Exact(zeros(fld, (0, ambient_dim)), fld), ())
-    if vectors.ndim != 2 or vectors.shape[1] != ambient_dim:
+    vectors = as_exact(vectors, fld)
+    if vectors.shape[:1] == (0,):       # no vectors, in any shape
+        vectors = vectors.reshape(0, ambient_dim)
+    if len(vectors.shape) != 2 or vectors.shape[1] != ambient_dim:
         raise ValueError(f"vectors of shape {vectors.shape} do not lie in "
                          f"a space of dimension {ambient_dim}")
     R, pivots, rk = rref(vectors, fld)
-    return SubspaceBasis(fld, ambient_dim, Exact(R[:rk], fld), pivots)
+    return SubspaceBasis(fld, ambient_dim, R[:rk], pivots)
 
 
 def coords_in_many(sub: SubspaceBasis, vs):
@@ -545,7 +553,7 @@ def quotient(ambient_dim: int, relations: np.ndarray, fld: Field) -> QuotientSpa
     rel = span(relations, ambient_dim, fld)
     free, null = _null_vectors(rel)
     return QuotientSpace(fld, ambient_dim, rel, null.transpose(),
-                         Exact(identity(fld, ambient_dim)[free], fld))
+                         identity(fld, ambient_dim)[free])
 
 
 def kron(v, w) -> Exact:

@@ -29,7 +29,7 @@ from hopfcross import cli, linalg
 from hopfcross.checks import ReportBuilder
 from hopfcross.crossed import (balanced_tensor_square, build_global_crossed,
                                build_partial_crossed)
-from hopfcross.fields import QQ
+from hopfcross.fields import QQ, Field
 from hopfcross.fixtures import c3_gauge, c3_partial
 from hopfcross.gauge import (gauge_crossed_iso, gauge_transform,
                              weak_conv_inverse)
@@ -516,6 +516,36 @@ def test_a_passing_compare_of_exact_tables_builds_no_elements(monkeypatch):
     assert rep.passed and view.den != rhs.den and built == []
     # the counter sees a build: reading the elements of a result
     assert rhs.elements.shape == rhs.shape and built == [rhs.shape]
+
+
+@pytest.mark.parametrize("p", [None, 7], ids=["QQ", "F7"])
+def test_elimination_builds_no_element(monkeypatch, p):
+    # span, solve, rank, kernel_basis and quotient eliminate on the
+    # integers of their Exact inputs: no element array is built or
+    # converted.  The matrix needs a row swap and skips a zero column.
+    fld = Field(p)
+    m = linalg.Exact(linalg.arr(fld, [[0, 0, 3, "1/3"], [2, 0, 1, 4],
+                                      [4, 0, 5, "25/3"]]), fld)
+    b = contract("ij,j->i", m, linalg.arr(fld, [1, 1, 1, 1]), fld=fld)
+    bad = linalg.Exact(linalg.arr(fld, [1, 0, 0]), fld)
+    elements = m.elements
+    calls = Counter()
+    for name in ("_elements", "_integers"):
+        def counting(*args, name=name, original=getattr(linalg, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(linalg, name, counting)
+    x = linalg.solve(m, b, fld)
+    assert isinstance(x, linalg.Exact) and linalg.eqarr(
+        contract("ij,j->i", m, x, fld=fld), b)
+    assert linalg.solve(m, bad, fld) is None
+    assert linalg.span(m, 4, fld).dim == linalg.rank(m, fld) == 2
+    assert linalg.kernel_basis(m, fld).shape == (2, 4)
+    assert linalg.quotient(4, m, fld).dim == 2
+    assert calls == Counter()
+    # the counter sees a conversion: an element array in
+    assert linalg.rank(elements, fld) == 2 and calls == {"_integers": 1}
 
 
 def test_missing_file_is_an_input_error():

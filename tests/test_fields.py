@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hopfcross.fields import Field, FieldMismatchError, Fp
@@ -67,6 +67,28 @@ def test_prime_parse_variants():
     assert F5.parse("7") == Fp(2, 5)
     assert F5.parse("2 mod 5") == Fp(2, 5)
     assert F5.parse("1/2") == Fp(3, 5)
+
+
+@pytest.mark.parametrize("s", ["1_000", "1_0 mod 5", " 1 / 2 ", "\u0663"])
+@pytest.mark.parametrize("fld", [QQ, F5], ids=["QQ", "F5"])
+def test_both_fields_reject_what_int_alone_would_read(fld, s):
+    # int() reads underscores, spaces around "/" once split, and
+    # non-ASCII digits such as the Arabic-Indic three
+    with pytest.raises(ValueError, match="scalar"):
+        fld.parse(s)
+
+
+@given(st.text(), st.sampled_from([QQ, F5, Field.prime(2**61 - 1)]))
+@example(" -3/4 mod 5", F5)
+@example("-3/4 mod 5", QQ)
+@example("1/0", QQ)
+@example("1/10", F5)
+def test_parse_returns_an_element_or_raises_value_error(s, fld):
+    try:
+        x = fld.parse(s)
+    except ValueError:
+        return
+    assert type(x) is type(fld.one()) and fld.parse(fld.format(x)) == x
 
 
 def test_prime_parse_rejects_wrong_modulus():

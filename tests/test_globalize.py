@@ -252,7 +252,7 @@ def test_noncentral_unit_translate_is_reported():
     # is not central, so neither verifier may raise; each names the
     # failures.  (The data also fail the twisted module identity.)
     a = upper_triangular()
-    act = arr(QQ, [identity(QQ, 3).tolist(),
+    act = arr(QQ, [identity(QQ, 3).elements.tolist(),
                    [[1, 0, 0], [0, 0, 0], [0, 0, 0]]])
     one, e11 = a.unit.elements.tolist(), [1, 0, 0]
     coc = arr(QQ, [[one, e11], [e11, e11]])

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hopfcross
+import reference
 from hopfcross import linalg
 from hopfcross.fields import Field, FieldMismatchError, Fp
 from hopfcross.linalg import (Exact, arr, contract, coords_in, coords_in_many,
@@ -195,6 +196,104 @@ def test_solve_solution_satisfies_system(rows):
     x = solve(m, b, QQ)
     assert x is not None
     assert eqarr(m @ x, b)
+
+
+# ---------------------------------------------------------------------------
+# the integer elimination against the element reference
+
+
+@st.composite
+def systems(draw):
+    """A field, an r x c element matrix over it (r 0-5, c 1-5, with many
+    zeros so that ranks often drop) and a right-hand side of shape (r,)
+    or (r, k): drawn at random, so often inconsistent, or m @ y."""
+    fld = draw(st.sampled_from([QQ, F5, F_MERSENNE61]))
+    r, c = draw(st.integers(0, 5)), draw(st.integers(1, 5))
+    if fld.p is None:
+        entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    else:
+        entry = st.integers(-4, 4) | st.integers(0, fld.p - 1)
+    entries = st.just(0) | entry
+
+    def matrix(*shape):
+        vals = [draw(entries) for _ in range(math.prod(shape))]
+        return arr(fld, np.array(vals, dtype=object).reshape(shape))
+
+    m = matrix(r, c)
+    cols = draw(st.sampled_from([(), (1,), (2,)]))
+    if draw(st.booleans()):
+        b = matrix(r, *cols)
+    else:
+        spec = "ij,jk->ik" if cols else "ij,j->i"
+        b = np.asarray(contract(spec, m, matrix(c, *cols), fld=fld))
+    return fld, m, b
+
+
+def reference_solve(m, b, fld):
+    """solve by the element rref of [m | b]: the pivot entries of the
+    solution, free variables zero, or None when b is inconsistent."""
+    r, c = m.shape
+    rhs = b.reshape(r, math.prod(b.shape[1:]))
+    R, pivots, rk = reference.rref(np.concatenate([m, rhs], axis=1), fld)
+    if rk and pivots[-1] >= c:
+        return None
+    x = zeros(fld, (c, rhs.shape[1]))
+    x[list(pivots)] = R[:rk, c:]
+    return x.reshape((c,) + b.shape[1:])
+
+
+def reference_kernel(m, fld):
+    """The kernel as the element rref of the null vectors of rref(m)."""
+    c = m.shape[1]
+    R, pivots, rk = reference.rref(m, fld)
+    free = [j for j in range(c) if j not in pivots]
+    null = zeros(fld, (len(free), c))
+    for n, f in enumerate(free):
+        null[n, f] = fld.one()
+        null[n, list(pivots)] = -R[:rk, f]
+    K, _, dim = reference.rref(null, fld)
+    return K[:dim]
+
+
+def element_case(fld, rows, rhs):
+    return fld, arr(fld, rows), arr(fld, rhs)
+
+
+@given(systems())
+# a row swap, then an all-zero column skipped, in a rank-deficient
+# matrix: the case that breaks elimination by the previous pivot
+@example(element_case(QQ, [[0, 0, 3, 1], [2, 0, 1, 4], [4, 0, 5, 9]],
+                      [1, 2, 3]))
+@example(element_case(F5, [[0, 0, 3, 1], [2, 0, 1, 4], [4, 0, 5, 9]],
+                      [[1, 0], [2, 0], [4, 1]]))
+@example(element_case(F_MERSENNE61, [[0, 0, 3], [0, 2, 1], [0, 4, 2]],
+                      [0, 1, 2]))
+# a zero matrix, and a matrix with no rows
+@example(element_case(QQ, [[0, 0], [0, 0]], [0, 1]))
+@example((F5, zeros(F5, (0, 3)), zeros(F5, (0, 2))))
+# a single row
+@example(element_case(QQ, [[0, "3/2", -6]], ["1/2"]))
+# 5 == 0 in F5, so the rank drops against QQ
+@example(element_case(F5, [[5, 0], [0, 1]], [1, 1]))
+@example(element_case(QQ, [[5, 0], [0, 1]], [1, 1]))
+@settings(max_examples=200, deadline=None)
+def test_elimination_matches_the_element_reference(case):
+    fld, m, b = case
+    c = m.shape[1]
+    want_r, want_pivots, want_rank = reference.rref(m, fld)
+    got_r, pivots, rk = rref(Exact(m, fld), fld)
+    assert isinstance(got_r, Exact) and got_r.shape == m.shape
+    assert eqarr(got_r, want_r) and (pivots, rk) == (want_pivots, want_rank)
+    if fld.p is None:
+        assert got_r.den > 0 and math.gcd(got_r.den, *got_r.ints.flat) == 1
+    sub = span(Exact(m, fld), c, fld)
+    assert eqarr(sub.rows, want_r[:want_rank]) and sub.pivots == want_pivots
+    assert rank(Exact(m, fld), fld) == want_rank
+    assert eqarr(kernel_basis(Exact(m, fld), fld), reference_kernel(m, fld))
+    want_x = reference_solve(m, b, fld)
+    for x in (solve(Exact(m, fld), Exact(b, fld), fld), solve(m, b, fld)):
+        assert (x is None) == (want_x is None)
+        assert x is None or isinstance(x, Exact) and eqarr(x, want_x)
 
 
 # ---------------------------------------------------------------------------
