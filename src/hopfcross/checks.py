@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (SubspaceBasis, as_exact, coords_in_many, equal_entries,
-                     field_of)
+from .linalg import SubspaceBasis, coords_in_many, equal_entries
 
 
 @dataclass(frozen=True)
@@ -94,8 +93,8 @@ class ReportBuilder:
         self._notes = []
 
     def compare(self, identity: str, lhs, rhs):
-        """Compare two tensors (arrays or Exact tensors) whose last axis is
-        the output coordinate.
+        """Compare two Exact tensors whose last axis is the output
+        coordinate.
 
         All leading axes are basis indices; every index tuple at which the
         output vectors differ becomes one violation, in row-major order.
@@ -106,8 +105,6 @@ class ReportBuilder:
             raise ValueError(f"{identity}: shape mismatch "
                              f"{np.shape(lhs)} vs {np.shape(rhs)}")
         self._identities.append(identity)
-        fld = field_of(lhs, rhs)
-        lhs, rhs = as_exact(lhs, fld), as_exact(rhs, fld)
         differ = ~equal_entries(lhs, rhs).all(axis=-1)
         for idx in map(tuple, np.argwhere(differ).tolist()):
             self._violations.append(Violation(
@@ -126,7 +123,6 @@ class ReportBuilder:
         subspace ``sub``: each one outside is a violation at its index in
         the leading axes, with the vector as lhs and ``where`` as rhs."""
         self._identities.append(identity)
-        table = as_exact(table, sub.fld)
         for index in coords_in_many(sub, table)[1]:
             self._violations.append(Violation(
                 identity, index, tuple(table[index].elements), (where,)))

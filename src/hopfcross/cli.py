@@ -148,9 +148,9 @@ def _cmd_build_crossed(p):
     errors = []
     derived = {
         "dim": cp.dim,
-        "basis": _emit(p.spec.fld, cp.basis.rows),
-        "multiplication": _emit(p.spec.fld, cp.algebra.mult),
-        "unit": _emit(p.spec.fld, cp.algebra.unit),
+        "basis": _emit(cp.basis.rows),
+        "multiplication": _emit(cp.algebra.mult),
+        "unit": _emit(cp.algebra.unit),
     }
     try:
         res, _, _ = cp.canonical
@@ -232,8 +232,8 @@ def _cmd_separability(p):
         elem, build_report, conditions = separability_idempotent(
             cd, spec.integral_t, spec.center_c)
         reports += [build_report, conditions]
-        derived["element_lift"] = _emit(spec.fld, elem.lift)
-        derived["element_coordinates"] = _emit(spec.fld, elem.coordinates)
+        derived["element_lift"] = _emit(elem.lift)
+        derived["element_coordinates"] = _emit(elem.coordinates)
     except HopfcrossError as exc:
         errors.append({"stage": "separability_idempotent",
                        "error": type(exc).__name__, "message": str(exc)})

@@ -9,6 +9,7 @@ raises :class:`FieldMismatchError` instead of silently coercing.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -201,31 +202,39 @@ class Field:
     def coerce(self, x):
         """Turn ints (not bools) / strings / same-field elements into a
         field element."""
+        return self._element(*self.ratio(x))
+
+    def ratio(self, x):
+        """(n, d) with x = n / d for an int (not a bool), a scalar string
+        or an element of this field: over QQ d > 0, over F_p n is the
+        residue and d is 1."""
+        if isinstance(x, str) or _is_int(x):
+            return self._parse_ratio(x)
         if self.p is None:
             if isinstance(x, Fraction):
-                return x
-            if _is_int(x):
-                return Fraction(x)
-            if isinstance(x, str):
-                return self.parse(x)
+                return x.numerator, x.denominator
             raise FieldMismatchError(f"cannot coerce {x!r} into QQ")
         if isinstance(x, Fp):
             if x.p != self.p:
                 raise FieldMismatchError(f"cannot coerce F_{x.p} into F_{self.p}")
-            return x
-        if _is_int(x):
-            return Fp(x, self.p)
-        if isinstance(x, str):
-            return self.parse(x)
+            return x.value, 1
         raise FieldMismatchError(f"cannot coerce {x!r} into GF({self.p})")
+
+    def _element(self, n, d):
+        return Fraction(n, d) if self.p is None else Fp(n, self.p)
 
     # -- serialization ---------------------------------------------------
 
     def parse(self, s):
         """Parse a scalar string: "n" or "p/q" in ASCII digits, over F_p
-        optionally followed by " mod p"."""
+        optionally followed by " mod p"; an int (not a bool) stands for
+        itself."""
+        return self._element(*self._parse_ratio(s))
+
+    def _parse_ratio(self, s):
+        """(n, d) as :meth:`ratio` gives it of what :meth:`parse` reads."""
         if _is_int(s):
-            return self.coerce(s)
+            return (s, 1) if self.p is None else (s % self.p, 1)
         if not isinstance(s, str):
             raise ValueError(f"scalar must be a string or int, got {type(s).__name__}")
         s = s.strip()
@@ -244,21 +253,23 @@ class Field:
         if self.p is None:
             if den == 0:
                 raise ValueError(f"bad rational scalar {s!r}: zero denominator")
-            return Fraction(num, den)
+            return num, den
         if m[3] and int(m[3]) != self.p:
             raise ValueError(f"scalar {s!r} has modulus {int(m[3])}, field is F_{self.p}")
         if den % self.p == 0:
             raise ValueError(f"scalar {s!r} has non-invertible denominator in F_{self.p}")
-        return Fp(num * pow(den, -1, self.p), self.p)
+        return num * pow(den, -1, self.p) % self.p, 1
 
     def format(self, x):
         """Canonical string form, the inverse of :meth:`parse`."""
-        x = self.coerce(x)
-        if self.p is None:
-            if x.denominator == 1:
-                return str(x.numerator)
-            return f"{x.numerator}/{x.denominator}"
-        return f"{x.value} mod {self.p}"
+        return self.format_ratio(*self.ratio(x))
+
+    def format_ratio(self, n, d):
+        """The canonical string of n / d (over F_p, d is 1)."""
+        if self.p is not None:
+            return f"{n % self.p} mod {self.p}"
+        g = math.gcd(n, d)
+        return str(n // g) if d == g else f"{n // g}/{d // g}"
 
     @classmethod
     def from_name(cls, name):

@@ -10,11 +10,9 @@ formulas; the tests freeze them as expected values.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .fields import Field
 from .hopf import AlgebraData, HopfAlgebraData, group_algebra
-from .linalg import arr, zeros
+from .linalg import Exact, arr
 from .partial import TwistedPartialAction
 
 
@@ -71,9 +69,8 @@ def trivial_partial(fld: Field | None = None) -> TwistedPartialAction:
 
 def product_field_algebra(fld: Field, n: int, labels=None) -> AlgebraData:
     """The split commutative algebra of n orthogonal idempotents."""
-    mult = zeros(fld, (n, n, n))
-    for i in range(n):
-        mult[i, i, i] = fld.one()
+    mult = arr(fld, [[[int(i == j == k) for k in range(n)] for j in range(n)]
+                     for i in range(n)])
     unit = arr(fld, [1] * n)
     return AlgebraData(fld, n, mult, unit, tuple(labels) if labels else None)
 
@@ -111,12 +108,10 @@ def cocycle_pair(lam, fld: Field | None = None) -> TwistedPartialAction:
     ``verify_symmetric`` finds no convolution inverse of the cocycle.
     """
     fld = fld or Field.rationals()
-    lam = fld.coerce(lam)
     h = group_algebra(fld, cyclic_table(2), labels=("1", "g"))
     a = AlgebraData(fld, 1, arr(fld, [[[1]]]), arr(fld, [1]), ("1",))
     action = arr(fld, [[[1]], [[1]]])
-    one = fld.one()
-    cocycle = np.array([[[one], [one]], [[one], [lam]]], dtype=object)
+    cocycle = arr(fld, [[[1], [1]], [[1], [lam]]])
     return TwistedPartialAction(h, a, action, cocycle)
 
 
@@ -133,17 +128,13 @@ def degenerate_swap(fld: Field | None = None) -> TwistedPartialAction:
     return TwistedPartialAction(h, a, action, cocycle)
 
 
-def c3_gauge(alpha, beta, fld: Field | None = None) -> np.ndarray:
+def c3_gauge(alpha, beta, fld: Field | None = None) -> Exact:
     """A gauge transformation for the cyclic fixture: scales the two
     one-dimensional value ideals by nonzero parameters."""
-    fld = fld or Field.rationals()
-    alpha, beta = fld.coerce(alpha), fld.coerce(beta)
-    one, zero = fld.one(), fld.zero()
-    return np.array([[one, one], [zero, alpha], [beta, zero]], dtype=object)
+    return arr(fld or Field.rationals(), [[1, 1], [0, alpha], [beta, 0]])
 
 
-def pair_gauge(mu, fld: Field | None = None) -> np.ndarray:
+def pair_gauge(mu, fld: Field | None = None) -> Exact:
     """A gauge transformation for the one-dimensional cocycle fixture:
     sends the group generator to a nonzero scalar."""
-    fld = fld or Field.rationals()
-    return np.array([[fld.one()], [fld.coerce(mu)]], dtype=object)
+    return arr(fld or Field.rationals(), [[1], [mu]])

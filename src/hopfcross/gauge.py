@@ -21,8 +21,8 @@ from .crossed import CrossedProductAlgebra
 from .errors import CompositeNotGauge
 from .hopf import (convolution, convolution_unit, inverse_equations,
                    multiplicativity, split)
-from .linalg import (Exact, as_exact, concat, contract, coords_in_many, eqarr,
-                     identity, rank, solve, zeros)
+from .linalg import (Exact, concat, contract, coords_in_many, eqarr, identity,
+                     rank, solve, zeros)
 from .partial import TwistedPartialAction
 
 
@@ -35,7 +35,8 @@ class GaugePair:
     fully_invertible: bool
 
 
-def weak_conv_inverse(v, tpa: TwistedPartialAction) -> GaugePair | None:
+def weak_conv_inverse(v: Exact,
+                      tpa: TwistedPartialAction) -> GaugePair | None:
     """Solve for the weak convolution inverse of v relative to the
     corner with local unit e(h) = h . 1: an u with v * u = u * v = e,
     u = u * e = e * u, and u(1) = 1.
@@ -47,12 +48,11 @@ def weak_conv_inverse(v, tpa: TwistedPartialAction) -> GaugePair | None:
     h, a = tpa.hopf, tpa.alg
     fld = a.fld
     nh, na = h.dim, a.dim
-    v = as_exact(v, fld)
-    if not eqarr(contract("i,ij->j", h.unit, v, fld=fld), a.unit):
+    if not eqarr(contract("i,ij->j", h.unit, v), a.unit):
         return None
     rows, rhs = inverse_equations(v, tpa.unit_translates, h.coalgebra, a)
-    at_one = contract("l,kb->klb", h.unit, identity(fld, na),
-                      fld=fld).reshape(na, nh * na)
+    at_one = contract("l,kb->klb", h.unit,
+                      identity(fld, na)).reshape(na, nh * na)
     x = solve(concat([rows, at_one], fld), concat([rhs, a.unit], fld), fld)
     if x is None:
         return None
@@ -68,7 +68,7 @@ def gauge_action(pair: GaugePair, tpa: TwistedPartialAction) -> Exact:
     h, a = tpa.hopf, tpa.alg
     return contract("ipqr,px,qay,xyA,rw,Awk->iak",
                     h.coalgebra.split3, pair.v, tpa.action, a.mult,
-                    pair.v_inv, a.mult, fld=a.fld)
+                    pair.v_inv, a.mult)
 
 
 def gauge_cocycle(pair: GaugePair, tpa: TwistedPartialAction) -> Exact:
@@ -78,7 +78,7 @@ def gauge_cocycle(pair: GaugePair, tpa: TwistedPartialAction) -> Exact:
     return contract("ipqrs,jabc,px,aA,qAy,xyB,rbz,BzC,sct,tw,CwD->ijD",
                     split(h.coalgebra, 4), h.coalgebra.split3, pair.v,
                     pair.v, tpa.action, a.mult, tpa.cocycle, a.mult, h.mult,
-                    pair.v_inv, a.mult, fld=a.fld)
+                    pair.v_inv, a.mult)
 
 
 def gauge_transform(pair: GaugePair, tpa: TwistedPartialAction) -> TwistedPartialAction:
@@ -134,23 +134,23 @@ def gauge_crossed_iso(pair: GaugePair, cp: CrossedProductAlgebra,
 
     def ambient(f):
         """a (x) h |-> a f(h_1) (x) h_2 on all of A (x) H."""
-        return contract("pqt,qx,ixm->ipmt", h.comult, f, a.mult,
-                        fld=fld).reshape(na * nh, na * nh)
+        return contract("pqt,qx,ixm->ipmt", h.comult, f,
+                        a.mult).reshape(na * nh, na * nh)
 
     def induced(src, dst, amb):
         mat, misses = coords_in_many(
-            dst.basis, contract("xa,ab->xb", src.basis.rows, amb, fld=fld))
+            dst.basis, contract("xa,ab->xb", src.basis.rows, amb))
         return None if misses else mat
 
     amb_v = ambient(pair.v)
     phi = induced(cpv, cp, amb_v)
     if phi is None:
         rb.require("lands_in_target_span", False)
-        return as_exact(zeros(fld, (cpv.dim, cp.dim)), fld), rb.build()
+        return zeros(fld, (cpv.dim, cp.dim)), rb.build()
     rb.require("lands_in_target_span", True)
     rb.compare("multiplicative",
                *multiplicativity(phi, cpv.algebra, cp.algebra))
-    one = contract("i,ij->j", cpv.algebra.unit, phi, fld=fld)
+    one = contract("i,ij->j", cpv.algebra.unit, phi)
     rb.compare("unital", one.reshape(1, -1), cp.algebra.unit.reshape(1, -1))
     rk = rank(phi, fld)
     rb.require("bijective", cpv.dim == cp.dim and rk == cp.dim,
@@ -161,7 +161,7 @@ def gauge_crossed_iso(pair: GaugePair, cp: CrossedProductAlgebra,
     else:
         for name, f, g in (("inverse_after_map", phi, psi),
                            ("map_after_inverse", psi, phi)):
-            rb.compare(name, contract("ij,jk->ik", f, g, fld=fld),
+            rb.compare(name, contract("ij,jk->ik", f, g),
                        identity(fld, f.shape[0]))
 
     fwd = induced(cp, cpv, amb_v)

@@ -57,8 +57,7 @@ class EnvelopingAction:
 
     @cached_property
     def theta_one(self) -> Exact:
-        return contract("i,ij->j", self.source.alg.unit, self.theta,
-                        fld=self.glob.fld)
+        return contract("i,ij->j", self.source.alg.unit, self.theta)
 
     @cached_property
     def corner_report(self) -> CheckReport:
@@ -91,11 +90,10 @@ def globalize_group_partial(tpa: TwistedPartialAction) -> EnvelopingAction:
     theta_amb = tpa.action.transpose(1, 0, 2).reshape(na, nf)
     # (h_g > f)(h_u) = f(h_u h_g), so delta_s (x) a_i moves to the sum
     # over u of mult[u, g, s] delta_u (x) a_i
-    act_amb = contract("ugs,ij->gsiuj", h.mult, identity(fld, na),
-                       fld=fld).reshape(nh, nf, nf)
+    act_amb = contract("ugs,ij->gsiuj", h.mult,
+                       identity(fld, na)).reshape(nh, nf, nf)
 
-    trans = contract("ib,gbc->gic", theta_amb, act_amb,
-                     fld=fld).reshape(nh * na, nf)
+    trans = contract("ib,gbc->gic", theta_amb, act_amb).reshape(nh * na, nf)
     carrier = span(trans, nf, fld)
     nb = carrier.dim
     mult_b = restricted_product(
@@ -113,10 +111,10 @@ def globalize_group_partial(tpa: TwistedPartialAction) -> EnvelopingAction:
     alg_b = AlgebraData(fld, nb, mult_b, unit_b)
 
     act_b = coords_or_raise(
-        carrier, contract("ia,gab->gib", carrier.rows, act_amb, fld=fld),
+        carrier, contract("ia,gab->gib", carrier.rows, act_amb),
         PreconditionError,
         "translate of span element {1} left the enveloping span")
-    twist = contract("p,q,k->pqk", h.counit, h.counit, unit_b, fld=fld)
+    twist = contract("p,q,k->pqk", h.counit, h.counit, unit_b)
     glob = GlobalTwistedAction(h, alg_b, act_b, twist)
 
     theta = coords_or_raise(carrier, theta_amb, PreconditionError,
@@ -148,22 +146,20 @@ def verify_enveloping(env: EnvelopingAction) -> CheckReport:
     image = span(th, nb, fld)
     # b_i theta(a_j) at (i, j) and theta(a_j) b_i at (j, i)
     rb.require_inside("image_left_ideal",
-                      contract("jb,ibc->ijc", th, b.mult, fld=fld), image,
+                      contract("jb,ibc->ijc", th, b.mult), image,
                       "in image")
     rb.require_inside("image_right_ideal",
-                      contract("ja,aic->jic", th, b.mult, fld=fld), image,
+                      contract("ja,aic->jic", th, b.mult), image,
                       "in image")
 
     one = env.theta_one
     rb.absorb(env.corner_report, "corner_")
 
-    lhs = contract("gjm,mB->gjB", tpa.action, th, fld=fld)
-    rhs = contract("jC,gCD,E,EDB->gjB", th, env.glob.action, one, b.mult,
-                   fld=fld)
+    lhs = contract("gjm,mB->gjB", tpa.action, th)
+    rhs = contract("jC,gCD,E,EDB->gjB", th, env.glob.action, one, b.mult)
     rb.compare("action_intertwines", lhs, rhs)
 
-    trans = contract("iB,gBC->giC", th, env.glob.action,
-                     fld=fld).reshape(ng * na, nb)
+    trans = contract("iB,gBC->giC", th, env.glob.action).reshape(ng * na, nb)
     rk = rank(trans, fld)
     rb.require("translates_span", rk == nb, lhs=(rk,), rhs=(nb,))
 
@@ -173,11 +169,11 @@ def verify_enveloping(env: EnvelopingAction) -> CheckReport:
     # statement theta(a w(p, q)) = theta(a) u(p, q).
     w = tpa.cocycle
     ut = env.corner_twist
-    lhs = contract("pqz,izm,mB->ipqB", w, tpa.alg.mult, th, fld=fld)
-    rhs = contract("iB,pqC,BCD->ipqD", th, ut, b.mult, fld=fld)
+    lhs = contract("pqz,izm,mB->ipqB", w, tpa.alg.mult, th)
+    rhs = contract("iB,pqC,BCD->ipqD", th, ut, b.mult)
     rb.compare("twist_compatible_right", lhs, rhs)
-    lhs = contract("pqz,zim,mB->ipqB", w, tpa.alg.mult, th, fld=fld)
-    rhs = contract("pqC,iB,CBD->ipqD", ut, th, b.mult, fld=fld)
+    lhs = contract("pqz,zim,mB->ipqB", w, tpa.alg.mult, th)
+    rhs = contract("pqC,iB,CBD->ipqD", ut, th, b.mult)
     rb.compare("twist_compatible_left", lhs, rhs)
     return rb.build()
 
@@ -193,20 +189,19 @@ def verify_induced_matches(env: EnvelopingAction) -> CheckReport:
         return rb.build()
     ind = _induce(env.glob, env.theta_one, env.corner_twist, True)
     tpa = env.source
-    fld = tpa.fld
     na = tpa.alg.dim
     lmat, misses = coords_in_many(ind.carrier, env.theta)
     if misses:
         i, = misses[0]
         rb.require("embedding_lands_in_corner", False, index=(i,),
-                   lhs=tuple(env.theta[i]), rhs=("in corner",))
+                   lhs=tuple(env.theta[i].elements), rhs=("in corner",))
         return rb.build()
     rb.require("embedding_lands_in_corner", True)
     rb.require("corner_dimension_matches", ind.carrier.dim == na,
                lhs=(ind.carrier.dim,), rhs=(na,))
-    lhs = contract("gjm,mC->gjC", tpa.action, lmat, fld=fld)
-    rhs = contract("jC,gCD->gjD", lmat, ind.tpa.action, fld=fld)
+    lhs = contract("gjm,mC->gjC", tpa.action, lmat)
+    rhs = contract("jC,gCD->gjD", lmat, ind.tpa.action)
     rb.compare("induced_action_matches", lhs, rhs)
-    lhs = contract("pqm,mC->pqC", tpa.cocycle, lmat, fld=fld)
+    lhs = contract("pqm,mC->pqC", tpa.cocycle, lmat)
     rb.compare("induced_cocycle_matches", lhs, ind.tpa.cocycle)
     return rb.build()

@@ -10,8 +10,8 @@ Conventions:
 * The antipode and every other linear map are row-convention matrices:
   the image of ``e_i`` is row ``i``.  A map C -> A in the convolution
   algebra Hom(C, A) is a plain ``(dim C, dim A)`` matrix.
-* The data classes store these structure tensors as
-  :class:`~hopfcross.linalg.Exact`, built once from a copy of the input.
+* The data classes hold these structure tensors as
+  :class:`~hopfcross.linalg.Exact` and check the field and shape of each.
   Every contraction returns an Exact too, so every map built here and
   every table the verifiers compare is an Exact tensor, compared on
   integers.  A coalgebra also holds the two objects derived from it
@@ -39,9 +39,9 @@ import numpy as np
 from .checks import CheckReport, ReportBuilder
 from .errors import NonGroupTable
 from .fields import Field
-from .linalg import (Exact, SubspaceBasis, check_shape, concat,
-                     contract, eqarr, freeze_tensors, identity, kernel_basis,
-                     kron, solve, span, zeros)
+from .linalg import (Exact, SubspaceBasis, arr, check_shape, check_tensors,
+                     concat, contract, eqarr, identity, kernel_basis, kron,
+                     solve, span, zeros)
 
 
 @dataclass(frozen=True)
@@ -53,11 +53,11 @@ class AlgebraData:
     labels: tuple = None
 
     def __post_init__(self):
-        freeze_tensors(self, self.fld, mult=(self.dim,) * 3,
-                       unit=(self.dim,))
+        check_tensors(self, self.fld, mult=(self.dim,) * 3,
+                      unit=(self.dim,))
 
     def mul(self, x, y):
-        return contract("i,j,ijk->k", x, y, self.mult, fld=self.fld)
+        return contract("i,j,ijk->k", x, y, self.mult)
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,8 @@ class CoalgebraData:
     labels: tuple = None
 
     def __post_init__(self):
-        freeze_tensors(self, self.fld, comult=(self.dim,) * 3,
-                       counit=(self.dim,))
+        check_tensors(self, self.fld, comult=(self.dim,) * 3,
+                      counit=(self.dim,))
 
     @cached_property
     def split3(self) -> Exact:
@@ -82,8 +82,8 @@ class CoalgebraData:
         """The coalgebra C (x) C with the leg-swapped coproduct
         (id (x) tau (x) id)(comult (x) comult) and product counit."""
         n = self.dim
-        comult2 = contract("iab,jcd->ijacbd", self.comult, self.comult,
-                           fld=self.fld).reshape(n * n, n * n, n * n)
+        comult2 = contract("iab,jcd->ijacbd", self.comult,
+                           self.comult).reshape(n * n, n * n, n * n)
         counit2 = kron(self.counit, self.counit)
         return CoalgebraData(self.fld, n * n, comult2, counit2)
 
@@ -98,7 +98,7 @@ class HopfAlgebraData:
         if self.algebra.dim != self.coalgebra.dim:
             raise ValueError(f"algebra of dimension {self.algebra.dim} and "
                              f"coalgebra of dimension {self.coalgebra.dim}")
-        freeze_tensors(self, self.fld, antipode=(self.dim,) * 2)
+        check_tensors(self, self.fld, antipode=(self.dim,) * 2)
 
     @property
     def fld(self):
@@ -136,28 +136,28 @@ class HopfAlgebraData:
 def verify_algebra(a: AlgebraData) -> CheckReport:
     """Associativity and two-sided unit on every basis tuple."""
     rb = ReportBuilder("algebra")
-    lhs = contract("ijm,mkl->ijkl", a.mult, a.mult, fld=a.fld)
-    rhs = contract("jkm,iml->ijkl", a.mult, a.mult, fld=a.fld)
+    lhs = contract("ijm,mkl->ijkl", a.mult, a.mult)
+    rhs = contract("jkm,iml->ijkl", a.mult, a.mult)
     rb.compare("associativity", lhs, rhs)
     eye = identity(a.fld, a.dim)
     rb.compare("unit_left",
-               contract("i,ijk->jk", a.unit, a.mult, fld=a.fld), eye)
+               contract("i,ijk->jk", a.unit, a.mult), eye)
     rb.compare("unit_right",
-               contract("j,ijk->ik", a.unit, a.mult, fld=a.fld), eye)
+               contract("j,ijk->ik", a.unit, a.mult), eye)
     return rb.build()
 
 
 def verify_coalgebra(c: CoalgebraData) -> CheckReport:
     """Coassociativity and the two counit laws on every basis tuple."""
     rb = ReportBuilder("coalgebra")
-    lhs = contract("ijz,jxy->ixyz", c.comult, c.comult, fld=c.fld)
-    rhs = contract("ixk,kyz->ixyz", c.comult, c.comult, fld=c.fld)
+    lhs = contract("ijz,jxy->ixyz", c.comult, c.comult)
+    rhs = contract("ixk,kyz->ixyz", c.comult, c.comult)
     rb.compare("coassociativity", lhs, rhs)
     eye = identity(c.fld, c.dim)
     rb.compare("counit_left",
-               contract("ijk,j->ik", c.comult, c.counit, fld=c.fld), eye)
+               contract("ijk,j->ik", c.comult, c.counit), eye)
     rb.compare("counit_right",
-               contract("ijk,k->ij", c.comult, c.counit, fld=c.fld), eye)
+               contract("ijk,k->ij", c.comult, c.counit), eye)
     return rb.build()
 
 
@@ -168,29 +168,25 @@ def verify_hopf(h: HopfAlgebraData) -> CheckReport:
     rb.absorb(verify_algebra(h.algebra), "algebra.")
     rb.absorb(verify_coalgebra(h.coalgebra), "coalgebra.")
     n = h.dim
-    lhs = contract("ijm,mab->ijab", h.mult, h.comult,
-                   fld=h.fld).reshape(n, n, n * n)
-    rhs = contract("ipq,jrs,pra,qsb->ijab", h.comult, h.comult, h.mult, h.mult,
-                   fld=h.fld).reshape(n, n, n * n)
+    lhs = contract("ijm,mab->ijab", h.mult, h.comult).reshape(n, n, n * n)
+    rhs = contract("ipq,jrs,pra,qsb->ijab", h.comult, h.comult, h.mult,
+                   h.mult).reshape(n, n, n * n)
     rb.compare("comult_multiplicative", lhs, rhs)
     rb.compare("comult_unital",
-               contract("i,ijk->jk", h.unit, h.comult,
-                        fld=h.fld).reshape(n * n),
+               contract("i,ijk->jk", h.unit, h.comult).reshape(n * n),
                kron(h.unit, h.unit))
     rb.compare("counit_multiplicative",
-               contract("ijm,m->ij", h.mult, h.counit, fld=h.fld),
+               contract("ijm,m->ij", h.mult, h.counit),
                h.coalgebra.tensor_square.counit.reshape(n, n))
-    eps_of_one = contract("i,i->", h.unit, h.counit, fld=h.fld)
+    eps_of_one = contract("i,i->", h.unit, h.counit)
     rb.require("counit_unital", eps_of_one == h.fld.one(),
                lhs=(eps_of_one,), rhs=(h.fld.one(),))
-    target = contract("i,l->il", h.counit, h.unit, fld=h.fld)
+    target = contract("i,l->il", h.counit, h.unit)
     rb.compare("antipode_left",
-               contract("ijk,jm,mkl->il", h.comult, h.antipode, h.mult,
-                        fld=h.fld),
+               contract("ijk,jm,mkl->il", h.comult, h.antipode, h.mult),
                target)
     rb.compare("antipode_right",
-               contract("ijk,km,jml->il", h.comult, h.antipode, h.mult,
-                        fld=h.fld),
+               contract("ijk,km,jml->il", h.comult, h.antipode, h.mult),
                target)
     return rb.build()
 
@@ -217,8 +213,7 @@ def split(c: CoalgebraData, n: int) -> Exact:
     for k in range(1, n):
         keep, last, new = (ascii_letters[:k], ascii_letters[k],
                            ascii_letters[k + 1:k + 3])
-        s = contract(f"{keep}{last},{last}{new}->{keep}{new}", s, c.comult,
-                     fld=c.fld)
+        s = contract(f"{keep}{last},{last}{new}->{keep}{new}", s, c.comult)
     return s
 
 
@@ -230,11 +225,11 @@ def convolution(f, g, c: CoalgebraData, a: AlgebraData) -> Exact:
     """(f * g)(x) = f(x_(1)) g(x_(2)) for (dim C, dim A) matrices f, g."""
     check_shape("f", f, (c.dim, a.dim))
     check_shape("g", g, (c.dim, a.dim))
-    return contract("ijk,ja,kb,abm->im", c.comult, f, g, a.mult, fld=a.fld)
+    return contract("ijk,ja,kb,abm->im", c.comult, f, g, a.mult)
 
 
 def convolution_unit(c: CoalgebraData, a: AlgebraData) -> Exact:
-    return contract("i,m->im", c.counit, a.unit, fld=a.fld)
+    return contract("i,m->im", c.counit, a.unit)
 
 
 def convolution_algebra(c: CoalgebraData, a: AlgebraData) -> AlgebraData:
@@ -243,8 +238,7 @@ def convolution_algebra(c: CoalgebraData, a: AlgebraData) -> AlgebraData:
     its unit is counit (x) 1.  On a group-like coalgebra this is the
     pointwise algebra of A-valued functions on the basis."""
     d = c.dim * a.dim
-    mult = contract("ust,ijk->sitjuk", c.comult, a.mult,
-                    fld=a.fld).reshape(d, d, d)
+    mult = contract("ust,ijk->sitjuk", c.comult, a.mult).reshape(d, d, d)
     unit = kron(c.counit, a.unit)
     return AlgebraData(a.fld, d, mult, unit)
 
@@ -262,12 +256,10 @@ def inverse_equations(f, e, c: CoalgebraData, a: AlgebraData):
     n = c.dim * a.dim
 
     def left(g):
-        return contract("xpk,py,ybm->xmkb", c.comult, g, a.mult,
-                        fld=a.fld).reshape(n, n)
+        return contract("xpk,py,ybm->xmkb", c.comult, g, a.mult).reshape(n, n)
 
     def right(g):
-        return contract("xkr,rz,bzm->xmkb", c.comult, g, a.mult,
-                        fld=a.fld).reshape(n, n)
+        return contract("xkr,rz,bzm->xmkb", c.comult, g, a.mult).reshape(n, n)
 
     eye = identity(a.fld, n)
     rows = concat([left(f), right(f), eye - left(e), eye - right(e)], a.fld)
@@ -306,8 +298,8 @@ def centrality(f, c: CoalgebraData, a: AlgebraData):
 def multiplicativity(f, src: AlgebraData, dst: AlgebraData):
     """Both sides of multiplicativity of the linear map f: src -> dst,
     a (dim src, dim dst) matrix: f(x y) and f(x) f(y) at [x, y]."""
-    lhs = contract("xym,ms->xys", src.mult, f, fld=dst.fld)
-    rhs = contract("xs,yt,stu->xyu", f, f, dst.mult, fld=dst.fld)
+    lhs = contract("xym,ms->xys", src.mult, f)
+    rhs = contract("xs,yt,stu->xyu", f, f, dst.mult)
     return lhs, rhs
 
 
@@ -320,7 +312,7 @@ def left_integrals(h: HopfAlgebraData) -> SubspaceBasis:
     n = h.dim
     eye = identity(h.fld, n)
     m = (h.mult.transpose(0, 2, 1)
-         - contract("i,jk->ikj", h.counit, eye, fld=h.fld))
+         - contract("i,jk->ikj", h.counit, eye))
     rows = kernel_basis(m.reshape(n * n, n), h.fld)
     return span(rows, n, h.fld)
 
@@ -364,15 +356,15 @@ def group_algebra(fld: Field, table, inverse=None, labels=None) -> HopfAlgebraDa
     if inverse is not None and list(inverse) != inv:
         raise NonGroupTable(f"declared inverses {list(inverse)} != computed {inv}")
 
-    # 0/1 integer tables, which the data classes coerce into fld
-    eye = np.eye(n, dtype=object)
-    comult = np.zeros((n, n, n), dtype=object)
-    comult[range(n), range(n), range(n)] = 1
+    # 0/1 tables: rows of the identity, and g |-> g (x) g
+    eye = identity(fld, n)
+    comult = arr(fld, [[[int(i == j == k) for k in range(n)]
+                        for j in range(n)] for i in range(n)])
     if labels is None:
         labels = tuple(f"g{i}" for i in range(n))
     return HopfAlgebraData(
         AlgebraData(fld, n, eye[np.array(table)], eye[ident], tuple(labels)),
-        CoalgebraData(fld, n, comult, [1] * n, tuple(labels)),
+        CoalgebraData(fld, n, comult, arr(fld, [1] * n), tuple(labels)),
         eye[inv],
     )
 

@@ -1,32 +1,32 @@
 """Exact dense linear algebra over QQ or F_p.
 
-Every tensor the engine holds or hands out is an :class:`Exact`: Python
-ints over one common denominator over QQ, residues over F_p, whose field
-elements are built only when read; :func:`identity` is one.  Numpy arrays
-with ``dtype=object`` whose entries are field elements (see
-:mod:`hopfcross.fields`) are input only: parsed files, fixtures and the
-input builders :func:`arr` and :func:`zeros`.  Every tensor product in
-the package goes through :func:`contract`, which takes the einsum
-subscripts and the field of the operands, runs the contraction on Python
-integers and returns an Exact: an Exact operand is used as it is, any
-other operand is scaled to integers once (over QQ by the lcm of its
-denominators), and the result is reduced once, by the gcd of the scale
-and all entries over QQ or mod p over F_p.  Every verdict compares those
-integers (:func:`equal_entries`, and on it :func:`eqarr`,
-:func:`is_zero`, ``ReportBuilder.compare`` and the membership test of
-:func:`coords_in_many`), so a passing check builds no field element.
-:func:`rref` eliminates on those integers too, and :func:`span`,
-:func:`solve`, :func:`rank`, :func:`kernel_basis` and :func:`quotient`
-take and return Exact tensors through it.  The greedy contraction path
-of each (spec, operand shapes) pair is planned once and kept in a
-fixed-size module cache (see :func:`_plan`); :func:`contract` runs its
-pairwise steps itself, one plain ``np.einsum`` each.  Every subspace is
-represented by its reduced row echelon basis, so equal subspaces have
-identical representations and all reports built on top of them are
-reproducible byte for byte.  :func:`coords_in_many` expresses a whole
-stack of vectors on such a basis with one contraction; :func:`coords_in`
-is its one-vector case, and :func:`coords_or_raise` raises the caller's
-error, naming the first non-member, where every vector must be a member.
+Every tensor the engine reads, holds or hands out is an :class:`Exact`:
+Python ints over one common denominator over QQ, residues over F_p, with
+the field they lie over; field elements are built only when read.
+Tensors are born as Exact: parsed files and the builders :func:`arr`
+(from scalars), :func:`zeros` and :func:`identity`.  Every tensor
+product in the package goes through :func:`contract`, which takes the
+einsum subscripts and Exact operands over one field, runs the
+contraction on their integers and returns an Exact, reduced once, by the
+gcd of the scale and all entries over QQ or mod p over F_p.  An operand
+that is not an Exact is a TypeError, and two fields meeting is a
+FieldMismatchError, there and in every comparison.  Every verdict
+compares those integers (:func:`equal_entries`, and on it
+:func:`eqarr`, :func:`is_zero`, ``ReportBuilder.compare`` and the
+membership test of :func:`coords_in_many`), so a passing check builds no
+field element.  :func:`rref` eliminates on those integers too, and
+:func:`span`, :func:`solve`, :func:`rank`, :func:`kernel_basis` and
+:func:`quotient` take and return Exact tensors through it.  The greedy
+contraction path of each (spec, operand shapes) pair is planned once and
+kept in a fixed-size module cache (see :func:`_plan`); :func:`contract`
+runs its pairwise steps itself, one plain ``np.einsum`` each.  Every
+subspace is represented by its reduced row echelon basis, so equal
+subspaces have identical representations and all reports built on top
+of them are reproducible byte for byte.  :func:`coords_in_many`
+expresses a whole stack of vectors on such a basis with one
+contraction; :func:`coords_in` is its one-vector case, and
+:func:`coords_or_raise` raises the caller's error, naming the first
+non-member, where every vector must be a member.
 
 Conventions fixed here and used everywhere else:
 
@@ -46,8 +46,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
-from operator import methodcaller
 from string import ascii_letters
 
 import numpy as np
@@ -66,27 +64,24 @@ EINSUM_PATH = ("greedy", 2**62)
 
 class Exact:
     """An immutable exact tensor over ``fld``: what :func:`contract`
-    returns, and the stored form of the structure tensors.
+    returns, and the stored form of every structure tensor.
 
     ``ints`` is a read-only object array of Python ints: over QQ the
     numerators over the one common denominator ``den``, over F_p the
     residues in 0..p-1 with ``den`` 1.  ``elements``, the same tensor as
     read-only field elements for where scalars leave the engine, is
-    built on first read; numpy reads it through ``__array__``.
-    ``reshape``, ``transpose`` and indexing give views over the same
-    ``den``; an index that picks one entry gives that element; ``a - b``
-    is an Exact.
+    built on first read.  ``reshape``, ``transpose`` and indexing give
+    views over the same ``den``; an index that picks one entry gives
+    that element; ``a - b`` is an Exact, and ``a == b`` is
+    :func:`eqarr`.
     """
 
     __slots__ = ("fld", "ints", "den", "_elements")
 
-    def __init__(self, a, fld: Field):
-        a = np.array(a, dtype=object)
-        if set(map(type, a.reshape(-1))) - {type(fld.one())}:
-            a = arr(fld, a)
-        self.ints, self.den = _integers(a, fld, "tensor")
-        self.ints.flags.writeable = a.flags.writeable = False
-        self.fld, self._elements = fld, a
+    def __init__(self, fld: Field, ints: np.ndarray, den: int = 1):
+        ints = np.asarray(ints, dtype=object)     # a 0-d result is an int
+        ints.flags.writeable = False
+        self.fld, self.ints, self.den, self._elements = fld, ints, den, None
 
     @property
     def shape(self) -> tuple:
@@ -100,43 +95,35 @@ class Exact:
         return self._elements
 
     def reshape(self, *shape):
-        return _exact(self.fld, self.ints.reshape(*shape), self.den)
+        return Exact(self.fld, self.ints.reshape(*shape), self.den)
 
     def transpose(self, *axes):
-        return _exact(self.fld, self.ints.transpose(*axes), self.den)
+        return Exact(self.fld, self.ints.transpose(*axes), self.den)
 
     def __getitem__(self, index):
         v = self.ints[index]
         if isinstance(v, np.ndarray):
-            return _exact(self.fld, v, self.den)
+            return Exact(self.fld, v, self.den)
         return Fp(v, self.fld.p) if self.fld.p else Fraction(v, self.den)
 
     def __sub__(self, other):
-        b = as_exact(other, self.fld)
-        return _canonical(self.fld, self.ints * b.den - b.ints * self.den,
-                          self.den * b.den)
+        _field("a difference", (self, other))
+        return _canonical(self.fld, self.ints * other.den
+                          - other.ints * self.den, self.den * other.den)
 
-    def __array__(self, dtype=None, copy=None):
-        if copy or dtype not in (None, object):
-            return np.array(self.elements, dtype=dtype)
-        return self.elements
-
-
-def _exact(fld: Field, ints: np.ndarray, den: int) -> Exact:
-    """An Exact over ``fld`` of the integers ``ints`` over ``den``."""
-    t = object.__new__(Exact)
-    ints.flags.writeable = False
-    t.fld, t.ints, t.den, t._elements = fld, ints, den, None
-    return t
+    def __eq__(self, other):
+        if not isinstance(other, Exact):
+            return NotImplemented
+        return eqarr(self, other)
 
 
 def _canonical(fld: Field, ints: np.ndarray, den: int) -> Exact:
     """``ints`` over ``den`` as a canonical Exact: over QQ divided by the
     gcd of ``den`` and all entries, over F_p (``den`` 1) the residues."""
     if fld.p is not None:
-        return _exact(fld, ints % fld.p, 1)
+        return Exact(fld, ints % fld.p)
     g = math.gcd(den, *ints.reshape(-1))
-    return _exact(fld, ints // g, den // g)
+    return Exact(fld, ints // g, den // g)
 
 
 def _elements(ints: np.ndarray, den: int, fld: Field) -> np.ndarray:
@@ -148,21 +135,35 @@ def _elements(ints: np.ndarray, den: int, fld: Field) -> np.ndarray:
     return np.array(vals, dtype=object).reshape(ints.shape)
 
 
-def contract(spec: str, *operands, fld: Field):
-    """Exact ``np.einsum(spec, *operands)`` over ``fld``.
+def _field(what: str, tensors, fld: Field | None = None) -> Field:
+    """The one field of the Exact ``tensors`` (and of ``fld`` when
+    given).  Raises TypeError, naming ``what``, on a tensor that is not
+    an Exact, and FieldMismatchError when two fields meet."""
+    fields = set() if fld is None else {fld}
+    for k, t in enumerate(tensors):
+        if not isinstance(t, Exact):
+            raise TypeError(f"{what}: operand {k} is a {type(t).__name__}, "
+                            f"not an Exact")
+        fields.add(t.fld)
+    if len(fields) > 1:
+        raise FieldMismatchError(
+            f"{what} mixes {' and '.join(sorted(map(repr, fields)))}")
+    return fields.pop()
+
+
+def contract(spec: str, *operands):
+    """Exact ``np.einsum(spec, *operands)`` over the operands' field.
 
     ``spec`` names every axis of every operand and the output explicitly
-    (``"ij,jk->ik"``).  An operand is an :class:`Exact` over ``fld``,
-    used as it is, or an array whose entries are elements of ``fld`` or
-    plain ints, which stand for their images in ``fld`` and are
-    converted to integers once.  The contraction runs on Python
-    integers (see the module docstring), one step of the greedy path
-    ``EINSUM_PATH`` at a time.
+    (``"ij,jk->ik"``).  Every operand is an :class:`Exact`, all over one
+    field.  The contraction runs on their integers (see the module
+    docstring), one step of the greedy path ``EINSUM_PATH`` at a time.
 
     Returns an :class:`Exact` in canonical form (over QQ, ``den`` is the
     lcm of the entries' denominators), or one field element when the
     output has no axes.  Raises ValueError when the operands do not
-    match the spec and FieldMismatchError on an entry outside ``fld``.
+    match the spec, TypeError on an operand that is not an Exact and
+    FieldMismatchError when two fields meet.
     """
     inputs, arrow, output = spec.partition("->")
     terms = inputs.split(",")
@@ -171,23 +172,19 @@ def contract(spec: str, *operands, fld: Field):
     if len(terms) != len(operands):
         raise ValueError(f"contraction spec {spec!r} names {len(terms)} "
                          f"operands, got {len(operands)}")
+    fld = _field(f"contraction {spec!r}", operands)
     ints, scale = [], 1
     for k, (term, op) in enumerate(zip(terms, operands)):
-        if isinstance(op, Exact) and op.fld == fld:
-            vals, den = op.ints, op.den
-        else:
-            vals, den = _integers(np.asarray(op, dtype=object), fld,
-                                  f"operand {k} of {spec!r}")
-        if len(term) != vals.ndim:
+        if len(term) != op.ints.ndim:
             raise ValueError(f"contraction spec {spec!r} gives operand {k} "
-                             f"{len(term)} axes, got shape {vals.shape}")
-        ints.append(vals.reshape(vals.shape + (1,)))
-        scale *= den
+                             f"{len(term)} axes, got shape {op.shape}")
+        ints.append(op.ints.reshape(op.shape + (1,)))
+        scale *= op.den
     for positions, subscripts in _plan(spec, tuple(op.shape for op in ints)):
         ints.append(np.einsum(subscripts, *map(ints.pop, positions)))
     res = ints[0].reshape(ints[0].shape[:-1])
     if not output:
-        return _exact(fld, res, scale)[()]
+        return Exact(fld, res, scale)[()]
     return _canonical(fld, res, scale)
 
 
@@ -223,104 +220,74 @@ def _plan(spec: str, shapes: tuple):
     return tuple(steps)
 
 
-def _integers(a: np.ndarray, fld: Field, what: str):
-    """(an object array of integer representatives of the entries of
-    ``a``, in its shape, and the common scale they carry: the lcm of the
-    denominators over QQ, 1 over F_p).  Plain ints are accepted as the
-    element arithmetic accepts them.  Raises FieldMismatchError, naming
-    ``what``, when an entry is neither an element of ``fld`` nor an int."""
-    flat = a.reshape(-1)
-    kinds = set(map(type, flat))
-    if (not all(issubclass(k, (type(fld.one()), int)) for k in kinds)
-            or Fp in kinds
-            and set(map(getattr, flat, repeat("p"), repeat(fld.p))) - {fld.p}):
-        raise FieldMismatchError(f"{what} has entries outside {fld!r}")
-    if fld.p is None:
-        ratios = list(map(methodcaller("as_integer_ratio"), flat))
-        den = math.lcm(*{d for _, d in ratios})
-        vals = [n * (den // d) for n, d in ratios]
-    else:
-        # an int stands for itself: the result is reduced mod p once
-        vals, den = list(map(getattr, flat, repeat("value"), flat)), 1
-    return np.array(vals, dtype=object).reshape(a.shape), den
+def from_ratios(fld: Field, ratios: list, shape: tuple) -> Exact:
+    """The canonical Exact over ``fld`` of the scalars n / d, for the
+    integer pairs (n, d) of ``ratios`` in row-major order of ``shape``:
+    over QQ over the lcm of the d, over F_p (every d 1) the residues."""
+    den = math.lcm(*(d for _, d in ratios))
+    ints = [n * (den // d) for n, d in ratios]
+    return _canonical(fld, np.array(ints, dtype=object).reshape(shape), den)
 
 
-def arr(fld: Field, nested) -> np.ndarray:
-    """Build an object ndarray from (nested) scalars coerced into ``fld``."""
+def arr(fld: Field, nested) -> Exact:
+    """The Exact over ``fld`` of (nested) scalars: ints, scalar strings or
+    elements of ``fld`` (see ``Field.ratio``)."""
     a = np.array(nested, dtype=object)
-    flat = a.reshape(-1)
-    for i, x in enumerate(flat):
-        flat[i] = fld.coerce(x)
-    return flat.reshape(a.shape)
+    return from_ratios(fld, list(map(fld.ratio, a.reshape(-1))), a.shape)
 
 
-def zeros(fld: Field, shape) -> np.ndarray:
-    return np.full(shape, fld.zero(), dtype=object)
+def zeros(fld: Field, shape) -> Exact:
+    return Exact(fld, np.zeros(shape, dtype=object))
 
 
 def identity(fld: Field, n: int) -> Exact:
-    return _exact(fld, np.eye(n, dtype=object), 1)
+    return Exact(fld, np.eye(n, dtype=object))
 
 
-def check_shape(name: str, a: np.ndarray, shape: tuple):
-    """Raise ValueError unless the array ``a`` has the given shape."""
+def check_shape(name: str, a: Exact, shape: tuple):
+    """Raise ValueError unless the tensor ``a`` has the given shape."""
     if a.shape != shape:
         raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
 
 
-def freeze_tensors(obj, fld: Field, **shapes):
-    """Store each named tensor field of the frozen dataclass ``obj`` as
-    an :class:`Exact` over ``fld``, after checking it has its shape."""
+def check_tensors(obj, fld: Field, **shapes):
+    """Check that each named tensor field of ``obj`` is an :class:`Exact`
+    over ``fld`` of its shape: TypeError, FieldMismatchError or
+    ValueError naming the first that is not."""
     for name, shape in shapes.items():
-        tensor = as_exact(getattr(obj, name), fld)
+        tensor = getattr(obj, name)
+        _field(name, [tensor], fld)
         check_shape(name, tensor, shape)
-        object.__setattr__(obj, name, tensor)
 
 
-def as_exact(a, fld: Field) -> Exact:
-    """``a`` as an :class:`Exact` over ``fld``: one over ``fld`` as it is,
-    anything else converted, which raises FieldMismatchError on an entry
-    outside ``fld``."""
-    return a if isinstance(a, Exact) and a.fld == fld else Exact(a, fld)
-
-
-def field_of(*tensors) -> Field:
-    """The field of the first Exact among ``tensors``, else F_p for the
-    first Fp entry in them, else QQ."""
-    held = [t.fld for t in tensors if isinstance(t, Exact)]
-    return held[0] if held else Field(next((x.p for t in tensors for x in (
-        np.asarray(t, dtype=object).reshape(-1)) if isinstance(x, Fp)), None))
-
-
-def equal_entries(a, b) -> np.ndarray:
-    """Entrywise equality of two equally shaped tensors (Exact or element
-    arrays) as a bool array, on integers cross-multiplied by the two
-    denominators.  FieldMismatchError unless both lie over one field."""
-    fld = field_of(a, b)
-    a, b = as_exact(a, fld), as_exact(b, fld)
+def equal_entries(a: Exact, b: Exact) -> np.ndarray:
+    """Entrywise equality of two equally shaped Exact tensors as a bool
+    array, on integers cross-multiplied by the two denominators.
+    FieldMismatchError unless both lie over one field."""
+    _field("a comparison", (a, b))
     return a.ints * b.den == b.ints * a.den
 
 
-def eqarr(a, b) -> bool:
-    """Exact equality of two arrays or Exact tensors: False when their
-    shapes differ, FieldMismatchError when their fields do."""
-    return np.shape(a) == np.shape(b) and bool(equal_entries(a, b).all())
+def eqarr(a: Exact, b: Exact) -> bool:
+    """Exact equality of two Exact tensors: False when their shapes
+    differ, FieldMismatchError when their fields do."""
+    return a.shape == b.shape and bool(equal_entries(a, b).all())
 
 
-def is_zero(a) -> bool:
-    return not as_exact(a, field_of(a)).ints.any()
+def is_zero(a: Exact) -> bool:
+    return not a.ints.any()
 
 
 def concat(tensors: list, fld: Field) -> Exact:
-    """Tensors over ``fld`` (Exact or element arrays) joined along their
-    first axis, over their common denominator."""
-    tensors = [as_exact(t, fld) for t in tensors]
+    """Exact tensors over ``fld`` joined along their first axis, over
+    their common denominator."""
+    _field("concat", tensors, fld)
     den = math.lcm(*(t.den for t in tensors))
-    return _exact(fld, np.concatenate(
+    return Exact(fld, np.concatenate(
         [t.ints * (den // t.den) for t in tensors]), den)
 
 
-def rref(m, fld: Field):
+def rref(m: Exact, fld: Field):
     """Reduced row echelon form, eliminated on the integers of an Exact.
 
     The elimination is fraction-free, one vectorized step per pivot:
@@ -331,7 +298,7 @@ def rref(m, fld: Field):
     pivot, over one common denominator over QQ.
 
     Args:
-        m: matrix, shape (r, c): an Exact over ``fld`` or its elements.
+        m: matrix, shape (r, c): an Exact over ``fld``.
         fld: field descriptor of the entries.
 
     Returns:
@@ -340,7 +307,8 @@ def rref(m, fld: Field):
         increasing order, and rank == len(pivots).  Pivot entries are 1
         and are the only nonzero entries of their columns.
     """
-    R = np.array(as_exact(m, fld).ints)
+    _field("rref", [m], fld)
+    R = np.array(m.ints)
     pivots = []
     for col in range(R.shape[1]):
         row = len(pivots)
@@ -367,24 +335,24 @@ def rref(m, fld: Field):
     return _canonical(fld, R, den), tuple(pivots), len(pivots)
 
 
-def rank(m, fld: Field) -> int:
+def rank(m: Exact, fld: Field) -> int:
     return rref(m, fld)[2]
 
 
-def solve(m, b, fld: Field):
+def solve(m: Exact, b: Exact, fld: Field):
     """Solve m @ x = b exactly, for ``b`` of shape (r,) or (r, k), by one
     :func:`rref` of the integers of [m | b] over their denominators.
 
     Returns the Exact solution with all free variables set to zero, of
     shape (c,) or (c, k), or None when any column of b is inconsistent.
     """
-    m, b = as_exact(m, fld), as_exact(b, fld)
+    _field("solve", (m, b), fld)
     r, c = m.shape
     if b.shape[:1] != (r,) or len(b.shape) > 2:
         raise ValueError(f"rhs shape {b.shape} does not match {r} rows")
     k = math.prod(b.shape[1:])
-    R, pivots, rk = rref(_exact(fld, np.concatenate(
-        [m.ints * b.den, b.ints.reshape(r, k) * m.den], axis=1), 1), fld)
+    R, pivots, rk = rref(Exact(fld, np.concatenate(
+        [m.ints * b.den, b.ints.reshape(r, k) * m.den], axis=1)), fld)
     if rk and pivots[-1] >= c:
         return None
     x = np.zeros((c, k), dtype=object)
@@ -430,25 +398,18 @@ class SubspaceBasis:
     def dim(self) -> int:
         return self.rows.shape[0]
 
-    def __eq__(self, other):
-        return (isinstance(other, SubspaceBasis)
-                and self.fld == other.fld
-                and self.ambient_dim == other.ambient_dim
-                and eqarr(self.rows, other.rows))
-
-    def contains(self, v: np.ndarray) -> bool:
+    def contains(self, v: Exact) -> bool:
         return coords_in(self, v) is not None
 
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
 
-def span(vectors: np.ndarray, ambient_dim: int, fld: Field) -> SubspaceBasis:
+def span(vectors: Exact, ambient_dim: int, fld: Field) -> SubspaceBasis:
     """Canonical echelon basis of the span of the given row vectors.
 
     The result is independent of the order and scaling of the inputs.
     """
-    vectors = as_exact(vectors, fld)
     if vectors.shape[:1] == (0,):       # no vectors, in any shape
         vectors = vectors.reshape(0, ambient_dim)
     if len(vectors.shape) != 2 or vectors.shape[1] != ambient_dim:
@@ -458,7 +419,7 @@ def span(vectors: np.ndarray, ambient_dim: int, fld: Field) -> SubspaceBasis:
     return SubspaceBasis(fld, ambient_dim, R[:rk], pivots)
 
 
-def coords_in_many(sub: SubspaceBasis, vs):
+def coords_in_many(sub: SubspaceBasis, vs: Exact):
     """Coordinates in the echelon basis of a stack of vectors.
 
     ``vs`` holds one vector of the ambient space on its last axis at each
@@ -470,21 +431,20 @@ def coords_in_many(sub: SubspaceBasis, vs):
     vector from its pivot entries; a vector is a member iff the rebuild
     equals it.
     """
-    if np.shape(vs)[-1:] != (sub.ambient_dim,):
-        raise ValueError(f"vectors of shape {np.shape(vs)} do not lie in a "
+    if vs.shape[-1:] != (sub.ambient_dim,):
+        raise ValueError(f"vectors of shape {vs.shape} do not lie in a "
                          f"space of dimension {sub.ambient_dim}")
-    vs = as_exact(vs, sub.fld)
     lead = vs.shape[:-1]
     flat = vs.reshape(math.prod(lead), sub.ambient_dim)
     coords = flat[:, list(sub.pivots)]
-    recon = contract("ki,ij->kj", coords, sub.rows, fld=sub.fld)
+    recon = contract("ki,ij->kj", coords, sub.rows)
     members = equal_entries(recon, flat).all(axis=1)
     misses = tuple(index for index, ok in zip(np.ndindex(*lead), members)
                    if not ok)
     return coords.reshape(lead + (sub.dim,)), misses
 
 
-def coords_or_raise(sub: SubspaceBasis, vs: np.ndarray, error, message: str):
+def coords_or_raise(sub: SubspaceBasis, vs: Exact, error, message: str):
     """The coordinates of :func:`coords_in_many`, or raise
     ``error(message.format(*index))`` for the index of the first
     non-member in row-major order (a single vector has the empty index)."""
@@ -499,11 +459,11 @@ def restricted_product(sub: SubspaceBasis, mult, error, message: str):
     restricted to ``sub``: the coordinates of the product of every two
     basis rows at [i, j], or raise as :func:`coords_or_raise` does for
     the first product outside ``sub``."""
-    prods = contract("ia,jb,abc->ijc", sub.rows, sub.rows, mult, fld=sub.fld)
+    prods = contract("ia,jb,abc->ijc", sub.rows, sub.rows, mult)
     return coords_or_raise(sub, prods, error, message)
 
 
-def coords_in(sub: SubspaceBasis, v: np.ndarray):
+def coords_in(sub: SubspaceBasis, v: Exact):
     """Coordinates of v in the echelon basis, or None if v is not a member
     (the one-vector case of :func:`coords_in_many`)."""
     if v.shape != (sub.ambient_dim,):
@@ -536,19 +496,19 @@ class QuotientSpace:
 
     def project(self, v) -> Exact:
         """The image of the vectors on the last axis of ``v``."""
-        return _apply(v, self.projection, self.fld)
+        return _apply(v, self.projection)
 
     def lift(self, q) -> Exact:
-        return _apply(q, self.section, self.fld)
+        return _apply(q, self.section)
 
 
-def _apply(v, mat, fld: Field) -> Exact:
+def _apply(v: Exact, mat: Exact) -> Exact:
     """``v @ mat`` by :func:`contract`, for ``v`` with any leading axes."""
-    lead = ascii_letters[:len(np.shape(v)) - 1]
-    return contract(f"{lead}Y,YZ->{lead}Z", v, mat, fld=fld)
+    lead = ascii_letters[:len(v.shape) - 1]
+    return contract(f"{lead}Y,YZ->{lead}Z", v, mat)
 
 
-def quotient(ambient_dim: int, relations: np.ndarray, fld: Field) -> QuotientSpace:
+def quotient(ambient_dim: int, relations: Exact, fld: Field) -> QuotientSpace:
     """Build the quotient of F^ambient_dim by the span of ``relations``."""
     rel = span(relations, ambient_dim, fld)
     free, null = _null_vectors(rel)
@@ -556,7 +516,7 @@ def quotient(ambient_dim: int, relations: np.ndarray, fld: Field) -> QuotientSpa
                          identity(fld, ambient_dim)[free])
 
 
-def kron(v, w) -> Exact:
+def kron(v: Exact, w: Exact) -> Exact:
     """Tensor product of coordinate vectors, by :func:`contract`: index
     (i, j) -> i * len(w) + j."""
-    return contract("i,j->ij", v, w, fld=field_of(v, w)).reshape(-1)
+    return contract("i,j->ij", v, w).reshape(-1)

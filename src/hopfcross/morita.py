@@ -52,7 +52,7 @@ def phi_embed(env: EnvelopingAction, r: CrossedProductAlgebra,
     nh = env.source.hopf.dim
     # the class of a (x) h goes to theta(a) (x) h
     images = contract("xah,ab->xbh", r.basis.rows.reshape(r.dim, -1, nh),
-                      env.theta, fld=fld)
+                      env.theta)
     phi, misses = coords_in_many(s.basis, images.reshape(r.dim, -1))
     rb = ReportBuilder("crossed product embedding")
     if misses:
@@ -66,7 +66,7 @@ def phi_embed(env: EnvelopingAction, r: CrossedProductAlgebra,
                *multiplicativity(phi, r.algebra, s.algebra))
     # the embedding is not unital: the base unit goes to the corner
     # idempotent tensor the Hopf unit, a local unit on the image
-    one = contract("i,ij->j", r.algebra.unit, phi, fld=fld).reshape(1, -1)
+    one = contract("i,ij->j", r.algebra.unit, phi).reshape(1, -1)
     rb.compare("unit_maps_to_idempotent", _prod(s, one, one)[0], one)
     rb.compare("unit_local_left", _prod(s, one, phi)[0], phi)
     rb.compare("unit_local_right", _prod(s, phi, one)[:, 0], phi)
@@ -79,8 +79,8 @@ def build_M(env: EnvelopingAction, s: CrossedProductAlgebra) -> SubspaceBasis:
     """The span of theta(a) (x) h inside the global crossed product s."""
     nh = env.source.hopf.dim
     fld = env.source.fld
-    amb_rows = contract("ab,hk->ahbk", env.theta, identity(fld, nh),
-                        fld=fld).reshape(-1, s.basis.ambient_dim)
+    amb_rows = contract("ab,hk->ahbk", env.theta, identity(fld, nh))
+    amb_rows = amb_rows.reshape(-1, s.basis.ambient_dim)
     rows = coords_or_raise(s.basis, amb_rows, ValueError,
                            "generator of the first bimodule {} is outside "
                            "the crossed product span")
@@ -94,7 +94,7 @@ def build_N(env: EnvelopingAction, s: CrossedProductAlgebra) -> SubspaceBasis:
     fld = tpa.fld
     nh, nb = tpa.hopf.dim, env.glob.alg.dim
     amb_rows = contract("iB,pqr,qBC->ipCr", env.theta, tpa.hopf.comult,
-                        env.glob.action, fld=fld)
+                        env.glob.action)
     amb_rows = amb_rows.reshape(tpa.alg.dim * nh, nb * nh)
     rows = coords_or_raise(s.basis, amb_rows, ValueError,
                            "generator of the second bimodule {} is outside "
@@ -137,7 +137,7 @@ def morita_context(env: EnvelopingAction, r: CrossedProductAlgebra,
 def _prod(s: CrossedProductAlgebra, a, b):
     """All pairwise products of the rows of a and b; the last axis is
     the output coordinate."""
-    return contract("ai,bj,ijk->abk", a, b, s.algebra.mult, fld=s.fld)
+    return contract("ai,bj,ijk->abk", a, b, s.algebra.mult)
 
 
 def _associativity(s: CrossedProductAlgebra, xy, z, x, yz):
@@ -145,8 +145,8 @@ def _associativity(s: CrossedProductAlgebra, xy, z, x, yz):
     families x, y and z, from the pair tables xy = _prod(s, x, y) and
     yz = _prod(s, y, z); indexed (x row, y row, z row, coordinate)."""
     mult = s.algebra.mult
-    return (contract("abk,cj,kjm->abcm", xy, z, mult, fld=s.fld),
-            contract("ai,bck,ikm->abcm", x, yz, mult, fld=s.fld))
+    return (contract("abk,cj,kjm->abcm", xy, z, mult),
+            contract("ai,bck,ikm->abcm", x, yz, mult))
 
 
 def verify_module_structures(ctx: MoritaContextData) -> CheckReport:
@@ -173,7 +173,7 @@ def verify_module_structures(ctx: MoritaContextData) -> CheckReport:
             ("m_unit_right_ring", "x,bxk->bk", one_s, ms, m),
             ("n_unit_left_ring", "x,xbk->bk", one_s, sn, n),
             ("n_unit_right_embedded", "x,bxk->bk", one_r, nr, n)]:
-        rb.compare(name, contract(spec, one, table, fld=fld), sub.rows)
+        rb.compare(name, contract(spec, one, table), sub.rows)
 
     rb.compare("m_actions_compatible",
                *_associativity(s, rm, s_eye, r_img, ms))

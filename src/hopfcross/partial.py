@@ -26,14 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .checks import CheckReport, ReportBuilder
 from .errors import ClosureViolation, NotCentralIdempotent, PreconditionError
 from .hopf import (AlgebraData, HopfAlgebraData, centrality, convolution,
                    inverse_equations)
-from .linalg import (Exact, SubspaceBasis, contract, coords_or_raise,
-                     freeze_tensors, identity, restricted_product, solve,
+from .linalg import (Exact, SubspaceBasis, check_tensors, contract,
+                     coords_or_raise, identity, restricted_product, solve,
                      span)
 
 
@@ -49,7 +47,7 @@ class _Action:
     def unit_translates(self) -> Exact:
         """The matrix of h |-> h . 1, one row per Hopf basis element (for
         global data, counit multiples of the unit when the axioms hold)."""
-        return contract("ija,j->ia", self.action, self.alg.unit, fld=self.fld)
+        return contract("ija,j->ia", self.action, self.alg.unit)
 
 
 @dataclass(frozen=True)
@@ -61,8 +59,8 @@ class TwistedPartialAction(_Action):
 
     def __post_init__(self):
         nh, na = self.hopf.dim, self.alg.dim
-        freeze_tensors(self, self.fld, action=(nh, na, na),
-                       cocycle=(nh, nh, na))
+        check_tensors(self, self.fld, action=(nh, na, na),
+                      cocycle=(nh, nh, na))
 
     @cached_property
     def axioms_report(self) -> CheckReport:
@@ -82,15 +80,14 @@ class TwistedPartialAction(_Action):
     @cached_property
     def nested_unit_action(self) -> Exact:
         """h . (l . 1) at [h, l]."""
-        return contract("jx,ixk->ijk", self.unit_translates, self.action,
-                        fld=self.fld)
+        return contract("jx,ixk->ijk", self.unit_translates, self.action)
 
     @cached_property
     def product_unit_action(self) -> Exact:
         """(h_1 . 1)((h_2 l) . 1) at [h, l]."""
         h, e = self.hopf, self.unit_translates
         return contract("ipq,py,qjt,tz,yzk->ijk", h.comult, e, h.mult, e,
-                        self.alg.mult, fld=self.fld)
+                        self.alg.mult)
 
 
 @dataclass(frozen=True)
@@ -105,8 +102,8 @@ class GlobalTwistedAction(_Action):
 
     def __post_init__(self):
         nh, nb = self.hopf.dim, self.alg.dim
-        freeze_tensors(self, self.fld, action=(nh, nb, nb),
-                       twist=(nh, nh, nb))
+        check_tensors(self, self.fld, action=(nh, nb, nb),
+                      twist=(nh, nh, nb))
 
     @cached_property
     def axioms_report(self) -> CheckReport:
@@ -133,32 +130,30 @@ def _action_axioms(rb, hopf, alg, action):
     as the identity, and the action splits over products through the
     coproduct."""
     rb.compare("unit_acts_trivially",
-               contract("i,ijk->jk", hopf.unit, action, fld=alg.fld),
+               contract("i,ijk->jk", hopf.unit, action),
                identity(alg.fld, alg.dim))
-    lhs = contract("abm,imk->iabk", alg.mult, action, fld=alg.fld)
+    lhs = contract("abm,imk->iabk", alg.mult, action)
     rhs = contract("ipq,pax,qby,xyk->iabk", hopf.comult, action, action,
-                   alg.mult, fld=alg.fld)
+                   alg.mult)
     rb.compare("action_multiplicative", lhs, rhs)
 
 
 def _twisted_module_sides(hopf, action, cocycle, mult_a):
     lhs = contract("ipq,jrs,rax,pxy,qsz,yzk->ijak",
-                   hopf.comult, hopf.comult, action, action, cocycle, mult_a,
-                   fld=hopf.fld)
+                   hopf.comult, hopf.comult, action, action, cocycle, mult_a)
     rhs = contract("ipq,jrs,pry,qst,taz,yzk->ijak",
-                   hopf.comult, hopf.comult, cocycle, hopf.mult, action, mult_a,
-                   fld=hopf.fld)
+                   hopf.comult, hopf.comult, cocycle, hopf.mult, action,
+                   mult_a)
     return lhs, rhs
 
 
 def _cocycle_identity_sides(hopf, action, cocycle, mult_a):
     lhs = contract("ipq,jrs,nuv,rux,pxy,svt,qtz,yzk->ijnk",
                    hopf.comult, hopf.comult, hopf.comult,
-                   cocycle, action, hopf.mult, cocycle, mult_a,
-                   fld=hopf.fld)
+                   cocycle, action, hopf.mult, cocycle, mult_a)
     rhs = contract("ipq,jrs,pry,qst,tnz,yzk->ijnk",
-                   hopf.comult, hopf.comult, cocycle, hopf.mult, cocycle, mult_a,
-                   fld=hopf.fld)
+                   hopf.comult, hopf.comult, cocycle, hopf.mult, cocycle,
+                   mult_a)
     return lhs, rhs
 
 
@@ -181,7 +176,7 @@ def verify_twisted_partial(tpa: TwistedPartialAction) -> CheckReport:
     rb.compare("twisted_module", lhs, rhs)
     # w(h_1, l_1)((h_2 l_2) . 1): the right side at a = 1
     rb.compare("cocycle_right_absorption", tpa.cocycle,
-               contract("ijak,a->ijk", rhs, a.unit, fld=a.fld))
+               contract("ijak,a->ijk", rhs, a.unit))
     return rb.build()
 
 
@@ -193,10 +188,9 @@ def verify_absorption(tpa: TwistedPartialAction) -> CheckReport:
     h, a = tpa.hopf, tpa.alg
     # (h_1 . (l_1 . 1)) w(h_2, l_2): the twisted module left side at a = 1
     rb.compare("absorption_nested", tpa.cocycle,
-               contract("ijak,a->ijk", tpa.twisted_module_sides[0], a.unit,
-                        fld=a.fld))
+               contract("ijak,a->ijk", tpa.twisted_module_sides[0], a.unit))
     rhs = contract("ipq,py,qjz,yzk->ijk", h.comult, tpa.unit_translates,
-                   tpa.cocycle, a.mult, fld=a.fld)
+                   tpa.cocycle, a.mult)
     rb.compare("absorption_left", tpa.cocycle, rhs)
     return rb.build()
 
@@ -209,9 +203,9 @@ def verify_crossed_conditions(tpa: TwistedPartialAction) -> CheckReport:
     h, a = tpa.hopf, tpa.alg
     e = tpa.unit_translates
     rb.compare("cocycle_normalized_left",
-               contract("i,ijk->jk", h.unit, tpa.cocycle, fld=a.fld), e)
+               contract("i,ijk->jk", h.unit, tpa.cocycle), e)
     rb.compare("cocycle_normalized_right",
-               contract("j,ijk->ik", h.unit, tpa.cocycle, fld=a.fld), e)
+               contract("j,ijk->ik", h.unit, tpa.cocycle), e)
     rb.compare("twisted_module", *tpa.twisted_module_sides)
     lhs, rhs = _cocycle_identity_sides(h, tpa.action, tpa.cocycle, a.mult)
     rb.compare("cocycle_identity", lhs, rhs)
@@ -244,12 +238,12 @@ def verify_global(g: GlobalTwistedAction) -> CheckReport:
     rb = ReportBuilder("global twisted action")
     h, b = g.hopf, g.alg
     _action_axioms(rb, h, b, g.action)
-    eps_unit = contract("i,a->ia", h.counit, b.unit, fld=b.fld)
+    eps_unit = contract("i,a->ia", h.counit, b.unit)
     rb.compare("unit_preserved", g.unit_translates, eps_unit)
     rb.compare("twist_normalized_left",
-               contract("i,ijk->jk", h.unit, g.twist, fld=b.fld), eps_unit)
+               contract("i,ijk->jk", h.unit, g.twist), eps_unit)
     rb.compare("twist_normalized_right",
-               contract("j,ijk->ik", h.unit, g.twist, fld=b.fld), eps_unit)
+               contract("j,ijk->ik", h.unit, g.twist), eps_unit)
     lhs, rhs = _twisted_module_sides(h, g.action, g.twist, b.mult)
     rb.compare("twisted_module", lhs, rhs)
     lhs, rhs = _cocycle_identity_sides(h, g.action, g.twist, b.mult)
@@ -257,26 +251,26 @@ def verify_global(g: GlobalTwistedAction) -> CheckReport:
     return rb.build()
 
 
-def central_idempotent_report(alg: AlgebraData, e: np.ndarray) -> CheckReport:
+def central_idempotent_report(alg: AlgebraData, e: Exact) -> CheckReport:
     rb = ReportBuilder("central idempotent")
     rb.compare("idempotent", alg.mul(e, e).reshape(1, -1), e.reshape(1, -1))
-    lhs = contract("x,xjk->jk", e, alg.mult, fld=alg.fld)
-    rhs = contract("x,jxk->jk", e, alg.mult, fld=alg.fld)
+    lhs = contract("x,xjk->jk", e, alg.mult)
+    rhs = contract("x,jxk->jk", e, alg.mult)
     rb.compare("central", lhs, rhs)
     return rb.build()
 
 
-def corner_twist(g: GlobalTwistedAction, e: np.ndarray) -> Exact:
+def corner_twist(g: GlobalTwistedAction, e: Exact) -> Exact:
     """The twist the corner of e inherits from a global twisted action:
     (h_1 . e) u(h_2, l_1) ((h_3 l_2) . e) with h . b = e (h > b),
     returned in ambient coordinates as a (dim H, dim H, dim B) tensor.
     """
     b = g.alg
-    ea = contract("pjb,j->pb", g.action, e, fld=b.fld)
-    ea = contract("x,pb,xbc->pc", e, ea, b.mult, fld=b.fld)
+    ea = contract("pjb,j->pb", g.action, e)
+    ea = contract("x,pb,xbc->pc", e, ea, b.mult)
     return contract("ipqr,juv,rvt,py,quz,yzw,tx,wxc->ijc",
                     g.hopf.coalgebra.split3, g.hopf.comult, g.hopf.mult,
-                    ea, g.twist, b.mult, ea, b.mult, fld=b.fld)
+                    ea, g.twist, b.mult, ea, b.mult)
 
 
 @dataclass(frozen=True)
@@ -291,7 +285,7 @@ class InducedPartialAction:
     carrier: SubspaceBasis
 
 
-def induce_partial(g: GlobalTwistedAction, e: np.ndarray,
+def induce_partial(g: GlobalTwistedAction, e: Exact,
                    check: bool = True) -> InducedPartialAction:
     """Restrict a global twisted action to the corner of a central
     idempotent e: the corner algebra is eB, the partial action is
@@ -314,7 +308,7 @@ def _induce(g, e, twist, check):
     """induce_partial past its guard, with the corner twist of e given."""
     b = g.alg
     fld = b.fld
-    rows = contract("i,ijk->jk", e, b.mult, fld=fld)  # row j = e * b_j
+    rows = contract("i,ijk->jk", e, b.mult)  # row j = e * b_j
     carrier = span(rows, b.dim, fld)
     na = carrier.dim
     sect = carrier.rows
@@ -332,7 +326,7 @@ def _induce(g, e, twist, check):
     alg_a = AlgebraData(fld, na, mult_a, unit_a)
 
     # e (h_p > corner basis j)
-    acted = contract("x,jb,pbc,xcd->pjd", e, sect, g.action, b.mult, fld=fld)
+    acted = contract("x,jb,pbc,xcd->pjd", e, sect, g.action, b.mult)
     action_a = corner_coords(acted, "induced action at ({}, {})")
     cocycle_a = corner_coords(twist, "induced cocycle at ({}, {})")
     tpa = TwistedPartialAction(g.hopf, alg_a, action_a, cocycle_a)
@@ -374,8 +368,8 @@ def verify_symmetric(tpa: TwistedPartialAction) -> CocycleInverse:
     e = tpa.unit_translates
     rb = ReportBuilder("symmetric twisted partial action")
 
-    f1 = contract("iy,j->ijy", e, h.counit, fld=fld).reshape(n2, na)
-    f2 = contract("ijt,ty->ijy", h.mult, e, fld=fld).reshape(n2, na)
+    f1 = contract("iy,j->ijy", e, h.counit).reshape(n2, na)
+    f2 = contract("ijt,ty->ijy", h.mult, e).reshape(n2, na)
     rb.compare("unit_factor_central", *centrality(f1, c2, a))
     rb.compare("product_factor_central", *centrality(f2, c2, a))
 

@@ -28,8 +28,8 @@ from .crossed import CrossedProductAlgebra, require_coinvariants_are_base
 from .errors import (NormalizationFailed, NotCentral, NotCocommutative,
                      NotIntegral, PreconditionError)
 from .hopf import centrality, is_cocommutative, left_integrals
-from .linalg import (Exact, concat, contract, coords_in, coords_or_raise,
-                     eqarr, freeze_tensors, is_zero, kernel_basis, solve,
+from .linalg import (Exact, check_tensors, concat, contract, coords_in,
+                     coords_or_raise, eqarr, is_zero, kernel_basis, solve,
                      span)
 from .partial import TwistedPartialAction
 
@@ -53,7 +53,7 @@ class CleftData:
 
     def __post_init__(self):
         shape = (self.cp.hopf.dim, self.cp.dim)
-        freeze_tensors(self, self.fld, gamma=shape, gamma_prime=shape)
+        check_tensors(self, self.fld, gamma=shape, gamma_prime=shape)
 
     @property
     def fld(self):
@@ -70,12 +70,12 @@ def default_cleft(tpa: TwistedPartialAction,
     crossed product cp of tpa, with gamma' = gamma after the
     antipode."""
     h, a = tpa.hopf, tpa.alg
-    amb = contract("jpq,px->jxq", h.comult, tpa.unit_translates,
-                   fld=a.fld).reshape(h.dim, a.dim * h.dim)
+    amb = contract("jpq,px->jxq", h.comult,
+                   tpa.unit_translates).reshape(h.dim, a.dim * h.dim)
     gamma = coords_or_raise(cp.basis, amb, ValueError,
                             "unit section of basis element {} left the span")
     return CleftData(cp, gamma,
-                     contract("ij,jk->ik", h.antipode, gamma, fld=a.fld), tpa)
+                     contract("ij,jk->ik", h.antipode, gamma), tpa)
 
 
 def _conv_product(cd: CleftData) -> Exact:
@@ -83,7 +83,7 @@ def _conv_product(cd: CleftData) -> Exact:
     product."""
     h = cd.cp.hopf
     return contract("ipq,pk,qm,kms->is", h.comult, cd.gamma, cd.gamma_prime,
-                    cd.cp.algebra.mult, fld=h.fld)
+                    cd.cp.algebra.mult)
 
 
 def verify_partially_cleft(cd: CleftData) -> CheckReport:
@@ -102,16 +102,15 @@ def verify_partially_cleft(cd: CleftData) -> CheckReport:
     require_coinvariants_are_base(cp)
     rb = ReportBuilder("partially cleft extension")
     rb.compare("unit_value",
-               contract("i,ij->j", h.unit, cd.gamma, fld=fld).reshape(1, -1),
+               contract("i,ij->j", h.unit, cd.gamma).reshape(1, -1),
                cp.algebra.unit.reshape(1, -1))
     d, nh = cp.dim, h.dim
     co = cp.coaction.reshape(d, d, nh)
-    lhs = contract("jm,mks->jks", cd.gamma, co, fld=fld)
-    rhs = contract("jpq,pk->jkq", h.comult, cd.gamma, fld=fld)
+    lhs = contract("jm,mks->jks", cd.gamma, co)
+    rhs = contract("jpq,pk->jkq", h.comult, cd.gamma)
     rb.compare("section_colinear", lhs, rhs)
-    lhs = contract("jm,mks->jks", cd.gamma_prime, co, fld=fld)
-    rhs = contract("jpq,qk,ps->jks", h.comult, cd.gamma_prime, h.antipode,
-                   fld=fld)
+    lhs = contract("jm,mks->jks", cd.gamma_prime, co)
+    rhs = contract("jpq,qk,ps->jks", h.comult, cd.gamma_prime, h.antipode)
     rb.compare("cosection_colinear", lhs, rhs)
     q = _conv_product(cd)
     rb.require_inside("product_valued_in_base", q, cp.base_space,
@@ -120,15 +119,14 @@ def verify_partially_cleft(cd: CleftData) -> CheckReport:
     if qa is not None:
         # centrality lives in the convolution algebra of maps into the
         # base, so the product is pulled back through the embedding
-        q2 = contract("ijt,yt->ijy", h.mult, qa,
-                      fld=fld).reshape(nh * nh, cp.base.dim)
+        q2 = contract("ijt,yt->ijy", h.mult, qa).reshape(nh * nh, cp.base.dim)
         rb.compare("product_convolution_central",
                    *centrality(q2, h.coalgebra.tensor_square, cp.base))
     else:
         rb.note("centrality of the section product was skipped because the "
                 "product does not land in the embedded base")
-    lhs = contract("is,at,stu->iau", q, cp.iota, cp.algebra.mult, fld=fld)
-    rhs = contract("is,at,tsu->iau", q, cp.iota, cp.algebra.mult, fld=fld)
+    lhs = contract("is,at,stu->iau", q, cp.iota, cp.algebra.mult)
+    rhs = contract("is,at,tsu->iau", q, cp.iota, cp.algebra.mult)
     rb.compare("product_commutes_with_base", lhs, rhs)
     return rb.build()
 
@@ -139,7 +137,7 @@ def centralizer(cp: CrossedProductAlgebra):
     d, na = cp.dim, cp.base.dim
     mult = cp.algebra.mult
     diff = mult - mult.transpose(1, 0, 2)
-    m = contract("aj,ijk->aki", cp.iota, diff, fld=cp.fld).reshape(na * d, d)
+    m = contract("aj,ijk->aki", cp.iota, diff).reshape(na * d, d)
     return span(kernel_basis(m, cp.fld), d, cp.fld)
 
 
@@ -164,16 +162,16 @@ def verify_centralizer_identity(cd: CleftData, c) -> CheckReport:
     if coords_in(cen, c) is None:
         raise NotCentral("the element does not centralize the embedded base")
     iota_es = contract("ij,jk,kl->il", h.antipode, cd.tpa.unit_translates,
-                       cp.iota, fld=fld)
+                       cp.iota)
     mult = cp.algebra.mult
-    t1 = contract("pa,b,abm->pm", cd.gamma_prime, c, mult, fld=fld)
-    t2 = contract("pm,qc,mcn->pqn", t1, iota_es, mult, fld=fld)
-    t3 = contract("pqn,rd,ndk->pqrk", t2, cd.gamma, mult, fld=fld)
-    e1 = contract("ipqr,pqrk->ik", h.coalgebra.split3, t3, fld=fld)
-    gs = contract("ij,jk->ik", h.antipode, cd.gamma, fld=fld)
-    gps = contract("ij,jk->ik", h.antipode, cd.gamma_prime, fld=fld)
-    t = contract("qa,b,abm->qm", gs, c, mult, fld=fld)
-    e2 = contract("ipq,qm,pd,mdk->ik", h.comult, t, gps, mult, fld=fld)
+    t1 = contract("pa,b,abm->pm", cd.gamma_prime, c, mult)
+    t2 = contract("pm,qc,mcn->pqn", t1, iota_es, mult)
+    t3 = contract("pqn,rd,ndk->pqrk", t2, cd.gamma, mult)
+    e1 = contract("ipqr,pqrk->ik", h.coalgebra.split3, t3)
+    gs = contract("ij,jk->ik", h.antipode, cd.gamma)
+    gps = contract("ij,jk->ik", h.antipode, cd.gamma_prime)
+    t = contract("qa,b,abm->qm", gs, c, mult)
+    e2 = contract("ipq,qm,pd,mdk->ik", h.comult, t, gps, mult)
     rb = ReportBuilder("centralizer conjugation")
     rb.compare("conjugation_equals_swapped", e1, e2)
     c_a = solve(cp.iota.transpose(), c, fld)
@@ -181,10 +179,9 @@ def verify_centralizer_identity(cd: CleftData, c) -> CheckReport:
         rb.note("the element is outside the embedded base, so the comparison "
                 "with the measured value does not apply")
     else:
-        acted = contract("ij,b,jba->ia", h.antipode, c_a, cd.tpa.action,
-                         fld=fld)
+        acted = contract("ij,b,jba->ia", h.antipode, c_a, cd.tpa.action)
         rb.compare("conjugation_equals_action", e2,
-                   contract("ia,ab->ib", acted, cp.iota, fld=fld))
+                   contract("ia,ab->ib", acted, cp.iota))
     return rb.build()
 
 
@@ -216,7 +213,6 @@ def separability_idempotent(cd: CleftData, t, c):
     """
     cp = cd.cp
     h = cp.hopf
-    fld = cp.fld
     if not is_cocommutative(h.coalgebra):
         raise NotCocommutative("the coproduct is not cocommutative")
     if not cd.cleft_report.passed:
@@ -226,35 +222,34 @@ def separability_idempotent(cd: CleftData, t, c):
     if is_zero(t) or coords_in(integrals, t) is None:
         raise NotIntegral("the chosen element is not a nonzero left integral")
     a = cp.base
-    if not eqarr(contract("b,bjk->jk", c, a.mult, fld=fld),
-                 contract("b,jbk->jk", c, a.mult, fld=fld)):
+    if not eqarr(contract("b,bjk->jk", c, a.mult),
+                 contract("b,jbk->jk", c, a.mult)):
         raise NotCentral("the chosen element is not central in the base")
-    normalized = contract("i,b,iba->a", t, c, cd.tpa.action, fld=fld)
+    normalized = contract("i,b,iba->a", t, c, cd.tpa.action)
     if not eqarr(normalized, a.unit):
         raise NormalizationFailed(
             f"the integral does not collapse the element to the unit: got "
             f"{tuple(normalized.elements)}")
 
-    u = contract("i,ij->j", t, h.antipode, fld=fld)
-    w = contract("i,ipqr->pqr", u, h.coalgebra.split3, fld=fld)
+    u = contract("i,ij->j", t, h.antipode)
+    w = contract("i,ipqr->pqr", u, h.coalgebra.split3)
     iota_es = contract("ij,jk,kl->il", h.antipode, cd.tpa.unit_translates,
-                       cp.iota, fld=fld)
-    iota_c = contract("i,ij->j", c, cp.iota, fld=fld)
+                       cp.iota)
+    iota_c = contract("i,ij->j", c, cp.iota)
     mult = cp.algebra.mult
     first = contract("pa,b,abm,qc,mcn->pqn", cd.gamma_prime, iota_c, mult,
-                     iota_es, mult, fld=fld)
+                     iota_es, mult)
     d = cp.dim
-    lift = contract("pqr,pqy,rz->yz", w, first, cd.gamma,
-                    fld=fld).reshape(d * d)
-    q = cp.balanced_square
-    elem = BalancedTensorElement(q.project(lift), lift)
+    lift = contract("pqr,pqy,rz->yz", w, first, cd.gamma).reshape(d * d)
+    proj = _project_translates(cd, lift)
+    elem = BalancedTensorElement(proj[0], lift)
 
     rb = ReportBuilder("separability element construction")
     rb.require("normalization", True)
     res, _, _ = cp.canonical
     rb.require("canonical_map_bijective", res.bijective,
                lhs=(res.quotient_dim, res.rank), rhs=(res.target_dim,))
-    conditions = check_separable_extension(cd, elem)
+    conditions = _separability_conditions(cd, elem, proj)
     rb.absorb(conditions, "")
     return elem, rb.build(), conditions
 
@@ -265,24 +260,39 @@ def check_separable_extension(cd: CleftData,
     tensor square: it commutes with every ring element across the two
     legs, and multiplication collapses it to the unit.  A third derived
     identity checks idempotency under the factorwise product."""
+    return _separability_conditions(cd, elem,
+                                    _project_translates(cd, elem.lift))
+
+
+def _project_translates(cd: CleftData, lift: Exact) -> Exact:
+    """The quotient classes of every tensor the separability conditions
+    read, by one projection: the lift at 0, its translates by the ring
+    basis from the left at 1..d and from the right at d+1..2d, and its
+    factorwise square at 2d + 1."""
     cp = cd.cp
     d = cp.dim
-    q = cp.balanced_square
-    rb = ReportBuilder("separability conditions")
-    lift = elem.lift.reshape(d, d)
+    lift = lift.reshape(d, d)
     mult = cp.algebra.mult
-    left = contract("ab,xac->xcb", lift, mult, fld=cp.fld)
-    right = contract("ab,bxc->xac", lift, mult, fld=cp.fld)
-    squared = contract("yz,ab,yac,bzd->cd", lift, lift, mult, mult, fld=cp.fld)
-    # the quotient classes of every tensor read here, by one projection:
-    # the lift at 0, the translates at 1..2d, the square at 2d + 1
-    proj = q.project(concat([elem.lift.reshape(1, -1),
-                             left.reshape(d, d * d), right.reshape(d, d * d),
-                             squared.reshape(1, d * d)], cp.fld))
+    left = contract("ab,xac->xcb", lift, mult)
+    right = contract("ab,bxc->xac", lift, mult)
+    squared = contract("yz,ab,yac,bzd->cd", lift, lift, mult, mult)
+    return cp.balanced_square.project(concat(
+        [lift.reshape(1, -1), left.reshape(d, d * d),
+         right.reshape(d, d * d), squared.reshape(1, d * d)], cp.fld))
+
+
+def _separability_conditions(cd: CleftData, elem: BalancedTensorElement,
+                             proj: Exact) -> CheckReport:
+    """:func:`check_separable_extension` of ``elem``, reading the
+    projections of :func:`_project_translates` of its lift."""
+    cp = cd.cp
+    d = cp.dim
+    rb = ReportBuilder("separability conditions")
     coords = elem.coordinates.reshape(1, -1)
     rb.compare("lift_projects_to_coordinates", proj[:1], coords)
     rb.compare("two_sided_translation", proj[1:d + 1], proj[d + 1:2 * d + 1])
-    collapsed = contract("ab,abc->c", lift, mult, fld=cp.fld)
+    collapsed = contract("ab,abc->c", elem.lift.reshape(d, d),
+                         cp.algebra.mult)
     rb.compare("multiplication_collapse", collapsed.reshape(1, -1),
                cp.algebra.unit.reshape(1, -1))
     rb.compare("collapse_idempotent", proj[2 * d + 1:], coords)

@@ -30,6 +30,7 @@ import numpy as np
 from .errors import SpecFileError
 from .fields import Field
 from .hopf import AlgebraData, CoalgebraData, HopfAlgebraData
+from .linalg import Exact, from_ratios
 from .partial import GlobalTwistedAction, TwistedPartialAction
 
 _FLAT_SECTIONS = ("action", "cocycle", "idempotent", "theta", "gauge",
@@ -41,16 +42,16 @@ class SpecFile:
     fld: Field
     hopf: HopfAlgebraData | None = None
     algebra: AlgebraData | None = None
-    action: np.ndarray | None = None
-    cocycle: np.ndarray | None = None
+    action: Exact | None = None
+    cocycle: Exact | None = None
     glob: GlobalTwistedAction | None = None
-    idempotent: np.ndarray | None = None
-    theta: np.ndarray | None = None
-    gauge: np.ndarray | None = None
-    gamma: np.ndarray | None = None
-    gamma_prime: np.ndarray | None = None
-    integral_t: np.ndarray | None = None
-    center_c: np.ndarray | None = None
+    idempotent: Exact | None = None
+    theta: Exact | None = None
+    gauge: Exact | None = None
+    gamma: Exact | None = None
+    gamma_prime: Exact | None = None
+    integral_t: Exact | None = None
+    center_c: Exact | None = None
 
     def __eq__(self, other):
         if not isinstance(other, SpecFile):
@@ -67,15 +68,23 @@ class SpecFile:
                                     self.cocycle)
 
 
-def _tensor(fld, node, shape, path):
-    """Parse a nested list of scalar strings into an object array of the
-    given shape; any None in the shape accepts whatever length appears
-    at that level (reported back through the result)."""
+def _tensor(fld, node, shape, path) -> Exact:
+    """Parse a nested list of scalar strings into an Exact of the given
+    shape; any None in the shape accepts whatever length appears at that
+    level (reported back through the result)."""
+    ratios = []
+    return from_ratios(fld, ratios, _scalars(fld, node, shape, path, ratios))
+
+
+def _scalars(fld, node, shape, path, ratios) -> tuple:
+    """Append the integer pairs of the scalars under ``node`` to
+    ``ratios`` in row-major order, and return the shape they fill."""
     if not shape:
         try:
-            return fld.parse(node)
+            ratios.append(fld.ratio(fld.parse(node)))
         except (TypeError, ValueError) as exc:
             raise SpecFileError(f"{path}: {exc}") from None
+        return ()
     if not isinstance(node, list):
         raise SpecFileError(f"{path}: expected a list, got "
                             f"{type(node).__name__}")
@@ -84,14 +93,12 @@ def _tensor(fld, node, shape, path):
         raise SpecFileError(f"{path}: expected length {want}, got {len(node)}")
     if want is None and not node:
         raise SpecFileError(f"{path}: empty dimension")
-    sub = [_tensor(fld, item, shape[1:], f"{path}[{i}]")
+    sub = [_scalars(fld, item, shape[1:], f"{path}[{i}]", ratios)
            for i, item in enumerate(node)]
-    if not shape[1:]:
-        return np.array(sub, dtype=object)
     for i, item in enumerate(sub):
-        if item.shape != sub[0].shape:
+        if item != sub[0]:
             raise SpecFileError(f"{path}[{i}]: ragged nesting")
-    return np.stack(sub)
+    return (len(node),) + sub[0]
 
 
 def _require(obj, key, path):
@@ -144,6 +151,10 @@ def parse_spec(text: str, field: Field | None = None) -> SpecFile:
         raise SpecFileError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        # a number of more digits than int() reads, or nesting deeper
+        # than the decoder's recursion
+        raise SpecFileError(f"malformed JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SpecFileError("top level: expected an object")
     if field is not None:
@@ -225,15 +236,14 @@ def parse_spec(text: str, field: Field | None = None) -> SpecFile:
                     **{k: out.get(k) for k in _FLAT_SECTIONS})
 
 
-def _emit(fld, arr):
-    arr = np.asarray(arr)
-    if arr.ndim == 0:
-        return fld.format(arr.item())
-    return [_emit(fld, row) for row in arr]
+def _emit(t: Exact):
+    """The nested lists of the canonical scalar strings of ``t``."""
+    strings = [t.fld.format_ratio(v, t.den) for v in t.ints.reshape(-1)]
+    return np.array(strings, dtype=object).reshape(t.shape).tolist()
 
 
-def _emit_algebra(fld, a: AlgebraData) -> dict:
-    out = {"mult": _emit(fld, a.mult), "unit": _emit(fld, a.unit)}
+def _emit_algebra(a: AlgebraData) -> dict:
+    out = {"mult": _emit(a.mult), "unit": _emit(a.unit)}
     if a.labels is not None:
         out["labels"] = list(a.labels)
     return out
@@ -241,28 +251,27 @@ def _emit_algebra(fld, a: AlgebraData) -> dict:
 
 def serialize_spec(spec: SpecFile) -> str:
     """Canonical JSON text; parsing it back gives an equal SpecFile."""
-    fld = spec.fld
-    doc = {"field": fld.name}
+    doc = {"field": spec.fld.name}
     if spec.hopf is not None:
         h = spec.hopf
-        doc["hopf"] = _emit_algebra(fld, h.algebra)
+        doc["hopf"] = _emit_algebra(h.algebra)
         doc["hopf"].update({
-            "comult": _emit(fld, h.comult),
-            "counit": _emit(fld, h.counit),
-            "antipode": _emit(fld, h.antipode),
+            "comult": _emit(h.comult),
+            "counit": _emit(h.counit),
+            "antipode": _emit(h.antipode),
         })
     if spec.algebra is not None:
-        doc["algebra"] = _emit_algebra(fld, spec.algebra)
+        doc["algebra"] = _emit_algebra(spec.algebra)
     if spec.glob is not None:
         doc["global"] = {
-            "algebra": _emit_algebra(fld, spec.glob.alg),
-            "action": _emit(fld, spec.glob.action),
-            "twist": _emit(fld, spec.glob.twist),
+            "algebra": _emit_algebra(spec.glob.alg),
+            "action": _emit(spec.glob.action),
+            "twist": _emit(spec.glob.twist),
         }
     for name in _FLAT_SECTIONS:
         val = getattr(spec, name)
         if val is not None:
-            doc[name] = _emit(fld, val)
+            doc[name] = _emit(val)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

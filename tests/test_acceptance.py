@@ -40,7 +40,7 @@ from hopfcross import (Field, HopfcrossError, NormalizationFailed,
 from hopfcross.fixtures import (c3_gauge, c3_partial, cocycle_pair,
                                 degenerate_swap, group_tables_up_to_6,
                                 pair_gauge, trivial_partial)
-from hopfcross.linalg import eqarr, rank
+from hopfcross.linalg import arr, eqarr, rank
 
 QQ = Field.rationals()
 TIME_LIMIT = 10.0
@@ -116,7 +116,8 @@ def test_criterion_1_axioms_and_mutation_coverage(capfd):
                     total += 1
                     mut = tensor.copy()
                     mut[idx] = m
-                    mutant = dataclasses.replace(tpa, **{attr: mut})
+                    mutant = dataclasses.replace(tpa,
+                                                 **{attr: arr(fld, mut)})
                     if not detected(mutant):
                         survivors.append((name, attr, idx, str(v), str(m)))
                         kept.append((mutant, m))
@@ -259,9 +260,9 @@ def test_criterion_5_gauge_suite(capfd):
         # breaking normalization must break it on both sides of the gauge
         fld = fields[i % 4]
         sample = cocycle_pair(_nonzero(rng, fld), fld)
-        coc = np.array(sample.cocycle)
+        coc = np.array(sample.cocycle.elements)
         coc[0, 1, 0] = coc[0, 1, 0] + _nonzero(rng, fld)
-        bad = dataclasses.replace(sample, cocycle=coc)
+        bad = dataclasses.replace(sample, cocycle=arr(fld, coc))
         assert not verify_crossed_conditions(bad).passed
         pair = weak_conv_inverse(pair_gauge(_nonzero(rng, fld), fld), bad)
         assert pair is not None
@@ -307,25 +308,25 @@ def test_criterion_6_separability(capfd):
     tpa = cocycle_pair(1)
     cp = build_partial_crossed(tpa)
     cd = default_cleft(tpa, cp)
-    t = np.array([Fraction(1), Fraction(1)], dtype=object)
-    c = np.array([Fraction(1, 2)], dtype=object)
+    t = arr(QQ, [Fraction(1), Fraction(1)])
+    c = arr(QQ, [Fraction(1, 2)])
     elem, rep, _ = separability_idempotent(cd, t, c)
     res, _, _ = canonical_map(cp)
     fld2 = Field.prime(2)
     tpa2 = cocycle_pair(1, fld2)
     cd2 = default_cleft(tpa2, build_partial_crossed(tpa2))
-    t2 = np.array([fld2.one(), fld2.one()], dtype=object)
-    c2 = np.array([fld2.one()], dtype=object)
+    t2 = arr(fld2, [fld2.one(), fld2.one()])
+    c2 = arr(fld2, [fld2.one()])
     with pytest.raises(NormalizationFailed):
         separability_idempotent(cd2, t2, c2)
     elapsed = time.perf_counter() - t0
 
     half = Fraction(1, 2)
     zero = Fraction(0)
-    coords_expected = np.array([half, zero, zero, half], dtype=object)
-    lift_expected = np.array([half, zero, zero, half], dtype=object)
-    ok = (eqarr(np.asarray(elem.coordinates).ravel(), coords_expected)
-          and eqarr(np.asarray(elem.lift).ravel(), lift_expected)
+    coords_expected = arr(QQ, [half, zero, zero, half])
+    lift_expected = arr(QQ, [half, zero, zero, half])
+    ok = (eqarr(elem.coordinates.reshape(-1), coords_expected)
+          and eqarr(elem.lift.reshape(-1), lift_expected)
           and rep.passed
           and (res.quotient_dim, res.target_dim, res.rank) == (4, 4, 4)
           and res.bijective)
@@ -334,8 +335,8 @@ def test_criterion_6_separability(capfd):
              "is a bijective 4x4 matrix, and characteristic 2 fails "
              "normalization")
     assert elapsed < TIME_LIMIT, f"took {elapsed:.1f}s"
-    assert eqarr(np.asarray(elem.coordinates).ravel(), coords_expected)
-    assert eqarr(np.asarray(elem.lift).ravel(), lift_expected)
+    assert eqarr(elem.coordinates.reshape(-1), coords_expected)
+    assert eqarr(elem.lift.reshape(-1), lift_expected)
     assert rep.passed, rep.summary()
     for name in ("normalization", "two_sided_translation",
                  "multiplication_collapse", "collapse_idempotent",
@@ -350,7 +351,7 @@ def test_criterion_7_integrals_and_convolution_inverses(capfd):
     for gname, table in group_tables_up_to_6().items():
         h = group_algebra(QQ, table)
         ints = left_integrals(h)
-        ones = np.full((1, h.dim), QQ.one(), dtype=object)
+        ones = arr(QQ, [[1] * h.dim])
         assert ints.dim == 1 and eqarr(ints.rows, ones), gname
 
     rng = random.Random(1888)
@@ -362,9 +363,8 @@ def test_criterion_7_integrals_and_convolution_inverses(capfd):
         fld = a.fld
         inv = None
         for _ in range(1000):
-            f = np.array([[fld.coerce(rng.randint(-4, 4))
-                           for _ in range(a.dim)] for _ in range(h.dim)],
-                         dtype=object)
+            f = arr(fld, [[rng.randint(-4, 4) for _ in range(a.dim)]
+                          for _ in range(h.dim)])
             inv = convolution_inverse(f, h.coalgebra, a)
             if inv is not None:
                 break

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from hopfcross.checks import ReportBuilder, Violation
 from hopfcross.fields import Field, FieldMismatchError
-from hopfcross.linalg import (Exact, arr, contract, coords_in_many, eqarr,
-                              is_zero, span, zeros)
+from hopfcross.linalg import (arr, contract, coords_in_many, eqarr, is_zero,
+                              span, zeros)
 
 QQ = Field.rationals()
 
@@ -27,10 +27,10 @@ def compared(lhs, rhs):
 
 def test_compare_names_first_middle_and_last_index():
     lhs = arr(QQ, [[[i, j] for j in range(4)] for i in range(3)])
-    rhs = lhs.copy()
+    rhs = np.array(lhs.elements)
     for idx, k in (((0, 0), 1), ((1, 2), 0), ((2, 3), 1)):
         rhs[idx + (k,)] = QQ.coerce("1/2")
-    rep = compared(Exact(lhs, QQ), rhs)
+    rep = compared(lhs, arr(QQ, rhs))
     assert rep.identities == ("same",)
     assert rep.violations == (
         Violation("same", (0, 0), (0, 0), (0, QQ.coerce("1/2"))),
@@ -38,14 +38,14 @@ def test_compare_names_first_middle_and_last_index():
         Violation("same", (2, 3), (2, 3), (2, QQ.coerce("1/2"))),
     )
     assert all(type(i) is int for v in rep.violations for i in v.index)
-    assert compared(lhs, lhs.copy()).passed
+    assert compared(lhs, arr(QQ, lhs.elements)).passed
 
 
 def test_compare_one_dimensional_sides():
     lhs, rhs = arr(QQ, [1, 2, 3]), arr(QQ, [1, 2, 4])
     assert compared(lhs, rhs).violations == (
         Violation("same", (), (1, 2, 3), (1, 2, 4)),)
-    assert compared(lhs, lhs.copy()).passed
+    assert compared(lhs, arr(QQ, [1, 2, 3])).passed
 
 
 def test_compare_zero_extent_leading_axis():
@@ -77,15 +77,13 @@ def tables(draw, fld, shape):
 
 @st.composite
 def held(draw, fld, values):
-    """``values`` as given, as an Exact of them, or as a view of an Exact
-    that also holds a slab of other entries, whose denominator it keeps."""
-    kind = draw(st.sampled_from(["array", "exact", "view"]))
-    if kind == "array":
-        return values
-    if kind == "exact":
-        return Exact(values, fld)
+    """The element array ``values`` as an Exact of them, or as a view of
+    an Exact that also holds a slab of other entries, whose denominator
+    it keeps."""
+    if draw(st.booleans()):
+        return arr(fld, values)
     other = draw(tables(fld, values.shape))
-    return Exact(np.stack([other, values]), fld)[1]
+    return arr(fld, np.stack([other, values]))[1]
 
 
 @st.composite
@@ -131,11 +129,12 @@ def memberships(draw):
     combinations of the rows, some moved off the span."""
     fld = draw(st.sampled_from(FIELDS))
     n = draw(st.integers(1, 3))
-    sub = span(draw(tables(fld, (draw(st.integers(0, 2)), n))), n, fld)
+    sub = span(arr(fld, draw(tables(fld, (draw(st.integers(0, 2)), n)))), n,
+               fld)
     lead = tuple(draw(st.lists(st.integers(0, 3), max_size=2)))
-    combos = draw(tables(fld, (math.prod(lead), sub.dim)))
-    vs = np.array(contract("ki,ij->kj", combos, sub.rows,
-                           fld=fld)).reshape(lead + (n,))
+    combos = arr(fld, draw(tables(fld, (math.prod(lead), sub.dim))))
+    vs = np.array(contract("ki,ij->kj", combos, sub.rows).elements).reshape(
+        lead + (n,))
     if vs.size:
         for _ in range(draw(st.integers(0, 3))):
             idx = tuple(draw(st.integers(0, k - 1)) for k in vs.shape)
@@ -148,7 +147,8 @@ def reference_coords(sub, vs):
     coords = vs[..., list(sub.pivots)]
     misses = []
     for idx in np.ndindex(*vs.shape[:-1]):
-        rebuilt = [sum((c * row[j] for c, row in zip(coords[idx], sub.rows)),
+        rebuilt = [sum((c * row[j] for c, row in zip(coords[idx],
+                                                     sub.rows.elements)),
                        sub.fld.zero()) for j in range(sub.ambient_dim)]
         if not all(x == y for x, y in zip(rebuilt, vs[idx])):
             misses.append(idx)
@@ -174,15 +174,23 @@ def test_integer_membership_matches_the_element_reference(case):
 @pytest.mark.parametrize("other", [Field.prime(5), Field.prime(7)])
 @pytest.mark.parametrize("exact", [False, True], ids=["array", "Exact"])
 def test_a_verdict_across_two_fields_raises(other, exact):
-    # QQ against F_5 and F_5 against F_7, as element arrays or Exact
-    # tensors: each verdict refuses instead of reading a difference
+    # QQ against F_5 and F_5 against F_7 as Exact tensors: each verdict,
+    # and the contraction itself, refuses instead of reading a
+    # difference.  An element array is no operand: it is a TypeError
     fld = QQ if other.p == 5 else Field.prime(5)
     lhs, rhs = arr(fld, [[1, 2], [0, 1]]), arr(other, [[1, 2], [0, 1]])
-    if exact:
-        lhs, rhs = Exact(lhs, fld), Exact(rhs, other)
-    with pytest.raises(FieldMismatchError):
+    error = FieldMismatchError
+    if not exact:
+        rhs, error = rhs.elements, TypeError
+    with pytest.raises(error):
         ReportBuilder("r").compare("t", lhs, rhs)
-    with pytest.raises(FieldMismatchError):
+    with pytest.raises(error):
         eqarr(lhs, rhs)
-    with pytest.raises(FieldMismatchError):
+    with pytest.raises(error):
         coords_in_many(span(lhs, 2, fld), rhs)
+    with pytest.raises(error):
+        ReportBuilder("r").require_inside("t", rhs, span(lhs, 2, fld), "in")
+    with pytest.raises(error):
+        contract("ij,jk->ik", lhs, rhs)
+    with pytest.raises(error):
+        contract("ij,jk->ik", rhs, lhs)

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfcross
-from hopfcross import cli, linalg
+from hopfcross import cli, linalg, separability
 from hopfcross.checks import ReportBuilder
 from hopfcross.crossed import (balanced_tensor_square, build_global_crossed,
                                build_partial_crossed)
@@ -38,8 +38,8 @@ from hopfcross.hopf import split, verify_algebra
 from hopfcross.linalg import contract
 from hopfcross.morita import morita_context, phi_embed
 from hopfcross.partial import verify_crossed_conditions, verify_global
-from hopfcross.separability import (CleftData, check_separable_extension,
-                                    default_cleft, verify_partially_cleft)
+from hopfcross.separability import (CleftData, default_cleft,
+                                    verify_partially_cleft)
 from hopfcross.specfile import load_spec
 
 DATA = resources.files("hopfcross") / "data"
@@ -243,7 +243,8 @@ def test_report_computes_each_verifier_report_once(monkeypatch):
     # each, the crossed-product conditions of each action three, yet
     # each is computed once
     cleft = _record_calls(monkeypatch, verify_partially_cleft)
-    conditions = _record_calls(monkeypatch, check_separable_extension)
+    conditions = _record_calls(monkeypatch,
+                               separability._separability_conditions)
     doc = cli.run("report", load_spec(data_path("f_coc_1.json")))
     assert doc["stages"][-1]["command"] == "separability"
     assert doc["stages"][-1]["passed"] is True
@@ -459,7 +460,8 @@ def test_every_map_the_engine_hands_out_is_exact():
     pair = weak_conv_inverse(c3_gauge(2, 5), tpa)
     cpv = build_partial_crossed(gauge_transform(pair, tpa))
     cd = default_cleft(tpa, cp)
-    given = CleftData(cp, np.array(cd.gamma), np.array(cd.gamma_prime), tpa)
+    given = CleftData(cp, linalg.arr(QQ, cd.gamma.elements),
+                      linalg.arr(QQ, cd.gamma_prime.elements), tpa)
     square = cp.balanced_square
     maps = {
         "iota": cp.iota, "coaction": cp.coaction, "theta": env.theta,
@@ -509,7 +511,7 @@ def test_a_passing_compare_of_exact_tables_builds_no_elements(monkeypatch):
     # the same values as a view of a larger Exact, whose denominator
     # (a multiple of 7) the view keeps
     sevenths = np.full(lhs.shape, Fraction(1, 7), dtype=object)
-    view = linalg.Exact(np.stack([sevenths, lhs.elements]), tpa.fld)[1]
+    view = linalg.arr(tpa.fld, np.stack([sevenths, lhs.elements]))[1]
     built.clear()
     rb.compare("over_another_denominator", view, rhs)
     rep = rb.build()
@@ -521,31 +523,67 @@ def test_a_passing_compare_of_exact_tables_builds_no_elements(monkeypatch):
 @pytest.mark.parametrize("p", [None, 7], ids=["QQ", "F7"])
 def test_elimination_builds_no_element(monkeypatch, p):
     # span, solve, rank, kernel_basis and quotient eliminate on the
-    # integers of their Exact inputs: no element array is built or
-    # converted.  The matrix needs a row swap and skips a zero column.
+    # integers of their Exact inputs: no element array is built, and
+    # none is taken.  The matrix needs a row swap and skips a zero column.
     fld = Field(p)
-    m = linalg.Exact(linalg.arr(fld, [[0, 0, 3, "1/3"], [2, 0, 1, 4],
-                                      [4, 0, 5, "25/3"]]), fld)
-    b = contract("ij,j->i", m, linalg.arr(fld, [1, 1, 1, 1]), fld=fld)
-    bad = linalg.Exact(linalg.arr(fld, [1, 0, 0]), fld)
+    m = linalg.arr(fld, [[0, 0, 3, "1/3"], [2, 0, 1, 4], [4, 0, 5, "25/3"]])
+    b = contract("ij,j->i", m, linalg.arr(fld, [1, 1, 1, 1]))
+    bad = linalg.arr(fld, [1, 0, 0])
     elements = m.elements
     calls = Counter()
-    for name in ("_elements", "_integers"):
-        def counting(*args, name=name, original=getattr(linalg, name)):
-            calls[name] += 1
-            return original(*args)
 
-        monkeypatch.setattr(linalg, name, counting)
+    def counting(*args, original=linalg._elements):
+        calls["_elements"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(linalg, "_elements", counting)
     x = linalg.solve(m, b, fld)
     assert isinstance(x, linalg.Exact) and linalg.eqarr(
-        contract("ij,j->i", m, x, fld=fld), b)
+        contract("ij,j->i", m, x), b)
     assert linalg.solve(m, bad, fld) is None
     assert linalg.span(m, 4, fld).dim == linalg.rank(m, fld) == 2
     assert linalg.kernel_basis(m, fld).shape == (2, 4)
     assert linalg.quotient(4, m, fld).dim == 2
     assert calls == Counter()
-    # the counter sees a conversion: an element array in
-    assert linalg.rank(elements, fld) == 2 and calls == {"_integers": 1}
+    # an element array is no input, and the counter sees a build: the
+    # elements of a result read
+    with pytest.raises(TypeError):
+        linalg.rank(elements, fld)
+    assert linalg.solve(m, b, fld).elements.shape == (4,)
+    assert calls == {"_elements": 1}
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_a_cli_run_converts_no_element_array(monkeypatch, capsys, name):
+    # tensors are born Exact: the parser reads the integers of each
+    # scalar string, and no command hands an element array to arr, the
+    # one builder of an Exact from field elements
+    converted = _record_calls(monkeypatch, linalg.arr)
+    for command in cli.COMMANDS:
+        cli.main([command, data_path(name), "--format", "json"])
+    assert converted == []
+    assert not hasattr(linalg, "_integers")
+    assert not hasattr(linalg.Exact, "__array__")
+
+
+def _passes_a_field(node):
+    """Whether an AST node is a contract call with a ``fld=`` keyword."""
+    return (isinstance(node, ast.Call)
+            and "contract" in (getattr(node.func, "attr", None),
+                               getattr(node.func, "id", None))
+            and any(k.arg == "fld" for k in node.keywords))
+
+
+def test_the_field_travels_with_the_operands():
+    # contract reads the field from its Exact operands: it has no field
+    # parameter, and no call in the package passes one
+    assert list(inspect.signature(contract).parameters) == [
+        "spec", "operands"]
+    assert [f"{name}:{node.lineno}" for name, node in _package_nodes()
+            if _passes_a_field(node)] == []
+    # the guard sees both call forms
+    snippet = "contract('i->i', v, fld=f)\nlinalg.contract('i->i', v, fld=f)"
+    assert sum(map(_passes_a_field, ast.walk(ast.parse(snippet)))) == 2
 
 
 def test_missing_file_is_an_input_error():

@@ -214,9 +214,9 @@ def test_equisatisfiability_on_corrupted_data():
     # break normalization of the cocycle; both the original and the
     # gauged data must then fail the same conditions
     tpa = cocycle_pair(2)
-    coc = np.array(tpa.cocycle)
-    coc[0, 1] = arr(QQ, [5])
-    broken = dataclasses.replace(tpa, cocycle=coc)
+    coc = np.array(tpa.cocycle.elements)
+    coc[0, 1] = [5]
+    broken = dataclasses.replace(tpa, cocycle=arr(QQ, coc))
     pair = weak_conv_inverse(pair_gauge(3), broken)
     rep = verify_equisatisfiability(broken, gauge_transform(pair, broken))
     assert rep.passed, rep.summary()

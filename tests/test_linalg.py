@@ -1,4 +1,4 @@
-"""Exact linear algebra over object-dtype arrays.
+"""Exact linear algebra on Exact tensors.
 
 Canonical RREF is the backbone of everything downstream (subspace
 equality, solving, quotients), so the properties here are checked both
@@ -19,10 +19,10 @@ import hopfcross
 import reference
 from hopfcross import linalg
 from hopfcross.fields import Field, FieldMismatchError, Fp
-from hopfcross.linalg import (Exact, arr, contract, coords_in, coords_in_many,
-                              coords_or_raise, eqarr, identity, is_zero,
-                              kernel_basis, kron, quotient, rank, rref, solve,
-                              span, zeros)
+from hopfcross.linalg import (Exact, arr, concat, contract, coords_in,
+                              coords_in_many, coords_or_raise, eqarr,
+                              identity, is_zero, kernel_basis, kron, quotient,
+                              rank, rref, solve, span, zeros)
 
 QQ = Field.rationals()
 F5 = Field.prime(5)
@@ -40,7 +40,7 @@ matrices = st.integers(min_value=1, max_value=4).flatmap(
 
 def test_arr_coerces_entries():
     a = arr(QQ, [["1/2", 1], [0, "-3"]])
-    assert a.dtype == object
+    assert isinstance(a, Exact) and a.fld == QQ
     assert a[0, 0] == QQ.coerce("1/2")
     assert a[1, 1] == QQ.coerce(-3)
 
@@ -89,16 +89,16 @@ def test_matrix_rhs_solve_matches_column_solves(fld):
     # one of them with an entry that is a multiple of 7
     m = arr(fld, [[1, 2, 0], [0, 1, 1], [1, 3, 1], [2, 4, 0]])
     ys = arr(fld, [[1, 0, 0], [0, 1, 0], ["1/2", 7, 3], [0, 0, 0]])
-    b = contract("ij,kj->ik", m, ys, fld=fld)
+    b = contract("ij,kj->ik", m, ys)
     x = solve(m, b, fld)
     assert x.shape == (3, 4)
     for k in range(4):
         assert eqarr(x[:, k], solve(m, b[:, k], fld))
-        assert eqarr(contract("ij,j->i", m, x[:, k], fld=fld), b[:, k])
+        assert eqarr(contract("ij,j->i", m, x[:, k]), b[:, k])
     # one column is the 1-D case
     assert eqarr(solve(m, b[:, :1], fld).reshape(3), solve(m, b[:, 0], fld))
     # one inconsistent column makes the whole system inconsistent
-    bad = np.concatenate([b, arr(fld, [[1], [0], [0], [0]])], axis=1)
+    bad = arr(fld, np.concatenate([b.elements, [[1], [0], [0], [0]]], axis=1))
     assert solve(m, bad[:, 4], fld) is None
     assert solve(m, bad, fld) is None
     assert solve(m, bad[:, [4, 0]], fld) is None
@@ -115,8 +115,7 @@ def test_kernel_basis_annihilates():
     m = arr(QQ, [[1, 2, 3], [0, 1, 1]])
     k = kernel_basis(m, QQ)
     assert k.shape[0] == 1
-    for row in k:
-        assert is_zero(m @ row)
+    assert is_zero(contract("ij,kj->ki", m, k))
 
 
 def test_kernel_of_full_rank_matrix_is_empty():
@@ -192,10 +191,10 @@ def test_span_is_order_invariant(rows, rng):
 @settings(max_examples=60, deadline=None)
 def test_solve_solution_satisfies_system(rows):
     m = arr(QQ, rows)
-    b = m @ arr(QQ, list(range(1, m.shape[1] + 1)))
+    b = contract("ij,j->i", m, arr(QQ, list(range(1, m.shape[1] + 1))))
     x = solve(m, b, QQ)
     assert x is not None
-    assert eqarr(m @ x, b)
+    assert eqarr(contract("ij,j->i", m, x), b)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +203,7 @@ def test_solve_solution_satisfies_system(rows):
 
 @st.composite
 def systems(draw):
-    """A field, an r x c element matrix over it (r 0-5, c 1-5, with many
+    """A field, an r x c Exact matrix over it (r 0-5, c 1-5, with many
     zeros so that ranks often drop) and a right-hand side of shape (r,)
     or (r, k): drawn at random, so often inconsistent, or m @ y."""
     fld = draw(st.sampled_from([QQ, F5, F_MERSENNE61]))
@@ -225,29 +224,31 @@ def systems(draw):
         b = matrix(r, *cols)
     else:
         spec = "ij,jk->ik" if cols else "ij,j->i"
-        b = np.asarray(contract(spec, m, matrix(c, *cols), fld=fld))
+        b = contract(spec, m, matrix(c, *cols))
     return fld, m, b
 
 
 def reference_solve(m, b, fld):
-    """solve by the element rref of [m | b]: the pivot entries of the
-    solution, free variables zero, or None when b is inconsistent."""
+    """solve by the element rref of [m | b], for element arrays m and b:
+    the pivot entries of the solution, free variables zero, or None when
+    b is inconsistent."""
     r, c = m.shape
     rhs = b.reshape(r, math.prod(b.shape[1:]))
     R, pivots, rk = reference.rref(np.concatenate([m, rhs], axis=1), fld)
     if rk and pivots[-1] >= c:
         return None
-    x = zeros(fld, (c, rhs.shape[1]))
+    x = np.full((c, rhs.shape[1]), fld.zero(), dtype=object)
     x[list(pivots)] = R[:rk, c:]
     return x.reshape((c,) + b.shape[1:])
 
 
 def reference_kernel(m, fld):
-    """The kernel as the element rref of the null vectors of rref(m)."""
+    """The kernel of the element array m as the element rref of the null
+    vectors of rref(m)."""
     c = m.shape[1]
     R, pivots, rk = reference.rref(m, fld)
     free = [j for j in range(c) if j not in pivots]
-    null = zeros(fld, (len(free), c))
+    null = np.full((len(free), c), fld.zero(), dtype=object)
     for n, f in enumerate(free):
         null[n, f] = fld.one()
         null[n, list(pivots)] = -R[:rk, f]
@@ -280,20 +281,22 @@ def element_case(fld, rows, rhs):
 def test_elimination_matches_the_element_reference(case):
     fld, m, b = case
     c = m.shape[1]
-    want_r, want_pivots, want_rank = reference.rref(m, fld)
-    got_r, pivots, rk = rref(Exact(m, fld), fld)
+    want_r, want_pivots, want_rank = reference.rref(m.elements, fld)
+    want_r = arr(fld, want_r)
+    got_r, pivots, rk = rref(m, fld)
     assert isinstance(got_r, Exact) and got_r.shape == m.shape
     assert eqarr(got_r, want_r) and (pivots, rk) == (want_pivots, want_rank)
     if fld.p is None:
         assert got_r.den > 0 and math.gcd(got_r.den, *got_r.ints.flat) == 1
-    sub = span(Exact(m, fld), c, fld)
+    sub = span(m, c, fld)
     assert eqarr(sub.rows, want_r[:want_rank]) and sub.pivots == want_pivots
-    assert rank(Exact(m, fld), fld) == want_rank
-    assert eqarr(kernel_basis(Exact(m, fld), fld), reference_kernel(m, fld))
-    want_x = reference_solve(m, b, fld)
-    for x in (solve(Exact(m, fld), Exact(b, fld), fld), solve(m, b, fld)):
-        assert (x is None) == (want_x is None)
-        assert x is None or isinstance(x, Exact) and eqarr(x, want_x)
+    assert rank(m, fld) == want_rank
+    assert eqarr(kernel_basis(m, fld),
+                 arr(fld, reference_kernel(m.elements, fld)))
+    want_x = reference_solve(m.elements, b.elements, fld)
+    x = solve(m, b, fld)
+    assert (x is None) == (want_x is None)
+    assert x is None or isinstance(x, Exact) and eqarr(x, arr(fld, want_x))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +308,7 @@ def contractions(draw):
     """A field, a 1-4 operand spec over axes a-e of extent 0-3 (repeated
     axes and rank-0 operands included), its operands and an output that
     keeps any subset of the axes, possibly none.  Each operand is an
-    element array or an Exact tensor, so a spec may mix both."""
+    Exact, built by arr from elements drawn at random."""
     fld = draw(st.sampled_from([QQ, F5, F10007, F_MERSENNE61]))
     extent = {ch: draw(st.integers(0, 3)) for ch in "abcde"}
     terms = draw(st.lists(st.text("abcde", max_size=3), min_size=1,
@@ -323,8 +326,7 @@ def contractions(draw):
                     for _ in range(size)]
         else:
             vals = [Fp(draw(big), fld.p) for _ in range(size)]
-        op = np.array(vals, dtype=object).reshape(shape)
-        ops.append(Exact(op, fld) if draw(st.booleans()) else op)
+        ops.append(arr(fld, np.array(vals, dtype=object).reshape(shape)))
     return fld, ",".join(terms) + "->" + output, ops
 
 
@@ -335,21 +337,20 @@ def contractions(draw):
                           arr(QQ, [["2/9", 1], [f"1/{10**18}", "-1/6"]])]))
 # two scalars and an operand with an empty axis: every step of the
 # path must keep the extra axis, and the empty sum is zero
-@example((QQ, ",,d->", [Exact(arr(QQ, "-5/3"), QQ), arr(QQ, "7/2"),
-                        Exact(zeros(QQ, (0,)), QQ)]))
+@example((QQ, ",,d->", [arr(QQ, "-5/3"), arr(QQ, "7/2"), zeros(QQ, (0,))]))
 # a 0-d output whose terms overflow int64 many times over
 @example((F_MERSENNE61, "ab,ab->",
-          [Exact(arr(F_MERSENNE61, [[-1, 2**60], [3, -2**59]]), F_MERSENNE61),
+          [arr(F_MERSENNE61, [[-1, 2**60], [3, -2**59]]),
            arr(F_MERSENNE61, [[-1, -2**60 + 7], [2**61, 5]])]))
 # outputs whose content divides out: 2/3 * 3 = 2 over the scale 3, and
 # [2/3, 1/2] * [3, 4] = [2, 2] over the scale 6
 @example((QQ, "i,i->", [arr(QQ, ["2/3"]), arr(QQ, [3])]))
-@example((QQ, "i,i->i", [Exact(arr(QQ, ["2/3", "1/2"]), QQ), arr(QQ, [3, 4])]))
+@example((QQ, "i,i->i", [arr(QQ, ["2/3", "1/2"]), arr(QQ, [3, 4])]))
 @settings(max_examples=300, deadline=None)
 def test_contract_matches_reference_einsum(case):
     fld, spec, ops = case
-    got = contract(spec, *ops, fld=fld)
-    want = np.einsum(spec, *map(np.asarray, ops))
+    got = contract(spec, *ops)
+    want = np.einsum(spec, *(op.elements for op in ops))
     kind = type(fld.one())
     if spec.endswith("->"):
         assert type(got) is kind and got == want
@@ -369,61 +370,79 @@ def test_contract_matches_reference_einsum(case):
 
 
 def test_exact_holds_integers_over_one_common_denominator():
-    src = arr(QQ, [["1/2", 3], ["-1/3", 0]])
-    t = Exact(src, QQ)
-    src[0, 0] = QQ.zero()
+    src = np.array([["1/2", 3], ["-1/3", 0]], dtype=object)
+    t = arr(QQ, src)
+    src[0, 0] = 0
     assert t.den == 6 and t.ints.tolist() == [[3, 18], [-2, 0]]
     assert t.shape == (2, 2) and eqarr(t, arr(QQ, [["1/2", 3], ["-1/3", 0]]))
     assert not t.ints.flags.writeable and not t.elements.flags.writeable
+    # elements and unreduced quotients give the same canonical integers
+    assert t == arr(QQ, [[Fraction(1, 2), "9/3"], ["-2/6", "0/5"]])
+    assert t.ints.tolist() == arr(QQ, t.elements).ints.tolist()
     # plain ints are coerced: the residues are canonical
-    r = Exact(np.array([-1, 12], dtype=object), F5)
+    r = arr(F5, [-1, 12])
     assert r.den == 1 and r.ints.tolist() == [4, 2]
     assert all(type(x) is Fp for x in r.elements)
     with pytest.raises(FieldMismatchError):
-        Exact(arr(F5, [1]), QQ)
+        arr(QQ, r.elements)
     with pytest.raises(FieldMismatchError):
-        Exact(r, Field.prime(7))
+        arr(Field.prime(7), r.elements)
     with pytest.raises(FieldMismatchError):
-        contract("i,i->", r, r, fld=Field.prime(7))
+        contract("i,i->", r, arr(Field.prime(7), [1, 2]))
+    with pytest.raises(FieldMismatchError):
+        t == arr(F5, [[1, 2], [3, 4]])
+    assert t != t.transpose(1, 0) and t != t.reshape(4)
 
 
 def test_contract_of_disconnected_operands_is_exact():
     # each operand sums to a scalar that fits in int64 while the product
     # does not
     x = arr(QQ, [2**40, 1])
-    assert contract("i,j->", x, x, fld=QQ) == (2**40 + 1) ** 2
+    assert contract("i,j->", x, x) == (2**40 + 1) ** 2
     y = arr(F5, [2**62, 1])
-    assert contract("i,j,k->", y, y, y, fld=F5) == Fp((2**62 + 1) ** 3, 5)
+    assert contract("i,j,k->", y, y, y) == Fp((2**62 + 1) ** 3, 5)
 
 
 def test_contract_rejects_operands_that_do_not_fit_the_spec():
     m = identity(QQ, 2)
     with pytest.raises(ValueError, match="operands"):
-        contract("ij,jk->ik", m, fld=QQ)
+        contract("ij,jk->ik", m)
     with pytest.raises(ValueError, match="axes"):
-        contract("ijk,jk->i", m, m, fld=QQ)
+        contract("ijk,jk->i", m, m)
     with pytest.raises(ValueError, match="->"):
-        contract("ij,jk", m, m, fld=QQ)
+        contract("ij,jk", m, m)
 
 
 def test_contract_rejects_entries_outside_the_field():
     with pytest.raises(FieldMismatchError):
-        contract("i,i->", arr(QQ, [1]), arr(F5, [1]), fld=QQ)
+        contract("i,i->", arr(QQ, [1]), arr(F5, [1]))
     with pytest.raises(FieldMismatchError):
-        contract("i,i->", arr(F5, [1]), arr(Field.prime(7), [1]), fld=F5)
+        contract("i,i->", arr(F5, [1]), arr(Field.prime(7), [1]))
+    with pytest.raises(FieldMismatchError, match="GF.5. and GF.7."):
+        contract("i,ij->j", arr(F5, [1]), arr(Field.prime(7), [[1, 2]]))
+    # the difference and the solvers read the field from their operands
     with pytest.raises(FieldMismatchError):
-        contract("i->i", np.array([0.5, 2], dtype=object), fld=QQ)
+        arr(QQ, [1]) - arr(F5, [1])
     with pytest.raises(FieldMismatchError):
-        contract("i->i", arr(QQ, ["1/2"]), fld=F5)
+        rank(arr(F5, [[1]]), QQ)
+    with pytest.raises(FieldMismatchError):
+        solve(arr(QQ, [[1]]), arr(F5, [1]), QQ)
 
 
-def test_contract_takes_plain_ints_as_field_elements():
-    ints = np.array([3, -1], dtype=object)
-    got = contract("i,i->", ints, arr(QQ, ["1/2", 1]), fld=QQ)
-    assert type(got) is Fraction and got == Fraction(1, 2)
+def test_contract_rejects_an_operand_that_is_not_an_exact():
+    # plain ints and element arrays are input to arr, not operands
     f7 = Field.prime(7)
-    got = contract("i,i->i", ints, arr(f7, [2, 2]), fld=f7)
-    assert all(type(x) is Fp for x in got) and eqarr(got, arr(f7, [6, -2]))
+    for op in (np.array([3, -1], dtype=object), [3, -1],
+               arr(f7, [3, -1]).elements):
+        with pytest.raises(TypeError, match="operand 0 is a .*not an Exact"):
+            contract("i,i->", op, arr(f7, [2, 2]))
+    with pytest.raises(TypeError, match="operand 1"):
+        contract("i,i->i", arr(f7, [2, 2]), np.array([0.5, 2], dtype=object))
+    with pytest.raises(TypeError):
+        rank(identity(f7, 2).elements, f7)
+    got = contract("i,i->i", arr(f7, [3, -1]), arr(f7, [2, 2]))
+    assert all(type(x) is Fp for x in got.elements)
+    assert eqarr(got, arr(f7, [6, -2]))
 
 
 def test_shape_errors_are_explicit():
@@ -460,17 +479,18 @@ def membership_cases(draw):
     vs = []
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=6)):
         if kind == "zero":
-            vs.append(zeros(fld, (n,)))
+            vs.append(zeros(fld, (n,)).elements)
             continue
         v = arr(fld, draw(vec))
         if kind != "random":
             # a combination of the basis rows, plus a unit vector at a
             # non-pivot column, which is never a member, for "outside"
-            v = np.array(contract("i,ij->j", v[:sub.dim], sub.rows, fld=fld))
+            v = contract("i,ij->j", v[:sub.dim], sub.rows)
             if kind == "outside":
-                v[draw(st.sampled_from(free))] += fld.one()
-        vs.append(v)
-    return sub, np.array(vs, dtype=object).reshape(len(vs), n)
+                v = v - arr(fld, np.eye(n, dtype=object)[
+                    draw(st.sampled_from(free))])
+        vs.append(v.elements)
+    return sub, arr(fld, np.array(vs, dtype=object).reshape(len(vs), n))
 
 
 @given(membership_cases())
@@ -478,19 +498,20 @@ def membership_cases(draw):
 @settings(max_examples=200, deadline=None)
 def test_coords_in_many_matches_membership_by_rank(case):
     sub, vs = case
-    fld, n = sub.fld, sub.ambient_dim
+    fld, n, count = sub.fld, sub.ambient_dim, vs.shape[0]
     coords, misses = coords_in_many(sub, vs)
-    assert coords.shape == (len(vs), sub.dim)
-    want = tuple((k,) for k, v in enumerate(vs)
-                 if span(np.vstack([sub.rows, v.reshape(1, n)]), n,
+    assert coords.shape == (count, sub.dim)
+    want = tuple((k,) for k in range(count)
+                 if span(concat([sub.rows, vs[k:k + 1]], fld), n,
                          fld).dim != sub.dim)
     assert misses == want
-    for k, v in enumerate(vs):
+    for k in range(count):
+        v = vs[k]
         if (k,) not in misses:
-            rebuilt = zeros(fld, (n,))
-            for c, row in zip(coords[k], np.array(sub.rows)):
+            rebuilt = np.full(n, fld.zero(), dtype=object)
+            for c, row in zip(coords[k].elements, sub.rows.elements):
                 rebuilt = rebuilt + c * row
-            assert eqarr(rebuilt, v)
+            assert eqarr(arr(fld, rebuilt), v)
             assert eqarr(coords_in(sub, v), coords[k])
         else:
             assert coords_in(sub, v) is None
@@ -499,9 +520,8 @@ def test_coords_in_many_matches_membership_by_rank(case):
 @pytest.mark.parametrize("fld", [QQ, Field.prime(7)])
 def test_coords_in_many_names_non_members_at_every_position(fld):
     sub = span(arr(fld, [[1, 2, 0], [0, 1, 1]]), 3, fld)
-    member, outside = arr(fld, [1, 3, 1]), arr(fld, [0, 0, 1])
-    vs = np.array([outside, member, outside, zeros(fld, (3,)), outside],
-                  dtype=object)
+    member, outside = [1, 3, 1], [0, 0, 1]
+    vs = arr(fld, [outside, member, outside, [0, 0, 0], outside])
     coords, misses = coords_in_many(sub, vs)
     assert misses == ((0,), (2,), (4,))
     assert eqarr(coords[1], arr(fld, [1, 3])) and is_zero(coords[3])
@@ -516,9 +536,8 @@ def test_coords_in_many_names_misses_in_loop_order():
     # nested loop "for a in range(2): for b in range(3)", which is the
     # order in which per-vector loops reported them
     sub = span(arr(QQ, [[1, 0, 0], [0, 1, 0]]), 3, QQ)
-    inside, outside = arr(QQ, [5, "1/2", 0]), arr(QQ, [0, 0, 3])
-    table = np.array([[inside, inside, outside],
-                      [outside, inside, outside]], dtype=object)
+    inside, outside = [5, "1/2", 0], [0, 0, 3]
+    table = arr(QQ, [[inside, inside, outside], [outside, inside, outside]])
     coords, misses = coords_in_many(sub, table)
     assert misses == ((0, 2), (1, 0), (1, 2))
     assert coords.shape == (2, 3, 2)
@@ -535,9 +554,8 @@ class Outside(Exception):
 def test_coords_or_raise_names_the_first_miss_or_returns_the_coordinates(
         fld):
     sub = span(arr(fld, [[1, 0, 0], [0, 1, 0]]), 3, fld)
-    inside, outside = arr(fld, [5, "1/2", 0]), arr(fld, [0, 0, 3])
-    table = np.array([[inside, inside, outside],
-                      [outside, inside, outside]], dtype=object)
+    inside, outside = [5, "1/2", 0], [0, 0, 3]
+    table = arr(fld, [[inside, inside, outside], [outside, inside, outside]])
     # the first miss of a stack in row-major order, with the caller's
     # exception class and message
     with pytest.raises(Outside) as info:
@@ -549,15 +567,15 @@ def test_coords_or_raise_names_the_first_miss_or_returns_the_coordinates(
     assert str(info.value) == "row 0 is outside"
     # a single vector has no index to name
     with pytest.raises(Outside) as info:
-        coords_or_raise(sub, outside, Outside, "the vector is outside")
+        coords_or_raise(sub, arr(fld, outside), Outside,
+                        "the vector is outside")
     assert str(info.value) == "the vector is outside"
-    members = np.array([[inside, inside], [zeros(fld, (3,)), inside]],
-                       dtype=object)
+    members = arr(fld, [[inside, inside], [[0, 0, 0], inside]])
     coords = coords_or_raise(sub, members, Outside, "never {} {}")
     assert coords.shape == (2, 2, 2)
     assert eqarr(coords, coords_in_many(sub, members)[0])
-    assert eqarr(coords_or_raise(sub, inside, Outside, "never"),
-                 coords_in(sub, inside))
+    assert eqarr(coords_or_raise(sub, arr(fld, inside), Outside, "never"),
+                 coords_in(sub, arr(fld, inside)))
 
 
 def test_contract_plans_each_spec_and_shapes_once(monkeypatch):
@@ -571,11 +589,11 @@ def test_contract_plans_each_spec_and_shapes_once(monkeypatch):
     monkeypatch.setattr(np, "einsum_path", counting)
     linalg._plan.cache_clear()
     square, wide = identity(QQ, 2), arr(QQ, [[1, 2, 3], [4, 5, "1/6"]])
-    first = contract("ij,jk->ik", square, wide, fld=QQ)
-    again = contract("ij,jk->ik", square, wide, fld=QQ)
+    first = contract("ij,jk->ik", square, wide)
+    again = contract("ij,jk->ik", square, wide)
     assert len(searches) == 1 and eqarr(first, again) and eqarr(first, wide)
-    contract("ij,jk->ik", wide.T, wide, fld=QQ)
+    contract("ij,jk->ik", wide.transpose(), wide)
     assert len(searches) == 2
-    contract("ij,jk->ik", square, wide, fld=QQ)
-    contract("ij,jk->ki", square, wide, fld=QQ)
+    contract("ij,jk->ik", square, wide)
+    contract("ij,jk->ki", square, wide)
     assert len(searches) == 3

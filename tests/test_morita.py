@@ -14,7 +14,7 @@ from hopfcross.fields import Field
 from hopfcross.fixtures import cyclic_table, degenerate_swap, product_field_algebra
 from hopfcross.globalize import EnvelopingAction, globalize_group_partial
 from hopfcross.hopf import group_algebra
-from hopfcross.linalg import arr, eqarr, identity, rank, span, zeros
+from hopfcross.linalg import arr, eqarr, identity, rank, span
 from hopfcross.morita import (morita_context, phi_embed,
                               verify_module_structures, verify_morita_pairings)
 from hopfcross.partial import GlobalTwistedAction, induce_partial
@@ -82,16 +82,9 @@ def test_dual_group_algebra_corner_contexts(ks3_corner):
 def test_self_enveloping_context_is_the_identity():
     h = group_algebra(QQ, cyclic_table(3))
     b = product_field_algebra(QQ, 3)
-    act = np.empty((3, 3, 3), dtype=object)
-    for g in range(3):
-        m = zeros(QQ, (3, 3))
-        for i in range(3):
-            m[i, (i + g) % 3] = QQ.one()
-        act[g] = m
-    u = np.empty((3, 3, 3), dtype=object)
-    for i in range(3):
-        for j in range(3):
-            u[i, j] = b.unit
+    act = arr(QQ, [[[int(k == (i + g) % 3) for k in range(3)]
+                    for i in range(3)] for g in range(3)])
+    u = arr(QQ, np.broadcast_to(b.unit.elements, (3, 3, 3)))
     glob = GlobalTwistedAction(h, b, act, u)
     src = induce_partial(glob, b.unit).tpa
     env = EnvelopingAction(source=src, ambient=b,
@@ -109,9 +102,9 @@ def test_self_enveloping_context_is_the_identity():
 
 
 def test_corrupted_embedding_breaks_multiplicativity(c3_env):
-    th = np.array(c3_env.theta)
-    th[0] = arr(QQ, [1, 1, 0])
-    env = dataclasses.replace(c3_env, theta=th)
+    th = np.array(c3_env.theta.elements)
+    th[0] = [1, 1, 0]
+    env = dataclasses.replace(c3_env, theta=arr(QQ, th))
     _, rep = phi_embed(env, build_partial_crossed(env.source),
                        build_global_crossed(env.glob))
     assert not rep.identity_passed("multiplicative")
@@ -139,8 +132,7 @@ def test_embedding_outside_the_global_span_zeroes_the_rows_past_the_miss(
 
 def test_non_ideal_bimodule_fails_closure(c3_env):
     ctx = context(c3_env)
-    v = zeros(QQ, (1, 9))
-    v[0, 0] = QQ.one()
+    v = identity(QQ, 9)[:1]
     doctored = dataclasses.replace(ctx, bimodule_m=span(v, 9, QQ))
     rep = verify_module_structures(doctored)
     assert not rep.identity_passed("m_closed_right_ring")
@@ -160,10 +152,10 @@ def test_nonassociative_global_product_fails_only_the_six(c3_env, entry,
     # failure of (xy)z = x(yz) on one of the six families
     ctx = context(c3_env)
     s = ctx.global_cp
-    mult = np.array(s.algebra.mult)
+    mult = np.array(s.algebra.mult.elements)
     mult[entry] += 1
     broken = dataclasses.replace(ctx, global_cp=dataclasses.replace(
-        s, algebra=dataclasses.replace(s.algebra, mult=mult)))
+        s, algebra=dataclasses.replace(s.algebra, mult=arr(QQ, mult))))
     reports = {"module_structures": verify_module_structures(broken),
                "pairings": verify_morita_pairings(broken).report}
     found = [v.identity for rep in reports.values() for v in rep.violations]

@@ -55,17 +55,10 @@ def shift_global(fld=QQ):
     untwisted."""
     h = group_algebra(fld, cyclic_table(3))
     b = product_field_algebra(fld, 3)
-    act = np.empty((3, 3, 3), dtype=object)
-    for g in range(3):
-        m = zeros(fld, (3, 3))
-        for i in range(3):
-            m[i, (i + g) % 3] = fld.one()
-        act[g] = m
-    u = np.empty((3, 3, 3), dtype=object)
-    for g in range(3):
-        for l in range(3):
-            u[g, l] = b.unit
-    return GlobalTwistedAction(h, b, act, u)
+    act = [[[int(k == (i + g) % 3) for k in range(3)] for i in range(3)]
+           for g in range(3)]
+    u = np.broadcast_to(b.unit.elements, (3, 3, 3))
+    return GlobalTwistedAction(h, b, arr(fld, act), arr(fld, u))
 
 
 def test_shift_global_passes():
@@ -74,9 +67,9 @@ def test_shift_global_passes():
 
 def test_global_with_bad_twist_fails_cocycle_identity():
     g = shift_global()
-    u = np.array(g.twist)
-    u[1, 1] = arr(QQ, [1, 0, 0])
-    rep = verify_global(dataclasses.replace(g, twist=u))
+    u = np.array(g.twist.elements)
+    u[1, 1] = [1, 0, 0]
+    rep = verify_global(dataclasses.replace(g, twist=arr(QQ, u)))
     assert not rep.identity_passed("twist_cocycle_identity")
     assert rep.identity_passed("action_multiplicative")
 
@@ -85,22 +78,14 @@ def test_global_scalar_twist_passes():
     # on a one-block base any nonzero constant twist is a coboundary
     h = group_algebra(QQ, [[0, 1], [1, 0]])
     b = product_field_algebra(QQ, 1)
-    act = np.empty((2, 1, 1), dtype=object)
-    act[0, 0, 0] = act[1, 0, 0] = QQ.one()
-    u = np.empty((2, 2, 1), dtype=object)
-    for i in range(2):
-        for j in range(2):
-            u[i, j, 0] = QQ.one()
-    u[1, 1, 0] = QQ.coerce(7)
+    act = arr(QQ, [[[1]], [[1]]])
+    u = arr(QQ, [[[1], [1]], [[1], [7]]])
     assert verify_global(GlobalTwistedAction(h, b, act, u)).passed
 
 
 def test_constant_cocycle_breaks_partial_axioms():
     tpa = c3_partial()
-    u = np.empty_like(tpa.cocycle)
-    for i in range(3):
-        for j in range(3):
-            u[i, j] = tpa.alg.unit
+    u = arr(QQ, np.broadcast_to(tpa.alg.unit.elements, (3, 3, 2)))
     rep = verify_twisted_partial(dataclasses.replace(tpa, cocycle=u))
     assert not rep.identity_passed("cocycle_right_absorption")
     assert not rep.identity_passed("twisted_module")
@@ -108,9 +93,10 @@ def test_constant_cocycle_breaks_partial_axioms():
 
 def test_denormalized_cocycle_breaks_crossed_conditions():
     tpa = c3_partial()
-    u = np.array(tpa.cocycle)
-    u[0, 1] = arr(QQ, [1, 1])
-    rep = verify_crossed_conditions(dataclasses.replace(tpa, cocycle=u))
+    u = np.array(tpa.cocycle.elements)
+    u[0, 1] = [1, 1]
+    rep = verify_crossed_conditions(
+        dataclasses.replace(tpa, cocycle=arr(QQ, u)))
     assert not rep.identity_passed("cocycle_normalized_left")
     assert not rep.identity_passed("cocycle_identity")
 
@@ -141,11 +127,8 @@ def test_unit_translate_map_flags_noncentral_range():
     # fails to be central in the convolution algebra
     ds3 = dual_hopf(group_algebra(QQ, sym3_table()))
     b = product_field_algebra(QQ, 1)
-    act = np.empty((6, 1, 1), dtype=object)
-    for i in range(6):
-        act[i, 0, 0] = QQ.one() if i == 1 else QQ.zero()
-    tpa = TwistedPartialAction(ds3, b, act,
-                               np.full((6, 6, 1), QQ.zero(), dtype=object))
+    act = arr(QQ, [[[int(i == 1)]] for i in range(6)])
+    tpa = TwistedPartialAction(ds3, b, act, zeros(QQ, (6, 6, 1)))
     _, rep = unit_translate_map(tpa)
     assert not rep.identity_passed("central_in_convolution")
     assert rep.violations
@@ -153,9 +136,9 @@ def test_unit_translate_map_flags_noncentral_range():
 
 def test_broken_action_fails_translate_factorization():
     src = c3_partial()
-    act = np.array(src.action)
-    act[2] = arr(QQ, [[1, 0], [0, 0]])
-    res = verify_symmetric(dataclasses.replace(src, action=act))
+    act = np.array(src.action.elements)
+    act[2] = [[1, 0], [0, 0]]
+    res = verify_symmetric(dataclasses.replace(src, action=arr(QQ, act)))
     assert not res.exists
     assert not res.report.identity_passed("unit_action_factorizes")
 
@@ -202,7 +185,7 @@ def test_corner_is_spanned_by_products_with_the_idempotent():
                     arr(QQ, [1, 0]))
     glob = GlobalTwistedAction(trivial_hopf(), b,
                                identity(QQ, 2).reshape(1, 2, 2),
-                               b.unit.elements.reshape(1, 1, 2))
+                               b.unit.reshape(1, 1, 2))
     ind = induce_partial(glob, arr(QQ, [0, 1]))
     assert eqarr(ind.carrier.rows, arr(QQ, [[0, 1]]))
     assert ind.tpa.alg.dim == 1

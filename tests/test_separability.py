@@ -6,9 +6,12 @@ embedded centre element rather than the unit.  Those failures are
 pinned exactly, not skipped.
 """
 
+from importlib import resources
+
 import numpy as np
 import pytest
 
+from hopfcross import cli
 from hopfcross.crossed import balanced_tensor_square, build_partial_crossed
 from hopfcross.errors import (NormalizationFailed, NotCentral,
                               NotCocommutative, NotIntegral)
@@ -16,13 +19,14 @@ from hopfcross.fields import Field
 from hopfcross.fixtures import (c3_partial, cocycle_pair, product_field_algebra,
                                 sym3_table, trivial_hopf)
 from hopfcross.hopf import AlgebraData, dual_hopf, group_algebra
-from hopfcross.linalg import arr, eqarr, identity, zeros
+from hopfcross.linalg import QuotientSpace, arr, contract, eqarr, identity
 from hopfcross.partial import TwistedPartialAction
 from hopfcross.separability import (BalancedTensorElement, CleftData,
                                     centralizer, check_separable_extension,
                                     default_cleft, separability_idempotent,
                                     verify_centralizer_identity,
                                     verify_partially_cleft)
+from hopfcross.specfile import load_spec
 
 QQ = Field.rationals()
 F2 = Field.prime(2)
@@ -35,23 +39,22 @@ def cleft(tpa):
 def collapse(cp, lift):
     """Multiply the two legs of a lifted tensor."""
     d = cp.dim
-    mult = cp.algebra.mult.elements.reshape(d * d, d)
-    return np.einsum("p,pk->k", lift, mult)
+    return contract("p,pk->k", lift, cp.algebra.mult.reshape(d * d, d))
 
 
 def matrix_algebra_2x2():
-    mult = zeros(QQ, (4, 4, 4))
+    mult = np.zeros((4, 4, 4), dtype=object)
     for a in range(2):
         for b in range(2):
             for d in range(2):
-                mult[2 * a + b, 2 * b + d, 2 * a + d] = QQ.one()
-    return AlgebraData(QQ, 4, mult, arr(QQ, [1, 0, 0, 1]))
+                mult[2 * a + b, 2 * b + d, 2 * a + d] = 1
+    return AlgebraData(QQ, 4, arr(QQ, mult), arr(QQ, [1, 0, 0, 1]))
 
 
 def trivial_action_on(alg):
     th = trivial_hopf()
     act = identity(QQ, alg.dim).reshape(1, alg.dim, alg.dim)
-    coc = alg.unit.elements.reshape(1, 1, alg.dim)
+    coc = alg.unit.reshape(1, 1, alg.dim)
     return TwistedPartialAction(th, alg, act, coc)
 
 
@@ -70,9 +73,10 @@ def test_cleft_reports_pass():
 
 def test_doctored_section_fails_unit_value():
     cd = cleft(cocycle_pair(1))
-    g = np.array(cd.gamma)
-    g[0] = arr(QQ, [1, 1])
-    rep = verify_partially_cleft(CleftData(cd.cp, g, cd.gamma_prime, cd.tpa))
+    g = np.array(cd.gamma.elements)
+    g[0] = [1, 1]
+    rep = verify_partially_cleft(CleftData(cd.cp, arr(QQ, g), cd.gamma_prime,
+                                           cd.tpa))
     assert not rep.identity_passed("unit_value")
 
 
@@ -80,9 +84,9 @@ def test_section_product_outside_the_base_is_pinned():
     # with gamma(h_1), gamma(h_2) moved off the section, gamma * gamma'
     # leaves the embedded base at h_1 and h_2, and centrality is skipped
     cd = cleft(c3_partial())
-    g = np.array(cd.gamma)
-    g[1], g[2] = arr(QQ, [1, 1, 0, 0]), arr(QQ, [0, 1, 1, 0])
-    rep = verify_partially_cleft(CleftData(cd.cp, g, cd.gamma_prime,
+    g = np.array(cd.gamma.elements)
+    g[1], g[2] = [1, 1, 0, 0], [0, 1, 1, 0]
+    rep = verify_partially_cleft(CleftData(cd.cp, arr(QQ, g), cd.gamma_prime,
                                            cd.tpa))
     assert [v for v in rep.to_dict(QQ)["violations"]
             if v["identity"] == "product_valued_in_base"] == [
@@ -145,12 +149,8 @@ def test_centralizer_identity_rejects_noncentral_element():
 def dual_s3_trivial_cleft():
     ds3 = dual_hopf(group_algebra(QQ, sym3_table()))
     b = product_field_algebra(QQ, 1)
-    act = np.empty((6, 1, 1), dtype=object)
-    coc = np.empty((6, 6, 1), dtype=object)
-    for i in range(6):
-        act[i, 0, 0] = ds3.counit.elements[i]
-        for j in range(6):
-            coc[i, j, 0] = ds3.counit.elements[i] * ds3.counit.elements[j]
+    act = ds3.counit.reshape(6, 1, 1)
+    coc = contract("i,j->ij", ds3.counit, ds3.counit).reshape(6, 6, 1)
     return cleft(TwistedPartialAction(ds3, b, act, coc))
 
 
@@ -194,7 +194,8 @@ def test_separability_element_of_main_fixture_fails_honestly():
     # the element collapses to the embedded centre element, not the unit
     collapsed = collapse(cd.cp, elem.lift)
     assert eqarr(collapsed, arr(QQ, ["1/2", 0, "1/2", 0]))
-    assert eqarr(collapsed, arr(QQ, ["1/2", "1/2"]) @ cd.cp.iota)
+    assert eqarr(collapsed,
+                 contract("i,ij->j", arr(QQ, ["1/2", "1/2"]), cd.cp.iota))
 
 
 def test_separability_requires_integral():
@@ -255,10 +256,36 @@ def test_extension_check_ignores_choice_of_lift():
     elem, base_rep, _ = separability_idempotent(cd, arr(QQ, [1, 1, 1]),
                                                 arr(QQ, ["1/2", "1/2"]))
     q = balanced_tensor_square(cd.cp)
-    pert = elem.lift + np.array(q.relations.rows[0]) * QQ.coerce(7)
+    pert = arr(QQ, elem.lift.elements + q.relations.rows[0].elements * 7)
     moved = BalancedTensorElement(coordinates=q.project(pert), lift=pert)
     assert eqarr(moved.coordinates, elem.coordinates)
     rep = check_separable_extension(cd, moved)
     for name in base_rep.identities:
         if name in rep.identities:
             assert rep.identity_passed(name) == base_rep.identity_passed(name)
+
+
+def test_a_separability_run_projects_the_lift_once(monkeypatch):
+    # the element's coordinates are row 0 of the one batched projection
+    # the separability conditions read, so a run projects the lift to the
+    # balanced tensor square once; an element handed in from outside is
+    # still projected by the check itself
+    projected = []
+    project = QuotientSpace.project
+
+    def counting(self, v):
+        projected.append(v.shape)
+        return project(self, v)
+
+    monkeypatch.setattr(QuotientSpace, "project", counting)
+    path = resources.files("hopfcross") / "data" / "f_coc_1.json"
+    report = cli.run("separability", load_spec(path))
+    assert report["passed"] and projected == [(6, 4)]
+    cd = cleft(cocycle_pair(1))
+    projected.clear()
+    elem, _, conditions = separability_idempotent(cd, arr(QQ, [1, 1]),
+                                                  arr(QQ, ["1/2"]))
+    assert projected == [(6, 4)]
+    assert conditions.identity_passed("lift_projects_to_coordinates")
+    assert check_separable_extension(cd, elem) == conditions
+    assert projected == [(6, 4)] * 2

@@ -6,6 +6,8 @@ import json
 from importlib import resources
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hopfcross.cli import main
 from hopfcross.errors import SpecFileError
@@ -84,7 +86,7 @@ def test_specs_differing_in_one_tensor_entry_are_unequal():
     action[1, 0, 1] += 1
     assert spec_from_tpa(c3_partial()) == spec
     assert SpecFile(fld=QQ, hopf=spec.hopf, algebra=spec.algebra,
-                    action=action, cocycle=spec.cocycle) != spec
+                    action=arr(QQ, action), cocycle=spec.cocycle) != spec
 
 
 def test_specs_differing_in_a_label_are_unequal():
@@ -226,3 +228,76 @@ def test_partial_action_reports_missing_object():
 def test_trivial_hopf_data_file():
     spec = parse_spec(data_text("trivial_hopf.json"))
     assert spec.hopf.dim == trivial_hopf().dim == 1
+
+
+# -- parse_spec on arbitrary JSON ----------------------------------------
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=20)
+FIELDS = st.sampled_from(["rational", "prime:2", "prime:5", "prime:7"])
+SCALARS = (st.sampled_from(["1", "-2", "1/2", "3 mod 5", "2/3 mod 7", "0/0"])
+           | JSON)
+
+
+def one_dimensional(field, scalar):
+    """A definition file of a one-dimensional Hopf algebra acting on a
+    one-dimensional algebra, with every scalar ``scalar``."""
+    one = [[[scalar]]]
+    return {"field": field,
+            "hopf": {"mult": one, "unit": [scalar], "comult": one,
+                     "counit": [scalar], "antipode": [[scalar]]},
+            "algebra": {"mult": one, "unit": [scalar]},
+            "action": one, "cocycle": one}
+
+
+@st.composite
+def documents(draw):
+    """Arbitrary JSON, a JSON object of known and unknown sections with
+    arbitrary values, or a one-dimensional definition file with random
+    scalars, one section of it possibly replaced by arbitrary JSON."""
+    kind = draw(st.sampled_from(["json", "sections", "file"]))
+    if kind == "json":
+        return draw(JSON)
+    if kind == "sections":
+        keys = st.sampled_from(["field", "hopf", "algebra", "action",
+                                "cocycle", "global", "twist", "theta",
+                                "idempotent", "gauge", "gamma"]) | st.text()
+        return draw(st.dictionaries(keys, JSON, max_size=5))
+    doc = one_dimensional(draw(FIELDS), draw(SCALARS))
+    doc["hopf"]["unit"] = [draw(SCALARS)]
+    if draw(st.booleans()):
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(JSON)
+    return doc
+
+
+def scalar_file(scalar, field="rational"):
+    return json.dumps(one_dimensional(field, scalar))
+
+
+@given(documents().map(json.dumps))
+# scalars that int(), float() or Fraction() would read, or would take
+# unbounded time on, and scalars that are not strings at all
+@example(scalar_file("1e999999999"))
+@example(scalar_file("1_0"))
+@example(scalar_file("\u0663"))
+@example(scalar_file("3/0"))
+@example(scalar_file("2 mod 7", "prime:5"))
+@example(scalar_file("1/5", "prime:5"))
+@example(scalar_file(True))
+@example(scalar_file(1.5))
+# a number of more digits than int() reads, and nesting deeper than the
+# JSON decoder recurses
+@example('{"field": "rational", "action": 1' + "0" * 5000 + "}")
+@example("[" * 100000 + "]" * 100000)
+@settings(max_examples=300, deadline=1000)
+def test_parse_spec_gives_a_spec_file_or_an_input_error(text):
+    try:
+        spec = parse_spec(text)
+    except SpecFileError as exc:
+        assert str(exc)
+        return
+    assert isinstance(spec, SpecFile)
+    assert parse_spec(serialize_spec(spec)) == spec
