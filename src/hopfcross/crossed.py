@@ -85,12 +85,11 @@ class CrossedProductAlgebra:
         d, nh = self.dim, self.hopf.dim
         m = self.coaction.reshape(d, d, nh) - contract(
             "rk,s->rks", identity(self.fld, d), self.hopf.unit)
-        rows = kernel_basis(m.reshape(d, d * nh).transpose(), self.fld)
-        return span(rows, d, self.fld)
+        return span(kernel_basis(m.reshape(d, d * nh).transpose()), d)
 
     @cached_property
     def base_space(self) -> SubspaceBasis:
-        return span(self.iota, self.dim, self.fld)
+        return span(self.iota, self.dim)
 
     @cached_property
     def balanced_square(self) -> QuotientSpace:
@@ -104,12 +103,12 @@ class CrossedProductAlgebra:
 def _build(t: TwistedPartialAction | GlobalTwistedAction,
            cocycle: Exact) -> CrossedProductAlgebra:
     """The crossed product of the action t with its cocycle or twist."""
-    hopf, alg, fld = t.hopf, t.alg, t.fld
+    hopf, alg = t.hopf, t.alg
     na, nh = alg.dim, hopf.dim
     n = na * nh
     gens = contract("jpt,px,ixm->ijmt", hopf.comult, t.unit_translates,
                     alg.mult).reshape(na * nh, n)
-    basis = span(gens, n, fld)
+    basis = span(gens, n)
     d = basis.dim
     amb = ambient_product_tensor(hopf, alg, t.action, cocycle)
 
@@ -117,12 +116,12 @@ def _build(t: TwistedPartialAction | GlobalTwistedAction,
         basis, amb, ClosureViolation,
         "product of crossed basis elements {} and {} leaves the span")
     # a (x) 1 for each base basis element a, and their sum 1 (x) 1
-    amb_iota = contract("ik,p->ikp", identity(fld, na),
+    amb_iota = contract("ik,p->ikp", identity(alg.fld, na),
                         hopf.unit).reshape(na, n)
     unit_c = coords_or_raise(
         basis, contract("i,ij->j", alg.unit, amb_iota),
         ClosureViolation, "the unit of A (x) H is not inside the span")
-    algebra = AlgebraData(fld, d, table, unit_c)
+    algebra = AlgebraData(table, unit_c)
     iota = coords_or_raise(basis, amb_iota, ClosureViolation,
                            "base element {} (x) 1 is not inside the span")
 
@@ -177,7 +176,7 @@ def verify_crossed(cp: CrossedProductAlgebra) -> CheckReport:
     one = contract("i,ij->j", cp.base.unit, cp.iota)
     rb.compare("base_embedding_unital", one.reshape(1, -1),
                cp.algebra.unit.reshape(1, -1))
-    rk = rank(cp.iota, cp.fld)
+    rk = rank(cp.iota)
     rb.require("base_embedding_injective", rk == cp.base.dim,
                lhs=(rk,), rhs=(cp.base.dim,))
     return rb.build()
@@ -248,7 +247,7 @@ def balanced_tensor_square(cp: CrossedProductAlgebra) -> QuotientSpace:
     eye, mult = identity(cp.fld, d), cp.algebra.mult
     rels = (contract("ak,xkm,yn->xaymn", cp.iota, mult, eye)
             - contract("xm,ak,kyn->xaymn", eye, cp.iota, mult))
-    return quotient(d * d, rels.reshape(d * na * d, d * d), cp.fld)
+    return quotient(d * d, rels.reshape(d * na * d, d * d))
 
 
 @dataclass(frozen=True)
@@ -286,7 +285,7 @@ def canonical_map(cp: CrossedProductAlgebra):
     q = cp.balanced_square
     balanced = is_zero(contract("rx,xy->ry", q.relations.rows, camb))
     mq = contract("qx,xy->qy", q.section, camb)
-    rk = rank(mq, cp.fld)
+    rk = rank(mq)
     res = CanonicalMapResult(
         quotient_dim=q.dim,
         target_dim=d * nh,

@@ -61,7 +61,7 @@ def trivial_partial(fld: Field | None = None) -> TwistedPartialAction:
     degenerates to scalar multiplication."""
     fld = fld or Field.rationals()
     h = trivial_hopf(fld)
-    a = AlgebraData(fld, 1, arr(fld, [[[1]]]), arr(fld, [1]), ("1",))
+    a = product_field_algebra(fld, 1, labels=("1",))
     action = arr(fld, [[[1]]])
     cocycle = arr(fld, [[[1]]])
     return TwistedPartialAction(h, a, action, cocycle)
@@ -72,7 +72,7 @@ def product_field_algebra(fld: Field, n: int, labels=None) -> AlgebraData:
     mult = arr(fld, [[[int(i == j == k) for k in range(n)] for j in range(n)]
                      for i in range(n)])
     unit = arr(fld, [1] * n)
-    return AlgebraData(fld, n, mult, unit, tuple(labels) if labels else None)
+    return AlgebraData(mult, unit, tuple(labels) if labels else None)
 
 
 def c3_partial(fld: Field | None = None) -> TwistedPartialAction:
@@ -109,7 +109,7 @@ def cocycle_pair(lam, fld: Field | None = None) -> TwistedPartialAction:
     """
     fld = fld or Field.rationals()
     h = group_algebra(fld, cyclic_table(2), labels=("1", "g"))
-    a = AlgebraData(fld, 1, arr(fld, [[[1]]]), arr(fld, [1]), ("1",))
+    a = product_field_algebra(fld, 1, labels=("1",))
     action = arr(fld, [[[1]], [[1]]])
     cocycle = arr(fld, [[[1], [1]], [[1], [lam]]])
     return TwistedPartialAction(h, a, action, cocycle)
@@ -122,7 +122,7 @@ def degenerate_swap(fld: Field | None = None) -> TwistedPartialAction:
     """
     fld = fld or Field.rationals()
     h = group_algebra(fld, cyclic_table(2), labels=("1", "g"))
-    a = AlgebraData(fld, 1, arr(fld, [[[1]]]), arr(fld, [1]), ("1",))
+    a = product_field_algebra(fld, 1, labels=("1",))
     action = arr(fld, [[[1]], [[0]]])
     cocycle = arr(fld, [[[1], [0]], [[0], [0]]])
     return TwistedPartialAction(h, a, action, cocycle)

@@ -46,14 +46,13 @@ def weak_conv_inverse(v: Exact,
     deterministic solver returns the canonical one.
     """
     h, a = tpa.hopf, tpa.alg
-    fld = a.fld
     nh, na = h.dim, a.dim
     if not eqarr(contract("i,ij->j", h.unit, v), a.unit):
         return None
     rows, rhs = inverse_equations(v, tpa.unit_translates, h.coalgebra, a)
     at_one = contract("l,kb->klb", h.unit,
-                      identity(fld, na)).reshape(na, nh * na)
-    x = solve(concat([rows, at_one], fld), concat([rhs, a.unit], fld), fld)
+                      identity(a.fld, na)).reshape(na, nh * na)
+    x = solve(concat([rows, at_one]), concat([rhs, a.unit]))
     if x is None:
         return None
     u = x.reshape(nh, na)
@@ -128,7 +127,6 @@ def gauge_crossed_iso(pair: GaugePair, cp: CrossedProductAlgebra,
     general.
     """
     h, a = cp.hopf, cp.base
-    fld = a.fld
     nh, na = h.dim, a.dim
     rb = ReportBuilder("gauge isomorphism of crossed products")
 
@@ -146,13 +144,13 @@ def gauge_crossed_iso(pair: GaugePair, cp: CrossedProductAlgebra,
     phi = induced(cpv, cp, amb_v)
     if phi is None:
         rb.require("lands_in_target_span", False)
-        return zeros(fld, (cpv.dim, cp.dim)), rb.build()
+        return zeros(a.fld, (cpv.dim, cp.dim)), rb.build()
     rb.require("lands_in_target_span", True)
     rb.compare("multiplicative",
                *multiplicativity(phi, cpv.algebra, cp.algebra))
     one = contract("i,ij->j", cpv.algebra.unit, phi)
     rb.compare("unital", one.reshape(1, -1), cp.algebra.unit.reshape(1, -1))
-    rk = rank(phi, fld)
+    rk = rank(phi)
     rb.require("bijective", cpv.dim == cp.dim and rk == cp.dim,
                lhs=(rk,), rhs=(cp.dim,))
     psi = induced(cp, cpv, ambient(pair.v_inv))
@@ -162,7 +160,7 @@ def gauge_crossed_iso(pair: GaugePair, cp: CrossedProductAlgebra,
         for name, f, g in (("inverse_after_map", phi, psi),
                            ("map_after_inverse", psi, phi)):
             rb.compare(name, contract("ij,jk->ik", f, g),
-                       identity(fld, f.shape[0]))
+                       identity(a.fld, f.shape[0]))
 
     fwd = induced(cp, cpv, amb_v)
     if fwd is None:

@@ -78,7 +78,6 @@ def globalize_group_partial(tpa: TwistedPartialAction) -> EnvelopingAction:
     the action.
     """
     h, a = tpa.hopf, tpa.alg
-    fld = a.fld
     if not is_trivial_cocycle(tpa):
         raise PreconditionError(
             "globalization is implemented for trivial cocycles only")
@@ -91,10 +90,10 @@ def globalize_group_partial(tpa: TwistedPartialAction) -> EnvelopingAction:
     # (h_g > f)(h_u) = f(h_u h_g), so delta_s (x) a_i moves to the sum
     # over u of mult[u, g, s] delta_u (x) a_i
     act_amb = contract("ugs,ij->gsiuj", h.mult,
-                       identity(fld, na)).reshape(nh, nf, nf)
+                       identity(a.fld, na)).reshape(nh, nf, nf)
 
     trans = contract("ib,gbc->gic", theta_amb, act_amb).reshape(nh * na, nf)
-    carrier = span(trans, nf, fld)
+    carrier = span(trans, nf)
     nb = carrier.dim
     mult_b = restricted_product(
         carrier, ambient.mult, PreconditionError,
@@ -102,13 +101,13 @@ def globalize_group_partial(tpa: TwistedPartialAction) -> EnvelopingAction:
 
     # the unit of the enveloping algebra: solve u b_t = b_t = b_t u for
     # every t; it need not be the unit of the ambient convolution algebra
-    eqs = concat([mult_b.transpose(1, 2, 0), mult_b.transpose(0, 2, 1)],
-                 fld).reshape(2 * nb * nb, nb)
-    eye = identity(fld, nb).reshape(nb * nb)
-    unit_b = solve(eqs, concat([eye, eye], fld), fld)
+    eqs = concat([mult_b.transpose(1, 2, 0),
+                  mult_b.transpose(0, 2, 1)]).reshape(2 * nb * nb, nb)
+    eye = identity(a.fld, nb).reshape(nb * nb)
+    unit_b = solve(eqs, concat([eye, eye]))
     if unit_b is None:
         raise PreconditionError("the enveloping span has no two-sided unit")
-    alg_b = AlgebraData(fld, nb, mult_b, unit_b)
+    alg_b = AlgebraData(mult_b, unit_b)
 
     act_b = coords_or_raise(
         carrier, contract("ia,gab->gib", carrier.rows, act_amb),
@@ -134,16 +133,15 @@ def verify_enveloping(env: EnvelopingAction) -> CheckReport:
     rb.absorb(env.glob.axioms_report, "global.")
     tpa = env.source
     b = env.glob.alg
-    fld = b.fld
     na, nb, ng = tpa.alg.dim, b.dim, tpa.hopf.dim
     th = env.theta
 
-    rk = rank(th, fld)
+    rk = rank(th)
     rb.require("embedding_injective", rk == na, lhs=(rk,), rhs=(na,))
     rb.compare("embedding_multiplicative",
                *multiplicativity(th, tpa.alg, b))
 
-    image = span(th, nb, fld)
+    image = span(th, nb)
     # b_i theta(a_j) at (i, j) and theta(a_j) b_i at (j, i)
     rb.require_inside("image_left_ideal",
                       contract("jb,ibc->ijc", th, b.mult), image,
@@ -160,7 +158,7 @@ def verify_enveloping(env: EnvelopingAction) -> CheckReport:
     rb.compare("action_intertwines", lhs, rhs)
 
     trans = contract("iB,gBC->giC", th, env.glob.action).reshape(ng * na, nb)
-    rk = rank(trans, fld)
+    rk = rank(trans)
     rb.require("translates_span", rk == nb, lhs=(rk,), rhs=(nb,))
 
     # the partial cocycle must match the twist cut down to the corner:

@@ -11,7 +11,8 @@ Conventions:
   the image of ``e_i`` is row ``i``.  A map C -> A in the convolution
   algebra Hom(C, A) is a plain ``(dim C, dim A)`` matrix.
 * The data classes hold these structure tensors as
-  :class:`~hopfcross.linalg.Exact` and check the field and shape of each.
+  :class:`~hopfcross.linalg.Exact`, read the field and the dimension
+  from them, and check the shape of each and that all share one field.
   Every contraction returns an Exact too, so every map built here and
   every table the verifiers compare is an Exact tensor, compared on
   integers.  A coalgebra also holds the two objects derived from it
@@ -44,17 +45,28 @@ from .linalg import (Exact, SubspaceBasis, arr, check_shape, check_tensors,
                      solve, span, zeros)
 
 
+def _side(t) -> int:
+    """The first extent of a structure tensor, 0 when it has none."""
+    return (getattr(t, "shape", ()) or (0,))[0]
+
+
 @dataclass(frozen=True)
 class AlgebraData:
-    fld: Field
-    dim: int
     mult: Exact               # (dim, dim, dim)
     unit: Exact               # (dim,)
     labels: tuple = None
 
     def __post_init__(self):
-        check_tensors(self, self.fld, mult=(self.dim,) * 3,
-                      unit=(self.dim,))
+        n = _side(self.mult)
+        check_tensors(self, mult=(n,) * 3, unit=(n,))
+
+    @property
+    def fld(self) -> Field:
+        return self.mult.fld
+
+    @property
+    def dim(self) -> int:
+        return self.mult.shape[0]
 
     def mul(self, x, y):
         return contract("i,j,ijk->k", x, y, self.mult)
@@ -62,15 +74,21 @@ class AlgebraData:
 
 @dataclass(frozen=True)
 class CoalgebraData:
-    fld: Field
-    dim: int
     comult: Exact             # (dim, dim, dim)
     counit: Exact             # (dim,)
     labels: tuple = None
 
     def __post_init__(self):
-        check_tensors(self, self.fld, comult=(self.dim,) * 3,
-                      counit=(self.dim,))
+        n = _side(self.comult)
+        check_tensors(self, comult=(n,) * 3, counit=(n,))
+
+    @property
+    def fld(self) -> Field:
+        return self.comult.fld
+
+    @property
+    def dim(self) -> int:
+        return self.comult.shape[0]
 
     @cached_property
     def split3(self) -> Exact:
@@ -85,7 +103,7 @@ class CoalgebraData:
         comult2 = contract("iab,jcd->ijacbd", self.comult,
                            self.comult).reshape(n * n, n * n, n * n)
         counit2 = kron(self.counit, self.counit)
-        return CoalgebraData(self.fld, n * n, comult2, counit2)
+        return CoalgebraData(comult2, counit2)
 
 
 @dataclass(frozen=True)
@@ -98,7 +116,7 @@ class HopfAlgebraData:
         if self.algebra.dim != self.coalgebra.dim:
             raise ValueError(f"algebra of dimension {self.algebra.dim} and "
                              f"coalgebra of dimension {self.coalgebra.dim}")
-        check_tensors(self, self.fld, antipode=(self.dim,) * 2)
+        check_tensors(self, self.mult, self.comult, antipode=(self.dim,) * 2)
 
     @property
     def fld(self):
@@ -240,7 +258,7 @@ def convolution_algebra(c: CoalgebraData, a: AlgebraData) -> AlgebraData:
     d = c.dim * a.dim
     mult = contract("ust,ijk->sitjuk", c.comult, a.mult).reshape(d, d, d)
     unit = kron(c.counit, a.unit)
-    return AlgebraData(a.fld, d, mult, unit)
+    return AlgebraData(mult, unit)
 
 
 def inverse_equations(f, e, c: CoalgebraData, a: AlgebraData):
@@ -262,8 +280,8 @@ def inverse_equations(f, e, c: CoalgebraData, a: AlgebraData):
         return contract("xkr,rz,bzm->xmkb", c.comult, g, a.mult).reshape(n, n)
 
     eye = identity(a.fld, n)
-    rows = concat([left(f), right(f), eye - left(e), eye - right(e)], a.fld)
-    rhs = concat([e.reshape(n), e.reshape(n), zeros(a.fld, (2 * n,))], a.fld)
+    rows = concat([left(f), right(f), eye - left(e), eye - right(e)])
+    rhs = concat([e.reshape(n), e.reshape(n), zeros(a.fld, (2 * n,))])
     return rows, rhs
 
 
@@ -273,7 +291,7 @@ def convolution_inverse(f, c: CoalgebraData, a: AlgebraData):
     Solves f*g = g*f = counit.unit over the matrix entries of g; the
     deterministic solver makes the result canonical.
     """
-    x = solve(*inverse_equations(f, convolution_unit(c, a), c, a), a.fld)
+    x = solve(*inverse_equations(f, convolution_unit(c, a), c, a))
     return None if x is None else x.reshape(c.dim, a.dim)
 
 
@@ -290,8 +308,8 @@ def centrality(f, c: CoalgebraData, a: AlgebraData):
     shape = (c.dim, a.dim)
     # E_(i,j) at k = i * dim A + j
     maps = identity(a.fld, c.dim * a.dim).reshape((-1,) + shape)
-    lhs = concat([convolution(f, e, c, a) for e in maps], a.fld)
-    rhs = concat([convolution(e, f, c, a) for e in maps], a.fld)
+    lhs = concat([convolution(f, e, c, a) for e in maps])
+    rhs = concat([convolution(e, f, c, a) for e in maps])
     return lhs.reshape(shape * 2), rhs.reshape(shape * 2)
 
 
@@ -313,8 +331,7 @@ def left_integrals(h: HopfAlgebraData) -> SubspaceBasis:
     eye = identity(h.fld, n)
     m = (h.mult.transpose(0, 2, 1)
          - contract("i,jk->ikj", h.counit, eye))
-    rows = kernel_basis(m.reshape(n * n, n), h.fld)
-    return span(rows, n, h.fld)
+    return span(kernel_basis(m.reshape(n * n, n)), n)
 
 
 def group_algebra(fld: Field, table, inverse=None, labels=None) -> HopfAlgebraData:
@@ -363,8 +380,8 @@ def group_algebra(fld: Field, table, inverse=None, labels=None) -> HopfAlgebraDa
     if labels is None:
         labels = tuple(f"g{i}" for i in range(n))
     return HopfAlgebraData(
-        AlgebraData(fld, n, eye[np.array(table)], eye[ident], tuple(labels)),
-        CoalgebraData(fld, n, comult, arr(fld, [1] * n), tuple(labels)),
+        AlgebraData(eye[np.array(table)], eye[ident], tuple(labels)),
+        CoalgebraData(comult, arr(fld, [1] * n), tuple(labels)),
         eye[inv],
     )
 
@@ -377,11 +394,10 @@ def dual_hopf(h: HopfAlgebraData) -> HopfAlgebraData:
     cocommutative, which is how a non-cocommutative sample (functions on
     a nonabelian group) is produced from a group algebra.
     """
-    n = h.dim
     mult = h.comult.transpose(1, 2, 0)
     comult = h.mult.transpose(2, 0, 1)
     return HopfAlgebraData(
-        AlgebraData(h.fld, n, mult, h.counit, h.labels),
-        CoalgebraData(h.fld, n, comult, h.unit, h.labels),
+        AlgebraData(mult, h.counit, h.labels),
+        CoalgebraData(comult, h.unit, h.labels),
         h.antipode.transpose(),
     )

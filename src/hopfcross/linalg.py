@@ -4,14 +4,15 @@ Every tensor the engine reads, holds or hands out is an :class:`Exact`:
 Python ints over one common denominator over QQ, residues over F_p, with
 the field they lie over; field elements are built only when read.
 Tensors are born as Exact: parsed files and the builders :func:`arr`
-(from scalars), :func:`zeros` and :func:`identity`.  Every tensor
-product in the package goes through :func:`contract`, which takes the
-einsum subscripts and Exact operands over one field, runs the
-contraction on their integers and returns an Exact, reduced once, by the
-gcd of the scale and all entries over QQ or mod p over F_p.  An operand
-that is not an Exact is a TypeError, and two fields meeting is a
-FieldMismatchError, there and in every comparison.  Every verdict
-compares those integers (:func:`equal_entries`, and on it
+(from scalars), :func:`from_ratios`, :func:`zeros` and :func:`identity`,
+the only ones told a field: everything else reads it from the Exact
+tensors it is given.  Every tensor product in the package goes through
+:func:`contract`, which takes the einsum subscripts and Exact operands
+over one field, runs the contraction on their integers and returns an
+Exact, reduced once, by the gcd of the scale and all entries over QQ or
+mod p over F_p.  An operand that is not an Exact is a TypeError, and two
+fields meeting is a FieldMismatchError, there and wherever tensors meet.
+Every verdict compares those integers (:func:`equal_entries`, and on it
 :func:`eqarr`, :func:`is_zero`, ``ReportBuilder.compare`` and the
 membership test of :func:`coords_in_many`), so a passing check builds no
 field element.  :func:`rref` eliminates on those integers too, and
@@ -21,12 +22,12 @@ contraction path of each (spec, operand shapes) pair is planned once and
 kept in a fixed-size module cache (see :func:`_plan`); :func:`contract`
 runs its pairwise steps itself, one plain ``np.einsum`` each.  Every
 subspace is represented by its reduced row echelon basis, so equal
-subspaces have identical representations and all reports built on top
-of them are reproducible byte for byte.  :func:`coords_in_many`
-expresses a whole stack of vectors on such a basis with one
-contraction; :func:`coords_in` is its one-vector case, and
-:func:`coords_or_raise` raises the caller's error, naming the first
-non-member, where every vector must be a member.
+subspaces have identical representations and all reports built on top of
+them are reproducible byte for byte.  :func:`coords_in_many` expresses a
+whole stack of vectors on such a basis with one contraction;
+:func:`coords_in` is its one-vector case, and :func:`coords_or_raise`
+raises the caller's error, naming the first non-member, where every
+vector must be a member.
 
 Conventions fixed here and used everywhere else:
 
@@ -43,7 +44,7 @@ Conventions fixed here and used everywhere else:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from string import ascii_letters
@@ -135,11 +136,11 @@ def _elements(ints: np.ndarray, den: int, fld: Field) -> np.ndarray:
     return np.array(vals, dtype=object).reshape(ints.shape)
 
 
-def _field(what: str, tensors, fld: Field | None = None) -> Field:
-    """The one field of the Exact ``tensors`` (and of ``fld`` when
-    given).  Raises TypeError, naming ``what``, on a tensor that is not
-    an Exact, and FieldMismatchError when two fields meet."""
-    fields = set() if fld is None else {fld}
+def _field(what: str, tensors) -> Field:
+    """The one field of the Exact ``tensors``.  Raises TypeError, naming
+    ``what``, on a tensor that is not an Exact, and FieldMismatchError
+    when two fields meet."""
+    fields = set()
     for k, t in enumerate(tensors):
         if not isinstance(t, Exact):
             raise TypeError(f"{what}: operand {k} is a {type(t).__name__}, "
@@ -250,14 +251,15 @@ def check_shape(name: str, a: Exact, shape: tuple):
         raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
 
 
-def check_tensors(obj, fld: Field, **shapes):
+def check_tensors(obj, *held, **shapes):
     """Check that each named tensor field of ``obj`` is an :class:`Exact`
-    over ``fld`` of its shape: TypeError, FieldMismatchError or
-    ValueError naming the first that is not."""
+    of its shape, TypeError or ValueError naming the first that is not,
+    and that these and the tensors ``held`` by its components lie over
+    one field, FieldMismatchError naming the class otherwise."""
     for name, shape in shapes.items():
-        tensor = getattr(obj, name)
-        _field(name, [tensor], fld)
-        check_shape(name, tensor, shape)
+        _field(name, [getattr(obj, name)])
+        check_shape(name, getattr(obj, name), shape)
+    _field(type(obj).__name__, [*held, *(getattr(obj, n) for n in shapes)])
 
 
 def equal_entries(a: Exact, b: Exact) -> np.ndarray:
@@ -278,16 +280,16 @@ def is_zero(a: Exact) -> bool:
     return not a.ints.any()
 
 
-def concat(tensors: list, fld: Field) -> Exact:
-    """Exact tensors over ``fld`` joined along their first axis, over
+def concat(tensors: list) -> Exact:
+    """Exact tensors over one field joined along their first axis, over
     their common denominator."""
-    _field("concat", tensors, fld)
+    fld = _field("concat", tensors)
     den = math.lcm(*(t.den for t in tensors))
     return Exact(fld, np.concatenate(
         [t.ints * (den // t.den) for t in tensors]), den)
 
 
-def rref(m: Exact, fld: Field):
+def rref(m: Exact):
     """Reduced row echelon form, eliminated on the integers of an Exact.
 
     The elimination is fraction-free, one vectorized step per pivot:
@@ -298,8 +300,7 @@ def rref(m: Exact, fld: Field):
     pivot, over one common denominator over QQ.
 
     Args:
-        m: matrix, shape (r, c): an Exact over ``fld``.
-        fld: field descriptor of the entries.
+        m: matrix, shape (r, c): an Exact.
 
     Returns:
         (R, pivots, rank) where R is the RREF as an Exact of m's shape,
@@ -307,7 +308,7 @@ def rref(m: Exact, fld: Field):
         increasing order, and rank == len(pivots).  Pivot entries are 1
         and are the only nonzero entries of their columns.
     """
-    _field("rref", [m], fld)
+    fld = _field("rref", [m])
     R = np.array(m.ints)
     pivots = []
     for col in range(R.shape[1]):
@@ -335,24 +336,24 @@ def rref(m: Exact, fld: Field):
     return _canonical(fld, R, den), tuple(pivots), len(pivots)
 
 
-def rank(m: Exact, fld: Field) -> int:
-    return rref(m, fld)[2]
+def rank(m: Exact) -> int:
+    return rref(m)[2]
 
 
-def solve(m: Exact, b: Exact, fld: Field):
+def solve(m: Exact, b: Exact):
     """Solve m @ x = b exactly, for ``b`` of shape (r,) or (r, k), by one
     :func:`rref` of the integers of [m | b] over their denominators.
 
     Returns the Exact solution with all free variables set to zero, of
     shape (c,) or (c, k), or None when any column of b is inconsistent.
     """
-    _field("solve", (m, b), fld)
+    fld = _field("solve", (m, b))
     r, c = m.shape
     if b.shape[:1] != (r,) or len(b.shape) > 2:
         raise ValueError(f"rhs shape {b.shape} does not match {r} rows")
     k = math.prod(b.shape[1:])
     R, pivots, rk = rref(Exact(fld, np.concatenate(
-        [m.ints * b.den, b.ints.reshape(r, k) * m.den], axis=1)), fld)
+        [m.ints * b.den, b.ints.reshape(r, k) * m.den], axis=1)))
     if rk and pivots[-1] >= c:
         return None
     x = np.zeros((c, k), dtype=object)
@@ -360,14 +361,14 @@ def solve(m: Exact, b: Exact, fld: Field):
     return _canonical(fld, x.reshape((c,) + b.shape[1:]), R.den)
 
 
-def kernel_basis(m, fld: Field) -> Exact:
+def kernel_basis(m: Exact) -> Exact:
     """Echelon basis of the right null space {x : m @ x = 0}.
 
     Returns a (k, c) Exact whose rows form the canonical RREF basis of
     the kernel; k may be zero.
     """
     c = m.shape[1]
-    return span(_null_vectors(span(m, c, fld))[1], c, fld).rows
+    return span(_null_vectors(span(m, c))[1], c).rows
 
 
 def _null_vectors(sub: SubspaceBasis):
@@ -379,7 +380,7 @@ def _null_vectors(sub: SubspaceBasis):
     vecs = np.zeros((len(free), sub.ambient_dim), dtype=object)
     vecs[range(len(free)), free] = rows.den
     vecs[:, list(sub.pivots)] = -rows.ints[:, free].T
-    return free, _canonical(sub.fld, vecs, rows.den)
+    return free, _canonical(rows.fld, vecs, rows.den)
 
 
 @dataclass(frozen=True)
@@ -389,14 +390,16 @@ class SubspaceBasis:
     Two subspaces are equal iff their ``rows`` matrices are identical.
     """
 
-    fld: Field
-    ambient_dim: int
     rows: Exact               # (dim, ambient_dim), RREF, no zero rows
-    pivots: tuple = dc_field(default=())
+    pivots: tuple
 
     @property
     def dim(self) -> int:
         return self.rows.shape[0]
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.rows.shape[1]
 
     def contains(self, v: Exact) -> bool:
         return coords_in(self, v) is not None
@@ -405,18 +408,16 @@ class SubspaceBasis:
         return self.dim == self.ambient_dim
 
 
-def span(vectors: Exact, ambient_dim: int, fld: Field) -> SubspaceBasis:
+def span(vectors: Exact, ambient_dim: int) -> SubspaceBasis:
     """Canonical echelon basis of the span of the given row vectors.
 
     The result is independent of the order and scaling of the inputs.
     """
-    if vectors.shape[:1] == (0,):       # no vectors, in any shape
-        vectors = vectors.reshape(0, ambient_dim)
     if len(vectors.shape) != 2 or vectors.shape[1] != ambient_dim:
         raise ValueError(f"vectors of shape {vectors.shape} do not lie in "
                          f"a space of dimension {ambient_dim}")
-    R, pivots, rk = rref(vectors, fld)
-    return SubspaceBasis(fld, ambient_dim, R[:rk], pivots)
+    R, pivots, rk = rref(vectors)
+    return SubspaceBasis(R[:rk], pivots)
 
 
 def coords_in_many(sub: SubspaceBasis, vs: Exact):
@@ -484,15 +485,13 @@ class QuotientSpace:
     columns of the relation echelon form.
     """
 
-    fld: Field
-    ambient_dim: int
     relations: SubspaceBasis
     projection: Exact
     section: Exact
 
     @property
     def dim(self) -> int:
-        return self.ambient_dim - self.relations.dim
+        return self.projection.shape[1]
 
     def project(self, v) -> Exact:
         """The image of the vectors on the last axis of ``v``."""
@@ -508,12 +507,12 @@ def _apply(v: Exact, mat: Exact) -> Exact:
     return contract(f"{lead}Y,YZ->{lead}Z", v, mat)
 
 
-def quotient(ambient_dim: int, relations: Exact, fld: Field) -> QuotientSpace:
+def quotient(ambient_dim: int, relations: Exact) -> QuotientSpace:
     """Build the quotient of F^ambient_dim by the span of ``relations``."""
-    rel = span(relations, ambient_dim, fld)
+    rel = span(relations, ambient_dim)
     free, null = _null_vectors(rel)
-    return QuotientSpace(fld, ambient_dim, rel, null.transpose(),
-                         identity(fld, ambient_dim)[free])
+    return QuotientSpace(rel, null.transpose(),
+                         identity(relations.fld, ambient_dim)[free])
 
 
 def kron(v: Exact, w: Exact) -> Exact:

@@ -48,7 +48,6 @@ def phi_embed(env: EnvelopingAction, r: CrossedProductAlgebra,
     Returns (matrix, report); the report checks multiplicativity,
     preservation of the unit, and injectivity.
     """
-    fld = env.source.fld
     nh = env.source.hopf.dim
     # the class of a (x) h goes to theta(a) (x) h
     images = contract("xah,ab->xbh", r.basis.rows.reshape(r.dim, -1, nh),
@@ -59,8 +58,8 @@ def phi_embed(env: EnvelopingAction, r: CrossedProductAlgebra,
         x, = misses[0]
         rb.require("lands_in_global_span", False, index=(x,))
         # only the rows before the first miss are kept
-        tail = zeros(fld, (phi.shape[0] - x, phi.shape[1]))
-        return concat([phi[:x], tail], fld), rb.build()
+        tail = zeros(phi.fld, (phi.shape[0] - x, phi.shape[1]))
+        return concat([phi[:x], tail]), rb.build()
     rb.require("lands_in_global_span", True)
     rb.compare("multiplicative",
                *multiplicativity(phi, r.algebra, s.algebra))
@@ -70,7 +69,7 @@ def phi_embed(env: EnvelopingAction, r: CrossedProductAlgebra,
     rb.compare("unit_maps_to_idempotent", _prod(s, one, one)[0], one)
     rb.compare("unit_local_left", _prod(s, one, phi)[0], phi)
     rb.compare("unit_local_right", _prod(s, phi, one)[:, 0], phi)
-    rk = rank(phi, fld)
+    rk = rank(phi)
     rb.require("injective", rk == r.dim, lhs=(rk,), rhs=(r.dim,))
     return phi, rb.build()
 
@@ -78,20 +77,18 @@ def phi_embed(env: EnvelopingAction, r: CrossedProductAlgebra,
 def build_M(env: EnvelopingAction, s: CrossedProductAlgebra) -> SubspaceBasis:
     """The span of theta(a) (x) h inside the global crossed product s."""
     nh = env.source.hopf.dim
-    fld = env.source.fld
-    amb_rows = contract("ab,hk->ahbk", env.theta, identity(fld, nh))
+    amb_rows = contract("ab,hk->ahbk", env.theta, identity(s.fld, nh))
     amb_rows = amb_rows.reshape(-1, s.basis.ambient_dim)
     rows = coords_or_raise(s.basis, amb_rows, ValueError,
                            "generator of the first bimodule {} is outside "
                            "the crossed product span")
-    return span(rows, s.dim, fld)
+    return span(rows, s.dim)
 
 
 def build_N(env: EnvelopingAction, s: CrossedProductAlgebra) -> SubspaceBasis:
     """The span of (h_1 > theta(a)) (x) h_2 inside the global crossed
     product s, with > the global action."""
     tpa = env.source
-    fld = tpa.fld
     nh, nb = tpa.hopf.dim, env.glob.alg.dim
     amb_rows = contract("iB,pqr,qBC->ipCr", env.theta, tpa.hopf.comult,
                         env.glob.action)
@@ -99,7 +96,7 @@ def build_N(env: EnvelopingAction, s: CrossedProductAlgebra) -> SubspaceBasis:
     rows = coords_or_raise(s.basis, amb_rows, ValueError,
                            "generator of the second bimodule {} is outside "
                            "the crossed product span")
-    return span(rows, s.dim, fld)
+    return span(rows, s.dim)
 
 
 @dataclass(frozen=True)
@@ -155,9 +152,8 @@ def verify_module_structures(ctx: MoritaContextData) -> CheckReport:
     rb = ReportBuilder("bimodule structures")
     rb.absorb(ctx.phi_report, "embedding.")
     s = ctx.global_cp
-    fld = s.fld
     m, n = ctx.bimodule_m, ctx.bimodule_n
-    s_eye = identity(fld, s.dim)
+    s_eye = identity(s.fld, s.dim)
     r_img = ctx.phi
     rm, ms, nr, sn = ctx.pair_tables
     for name, table, sub in [("m_closed_right_ring", ms, m),
@@ -202,9 +198,8 @@ def verify_morita_pairings(ctx: MoritaContextData) -> MoritaPairingResult:
     """
     rb = ReportBuilder("context pairings")
     s = ctx.global_cp
-    fld = s.fld
     m, n = ctx.bimodule_m, ctx.bimodule_n
-    phi_image = span(ctx.phi, s.dim, fld)
+    phi_image = span(ctx.phi, s.dim)
 
     mn = _prod(s, m.rows, n.rows)
     nm = _prod(s, n.rows, m.rows)
@@ -221,8 +216,8 @@ def verify_morita_pairings(ctx: MoritaContextData) -> MoritaPairingResult:
     rb.compare("mixed_associativity_embedded_side",
                *_associativity(s, mn, m.rows, m.rows, nm))
 
-    sigma_rank = span(nm.reshape(-1, s.dim), s.dim, fld).dim
-    tau_rank = span(mn.reshape(-1, s.dim), s.dim, fld).dim
+    sigma_rank = span(nm.reshape(-1, s.dim), s.dim).dim
+    tau_rank = span(mn.reshape(-1, s.dim), s.dim).dim
     sigma_surj = sigma_rank == s.dim
     tau_surj = tau_rank == phi_image.dim
     rb.note(f"first pairing spans {sigma_rank} of {s.dim} ring dimensions"

@@ -59,8 +59,8 @@ class TwistedPartialAction(_Action):
 
     def __post_init__(self):
         nh, na = self.hopf.dim, self.alg.dim
-        check_tensors(self, self.fld, action=(nh, na, na),
-                      cocycle=(nh, nh, na))
+        check_tensors(self, self.hopf.mult, self.alg.mult,
+                      action=(nh, na, na), cocycle=(nh, nh, na))
 
     @cached_property
     def axioms_report(self) -> CheckReport:
@@ -102,8 +102,8 @@ class GlobalTwistedAction(_Action):
 
     def __post_init__(self):
         nh, nb = self.hopf.dim, self.alg.dim
-        check_tensors(self, self.fld, action=(nh, nb, nb),
-                      twist=(nh, nh, nb))
+        check_tensors(self, self.hopf.mult, self.alg.mult,
+                      action=(nh, nb, nb), twist=(nh, nh, nb))
 
     @cached_property
     def axioms_report(self) -> CheckReport:
@@ -307,10 +307,8 @@ def induce_partial(g: GlobalTwistedAction, e: Exact,
 def _induce(g, e, twist, check):
     """induce_partial past its guard, with the corner twist of e given."""
     b = g.alg
-    fld = b.fld
     rows = contract("i,ijk->jk", e, b.mult)  # row j = e * b_j
-    carrier = span(rows, b.dim, fld)
-    na = carrier.dim
+    carrier = span(rows, b.dim)
     sect = carrier.rows
 
     def corner_coords(vecs, what):
@@ -323,7 +321,7 @@ def _induce(g, e, twist, check):
     mult_a = restricted_product(
         carrier, b.mult, ClosureViolation,
         "product of corner basis {}, {} is not inside the corner subalgebra")
-    alg_a = AlgebraData(fld, na, mult_a, unit_a)
+    alg_a = AlgebraData(mult_a, unit_a)
 
     # e (h_p > corner basis j)
     acted = contract("x,jb,pbc,xcd->pjd", e, sect, g.action, b.mult)
@@ -361,7 +359,6 @@ def verify_symmetric(tpa: TwistedPartialAction) -> CocycleInverse:
     system.  The input is not assumed to satisfy any axiom.
     """
     h, a = tpa.hopf, tpa.alg
-    fld = a.fld
     nh, na = h.dim, a.dim
     c2 = h.coalgebra.tensor_square
     n2 = nh * nh
@@ -378,7 +375,7 @@ def verify_symmetric(tpa: TwistedPartialAction) -> CocycleInverse:
 
     corner = convolution(f1, f2, c2, a)
     w = tpa.cocycle.reshape(n2, na)
-    x = solve(*inverse_equations(w, corner, c2, a), fld)
+    x = solve(*inverse_equations(w, corner, c2, a))
     if x is None:
         rb.require("inverse_exists", False,
                    lhs=("no solution",), rhs=("two-sided corner inverse",))

@@ -53,11 +53,8 @@ class CleftData:
 
     def __post_init__(self):
         shape = (self.cp.hopf.dim, self.cp.dim)
-        check_tensors(self, self.fld, gamma=shape, gamma_prime=shape)
-
-    @property
-    def fld(self):
-        return self.cp.fld
+        check_tensors(self, self.cp.iota, self.tpa.action, gamma=shape,
+                      gamma_prime=shape)
 
     @cached_property
     def cleft_report(self) -> CheckReport:
@@ -98,7 +95,6 @@ def verify_partially_cleft(cd: CleftData) -> CheckReport:
     """
     cp = cd.cp
     h = cp.hopf
-    fld = cp.fld
     require_coinvariants_are_base(cp)
     rb = ReportBuilder("partially cleft extension")
     rb.compare("unit_value",
@@ -115,7 +111,7 @@ def verify_partially_cleft(cd: CleftData) -> CheckReport:
     q = _conv_product(cd)
     rb.require_inside("product_valued_in_base", q, cp.base_space,
                       "inside the embedded base")
-    qa = solve(cp.iota.transpose(), q.transpose(), fld)     # (dim A, dim H)
+    qa = solve(cp.iota.transpose(), q.transpose())     # (dim A, dim H)
     if qa is not None:
         # centrality lives in the convolution algebra of maps into the
         # base, so the product is pulled back through the embedding
@@ -138,7 +134,7 @@ def centralizer(cp: CrossedProductAlgebra):
     mult = cp.algebra.mult
     diff = mult - mult.transpose(1, 0, 2)
     m = contract("aj,ijk->aki", cp.iota, diff).reshape(na * d, d)
-    return span(kernel_basis(m, cp.fld), d, cp.fld)
+    return span(kernel_basis(m), d)
 
 
 def verify_centralizer_identity(cd: CleftData, c) -> CheckReport:
@@ -155,7 +151,6 @@ def verify_centralizer_identity(cd: CleftData, c) -> CheckReport:
     """
     cp = cd.cp
     h = cp.hopf
-    fld = cp.fld
     if not is_cocommutative(h.coalgebra):
         raise NotCocommutative("the coproduct is not cocommutative")
     cen = centralizer(cp)
@@ -174,7 +169,7 @@ def verify_centralizer_identity(cd: CleftData, c) -> CheckReport:
     e2 = contract("ipq,qm,pd,mdk->ik", h.comult, t, gps, mult)
     rb = ReportBuilder("centralizer conjugation")
     rb.compare("conjugation_equals_swapped", e1, e2)
-    c_a = solve(cp.iota.transpose(), c, fld)
+    c_a = solve(cp.iota.transpose(), c)
     if c_a is None:
         rb.note("the element is outside the embedded base, so the comparison "
                 "with the measured value does not apply")
@@ -278,7 +273,7 @@ def _project_translates(cd: CleftData, lift: Exact) -> Exact:
     squared = contract("yz,ab,yac,bzd->cd", lift, lift, mult, mult)
     return cp.balanced_square.project(concat(
         [lift.reshape(1, -1), left.reshape(d, d * d),
-         right.reshape(d, d * d), squared.reshape(1, d * d)], cp.fld))
+         right.reshape(d, d * d), squared.reshape(1, d * d)]))
 
 
 def _separability_conditions(cd: CleftData, elem: BalancedTensorElement,

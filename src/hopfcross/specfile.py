@@ -126,7 +126,7 @@ def _parse_algebra(fld, obj, path) -> AlgebraData:
     n = len(mult_node)
     mult = _tensor(fld, mult_node, (n, n, n), f"{path}.mult")
     unit = _tensor(fld, _require(obj, "unit", path), (n,), f"{path}.unit")
-    return AlgebraData(fld, n, mult, unit, _labels(obj, n, path))
+    return AlgebraData(mult, unit, _labels(obj, n, path))
 
 
 def _parse_hopf(fld, obj, path) -> HopfAlgebraData:
@@ -138,7 +138,7 @@ def _parse_hopf(fld, obj, path) -> HopfAlgebraData:
                      f"{path}.counit")
     antipode = _tensor(fld, _require(obj, "antipode", path), (n, n),
                        f"{path}.antipode")
-    coalg = CoalgebraData(fld, n, comult, counit)
+    coalg = CoalgebraData(comult, counit)
     return HopfAlgebraData(alg, coalg, antipode)
 
 

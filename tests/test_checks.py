@@ -129,8 +129,7 @@ def memberships(draw):
     combinations of the rows, some moved off the span."""
     fld = draw(st.sampled_from(FIELDS))
     n = draw(st.integers(1, 3))
-    sub = span(arr(fld, draw(tables(fld, (draw(st.integers(0, 2)), n)))), n,
-               fld)
+    sub = span(arr(fld, draw(tables(fld, (draw(st.integers(0, 2)), n)))), n)
     lead = tuple(draw(st.lists(st.integers(0, 3), max_size=2)))
     combos = arr(fld, draw(tables(fld, (math.prod(lead), sub.dim))))
     vs = np.array(contract("ki,ij->kj", combos, sub.rows).elements).reshape(
@@ -149,7 +148,7 @@ def reference_coords(sub, vs):
     for idx in np.ndindex(*vs.shape[:-1]):
         rebuilt = [sum((c * row[j] for c, row in zip(coords[idx],
                                                      sub.rows.elements)),
-                       sub.fld.zero()) for j in range(sub.ambient_dim)]
+                       sub.rows.fld.zero()) for j in range(sub.ambient_dim)]
         if not all(x == y for x, y in zip(rebuilt, vs[idx])):
             misses.append(idx)
     return coords, tuple(misses)
@@ -187,9 +186,9 @@ def test_a_verdict_across_two_fields_raises(other, exact):
     with pytest.raises(error):
         eqarr(lhs, rhs)
     with pytest.raises(error):
-        coords_in_many(span(lhs, 2, fld), rhs)
+        coords_in_many(span(lhs, 2), rhs)
     with pytest.raises(error):
-        ReportBuilder("r").require_inside("t", rhs, span(lhs, 2, fld), "in")
+        ReportBuilder("r").require_inside("t", rhs, span(lhs, 2), "in")
     with pytest.raises(error):
         contract("ij,jk->ik", lhs, rhs)
     with pytest.raises(error):

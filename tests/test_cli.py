@@ -34,7 +34,8 @@ from hopfcross.fixtures import c3_gauge, c3_partial
 from hopfcross.gauge import (gauge_crossed_iso, gauge_transform,
                              weak_conv_inverse)
 from hopfcross.globalize import globalize_group_partial
-from hopfcross.hopf import split, verify_algebra
+from hopfcross.hopf import (AlgebraData, CoalgebraData, split,
+                            verify_algebra)
 from hopfcross.linalg import contract
 from hopfcross.morita import morita_context, phi_embed
 from hopfcross.partial import verify_crossed_conditions, verify_global
@@ -400,12 +401,18 @@ def test_no_module_has_an_unused_import():
     assert unused == []
 
 
-def _package_nodes():
-    """(module file name, node) for every AST node of the package."""
+def _package_trees():
+    """(module name, AST) for every module of the package."""
     package = Path(__file__).resolve().parents[1] / "src" / "hopfcross"
     for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            yield path.name, node
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _package_nodes():
+    """(module file name, node) for every AST node of the package."""
+    for module, tree in _package_trees():
+        for node in ast.walk(tree):
+            yield module + ".py", node
 
 
 def test_no_assert_statement_in_the_package():
@@ -456,7 +463,7 @@ def test_every_map_the_engine_hands_out_is_exact():
     env = globalize_group_partial(tpa)
     s = build_global_crossed(env.glob)
     ctx = morita_context(env, cp, s)
-    cut = dataclasses.replace(s, basis=linalg.span(s.basis.rows[:1], 9, QQ))
+    cut = dataclasses.replace(s, basis=linalg.span(s.basis.rows[:1], 9))
     pair = weak_conv_inverse(c3_gauge(2, 5), tpa)
     cpv = build_partial_crossed(gauge_transform(pair, tpa))
     cd = default_cleft(tpa, cp)
@@ -473,8 +480,8 @@ def test_every_map_the_engine_hands_out_is_exact():
         "gamma": cd.gamma, "gamma_prime": cd.gamma_prime,
         "given_gamma": given.gamma, "given_gamma_prime": given.gamma_prime,
         "basis_rows": cp.basis.rows, "solve": linalg.solve(
-            cp.iota.transpose(), cp.algebra.unit, QQ),
-        "kernel_basis": linalg.kernel_basis(cp.iota, QQ),
+            cp.iota.transpose(), cp.algebra.unit),
+        "kernel_basis": linalg.kernel_basis(cp.iota),
         "projection": square.projection, "section": square.section,
         "project": square.project(linalg.identity(QQ, cp.dim ** 2)),
         "lift": square.lift(linalg.identity(QQ, square.dim))}
@@ -537,19 +544,19 @@ def test_elimination_builds_no_element(monkeypatch, p):
         return original(*args)
 
     monkeypatch.setattr(linalg, "_elements", counting)
-    x = linalg.solve(m, b, fld)
+    x = linalg.solve(m, b)
     assert isinstance(x, linalg.Exact) and linalg.eqarr(
         contract("ij,j->i", m, x), b)
-    assert linalg.solve(m, bad, fld) is None
-    assert linalg.span(m, 4, fld).dim == linalg.rank(m, fld) == 2
-    assert linalg.kernel_basis(m, fld).shape == (2, 4)
-    assert linalg.quotient(4, m, fld).dim == 2
+    assert linalg.solve(m, bad) is None
+    assert linalg.span(m, 4).dim == linalg.rank(m) == 2
+    assert linalg.kernel_basis(m).shape == (2, 4)
+    assert linalg.quotient(4, m).dim == 2
     assert calls == Counter()
     # an element array is no input, and the counter sees a build: the
     # elements of a result read
     with pytest.raises(TypeError):
-        linalg.rank(elements, fld)
-    assert linalg.solve(m, b, fld).elements.shape == (4,)
+        linalg.rank(elements)
+    assert linalg.solve(m, b).elements.shape == (4,)
     assert calls == {"_elements": 1}
 
 
@@ -574,6 +581,61 @@ def _passes_a_field(node):
             and any(k.arg == "fld" for k in node.keywords))
 
 
+# The functions that are told a field: where a tensor is born (the Exact
+# constructor and the builders, the fixtures and the spec-file parser
+# among them) and where scalars leave the engine (the elements of an
+# Exact, and the report).
+FIELD_PARAMETER_ALLOWED = {
+    "linalg.Exact.__init__", "linalg._canonical", "linalg._elements",
+    "linalg.from_ratios", "linalg.arr", "linalg.zeros", "linalg.identity",
+    "hopf.group_algebra", "fixtures.trivial_hopf", "fixtures.trivial_partial",
+    "fixtures.product_field_algebra", "fixtures.c3_partial",
+    "fixtures.cocycle_pair", "fixtures.degenerate_swap",
+    "fixtures.c3_gauge", "fixtures.pair_gauge", "specfile._tensor",
+    "specfile._scalars", "specfile._parse_algebra", "specfile._parse_hopf",
+    "checks.CheckReport.to_dict", "cli._assemble"}
+STORED_COPIES = {"fld", "dim", "ambient_dim"}
+
+
+def _owners(tree):
+    """The qualified name of every function and class of a module AST,
+    by node: ``Class.method`` for a method, ``outer.inner`` nested."""
+    names = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                names[child] = prefix + child.name
+                visit(child, names[child] + ".")
+            else:
+                visit(child, prefix)
+    visit(tree, "")
+    return names
+
+
+def _field_parameters(tree, module):
+    """``module.function`` for each function with a parameter ``fld``."""
+    return {f"{module}.{name}" for node, name in _owners(tree).items()
+            if not isinstance(node, ast.ClassDef)
+            and "fld" in [a.arg for a in ast.walk(node.args)
+                          if isinstance(a, ast.arg)]}
+
+
+def _stored_copies(tree, module):
+    """``module.Class.name`` for each dataclass field named fld, dim or
+    ambient_dim."""
+    found = set()
+    for node, name in _owners(tree).items():
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            found |= {f"{module}.{name}.{item.target.id}"
+                      for item in node.body
+                      if isinstance(item, ast.AnnAssign)
+                      and item.target.id in STORED_COPIES}
+    return found
+
+
 def test_the_field_travels_with_the_operands():
     # contract reads the field from its Exact operands: it has no field
     # parameter, and no call in the package passes one
@@ -584,6 +646,33 @@ def test_the_field_travels_with_the_operands():
     # the guard sees both call forms
     snippet = "contract('i->i', v, fld=f)\nlinalg.contract('i->i', v, fld=f)"
     assert sum(map(_passes_a_field, ast.walk(ast.parse(snippet)))) == 2
+    # a field is named only where a tensor is born or a report leaves the
+    # engine; everything else reads it from its operands
+    told = set().union(*(_field_parameters(tree, module)
+                         for module, tree in _package_trees()))
+    assert told - FIELD_PARAMETER_ALLOWED == set()
+    for fn in (linalg.rref, linalg.rank, linalg.solve, linalg.span,
+               linalg.kernel_basis, linalg.quotient, linalg.concat,
+               linalg.check_tensors, linalg._field):
+        assert "fld" not in inspect.signature(fn).parameters, fn.__name__
+    # and no data class stores a field or a dimension beside its tensors,
+    # except the spec file, which is where the field is read
+    stored = set().union(*(_stored_copies(tree, module)
+                           for module, tree in _package_trees()))
+    assert stored == {"specfile.SpecFile.fld"}
+    for cls in (AlgebraData, CoalgebraData, linalg.SubspaceBasis,
+                linalg.QuotientSpace):
+        assert STORED_COPIES.isdisjoint(
+            f.name for f in dataclasses.fields(cls)), cls.__name__
+    # the guards see a told function, a told method and stored copies
+    snippet = ("def rank(m, fld):\n    pass\n"
+               "class Basis:\n    def span(self, v, *, fld=None):\n"
+               "        pass\n"
+               "@dataclass(frozen=True)\nclass Algebra:\n"
+               "    fld: Field\n    dim: int\n    mult: Exact\n")
+    tree = ast.parse(snippet)
+    assert _field_parameters(tree, "m") == {"m.rank", "m.Basis.span"}
+    assert _stored_copies(tree, "m") == {"m.Algebra.fld", "m.Algebra.dim"}
 
 
 def test_missing_file_is_an_input_error():

@@ -101,7 +101,7 @@ def test_already_global_data_is_its_own_envelope():
     glob = GlobalTwistedAction(h, b, act, u)
     src = induce_partial(glob, b.unit).tpa
     env = EnvelopingAction(source=src, ambient=b,
-                           carrier=span(identity(QQ, 3), 3, QQ),
+                           carrier=span(identity(QQ, 3), 3),
                            glob=glob, theta=identity(QQ, 3))
     assert verify_enveloping(env).passed
     assert verify_induced_matches(env).passed
@@ -119,7 +119,7 @@ def test_embedding_that_misses_translates_is_rejected():
     glob = GlobalTwistedAction(h, b, act, u)
     src = induce_partial(glob, arr(QQ, [1, 0, 0])).tpa
     env = EnvelopingAction(source=src, ambient=b,
-                           carrier=span(identity(QQ, 3), 3, QQ),
+                           carrier=span(identity(QQ, 3), 3),
                            glob=glob, theta=arr(QQ, [[1, 0, 0]]))
     rep = verify_enveloping(env)
     assert not rep.identity_passed("translates_span")
@@ -231,7 +231,7 @@ def upper_triangular():
     mult = np.zeros((3, 3, 3), dtype=object)
     for i, j, k in ((0, 0, 0), (0, 1, 1), (1, 2, 1), (2, 2, 2)):
         mult[i, j, k] = 1
-    return AlgebraData(QQ, 3, arr(QQ, mult), arr(QQ, [1, 0, 1]))
+    return AlgebraData(arr(QQ, mult), arr(QQ, [1, 0, 1]))
 
 
 def test_noncentral_unit_translate_is_reported():

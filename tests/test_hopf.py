@@ -16,8 +16,9 @@ import pytest
 
 from hopfcross import linalg
 from hopfcross.checks import ReportBuilder
+from hopfcross.crossed import build_partial_crossed
 from hopfcross.errors import NonGroupTable
-from hopfcross.fields import Field
+from hopfcross.fields import Field, FieldMismatchError
 from hopfcross.fixtures import (c3_partial, cyclic_table, group_tables_up_to_6,
                                 product_field_algebra, sym3_table)
 from hopfcross.hopf import (AlgebraData, CoalgebraData, HopfAlgebraData,
@@ -29,6 +30,7 @@ from hopfcross.hopf import (AlgebraData, CoalgebraData, HopfAlgebraData,
                             verify_hopf)
 from hopfcross.linalg import Exact, arr, concat, eqarr, identity, zeros
 from hopfcross.partial import GlobalTwistedAction, TwistedPartialAction
+from hopfcross.separability import CleftData, default_cleft
 
 QQ = Field.rationals()
 F5 = Field.prime(5)
@@ -160,7 +162,7 @@ def test_inverse_equations_columns_are_convolutions(fld, dual):
         assert eqarr(blocks[3][:, col],
                      (E - convolution(E, e, c, a)).reshape(n))
     assert eqarr(rhs, concat([e.reshape(n), e.reshape(n),
-                              zeros(fld, (2 * n,))], fld))
+                              zeros(fld, (2 * n,))]))
 
 
 def test_ideal_blocks_vanish_at_the_convolution_unit():
@@ -298,10 +300,12 @@ def test_wrong_shapes_raise_value_error():
     a = product_field_algebra(QQ, 3)
     bad = zeros(QQ, (2, 2, 2))
     cases = [
-        lambda: AlgebraData(QQ, 3, bad, a.unit),
-        lambda: AlgebraData(QQ, 3, a.mult, zeros(QQ, (2,))),
-        lambda: CoalgebraData(QQ, 3, bad, zeros(QQ, (3,))),
-        lambda: CoalgebraData(QQ, 2, h.comult, zeros(QQ, (3,))),
+        lambda: AlgebraData(bad, a.unit),
+        lambda: AlgebraData(a.mult, zeros(QQ, (2,))),
+        lambda: AlgebraData(zeros(QQ, ()), zeros(QQ, ())),
+        lambda: AlgebraData(a.unit, a.unit),
+        lambda: CoalgebraData(bad, zeros(QQ, (3,))),
+        lambda: CoalgebraData(h.comult, zeros(QQ, (3,))),
         lambda: HopfAlgebraData(a, h.coalgebra, h.antipode),
         lambda: HopfAlgebraData(h.algebra, h.coalgebra, identity(QQ, 3)),
         lambda: TwistedPartialAction(h, a, bad, zeros(QQ, (2, 2, 3))),
@@ -319,6 +323,33 @@ def test_wrong_shapes_raise_value_error():
             make()
 
 
+def _cleft_over_qq_with_action_over_f5():
+    t = c3_partial()
+    cd = default_cleft(t, build_partial_crossed(t))
+    return CleftData(cd.cp, cd.gamma, cd.gamma_prime, c3_partial(F5))
+
+
+@pytest.mark.parametrize("name,make", [
+    pytest.param("HopfAlgebraData", lambda: HopfAlgebraData(
+        group_algebra(QQ, cyclic_table(3)).algebra,
+        group_algebra(F5, cyclic_table(3)).coalgebra,
+        group_algebra(QQ, cyclic_table(3)).antipode), id="hopf"),
+    pytest.param("TwistedPartialAction", lambda: TwistedPartialAction(
+        c3_partial().hopf, c3_partial(F5).alg, c3_partial().action,
+        c3_partial().cocycle), id="partial"),
+    pytest.param("GlobalTwistedAction", lambda: GlobalTwistedAction(
+        c3_partial().hopf, c3_partial(F5).alg, c3_partial().action,
+        c3_partial().cocycle), id="global"),
+    pytest.param("CleftData", _cleft_over_qq_with_action_over_f5,
+                 id="cleft"),
+])
+def test_structures_over_two_fields_are_refused_at_construction(name, make):
+    # every tensor a structure holds, its components' included, lies
+    # over one field: a mix is refused before any contraction runs
+    with pytest.raises(FieldMismatchError, match=f"{name} mixes"):
+        make()
+
+
 def test_shape_check_survives_optimized_mode():
     # assert statements vanish under python -O; the checks must not
     src = Path(__file__).resolve().parents[1] / "src"
@@ -328,7 +359,7 @@ def test_shape_check_survives_optimized_mode():
             "from hopfcross.linalg import zeros\n"
             "QQ = Field.rationals()\n"
             "for bad in (\n"
-            "        lambda: AlgebraData(QQ, 2, zeros(QQ, (2, 2, 3)),\n"
+            "        lambda: AlgebraData(zeros(QQ, (2, 2, 3)),\n"
             "                            zeros(QQ, (2,))),\n"
             "        lambda: ReportBuilder('t').compare(\n"
             "            'x', zeros(QQ, (2, 3)), zeros(QQ, (3, 2))),\n"

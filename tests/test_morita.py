@@ -42,7 +42,7 @@ def test_main_fixture_context_dimensions(c3_env):
     assert ctx.global_cp.dim == 9
     assert ctx.bimodule_m.dim == 6
     assert ctx.bimodule_n.dim == 6
-    assert rank(ctx.phi, QQ) == 4
+    assert rank(ctx.phi) == 4
     assert ctx.phi_report.passed
 
 
@@ -88,7 +88,7 @@ def test_self_enveloping_context_is_the_identity():
     glob = GlobalTwistedAction(h, b, act, u)
     src = induce_partial(glob, b.unit).tpa
     env = EnvelopingAction(source=src, ambient=b,
-                           carrier=span(identity(QQ, 3), 3, QQ),
+                           carrier=span(identity(QQ, 3), 3),
                            glob=glob, theta=identity(QQ, 3))
     ctx = context(env)
     assert eqarr(ctx.phi, identity(QQ, 9))
@@ -120,7 +120,7 @@ def test_embedding_outside_the_global_span_zeroes_the_rows_past_the_miss(
     # from it on is zero, row 2 too, though it lands
     r = build_partial_crossed(c3_env.source)
     s = build_global_crossed(c3_env.glob)
-    cut = dataclasses.replace(s, basis=span(identity(QQ, 9)[[0, 3]], 9, QQ))
+    cut = dataclasses.replace(s, basis=span(identity(QQ, 9)[[0, 3]], 9))
     phi, rep = phi_embed(c3_env, r, cut)
     assert eqarr(phi, arr(QQ, [[1, 0], [0, 0], [0, 0], [0, 0]]))
     assert rep.to_dict(QQ) == {
@@ -133,7 +133,7 @@ def test_embedding_outside_the_global_span_zeroes_the_rows_past_the_miss(
 def test_non_ideal_bimodule_fails_closure(c3_env):
     ctx = context(c3_env)
     v = identity(QQ, 9)[:1]
-    doctored = dataclasses.replace(ctx, bimodule_m=span(v, 9, QQ))
+    doctored = dataclasses.replace(ctx, bimodule_m=span(v, 9))
     rep = verify_module_structures(doctored)
     assert not rep.identity_passed("m_closed_right_ring")
     assert not rep.identity_passed("m_closed_left_embedded")

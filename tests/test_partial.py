@@ -181,7 +181,7 @@ def test_corner_is_spanned_by_products_with_the_idempotent():
     # Q x Q on the basis (1, u) with u idempotent: e * b_j is u for both
     # basis elements, so the matrix of e * b_j is not symmetric and its
     # columns span (1, 1), not the corner
-    b = AlgebraData(QQ, 2, arr(QQ, [[[1, 0], [0, 1]], [[0, 1], [0, 1]]]),
+    b = AlgebraData(arr(QQ, [[[1, 0], [0, 1]], [[0, 1], [0, 1]]]),
                     arr(QQ, [1, 0]))
     glob = GlobalTwistedAction(trivial_hopf(), b,
                                identity(QQ, 2).reshape(1, 2, 2),

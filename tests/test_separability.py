@@ -48,7 +48,7 @@ def matrix_algebra_2x2():
         for b in range(2):
             for d in range(2):
                 mult[2 * a + b, 2 * b + d, 2 * a + d] = 1
-    return AlgebraData(QQ, 4, arr(QQ, mult), arr(QQ, [1, 0, 0, 1]))
+    return AlgebraData(arr(QQ, mult), arr(QQ, [1, 0, 0, 1]))
 
 
 def trivial_action_on(alg):
