@@ -19,7 +19,7 @@ from .errors import (ClosureViolation, CoinvariantsMismatch,
                      NormalizationFailed, NotCentral, NotCentralIdempotent,
                      NotCocommutative, NotIntegral, PreconditionError,
                      SpecFileError)
-from .fields import Field, FieldMismatchError, Fp
+from .fields import Field, FieldMismatchError
 from .gauge import (GaugePair, gauge_action, gauge_cocycle, gauge_crossed_iso,
                     gauge_transform, verify_equisatisfiability,
                     verify_gauge_composition, weak_conv_inverse)

@@ -3,8 +3,9 @@
 A report carries the names of all identities that were checked and a list
 of violations; it passes iff the list is empty.  Each violation pins down
 one failing instance: the identity name, the tuple of basis indices at
-which it fails, and the two evaluated sides.  Violations are kept sorted
-(identity name, then index tuple) so reports are deterministic.
+which it fails, and the two evaluated sides as strings, formatted when
+the violation is recorded.  Violations are kept sorted (identity name,
+then index tuple) so reports are deterministic.
 """
 
 from __future__ import annotations
@@ -13,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SubspaceBasis, coords_in_many, equal_entries
+from .linalg import SubspaceBasis, coords_in_many, equal_entries, to_strings
 
 
 @dataclass(frozen=True)
 class Violation:
     identity: str
     index: tuple
-    lhs: tuple
+    lhs: tuple          # of strings
     rhs: tuple
 
     def sort_key(self):
@@ -59,13 +60,7 @@ class CheckReport:
         mark = "PASS" if self.passed else f"FAIL ({len(self.violations)} violations)"
         return f"{self.title}: {mark}"
 
-    def to_dict(self, fld) -> dict:
-        def fmt(x):
-            try:
-                return fld.format(x)
-            except (TypeError, ValueError):
-                return str(x)
-
+    def to_dict(self) -> dict:
         return {
             "title": self.title,
             "passed": self.passed,
@@ -75,8 +70,8 @@ class CheckReport:
                 {
                     "identity": v.identity,
                     "index": list(v.index),
-                    "lhs": [fmt(x) for x in v.lhs],
-                    "rhs": [fmt(x) for x in v.rhs],
+                    "lhs": list(v.lhs),
+                    "rhs": list(v.rhs),
                 }
                 for v in self.violations
             ],
@@ -98,8 +93,8 @@ class ReportBuilder:
 
         All leading axes are basis indices; every index tuple at which the
         output vectors differ becomes one violation, in row-major order.
-        The entries are compared as integers; field elements are built
-        only for violating rows.  FieldMismatchError across two fields.
+        The entries are compared as integers and formatted only for
+        violating rows.  FieldMismatchError across two fields.
         """
         if np.shape(lhs) != np.shape(rhs):
             raise ValueError(f"{identity}: shape mismatch "
@@ -108,14 +103,17 @@ class ReportBuilder:
         differ = ~equal_entries(lhs, rhs).all(axis=-1)
         for idx in map(tuple, np.argwhere(differ).tolist()):
             self._violations.append(Violation(
-                identity, idx, tuple(lhs[idx].elements),
-                tuple(rhs[idx].elements)))
+                identity, idx, tuple(to_strings(lhs[idx])),
+                tuple(to_strings(rhs[idx]))))
 
     def require(self, identity: str, ok: bool, index=(), lhs=(), rhs=()):
-        """Record a single named yes/no check."""
+        """Record a single named yes/no check; its sides are counts,
+        booleans or words, recorded as their ``str``."""
         self._identities.append(identity)
         if not ok:
-            self._violations.append(Violation(identity, tuple(index), tuple(lhs), tuple(rhs)))
+            self._violations.append(Violation(
+                identity, tuple(index), tuple(map(str, lhs)),
+                tuple(map(str, rhs))))
 
     def require_inside(self, identity: str, table, sub: SubspaceBasis,
                        where: str):
@@ -125,7 +123,7 @@ class ReportBuilder:
         self._identities.append(identity)
         for index in coords_in_many(sub, table)[1]:
             self._violations.append(Violation(
-                identity, index, tuple(table[index].elements), (where,)))
+                identity, index, tuple(to_strings(table[index])), (where,)))
 
     def note(self, text: str):
         self._notes.append(text)

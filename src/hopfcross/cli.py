@@ -30,11 +30,12 @@ from .gauge import (gauge_transform, gauge_crossed_iso, verify_equisatisfiabilit
 from .globalize import (globalize_group_partial, verify_enveloping,
                         verify_induced_matches)
 from .hopf import verify_algebra, verify_hopf
+from .linalg import to_strings
 from .morita import (morita_context, verify_module_structures,
                      verify_morita_pairings)
 from .partial import verify_absorption, verify_symmetric
 from .separability import CleftData, default_cleft, separability_idempotent
-from .specfile import _emit, load_spec
+from .specfile import load_spec
 
 COMMANDS = ("verify", "build-crossed", "globalize", "morita", "gauge",
             "separability", "report")
@@ -107,7 +108,7 @@ class Pipeline:
 
 
 def _assemble(fld, command, reports, derived, errors):
-    checks = [r.to_dict(fld) for r in reports]
+    checks = [r.to_dict() for r in reports]
     passed = all(c["passed"] for c in checks) and not errors
     return {
         "command": command,
@@ -148,9 +149,9 @@ def _cmd_build_crossed(p):
     errors = []
     derived = {
         "dim": cp.dim,
-        "basis": _emit(cp.basis.rows),
-        "multiplication": _emit(cp.algebra.mult),
-        "unit": _emit(cp.algebra.unit),
+        "basis": to_strings(cp.basis.rows),
+        "multiplication": to_strings(cp.algebra.mult),
+        "unit": to_strings(cp.algebra.unit),
     }
     try:
         res, _, _ = cp.canonical
@@ -232,8 +233,8 @@ def _cmd_separability(p):
         elem, build_report, conditions = separability_idempotent(
             cd, spec.integral_t, spec.center_c)
         reports += [build_report, conditions]
-        derived["element_lift"] = _emit(elem.lift)
-        derived["element_coordinates"] = _emit(elem.coordinates)
+        derived["element_lift"] = to_strings(elem.lift)
+        derived["element_coordinates"] = to_strings(elem.coordinates)
     except HopfcrossError as exc:
         errors.append({"stage": "separability_idempotent",
                        "error": type(exc).__name__, "message": str(exc)})

@@ -27,7 +27,7 @@ from .errors import ClosureViolation, CoinvariantsMismatch, PreconditionError
 from .hopf import (AlgebraData, HopfAlgebraData, multiplicativity,
                    verify_algebra)
 from .linalg import (Exact, QuotientSpace, SubspaceBasis, contract,
-                     coords_or_raise, identity, is_zero, kernel_basis, kron,
+                     coords_or_raise, identity, is_zero, kernel, kron,
                      quotient, rank, restricted_product, span)
 from .partial import GlobalTwistedAction, TwistedPartialAction
 
@@ -85,7 +85,7 @@ class CrossedProductAlgebra:
         d, nh = self.dim, self.hopf.dim
         m = self.coaction.reshape(d, d, nh) - contract(
             "rk,s->rks", identity(self.fld, d), self.hopf.unit)
-        return span(kernel_basis(m.reshape(d, d * nh).transpose()), d)
+        return kernel(m.reshape(d, d * nh).transpose())
 
     @cached_property
     def base_space(self) -> SubspaceBasis:

@@ -26,7 +26,7 @@ from .errors import PreconditionError
 from .hopf import AlgebraData, convolution_algebra, multiplicativity
 from .linalg import (Exact, SubspaceBasis, concat, contract, coords_in_many,
                      coords_or_raise, identity, rank, restricted_product,
-                     solve, span)
+                     solve, span, to_strings)
 from .partial import (GlobalTwistedAction, TwistedPartialAction, _induce,
                       central_idempotent_report, corner_twist,
                       is_trivial_cocycle)
@@ -192,7 +192,7 @@ def verify_induced_matches(env: EnvelopingAction) -> CheckReport:
     if misses:
         i, = misses[0]
         rb.require("embedding_lands_in_corner", False, index=(i,),
-                   lhs=tuple(env.theta[i].elements), rhs=("in corner",))
+                   lhs=to_strings(env.theta[i]), rhs=("in corner",))
         return rb.build()
     rb.require("embedding_lands_in_corner", True)
     rb.require("corner_dimension_matches", ind.carrier.dim == na,

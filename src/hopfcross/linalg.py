@@ -2,7 +2,8 @@
 
 Every tensor the engine reads, holds or hands out is an :class:`Exact`:
 Python ints over one common denominator over QQ, residues over F_p, with
-the field they lie over; field elements are built only when read.
+the field they lie over; scalars leave the engine only as the strings
+of :func:`to_strings`.
 Tensors are born as Exact: parsed files and the builders :func:`arr`
 (from scalars), :func:`from_ratios`, :func:`zeros` and :func:`identity`,
 the only ones told a field: everything else reads it from the Exact
@@ -14,13 +15,13 @@ mod p over F_p.  An operand that is not an Exact is a TypeError, and two
 fields meeting is a FieldMismatchError, there and wherever tensors meet.
 Every verdict compares those integers (:func:`equal_entries`, and on it
 :func:`eqarr`, :func:`is_zero`, ``ReportBuilder.compare`` and the
-membership test of :func:`coords_in_many`), so a passing check builds no
-field element.  :func:`rref` eliminates on those integers too, and
-:func:`span`, :func:`solve`, :func:`rank`, :func:`kernel_basis` and
-:func:`quotient` take and return Exact tensors through it.  The greedy
-contraction path of each (spec, operand shapes) pair is planned once and
-kept in a fixed-size module cache (see :func:`_plan`); :func:`contract`
-runs its pairwise steps itself, one plain ``np.einsum`` each.  Every
+membership test of :func:`coords_in_many`).  :func:`rref` eliminates on
+those integers too, and :func:`span`, :func:`solve`, :func:`rank`,
+:func:`kernel` and :func:`quotient` take and return Exact tensors
+through it.  The greedy contraction path of each (spec, operand shapes)
+pair is planned once and kept in a fixed-size module cache (see
+:func:`_plan`); :func:`contract` runs its pairwise steps itself, one
+plain ``np.einsum`` each.  Every
 subspace is represented by its reduced row echelon basis, so equal
 subspaces have identical representations and all reports built on top of
 them are reproducible byte for byte.  :func:`coords_in_many` expresses a
@@ -45,13 +46,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from string import ascii_letters
 
 import numpy as np
 
-from .fields import Field, FieldMismatchError, Fp
+from .fields import Field, FieldMismatchError
 
 # Contraction order for every ``np.einsum`` in :func:`contract`: a greedy
 # pairwise path with no cap on the size of intermediates.  numpy's
@@ -69,31 +69,22 @@ class Exact:
 
     ``ints`` is a read-only object array of Python ints: over QQ the
     numerators over the one common denominator ``den``, over F_p the
-    residues in 0..p-1 with ``den`` 1.  ``elements``, the same tensor as
-    read-only field elements for where scalars leave the engine, is
-    built on first read.  ``reshape``, ``transpose`` and indexing give
-    views over the same ``den``; an index that picks one entry gives
-    that element; ``a - b`` is an Exact, and ``a == b`` is
+    residues in 0..p-1 with ``den`` 1.  ``reshape``, ``transpose`` and
+    indexing give views over the same ``den``, a 0-d Exact for an index
+    that picks one entry; ``a - b`` is an Exact, and ``a == b`` is
     :func:`eqarr`.
     """
 
-    __slots__ = ("fld", "ints", "den", "_elements")
+    __slots__ = ("fld", "ints", "den")
 
     def __init__(self, fld: Field, ints: np.ndarray, den: int = 1):
         ints = np.asarray(ints, dtype=object)     # a 0-d result is an int
         ints.flags.writeable = False
-        self.fld, self.ints, self.den, self._elements = fld, ints, den, None
+        self.fld, self.ints, self.den = fld, ints, den
 
     @property
     def shape(self) -> tuple:
         return self.ints.shape
-
-    @property
-    def elements(self) -> np.ndarray:
-        if self._elements is None:
-            self._elements = _elements(self.ints, self.den, self.fld)
-            self._elements.flags.writeable = False
-        return self._elements
 
     def reshape(self, *shape):
         return Exact(self.fld, self.ints.reshape(*shape), self.den)
@@ -102,15 +93,13 @@ class Exact:
         return Exact(self.fld, self.ints.transpose(*axes), self.den)
 
     def __getitem__(self, index):
-        v = self.ints[index]
-        if isinstance(v, np.ndarray):
-            return Exact(self.fld, v, self.den)
-        return Fp(v, self.fld.p) if self.fld.p else Fraction(v, self.den)
+        return Exact(self.fld, self.ints[index], self.den)
 
     def __sub__(self, other):
         _field("a difference", (self, other))
-        return _canonical(self.fld, self.ints * other.den
-                          - other.ints * self.den, self.den * other.den)
+        diff = np.asarray(self.ints * other.den - other.ints * self.den,
+                          dtype=object)
+        return _canonical(self.fld, diff, self.den * other.den)
 
     def __eq__(self, other):
         if not isinstance(other, Exact):
@@ -127,13 +116,11 @@ def _canonical(fld: Field, ints: np.ndarray, den: int) -> Exact:
     return Exact(fld, ints // g, den // g)
 
 
-def _elements(ints: np.ndarray, den: int, fld: Field) -> np.ndarray:
-    """The field elements of the integers ``ints`` over ``den``."""
-    if fld.p is None:
-        vals = [Fraction(v, den) for v in ints.reshape(-1)]
-    else:
-        vals = [Fp(v, fld.p) for v in ints.reshape(-1)]
-    return np.array(vals, dtype=object).reshape(ints.shape)
+def to_strings(t: Exact):
+    """The canonical scalar strings of ``t`` (see ``Field.format``), as
+    nested lists of its shape: one string for a 0-d tensor."""
+    strings = [t.fld.format(n, t.den) for n in t.ints.reshape(-1)]
+    return np.array(strings, dtype=object).reshape(t.shape).tolist()
 
 
 def _field(what: str, tensors) -> Field:
@@ -161,10 +148,10 @@ def contract(spec: str, *operands):
     docstring), one step of the greedy path ``EINSUM_PATH`` at a time.
 
     Returns an :class:`Exact` in canonical form (over QQ, ``den`` is the
-    lcm of the entries' denominators), or one field element when the
-    output has no axes.  Raises ValueError when the operands do not
-    match the spec, TypeError on an operand that is not an Exact and
-    FieldMismatchError when two fields meet.
+    lcm of the entries' denominators), 0-d when the output has no axes.
+    Raises ValueError when the operands do not match the spec, TypeError
+    on an operand that is not an Exact and FieldMismatchError when two
+    fields meet.
     """
     inputs, arrow, output = spec.partition("->")
     terms = inputs.split(",")
@@ -183,10 +170,7 @@ def contract(spec: str, *operands):
         scale *= op.den
     for positions, subscripts in _plan(spec, tuple(op.shape for op in ints)):
         ints.append(np.einsum(subscripts, *map(ints.pop, positions)))
-    res = ints[0].reshape(ints[0].shape[:-1])
-    if not output:
-        return Exact(fld, res, scale)[()]
-    return _canonical(fld, res, scale)
+    return _canonical(fld, ints[0].reshape(ints[0].shape[:-1]), scale)
 
 
 @lru_cache(maxsize=1024)
@@ -231,10 +215,10 @@ def from_ratios(fld: Field, ratios: list, shape: tuple) -> Exact:
 
 
 def arr(fld: Field, nested) -> Exact:
-    """The Exact over ``fld`` of (nested) scalars: ints, scalar strings or
-    elements of ``fld`` (see ``Field.ratio``)."""
+    """The Exact over ``fld`` of (nested) scalars: ints or scalar strings
+    (see ``Field.parse``)."""
     a = np.array(nested, dtype=object)
-    return from_ratios(fld, list(map(fld.ratio, a.reshape(-1))), a.shape)
+    return from_ratios(fld, list(map(fld.parse, a.reshape(-1))), a.shape)
 
 
 def zeros(fld: Field, shape) -> Exact:
@@ -267,7 +251,7 @@ def equal_entries(a: Exact, b: Exact) -> np.ndarray:
     array, on integers cross-multiplied by the two denominators.
     FieldMismatchError unless both lie over one field."""
     _field("a comparison", (a, b))
-    return a.ints * b.den == b.ints * a.den
+    return np.asarray(a.ints * b.den == b.ints * a.den)
 
 
 def eqarr(a: Exact, b: Exact) -> bool:
@@ -361,14 +345,11 @@ def solve(m: Exact, b: Exact):
     return _canonical(fld, x.reshape((c,) + b.shape[1:]), R.den)
 
 
-def kernel_basis(m: Exact) -> Exact:
-    """Echelon basis of the right null space {x : m @ x = 0}.
-
-    Returns a (k, c) Exact whose rows form the canonical RREF basis of
-    the kernel; k may be zero.
-    """
+def kernel(m: Exact) -> SubspaceBasis:
+    """The right null space {x : m @ x = 0} of an (r, c) Exact, in its
+    canonical echelon basis; its dimension may be zero."""
     c = m.shape[1]
-    return span(_null_vectors(span(m, c))[1], c).rows
+    return span(_null_vectors(span(m, c))[1], c)
 
 
 def _null_vectors(sub: SubspaceBasis):

@@ -29,8 +29,8 @@ from .errors import (NormalizationFailed, NotCentral, NotCocommutative,
                      NotIntegral, PreconditionError)
 from .hopf import centrality, is_cocommutative, left_integrals
 from .linalg import (Exact, check_tensors, concat, contract, coords_in,
-                     coords_or_raise, eqarr, is_zero, kernel_basis, solve,
-                     span)
+                     coords_or_raise, eqarr, is_zero, kernel, solve,
+                     to_strings)
 from .partial import TwistedPartialAction
 
 
@@ -134,7 +134,7 @@ def centralizer(cp: CrossedProductAlgebra):
     mult = cp.algebra.mult
     diff = mult - mult.transpose(1, 0, 2)
     m = contract("aj,ijk->aki", cp.iota, diff).reshape(na * d, d)
-    return span(kernel_basis(m), d)
+    return kernel(m)
 
 
 def verify_centralizer_identity(cd: CleftData, c) -> CheckReport:
@@ -224,7 +224,7 @@ def separability_idempotent(cd: CleftData, t, c):
     if not eqarr(normalized, a.unit):
         raise NormalizationFailed(
             f"the integral does not collapse the element to the unit: got "
-            f"{tuple(normalized.elements)}")
+            f"({', '.join(to_strings(normalized))})")
 
     u = contract("i,ij->j", t, h.antipode)
     w = contract("i,ipqr->pqr", u, h.coalgebra.split3)

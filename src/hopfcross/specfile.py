@@ -25,12 +25,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import SpecFileError
 from .fields import Field
 from .hopf import AlgebraData, CoalgebraData, HopfAlgebraData
-from .linalg import Exact, from_ratios
+from .linalg import Exact, from_ratios, to_strings
 from .partial import GlobalTwistedAction, TwistedPartialAction
 
 _FLAT_SECTIONS = ("action", "cocycle", "idempotent", "theta", "gauge",
@@ -81,7 +79,7 @@ def _scalars(fld, node, shape, path, ratios) -> tuple:
     ``ratios`` in row-major order, and return the shape they fill."""
     if not shape:
         try:
-            ratios.append(fld.ratio(fld.parse(node)))
+            ratios.append(fld.parse(node))
         except (TypeError, ValueError) as exc:
             raise SpecFileError(f"{path}: {exc}") from None
         return ()
@@ -236,14 +234,8 @@ def parse_spec(text: str, field: Field | None = None) -> SpecFile:
                     **{k: out.get(k) for k in _FLAT_SECTIONS})
 
 
-def _emit(t: Exact):
-    """The nested lists of the canonical scalar strings of ``t``."""
-    strings = [t.fld.format_ratio(v, t.den) for v in t.ints.reshape(-1)]
-    return np.array(strings, dtype=object).reshape(t.shape).tolist()
-
-
 def _emit_algebra(a: AlgebraData) -> dict:
-    out = {"mult": _emit(a.mult), "unit": _emit(a.unit)}
+    out = {"mult": to_strings(a.mult), "unit": to_strings(a.unit)}
     if a.labels is not None:
         out["labels"] = list(a.labels)
     return out
@@ -256,22 +248,22 @@ def serialize_spec(spec: SpecFile) -> str:
         h = spec.hopf
         doc["hopf"] = _emit_algebra(h.algebra)
         doc["hopf"].update({
-            "comult": _emit(h.comult),
-            "counit": _emit(h.counit),
-            "antipode": _emit(h.antipode),
+            "comult": to_strings(h.comult),
+            "counit": to_strings(h.counit),
+            "antipode": to_strings(h.antipode),
         })
     if spec.algebra is not None:
         doc["algebra"] = _emit_algebra(spec.algebra)
     if spec.glob is not None:
         doc["global"] = {
             "algebra": _emit_algebra(spec.glob.alg),
-            "action": _emit(spec.glob.action),
-            "twist": _emit(spec.glob.twist),
+            "action": to_strings(spec.glob.action),
+            "twist": to_strings(spec.glob.twist),
         }
     for name in _FLAT_SECTIONS:
         val = getattr(spec, name)
         if val is not None:
-            doc[name] = _emit(val)
+            doc[name] = to_strings(val)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

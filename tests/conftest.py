@@ -6,7 +6,7 @@ from hopfcross.fields import Field
 from hopfcross.fixtures import c3_partial, sym3_table
 from hopfcross.globalize import globalize_group_partial
 from hopfcross.hopf import dual_hopf, group_algebra
-from hopfcross.linalg import arr
+from hopfcross.linalg import arr, contract
 from hopfcross.partial import GlobalTwistedAction, induce_partial
 
 
@@ -49,11 +49,10 @@ def ks3_partial(request):
     ks3 = group_algebra(qq, sym3_table())
     action = np.zeros((6, 6, 6), dtype=object)
     action[range(6), range(6), range(6)] = 1
-    counit = ks3.unit.elements      # the counit of the dual
-    twist = np.multiply.outer(np.multiply.outer(counit, counit),
-                              ks3.unit.elements)
+    unit = ks3.unit         # also the counit of the dual
+    twist = contract("p,q,c->pqc", unit, unit, unit)
     glob = GlobalTwistedAction(dual_hopf(ks3), ks3.algebra, arr(qq, action),
-                               arr(qq, twist))
+                               twist)
     return induce_partial(glob, arr(qq, KS3_CORNERS[request.param])).tpa
 
 

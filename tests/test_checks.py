@@ -1,7 +1,7 @@
 """ReportBuilder.compare: one violation per differing index tuple, with
 both sides of the output vector, in row-major order; and the integer
 verdicts (compare, eqarr, is_zero, coords_in_many) against the entrywise
-Fraction/Fp reference."""
+element reference."""
 
 import math
 from fractions import Fraction
@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from hopfcross.checks import ReportBuilder, Violation
 from hopfcross.fields import Field, FieldMismatchError
 from hopfcross.linalg import (arr, contract, coords_in_many, eqarr, is_zero,
-                              span, zeros)
+                              span, to_strings, zeros)
 
 QQ = Field.rationals()
 
@@ -27,24 +28,24 @@ def compared(lhs, rhs):
 
 def test_compare_names_first_middle_and_last_index():
     lhs = arr(QQ, [[[i, j] for j in range(4)] for i in range(3)])
-    rhs = np.array(lhs.elements)
-    for idx, k in (((0, 0), 1), ((1, 2), 0), ((2, 3), 1)):
-        rhs[idx + (k,)] = QQ.coerce("1/2")
+    rhs = to_strings(lhs)
+    for (i, j), k in (((0, 0), 1), ((1, 2), 0), ((2, 3), 1)):
+        rhs[i][j][k] = "1/2"
     rep = compared(lhs, arr(QQ, rhs))
     assert rep.identities == ("same",)
     assert rep.violations == (
-        Violation("same", (0, 0), (0, 0), (0, QQ.coerce("1/2"))),
-        Violation("same", (1, 2), (1, 2), (QQ.coerce("1/2"), 2)),
-        Violation("same", (2, 3), (2, 3), (2, QQ.coerce("1/2"))),
+        Violation("same", (0, 0), ("0", "0"), ("0", "1/2")),
+        Violation("same", (1, 2), ("1", "2"), ("1/2", "2")),
+        Violation("same", (2, 3), ("2", "3"), ("2", "1/2")),
     )
     assert all(type(i) is int for v in rep.violations for i in v.index)
-    assert compared(lhs, arr(QQ, lhs.elements)).passed
+    assert compared(lhs, arr(QQ, to_strings(lhs))).passed
 
 
 def test_compare_one_dimensional_sides():
     lhs, rhs = arr(QQ, [1, 2, 3]), arr(QQ, [1, 2, 4])
     assert compared(lhs, rhs).violations == (
-        Violation("same", (), (1, 2, 3), (1, 2, 4)),)
+        Violation("same", (), ("1", "2", "3"), ("1", "2", "4")),)
     assert compared(lhs, arr(QQ, [1, 2, 3])).passed
 
 
@@ -61,11 +62,12 @@ FIELDS = [QQ, Field.prime(10007), Field.prime(2**61 - 1)]
 
 
 def entries(fld):
-    """Scalars of ``fld`` that collide often: small fractions over QQ,
-    small residues, -1 and a large residue over F_p."""
+    """Scalar strings of ``fld`` that collide often: small fractions over
+    QQ, small residues, -1 and a large residue over F_p."""
     if fld.p is None:
-        return st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
-    return st.sampled_from([0, 1, 2, -1, 2**40 + 3]).map(fld.coerce)
+        return st.builds("{}/{}".format, st.integers(-3, 3),
+                         st.integers(1, 4))
+    return st.sampled_from([0, 1, 2, -1, 2**40 + 3]).map(str)
 
 
 @st.composite
@@ -77,9 +79,9 @@ def tables(draw, fld, shape):
 
 @st.composite
 def held(draw, fld, values):
-    """The element array ``values`` as an Exact of them, or as a view of
-    an Exact that also holds a slab of other entries, whose denominator
-    it keeps."""
+    """The scalar-string array ``values`` as an Exact of them, or as a
+    view of an Exact that also holds a slab of other entries, whose
+    denominator it keeps."""
     if draw(st.booleans()):
         return arr(fld, values)
     other = draw(tables(fld, values.shape))
@@ -101,11 +103,29 @@ def table_pairs(draw):
     return fld, lhs, rhs, draw(held(fld, lhs)), draw(held(fld, rhs))
 
 
-def reference_violations(lhs, rhs):
-    """compare's violations, found entry by entry with element equality."""
-    return [Violation("t", idx, tuple(lhs[idx]), tuple(rhs[idx]))
+def reference_violations(fld, lhs, rhs):
+    """compare's violations, found entry by entry with element equality
+    on the elements of the scalar strings ``lhs`` and ``rhs``, each side
+    formatted back from its elements."""
+    lhs, rhs = elements(fld, lhs), elements(fld, rhs)
+    return [Violation("t", idx, strings(fld, lhs[idx]),
+                      strings(fld, rhs[idx]))
             for idx in np.ndindex(*lhs.shape[:-1])
             if not all(x == y for x, y in zip(lhs[idx], rhs[idx]))]
+
+
+def elements(fld, values):
+    """The elements of an array of scalar strings, read one at a time:
+    by ``Fraction`` over QQ, as ints mod p over F_p."""
+    read = Fraction if fld.p is None else (
+        lambda s: int(s.partition(" mod ")[0]) % fld.p)
+    return np.array([read(s) for s in values.reshape(-1)],
+                    dtype=object).reshape(values.shape)
+
+
+def strings(fld, values):
+    """The canonical strings of a vector of elements."""
+    return tuple(to_strings(reference.exact(fld, values)))
 
 
 @given(table_pairs())
@@ -115,9 +135,9 @@ def test_integer_verdicts_match_the_element_reference(case):
     rb = ReportBuilder("r")
     rb.compare("t", held_lhs, held_rhs)
     got = rb.build().violations
-    assert list(got) == reference_violations(lhs, rhs)
-    kind = type(fld.one())
-    assert all(type(x) is kind for v in got for x in v.lhs + v.rhs)
+    assert list(got) == reference_violations(fld, lhs, rhs)
+    assert all(type(x) is str for v in got for x in v.lhs + v.rhs)
+    lhs, rhs = elements(fld, lhs), elements(fld, rhs)
     same = all(x == y for x, y in zip(lhs.reshape(-1), rhs.reshape(-1)))
     assert eqarr(held_lhs, held_rhs) is same
     assert is_zero(held_lhs) is all(x == 0 for x in lhs.reshape(-1))
@@ -132,8 +152,8 @@ def memberships(draw):
     sub = span(arr(fld, draw(tables(fld, (draw(st.integers(0, 2)), n)))), n)
     lead = tuple(draw(st.lists(st.integers(0, 3), max_size=2)))
     combos = arr(fld, draw(tables(fld, (math.prod(lead), sub.dim))))
-    vs = np.array(contract("ki,ij->kj", combos, sub.rows).elements).reshape(
-        lead + (n,))
+    vs = np.array(to_strings(contract("ki,ij->kj", combos, sub.rows)),
+                  dtype=object).reshape(lead + (n,))
     if vs.size:
         for _ in range(draw(st.integers(0, 3))):
             idx = tuple(draw(st.integers(0, k - 1)) for k in vs.shape)
@@ -142,13 +162,16 @@ def memberships(draw):
 
 
 def reference_coords(sub, vs):
-    """(coords, misses) of coords_in_many, rebuilt entry by entry."""
+    """(coords, misses) of coords_in_many for the elements ``vs``,
+    rebuilt entry by entry."""
+    fld = sub.rows.fld
     coords = vs[..., list(sub.pivots)]
+    rows = reference.elements(sub.rows)
     misses = []
     for idx in np.ndindex(*vs.shape[:-1]):
-        rebuilt = [sum((c * row[j] for c, row in zip(coords[idx],
-                                                     sub.rows.elements)),
-                       sub.rows.fld.zero()) for j in range(sub.ambient_dim)]
+        rebuilt = [reference.reduce(sum(
+            (c * row[j] for c, row in zip(coords[idx], rows)), 0), fld)
+            for j in range(sub.ambient_dim)]
         if not all(x == y for x, y in zip(rebuilt, vs[idx])):
             misses.append(idx)
     return coords, tuple(misses)
@@ -159,15 +182,17 @@ def reference_coords(sub, vs):
 def test_integer_membership_matches_the_element_reference(case):
     fld, sub, vs, held_vs = case
     coords, misses = coords_in_many(sub, held_vs)
+    vs = elements(fld, vs)
     want_coords, want_misses = reference_coords(sub, vs)
     assert misses == want_misses
     assert coords.shape == want_coords.shape
-    assert all(x == y for x, y in zip(coords.elements.reshape(-1),
+    assert all(x == y for x, y in zip(reference.elements(coords).reshape(-1),
                                       want_coords.reshape(-1)))
     rb = ReportBuilder("r")
     rb.require_inside("t", held_vs, sub, "inside")
     assert list(rb.build().violations) == [
-        Violation("t", idx, tuple(vs[idx]), ("inside",)) for idx in misses]
+        Violation("t", idx, strings(fld, vs[idx]), ("inside",))
+        for idx in misses]
 
 
 @pytest.mark.parametrize("other", [Field.prime(5), Field.prime(7)])
@@ -175,12 +200,12 @@ def test_integer_membership_matches_the_element_reference(case):
 def test_a_verdict_across_two_fields_raises(other, exact):
     # QQ against F_5 and F_5 against F_7 as Exact tensors: each verdict,
     # and the contraction itself, refuses instead of reading a
-    # difference.  An element array is no operand: it is a TypeError
+    # difference.  An integer array is no operand: it is a TypeError
     fld = QQ if other.p == 5 else Field.prime(5)
     lhs, rhs = arr(fld, [[1, 2], [0, 1]]), arr(other, [[1, 2], [0, 1]])
     error = FieldMismatchError
     if not exact:
-        rhs, error = rhs.elements, TypeError
+        rhs, error = rhs.ints, TypeError
     with pytest.raises(error):
         ReportBuilder("r").compare("t", lhs, rhs)
     with pytest.raises(error):

@@ -15,7 +15,6 @@ import sys
 import tempfile
 import time
 from collections import Counter
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -179,6 +178,22 @@ def test_separability_domain_error_exits_one(tmp_path):
     assert res.returncode == 1
     out = json.loads(res.stdout)
     assert any(e["error"] == "NotIntegral" for e in out["errors"])
+
+
+def test_normalization_failure_names_the_scalar_strings(tmp_path):
+    # with c = 1 the integral t = 1 + g collapses c to 2, not to the unit;
+    # the message names that element by its scalar strings
+    doc = json.loads((DATA / "f_coc_1.json").read_text())
+    doc["center_c"] = ["1"]
+    p = tmp_path / "unnormalized.json"
+    p.write_text(json.dumps(doc))
+    res = run_json("separability", str(p))
+    assert res.returncode == 1
+    errors = json.loads(res.stdout)["errors"]
+    assert errors == [{
+        "stage": "separability_idempotent", "error": "NormalizationFailed",
+        "message": "the integral does not collapse the element to the "
+                   "unit: got (2)"}]
 
 
 def test_report_skips_inapplicable_stages():
@@ -467,8 +482,8 @@ def test_every_map_the_engine_hands_out_is_exact():
     pair = weak_conv_inverse(c3_gauge(2, 5), tpa)
     cpv = build_partial_crossed(gauge_transform(pair, tpa))
     cd = default_cleft(tpa, cp)
-    given = CleftData(cp, linalg.arr(QQ, cd.gamma.elements),
-                      linalg.arr(QQ, cd.gamma_prime.elements), tpa)
+    given = CleftData(cp, linalg.arr(QQ, linalg.to_strings(cd.gamma)),
+                      linalg.arr(QQ, linalg.to_strings(cd.gamma_prime)), tpa)
     square = cp.balanced_square
     maps = {
         "iota": cp.iota, "coaction": cp.coaction, "theta": env.theta,
@@ -481,7 +496,7 @@ def test_every_map_the_engine_hands_out_is_exact():
         "given_gamma": given.gamma, "given_gamma_prime": given.gamma_prime,
         "basis_rows": cp.basis.rows, "solve": linalg.solve(
             cp.iota.transpose(), cp.algebra.unit),
-        "kernel_basis": linalg.kernel_basis(cp.iota),
+        "kernel": linalg.kernel(cp.iota).rows,
         "projection": square.projection, "section": square.section,
         "project": square.project(linalg.identity(QQ, cp.dim ** 2)),
         "lift": square.lift(linalg.identity(QQ, square.dim))}
@@ -489,75 +504,73 @@ def test_every_map_the_engine_hands_out_is_exact():
             if not isinstance(m, linalg.Exact)] == []
 
 
-def test_only_the_kernel_and_the_fields_build_scalars():
-    # Fraction and Fp objects are built where a scalar leaves the engine:
-    # by the field descriptors and by linalg (Exact.elements, one-entry
-    # results); every other module compares and contracts integers
-    calls = [(name, node.lineno) for name, node in _package_nodes()
-             if isinstance(node, ast.Call)
-             and {"Fraction", "Fp"} & {getattr(node.func, "attr", None),
-                                       getattr(node.func, "id", None)}]
-    assert [c for c in calls
-            if c[0] not in ("linalg.py", "fields.py")] == []
-    assert {c[0] for c in calls} == {"linalg.py", "fields.py"}
+def _names_an_element(node):
+    """Whether an AST node names a field-element class (``Fraction``,
+    ``Fp``) or reads the ``elements`` of a tensor."""
+    if isinstance(node, ast.Name):
+        return node.id in ("Fraction", "Fp")
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("Fraction", "Fp", "elements")
+    if isinstance(node, ast.alias):
+        return node.name in ("Fraction", "Fp", "fractions")
+    return False
 
 
-def test_a_passing_compare_of_exact_tables_builds_no_elements(monkeypatch):
-    built = []
-    elements = linalg._elements
+def test_no_module_names_a_field_element():
+    # a scalar is integers inside the engine and a string where it leaves
+    # it: no module of the package names Fraction or Fp, or reads the
+    # elements of a tensor
+    assert [f"{name}:{getattr(node, 'lineno', '?')}"
+            for name, node in _package_nodes()
+            if _names_an_element(node)] == []
+    assert not hasattr(hopfcross, "Fp")
+    for gone in ("zero", "one", "coerce", "ratio"):
+        assert not hasattr(Field, gone), gone
+    # the guard sees each form
+    snippet = ("from fractions import Fraction\nimport fractions\n"
+               "Fraction(1, 2)\nfields.Fp(1, 5)\nt.elements\n")
+    assert sum(map(_names_an_element, ast.walk(ast.parse(snippet)))) == 5
 
-    def counting(ints, den, fld):
-        built.append(ints.shape)
-        return elements(ints, den, fld)
 
-    monkeypatch.setattr(linalg, "_elements", counting)
+def test_a_passing_compare_of_exact_tables_builds_no_elements():
     tpa = c3_partial()
     lhs, rhs = tpa.twisted_module_sides
     rb = ReportBuilder("t")
     rb.compare("twisted_module", lhs, rhs)
     # the same values as a view of a larger Exact, whose denominator
     # (a multiple of 7) the view keeps
-    sevenths = np.full(lhs.shape, Fraction(1, 7), dtype=object)
-    view = linalg.arr(tpa.fld, np.stack([sevenths, lhs.elements]))[1]
-    built.clear()
+    sevenths = np.full(lhs.shape, "1/7", dtype=object)
+    view = linalg.arr(tpa.fld, np.stack([
+        sevenths, np.array(linalg.to_strings(lhs), dtype=object)]))[1]
     rb.compare("over_another_denominator", view, rhs)
     rep = rb.build()
-    assert rep.passed and view.den != rhs.den and built == []
-    # the counter sees a build: reading the elements of a result
-    assert rhs.elements.shape == rhs.shape and built == [rhs.shape]
+    assert rep.passed and view.den != rhs.den
+    # a failing compare records the sides as scalar strings
+    rb.compare("against_sevenths", linalg.arr(tpa.fld, sevenths), rhs)
+    first = rb.build().violations[0]
+    assert first.lhs == ("1/7",) * lhs.shape[-1]
+    assert first.rhs == tuple(linalg.to_strings(rhs[first.index]))
 
 
 @pytest.mark.parametrize("p", [None, 7], ids=["QQ", "F7"])
-def test_elimination_builds_no_element(monkeypatch, p):
-    # span, solve, rank, kernel_basis and quotient eliminate on the
-    # integers of their Exact inputs: no element array is built, and
-    # none is taken.  The matrix needs a row swap and skips a zero column.
+def test_elimination_builds_no_element(p):
+    # span, solve, rank, kernel and quotient eliminate on the integers of
+    # their Exact inputs, and take no integer array.  The matrix needs a
+    # row swap and skips a zero column.
     fld = Field(p)
     m = linalg.arr(fld, [[0, 0, 3, "1/3"], [2, 0, 1, 4], [4, 0, 5, "25/3"]])
     b = contract("ij,j->i", m, linalg.arr(fld, [1, 1, 1, 1]))
     bad = linalg.arr(fld, [1, 0, 0])
-    elements = m.elements
-    calls = Counter()
-
-    def counting(*args, original=linalg._elements):
-        calls["_elements"] += 1
-        return original(*args)
-
-    monkeypatch.setattr(linalg, "_elements", counting)
     x = linalg.solve(m, b)
     assert isinstance(x, linalg.Exact) and linalg.eqarr(
         contract("ij,j->i", m, x), b)
     assert linalg.solve(m, bad) is None
     assert linalg.span(m, 4).dim == linalg.rank(m) == 2
-    assert linalg.kernel_basis(m).shape == (2, 4)
+    assert linalg.kernel(m).rows.shape == (2, 4)
     assert linalg.quotient(4, m).dim == 2
-    assert calls == Counter()
-    # an element array is no input, and the counter sees a build: the
-    # elements of a result read
     with pytest.raises(TypeError):
-        linalg.rank(elements)
-    assert linalg.solve(m, b).elements.shape == (4,)
-    assert calls == {"_elements": 1}
+        linalg.rank(m.ints)
+    assert not hasattr(linalg, "_elements")
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -583,17 +596,16 @@ def _passes_a_field(node):
 
 # The functions that are told a field: where a tensor is born (the Exact
 # constructor and the builders, the fixtures and the spec-file parser
-# among them) and where scalars leave the engine (the elements of an
-# Exact, and the report).
+# among them) and where the report names its field.
 FIELD_PARAMETER_ALLOWED = {
-    "linalg.Exact.__init__", "linalg._canonical", "linalg._elements",
+    "linalg.Exact.__init__", "linalg._canonical",
     "linalg.from_ratios", "linalg.arr", "linalg.zeros", "linalg.identity",
     "hopf.group_algebra", "fixtures.trivial_hopf", "fixtures.trivial_partial",
     "fixtures.product_field_algebra", "fixtures.c3_partial",
     "fixtures.cocycle_pair", "fixtures.degenerate_swap",
     "fixtures.c3_gauge", "fixtures.pair_gauge", "specfile._tensor",
     "specfile._scalars", "specfile._parse_algebra", "specfile._parse_hopf",
-    "checks.CheckReport.to_dict", "cli._assemble"}
+    "cli._assemble"}
 STORED_COPIES = {"fld", "dim", "ambient_dim"}
 
 
@@ -652,7 +664,7 @@ def test_the_field_travels_with_the_operands():
                          for module, tree in _package_trees()))
     assert told - FIELD_PARAMETER_ALLOWED == set()
     for fn in (linalg.rref, linalg.rank, linalg.solve, linalg.span,
-               linalg.kernel_basis, linalg.quotient, linalg.concat,
+               linalg.kernel, linalg.quotient, linalg.concat,
                linalg.check_tensors, linalg._field):
         assert "fld" not in inspect.signature(fn).parameters, fn.__name__
     # and no data class stores a field or a dimension beside its tensors,

@@ -9,9 +9,9 @@ by mu.
 
 import dataclasses
 
-import numpy as np
 import pytest
 
+import reference
 from hopfcross.crossed import build_partial_crossed
 from hopfcross.errors import CompositeNotGauge
 from hopfcross.fields import Field
@@ -59,7 +59,7 @@ def test_gauged_cocycle_weight():
     pair = weak_conv_inverse(pair_gauge(3), tpa)
     gt = gauge_transform(pair, tpa)
     # mu^2 * lam = 9 * 2
-    assert gt.cocycle.elements[1, 1, 0] == QQ.coerce(18)
+    assert gt.cocycle[1, 1, 0] == arr(QQ, 18)
     assert verify_twisted_partial(gt).passed
     assert verify_crossed_conditions(gt).passed
 
@@ -69,14 +69,14 @@ def test_gauged_weight_scales_by_square(lam, mu, expect):
     tpa = cocycle_pair(lam)
     pair = weak_conv_inverse(pair_gauge(mu), tpa)
     gt = gauge_transform(pair, tpa)
-    assert gt.cocycle.elements[1, 1, 0] == QQ.coerce(expect)
+    assert gt.cocycle[1, 1, 0] == arr(QQ, expect)
 
 
 def test_gauged_weight_mod5():
     tpa = cocycle_pair(2, F5)
     pair = weak_conv_inverse(pair_gauge(3, F5), tpa)
     gt = gauge_transform(pair, tpa)
-    assert gt.cocycle.elements[1, 1, 0] == F5.coerce(18)
+    assert gt.cocycle[1, 1, 0] == arr(F5, 18)
 
 
 def test_identity_gauge_changes_nothing():
@@ -109,7 +109,7 @@ def test_mismatched_gauge_iso_violations_are_pinned():
     assert eqarr(phi, arr(QQ, [[1, 0], [0, 3]]))
     assert [(v.identity, v.index, v.lhs, v.rhs) for v in rep.violations
             if v.identity == "multiplicative"] == [
-        ("multiplicative", (1, 1), (50, 0), (18, 0)),
+        ("multiplicative", (1, 1), ("50", "0"), ("18", "0")),
     ]
     assert rep.notes == ("the same formula read from the original crossed "
                          "product is not multiplicative; only the stated "
@@ -131,7 +131,7 @@ def test_map_outside_the_target_span_is_reported(ks3_partial):
     cp, e, junk = matrix_corner_maps(ks3_partial)
     phi, rep = gauge_crossed_iso(GaugePair(junk, e, False), cp, cp)
     assert eqarr(phi, zeros(QQ, (16, 16)))
-    assert rep.to_dict(QQ) == {
+    assert rep.to_dict() == {
         "title": "gauge isomorphism of crossed products", "passed": False,
         "identities": ["lands_in_target_span"], "notes": [],
         "violations": [{"identity": "lands_in_target_span", "index": [],
@@ -143,7 +143,7 @@ def test_inverse_outside_the_source_span_is_reported(ks3_partial):
     cp, e, junk = matrix_corner_maps(ks3_partial)
     phi, rep = gauge_crossed_iso(GaugePair(e, junk, False), cp, cp)
     assert rank(phi) == 16
-    assert rep.to_dict(QQ) == {
+    assert rep.to_dict() == {
         "title": "gauge isomorphism of crossed products", "passed": False,
         "identities": ["lands_in_target_span", "multiplicative", "unital",
                        "bijective", "inverse_lands_in_source_span"],
@@ -161,7 +161,7 @@ def test_gauge_composition_on_pair():
     # composite weight: (2 * 3)^2 * 2
     comp = weak_conv_inverse(pair_gauge(6), tpa)
     gauged = gauge_transform(comp, tpa)
-    assert gauged.cocycle.elements[1, 1, 0] == QQ.coerce(72)
+    assert gauged.cocycle[1, 1, 0] == arr(QQ, 72)
 
 
 def test_composition_rejects_non_gauge_product():
@@ -214,7 +214,7 @@ def test_equisatisfiability_on_corrupted_data():
     # break normalization of the cocycle; both the original and the
     # gauged data must then fail the same conditions
     tpa = cocycle_pair(2)
-    coc = np.array(tpa.cocycle.elements)
+    coc = reference.integers(tpa.cocycle)
     coc[0, 1] = [5]
     broken = dataclasses.replace(tpa, cocycle=arr(QQ, coc))
     pair = weak_conv_inverse(pair_gauge(3), broken)

@@ -12,6 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import reference
 from hopfcross.errors import HopfcrossError, PreconditionError
 from hopfcross.fields import Field
 from hopfcross.fixtures import (c3_partial, cocycle_pair, cyclic_table,
@@ -20,7 +21,8 @@ from hopfcross.fixtures import (c3_partial, cocycle_pair, cyclic_table,
 from hopfcross.globalize import (EnvelopingAction, globalize_group_partial,
                                  verify_enveloping, verify_induced_matches)
 from hopfcross.hopf import AlgebraData, dual_hopf, group_algebra
-from hopfcross.linalg import arr, contract, eqarr, identity, span, zeros
+from hopfcross.linalg import (arr, contract, eqarr, identity, span,
+                              to_strings, zeros)
 from hopfcross.partial import (GlobalTwistedAction, TwistedPartialAction,
                                induce_partial, verify_symmetric)
 
@@ -97,7 +99,7 @@ def test_already_global_data_is_its_own_envelope():
     b = product_field_algebra(QQ, 3)
     act = arr(QQ, [[[int(k == (i + g) % 3) for k in range(3)]
                     for i in range(3)] for g in range(3)])
-    u = arr(QQ, np.broadcast_to(b.unit.elements, (3, 3, 3)))
+    u = arr(QQ, np.broadcast_to(reference.strings(b.unit), (3, 3, 3)))
     glob = GlobalTwistedAction(h, b, act, u)
     src = induce_partial(glob, b.unit).tpa
     env = EnvelopingAction(source=src, ambient=b,
@@ -107,23 +109,37 @@ def test_already_global_data_is_its_own_envelope():
     assert verify_induced_matches(env).passed
 
 
-def test_embedding_that_misses_translates_is_rejected():
-    # swap the first two blocks of a three block algebra and embed into
-    # the swapped pair only: the orbit of the image never reaches the
-    # third block, so the translates cannot span
-    h = group_algebra(QQ, [[0, 1], [1, 0]])
-    b = product_field_algebra(QQ, 3)
-    act = arr(QQ, [np.eye(3, dtype=object),
-                   [[0, 1, 0], [1, 0, 0], [0, 0, 1]]])
-    u = arr(QQ, np.broadcast_to(b.unit.elements, (2, 2, 3)))
+def swapped_pair_env(fld):
+    """Swap the first two blocks of a three block algebra and embed into
+    the swapped pair only: the orbit of the image never reaches the
+    third block, so the translates span 2 of the 3 dimensions."""
+    h = group_algebra(fld, [[0, 1], [1, 0]])
+    b = product_field_algebra(fld, 3)
+    act = arr(fld, [np.eye(3, dtype=object),
+                    [[0, 1, 0], [1, 0, 0], [0, 0, 1]]])
+    u = arr(fld, np.ones((2, 2, 3), dtype=object))
     glob = GlobalTwistedAction(h, b, act, u)
-    src = induce_partial(glob, arr(QQ, [1, 0, 0])).tpa
-    env = EnvelopingAction(source=src, ambient=b,
-                           carrier=span(identity(QQ, 3), 3),
-                           glob=glob, theta=arr(QQ, [[1, 0, 0]]))
-    rep = verify_enveloping(env)
+    src = induce_partial(glob, arr(fld, [1, 0, 0])).tpa
+    return EnvelopingAction(source=src, ambient=b,
+                            carrier=span(identity(fld, 3), 3),
+                            glob=glob, theta=arr(fld, [[1, 0, 0]]))
+
+
+def test_embedding_that_misses_translates_is_rejected():
+    rep = verify_enveloping(swapped_pair_env(QQ))
     assert not rep.identity_passed("translates_span")
     assert rep.identity_passed("action_intertwines")
+
+
+@pytest.mark.parametrize("fld", [QQ, Field.prime(2)], ids=["QQ", "F2"])
+def test_a_failing_count_prints_as_an_integer(fld):
+    # a rank against a dimension is a count, not a field scalar: over
+    # F_2 the rank 2 against 3 is not "0 mod 2" against "1 mod 2"
+    rep = verify_enveloping(swapped_pair_env(fld))
+    assert [v for v in rep.to_dict()["violations"]
+            if v["identity"] == "translates_span"] == [
+        {"identity": "translates_span", "index": [], "lhs": ["2"],
+         "rhs": ["3"]}]
 
 
 def rejected(env):
@@ -135,26 +151,32 @@ def rejected(env):
         return True
 
 
+def entry_mutants(t):
+    """(index, new entry, mutant) for each copy of ``t`` with one entry v
+    set to 0, 1 or v + 1, where that changes it."""
+    for idx in np.ndindex(t.shape):
+        v, den = t.ints[idx], t.den
+        for nv in {0, den, v + den} - {v}:
+            mut = reference.strings(t)
+            mut[idx] = t.fld.format(nv, den)
+            yield idx, mut[idx], arr(t.fld, mut)
+
+
 def test_every_theta_mutation_is_rejected(c3_env):
     env = c3_env
-    for i in range(env.theta.shape[0]):
-        for j in range(env.theta.shape[1]):
-            old = env.theta[i, j]
-            for nv in {QQ.zero(), QQ.one(), old + QQ.one()} - {old}:
-                th = np.array(env.theta.elements)
-                th[i, j] = nv
-                assert rejected(dataclasses.replace(env, theta=arr(QQ, th))), \
-                    f"theta mutant at ({i},{j}) -> {nv} not caught"
+    for idx, nv, th in entry_mutants(env.theta):
+        assert rejected(dataclasses.replace(env, theta=th)), \
+            f"theta mutant at {idx} -> {nv} not caught"
 
 
 def test_corrupted_theta_multiplicativity_violations_are_pinned(c3_env):
-    th = np.array(c3_env.theta.elements)
+    th = reference.strings(c3_env.theta)
     th[0] = [1, 1, 0]
     rep = verify_enveloping(dataclasses.replace(c3_env, theta=arr(QQ, th)))
     assert [(v.index, v.lhs, v.rhs) for v in rep.violations
             if v.identity == "embedding_multiplicative"] == [
-        ((0, 1), (0, 0, 0), (0, 1, 0)),
-        ((1, 0), (0, 0, 0), (0, 1, 0)),
+        ((0, 1), ("0", "0", "0"), ("0", "1", "0")),
+        ((1, 0), ("0", "0", "0"), ("0", "1", "0")),
     ]
 
 
@@ -165,7 +187,7 @@ def test_embedding_outside_the_corner_is_reported_at_its_first_row(c3_env):
     th = arr(QQ, [[1, 0, 1], [0, 1, -1]])
     env = dataclasses.replace(c3_env, theta=th)
     assert eqarr(env.theta_one, c3_env.theta_one) and env.corner_report.passed
-    assert verify_induced_matches(env).to_dict(QQ) == {
+    assert verify_induced_matches(env).to_dict() == {
         "title": "induced partial action", "passed": False,
         "identities": ["embedding_lands_in_corner"], "notes": [],
         "violations": [{"identity": "embedding_lands_in_corner",
@@ -176,15 +198,10 @@ def test_embedding_outside_the_corner_is_reported_at_its_first_row(c3_env):
 def test_every_degenerate_twist_and_action_mutation_is_rejected():
     env = globalize_group_partial(degenerate_swap())
     for field in ("twist", "action"):
-        t = getattr(env.glob, field).elements
-        for idx in np.ndindex(t.shape):
-            old = t[idx]
-            for nv in {QQ.zero(), QQ.one(), old + QQ.one()} - {old}:
-                t2 = t.copy()
-                t2[idx] = nv
-                mut = dataclasses.replace(env, glob=dataclasses.replace(
-                    env.glob, **{field: arr(QQ, t2)}))
-                assert rejected(mut), f"{field} mutant at {idx} -> {nv} not caught"
+        for idx, nv, t2 in entry_mutants(getattr(env.glob, field)):
+            mut = dataclasses.replace(env, glob=dataclasses.replace(
+                env.glob, **{field: t2}))
+            assert rejected(mut), f"{field} mutant at {idx} -> {nv} not caught"
 
 
 def test_nontrivial_cocycle_is_out_of_scope():
@@ -239,9 +256,9 @@ def test_noncentral_unit_translate_is_reported():
     # is not central, so neither verifier may raise; each names the
     # failures.  (The data also fail the twisted module identity.)
     a = upper_triangular()
-    act = arr(QQ, [identity(QQ, 3).elements.tolist(),
+    act = arr(QQ, [to_strings(identity(QQ, 3)),
                    [[1, 0, 0], [0, 0, 0], [0, 0, 0]]])
-    one, e11 = a.unit.elements.tolist(), [1, 0, 0]
+    one, e11 = to_strings(a.unit), [1, 0, 0]
     coc = arr(QQ, [[one, e11], [e11, e11]])
     env = globalize_group_partial(
         TwistedPartialAction(group_algebra(QQ, [[0, 1], [1, 0]]), a, act, coc))
@@ -254,4 +271,4 @@ def test_noncentral_unit_translate_is_reported():
     rep = verify_induced_matches(env)
     assert rep.identities == ("corner_idempotent", "corner_central")
     assert where(rep) == [("corner_central", (3,))]
-    assert rep.violations[0].lhs == tuple(arr(QQ, [0, 0, 0, 1, 0]).elements)
+    assert rep.violations[0].lhs == ("0", "0", "0", "1", "0")

@@ -11,6 +11,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+import reference
 from hopfcross import cli
 from hopfcross.crossed import balanced_tensor_square, build_partial_crossed
 from hopfcross.errors import (NormalizationFailed, NotCentral,
@@ -19,7 +20,8 @@ from hopfcross.fields import Field
 from hopfcross.fixtures import (c3_partial, cocycle_pair, product_field_algebra,
                                 sym3_table, trivial_hopf)
 from hopfcross.hopf import AlgebraData, dual_hopf, group_algebra
-from hopfcross.linalg import QuotientSpace, arr, contract, eqarr, identity
+from hopfcross.linalg import (QuotientSpace, arr, concat, contract, eqarr,
+                              identity)
 from hopfcross.partial import TwistedPartialAction
 from hopfcross.separability import (BalancedTensorElement, CleftData,
                                     centralizer, check_separable_extension,
@@ -73,7 +75,7 @@ def test_cleft_reports_pass():
 
 def test_doctored_section_fails_unit_value():
     cd = cleft(cocycle_pair(1))
-    g = np.array(cd.gamma.elements)
+    g = reference.strings(cd.gamma)
     g[0] = [1, 1]
     rep = verify_partially_cleft(CleftData(cd.cp, arr(QQ, g), cd.gamma_prime,
                                            cd.tpa))
@@ -84,11 +86,11 @@ def test_section_product_outside_the_base_is_pinned():
     # with gamma(h_1), gamma(h_2) moved off the section, gamma * gamma'
     # leaves the embedded base at h_1 and h_2, and centrality is skipped
     cd = cleft(c3_partial())
-    g = np.array(cd.gamma.elements)
+    g = reference.strings(cd.gamma)
     g[1], g[2] = [1, 1, 0, 0], [0, 1, 1, 0]
     rep = verify_partially_cleft(CleftData(cd.cp, arr(QQ, g), cd.gamma_prime,
                                            cd.tpa))
-    assert [v for v in rep.to_dict(QQ)["violations"]
+    assert [v for v in rep.to_dict()["violations"]
             if v["identity"] == "product_valued_in_base"] == [
         {"identity": "product_valued_in_base", "index": [1],
          "lhs": ["0", "1", "0", "0"], "rhs": ["inside the embedded base"]},
@@ -135,9 +137,9 @@ def test_centralizer_identity_fails_on_main_fixture():
     viols = [v for v in rep.violations
              if v.identity == "conjugation_equals_swapped"]
     assert [v.index for v in viols] == [(1,), (2,)]
-    assert all(all(x == 0 for x in v.lhs) for v in viols)
-    assert viols[0].rhs == (QQ.coerce("1/2"), QQ.zero(), QQ.zero(), QQ.zero())
-    assert viols[1].rhs == (QQ.zero(), QQ.zero(), QQ.coerce("1/2"), QQ.zero())
+    assert all(v.lhs == ("0", "0", "0", "0") for v in viols)
+    assert viols[0].rhs == ("1/2", "0", "0", "0")
+    assert viols[1].rhs == ("0", "0", "1/2", "0")
 
 
 def test_centralizer_identity_rejects_noncentral_element():
@@ -227,9 +229,12 @@ def test_separability_requires_cocommutativity():
 def test_separability_normalization_fails_mod_two():
     # the group sum cannot be scaled to a normalized integral when the
     # order of the group vanishes in the field
-    cd = cleft(cocycle_pair(F2.one(), F2))
-    with pytest.raises(NormalizationFailed):
+    cd = cleft(cocycle_pair(1, F2))
+    with pytest.raises(NormalizationFailed) as info:
         separability_idempotent(cd, arr(F2, [1, 1]), arr(F2, [1]))
+    # the collapsed element is named by its scalar strings
+    assert str(info.value) == ("the integral does not collapse the element "
+                               "to the unit: got (0 mod 2)")
 
 
 def test_extension_check_on_handmade_elements():
@@ -256,7 +261,9 @@ def test_extension_check_ignores_choice_of_lift():
     elem, base_rep, _ = separability_idempotent(cd, arr(QQ, [1, 1, 1]),
                                                 arr(QQ, ["1/2", "1/2"]))
     q = balanced_tensor_square(cd.cp)
-    pert = arr(QQ, elem.lift.elements + q.relations.rows[0].elements * 7)
+    # the lift plus 7 times a relation
+    pert = contract("k,kj->j", arr(QQ, [1, 7]), concat(
+        [elem.lift.reshape(1, -1), q.relations.rows[:1]]))
     moved = BalancedTensorElement(coordinates=q.project(pert), lift=pert)
     assert eqarr(moved.coordinates, elem.coordinates)
     rep = check_separable_extension(cd, moved)

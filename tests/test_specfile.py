@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from hopfcross.cli import main
 from hopfcross.errors import SpecFileError
 from hopfcross.fields import Field
@@ -51,7 +52,7 @@ def test_bundled_pair_fixture_carries_integral_and_centre():
 def test_bundled_gauge_fixture():
     spec = parse_spec(data_text("f_coc_2.json"))
     assert eqarr(spec.gauge, arr(QQ, [[1], [3]]))
-    assert spec.partial_action().cocycle.elements[1, 1, 0] == QQ.coerce(2)
+    assert spec.partial_action().cocycle[1, 1, 0] == arr(QQ, 2)
 
 
 def test_bundled_degenerate_fixture():
@@ -82,7 +83,7 @@ def test_save_and_load(tmp_path):
 
 def test_specs_differing_in_one_tensor_entry_are_unequal():
     spec = spec_from_tpa(c3_partial())
-    action = spec.action.elements.copy()
+    action = reference.integers(spec.action)
     action[1, 0, 1] += 1
     assert spec_from_tpa(c3_partial()) == spec
     assert SpecFile(fld=QQ, hopf=spec.hopf, algebra=spec.algebra,
