@@ -12,8 +12,9 @@ always comes with a concrete counterexample.
 from .checks import CheckReport, ReportBuilder
 from .crossed import (CrossedProductAlgebra, CanonicalMapResult,
                       balanced_tensor_square, build_global_crossed,
-                      build_partial_crossed, canonical_map, comodule_coaction,
-                      verify_assoc_unital, verify_coaction, verify_crossed)
+                      build_partial_crossed, canonical_map,
+                      verify_assoc_unital, verify_coaction, verify_comodule,
+                      verify_crossed)
 from .errors import (ClosureViolation, CoinvariantsMismatch,
                      CompositeNotGauge, HopfcrossError, NonGroupTable,
                      NormalizationFailed, NotCentral, NotCentralIdempotent,

@@ -44,12 +44,13 @@ class CheckReport:
             raise ValueError(f"{name!r} was not checked in {self.title!r}")
         return all(v.identity != name for v in self.violations)
 
-    def merged(self, other: "CheckReport", title=None) -> "CheckReport":
-        """The union of both reports, with each (identity, index) once:
-        an identity both checked fails at the same indices in both."""
+    def merged(self, other: "CheckReport") -> "CheckReport":
+        """The union of both reports under this one's title, with each
+        (identity, index) once: an identity both checked fails at the
+        same indices in both."""
         vs = {v.sort_key(): v for v in self.violations + other.violations}
         return CheckReport(
-            title=title or self.title,
+            title=self.title,
             identities=self.identities + tuple(
                 n for n in other.identities if n not in self.identities),
             violations=tuple(vs[k] for k in sorted(vs)),

@@ -10,7 +10,8 @@ the text format adds a wall-time line at the end.
 
 Exit codes: 0 when every requested check passed, 1 when some check or
 domain precondition failed, 2 for unusable input (parse errors, missing
-sections, bad flags).
+sections, bad flags); ``report`` on a file without a partial action is
+unusable input too, since every stage needs the action.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import time
 from functools import cached_property
 
 from .crossed import (build_global_crossed, build_partial_crossed,
-                      comodule_coaction, verify_assoc_unital, verify_crossed)
+                      verify_assoc_unital, verify_comodule, verify_crossed)
 from .errors import HopfcrossError, SpecFileError
 from .fields import Field
 from .gauge import (gauge_transform, gauge_crossed_iso, verify_equisatisfiability,
@@ -36,10 +37,6 @@ from .morita import (morita_context, verify_module_structures,
 from .partial import verify_absorption, verify_symmetric
 from .separability import CleftData, default_cleft, separability_idempotent
 from .specfile import load_spec
-
-COMMANDS = ("verify", "build-crossed", "globalize", "morita", "gauge",
-            "separability", "report")
-
 
 class Pipeline:
     """Every object the commands read, derived from one parsed spec: the
@@ -79,9 +76,8 @@ class Pipeline:
         """The spec's gauge with its weak inverse, or None when the gauge
         has no weak inverse; a spec without a gauge raises SpecFileError."""
         tpa = self.tpa      # a missing action is reported first
-        if self.spec.gauge is None:
-            raise SpecFileError("missing object 'gauge'")
-        return weak_conv_inverse(self.spec.gauge, tpa)
+        gauge, = self.spec.require("gauge")
+        return weak_conv_inverse(gauge, tpa)
 
     @cached_property
     def gauged(self):
@@ -105,6 +101,10 @@ class Pipeline:
                 raise SpecFileError(
                     f"{name}: expected {cp.dim} columns, got {mat.shape[1]}")
         return CleftData(cp, spec.gamma, spec.gamma_prime, tpa)
+
+
+def _error(stage, exc):
+    return {"stage": stage, "error": type(exc).__name__, "message": str(exc)}
 
 
 def _assemble(fld, command, reports, derived, errors):
@@ -144,7 +144,7 @@ def _cmd_build_crossed(p):
     reports = [
         verify_assoc_unital(cp),
         verify_crossed(cp),
-        comodule_coaction(cp)[2],
+        verify_comodule(cp),
     ]
     errors = []
     derived = {
@@ -164,8 +164,7 @@ def _cmd_build_crossed(p):
             "bijective": res.bijective,
         }
     except HopfcrossError as exc:
-        errors.append({"stage": "canonical_map",
-                       "error": type(exc).__name__, "message": str(exc)})
+        errors.append(_error("canonical_map", exc))
     return _assemble(p.spec.fld, "build-crossed", reports, derived, errors)
 
 
@@ -218,12 +217,8 @@ def _cmd_gauge(p):
 
 
 def _cmd_separability(p):
-    spec = p.spec
     p.tpa       # a missing action is reported first
-    if spec.integral_t is None:
-        raise SpecFileError("missing object 'integral_t'")
-    if spec.center_c is None:
-        raise SpecFileError("missing object 'center_c'")
+    integral_t, center_c = p.spec.require("integral_t", "center_c")
     cd = p.cleft
     cp = cd.cp
     reports = [cd.cleft_report]
@@ -231,23 +226,22 @@ def _cmd_separability(p):
     derived = {"crossed_dim": cp.dim}
     try:
         elem, build_report, conditions = separability_idempotent(
-            cd, spec.integral_t, spec.center_c)
+            cd, integral_t, center_c)
         reports += [build_report, conditions]
         derived["element_lift"] = to_strings(elem.lift)
         derived["element_coordinates"] = to_strings(elem.coordinates)
     except HopfcrossError as exc:
-        errors.append({"stage": "separability_idempotent",
-                       "error": type(exc).__name__, "message": str(exc)})
+        errors.append(_error("separability_idempotent", exc))
     try:
         res, _, _ = cp.canonical
         derived["canonical_map_rank"] = res.rank
         derived["canonical_map_bijective"] = res.bijective
     except HopfcrossError as exc:
-        errors.append({"stage": "canonical_map",
-                       "error": type(exc).__name__, "message": str(exc)})
-    return _assemble(spec.fld, "separability", reports, derived, errors)
+        errors.append(_error("canonical_map", exc))
+    return _assemble(p.spec.fld, "separability", reports, derived, errors)
 
 
+# every command but report, in the order report runs them
 _DISPATCH = {
     "verify": _cmd_verify,
     "build-crossed": _cmd_build_crossed,
@@ -256,21 +250,20 @@ _DISPATCH = {
     "gauge": _cmd_gauge,
     "separability": _cmd_separability,
 }
+COMMANDS = (*_DISPATCH, "report")
 
 
 def _cmd_report(p):
-    """Every applicable command in sequence, all reading one pipeline.
-    Stages whose inputs are absent or whose preconditions do not hold
-    are recorded as skipped; verdicts of the stages that did run decide
-    the outcome."""
+    """Every command in sequence, all reading one pipeline.  A file
+    without a partial action is unusable input, since every stage needs
+    it.  Stages whose other inputs are absent or whose preconditions do
+    not hold are recorded as skipped; verdicts of the stages that did
+    run decide the outcome."""
+    p.tpa       # a missing action is unusable input, not six skips
     stages = []
-    passed = True
-    for name in ("verify", "build-crossed", "globalize", "morita", "gauge",
-                 "separability"):
+    for name, cmd in _DISPATCH.items():
         try:
-            sub = _DISPATCH[name](p)
-            stages.append(sub)
-            passed = passed and sub["passed"]
+            stages.append(cmd(p))
         except SpecFileError as exc:
             stages.append({"command": name, "skipped": str(exc)})
         except HopfcrossError as exc:
@@ -280,7 +273,7 @@ def _cmd_report(p):
         "command": "report",
         "field": p.spec.fld.name,
         "stages": stages,
-        "passed": passed,
+        "passed": all(sub.get("passed", True) for sub in stages),
     }
 
 
@@ -297,15 +290,7 @@ def run(command: str, spec) -> dict:
     except SpecFileError:
         raise
     except HopfcrossError as exc:
-        return {
-            "command": command,
-            "field": spec.fld.name,
-            "checks": [],
-            "derived": {},
-            "errors": [{"stage": command, "error": type(exc).__name__,
-                        "message": str(exc)}],
-            "passed": False,
-        }
+        return _assemble(spec.fld, command, [], {}, [_error(command, exc)])
 
 
 def _print_text(report, out):
@@ -362,16 +347,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        spec = load_spec(args.specfile, field)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SpecFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = run(args.command, spec)
-    except SpecFileError as exc:
+        report = run(args.command, load_spec(args.specfile, field))
+    except (OSError, SpecFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

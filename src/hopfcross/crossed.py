@@ -205,15 +205,10 @@ def verify_coaction(cp: CrossedProductAlgebra) -> CheckReport:
     return rb.build()
 
 
-def comodule_coaction(cp: CrossedProductAlgebra):
-    """The coaction R -> R (x) H as its (dim, dim * dim H) matrix, together
-    with its coinvariant subspace and a report covering the comodule
-    axioms and whether the coinvariants are exactly the embedded base.
-
-    Returns (matrix, coinvariants, report).
-    """
-    rep = verify_coaction(cp).merged(verify_coinvariants_are_base(cp))
-    return cp.coaction, cp.coinvariant_space, rep
+def verify_comodule(cp: CrossedProductAlgebra) -> CheckReport:
+    """One report covering the comodule axioms of the coaction and
+    whether its coinvariants are exactly the embedded base."""
+    return verify_coaction(cp).merged(verify_coinvariants_are_base(cp))
 
 
 def verify_coinvariants_are_base(cp: CrossedProductAlgebra) -> CheckReport:

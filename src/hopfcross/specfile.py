@@ -8,13 +8,11 @@ The structured sections are
 
 * "hopf": mult/comult/counit/antipode (+ optional labels),
 * "algebra": mult/unit (+ optional labels),
-* "global": an algebra plus an everywhere-defined action and twist
-  ("global_action" is accepted as an alias; the twist may also sit at
-  the top level under "twist"),
 
-and the flat sections are plain tensors: "action", "cocycle",
-"idempotent", "theta", "gauge", "gamma", "gamma_prime", "integral_t",
-"center_c".  Parse failures name the JSON path of the offending entry.
+and the plain sections are tensors: "action", "cocycle", "gauge",
+"gamma", "gamma_prime", "integral_t", "center_c".  Any other top-level
+key is an input error.  Parse failures name the JSON path of the
+offending entry.
 
 :func:`serialize_spec` writes the one canonical text of a SpecFile, and
 two SpecFiles are equal exactly when their canonical texts are.
@@ -29,10 +27,21 @@ from .errors import SpecFileError
 from .fields import Field
 from .hopf import AlgebraData, CoalgebraData, HopfAlgebraData
 from .linalg import Exact, from_ratios, to_strings
-from .partial import GlobalTwistedAction, TwistedPartialAction
+from .partial import TwistedPartialAction
 
-_FLAT_SECTIONS = ("action", "cocycle", "idempotent", "theta", "gauge",
-                  "gamma", "gamma_prime", "integral_t", "center_c")
+# Each plain section and the axes of its shape: h is dim H, a is dim A
+# and * any length.  A section whose shape names h needs a 'hopf'
+# section, one that names a an 'algebra' section.  Sections are parsed,
+# and their errors reported, in this order.
+_SECTIONS = {
+    "action": "haa",
+    "cocycle": "hha",
+    "gauge": "ha",
+    "gamma": "h*",
+    "gamma_prime": "h*",
+    "integral_t": "h",
+    "center_c": "a",
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,9 +51,6 @@ class SpecFile:
     algebra: AlgebraData | None = None
     action: Exact | None = None
     cocycle: Exact | None = None
-    glob: GlobalTwistedAction | None = None
-    idempotent: Exact | None = None
-    theta: Exact | None = None
     gauge: Exact | None = None
     gamma: Exact | None = None
     gamma_prime: Exact | None = None
@@ -56,14 +62,19 @@ class SpecFile:
             return NotImplemented
         return serialize_spec(self) == serialize_spec(other)
 
+    def require(self, *names) -> tuple:
+        """The named sections in order, or a SpecFileError naming the
+        first one the file lacks."""
+        for name in names:
+            if getattr(self, name) is None:
+                raise SpecFileError(f"missing object {name!r}")
+        return tuple(getattr(self, name) for name in names)
+
     def partial_action(self) -> TwistedPartialAction:
         """The twisted partial action the file describes, or a
         SpecFileError naming what is missing."""
-        for name in ("hopf", "algebra", "action", "cocycle"):
-            if getattr(self, name) is None:
-                raise SpecFileError(f"missing object {name!r}")
-        return TwistedPartialAction(self.hopf, self.algebra, self.action,
-                                    self.cocycle)
+        return TwistedPartialAction(
+            *self.require("hopf", "algebra", "action", "cocycle"))
 
 
 def _tensor(fld, node, shape, path) -> Exact:
@@ -165,73 +176,25 @@ def parse_spec(text: str, field: Field | None = None) -> SpecFile:
         except (TypeError, ValueError) as exc:
             raise SpecFileError(f"field: {exc}") from None
 
-    known = {"field", "hopf", "algebra", "global", "global_action",
-             "twist", *_FLAT_SECTIONS}
     for key in doc:
-        if key not in known:
+        if key not in ("field", "hopf", "algebra", *_SECTIONS):
             raise SpecFileError(f"unknown section {key!r}")
 
     hopf = _parse_hopf(fld, doc["hopf"], "hopf") if "hopf" in doc else None
     algebra = (_parse_algebra(fld, doc["algebra"], "algebra")
                if "algebra" in doc else None)
-
-    nh = hopf.dim if hopf else None
-    na = algebra.dim if algebra else None
+    dims = {"h": hopf.dim if hopf else None,
+            "a": algebra.dim if algebra else None, "*": None}
     out = {}
-    shapes = {
-        "action": (nh, na, na),
-        "cocycle": (nh, nh, na),
-        "gauge": (nh, na),
-        "integral_t": (nh,),
-        "center_c": (na,),
-        "theta": (na, None),
-        "gamma": (nh, None),
-        "gamma_prime": (nh, None),
-        "idempotent": (None,),
-    }
-    for name in _FLAT_SECTIONS:
+    for name, axes in _SECTIONS.items():
         if name not in doc:
             continue
-        shape = shapes[name]
-        if (name in ("action", "cocycle", "gauge", "integral_t")
-                and nh is None):
+        if "h" in axes and hopf is None:
             raise SpecFileError(f"{name}: requires a 'hopf' section")
-        if (name in ("action", "cocycle", "gauge", "center_c", "theta")
-                and na is None):
+        if "a" in axes and algebra is None:
             raise SpecFileError(f"{name}: requires an 'algebra' section")
-        out[name] = _tensor(fld, doc[name], shape, name)
-
-    glob = None
-    gkey = "global" if "global" in doc else (
-        "global_action" if "global_action" in doc else None)
-    if gkey is not None:
-        gobj = doc[gkey]
-        if not isinstance(gobj, dict):
-            raise SpecFileError(f"{gkey}: expected an object")
-        if hopf is None:
-            raise SpecFileError(f"{gkey}: requires a 'hopf' section")
-        galg = _parse_algebra(fld, _require(gobj, "algebra", gkey),
-                              f"{gkey}.algebra")
-        nb = galg.dim
-        gact = _tensor(fld, _require(gobj, "action", gkey), (nh, nb, nb),
-                       f"{gkey}.action")
-        if "twist" in gobj:
-            twist_node, tpath = gobj["twist"], f"{gkey}.twist"
-        elif "twist" in doc:
-            twist_node, tpath = doc["twist"], "twist"
-        else:
-            raise SpecFileError(f"{gkey}: missing 'twist'")
-        twist = _tensor(fld, twist_node, (nh, nh, nb), tpath)
-        glob = GlobalTwistedAction(hopf, galg, gact, twist)
-        if "idempotent" in out and out["idempotent"].shape != (nb,):
-            raise SpecFileError(
-                f"idempotent: expected length {nb}, got "
-                f"{out['idempotent'].shape[0]}")
-    elif "twist" in doc:
-        raise SpecFileError("twist: requires a 'global' section")
-
-    return SpecFile(fld=fld, hopf=hopf, algebra=algebra, glob=glob,
-                    **{k: out.get(k) for k in _FLAT_SECTIONS})
+        out[name] = _tensor(fld, doc[name], tuple(map(dims.get, axes)), name)
+    return SpecFile(fld=fld, hopf=hopf, algebra=algebra, **out)
 
 
 def _emit_algebra(a: AlgebraData) -> dict:
@@ -254,13 +217,7 @@ def serialize_spec(spec: SpecFile) -> str:
         })
     if spec.algebra is not None:
         doc["algebra"] = _emit_algebra(spec.algebra)
-    if spec.glob is not None:
-        doc["global"] = {
-            "algebra": _emit_algebra(spec.glob.alg),
-            "action": to_strings(spec.glob.action),
-            "twist": to_strings(spec.glob.twist),
-        }
-    for name in _FLAT_SECTIONS:
+    for name in _SECTIONS:
         val = getattr(spec, name)
         if val is not None:
             doc[name] = to_strings(val)

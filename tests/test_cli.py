@@ -41,6 +41,7 @@ from hopfcross.partial import verify_crossed_conditions, verify_global
 from hopfcross.separability import (CleftData, default_cleft,
                                     verify_partially_cleft)
 from hopfcross.specfile import load_spec
+from test_specfile import documents
 
 DATA = resources.files("hopfcross") / "data"
 BUNDLED = sorted(p.name for p in DATA.iterdir() if p.name.endswith(".json"))
@@ -205,6 +206,23 @@ def test_report_skips_inapplicable_stages():
     assert "skipped" in by_name["separability"]
     assert by_name["verify"]["passed"] is True
     assert by_name["morita"]["passed"] is True
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("drop, missing", [
+    (("hopf", "algebra", "action", "cocycle", "gauge"), "hopf"),
+    (("action",), "action")])
+def test_report_without_an_action_is_an_input_error(tmp_path, capsys, fmt,
+                                                    drop, missing):
+    # every stage needs the action, so a report without one has verified
+    # nothing and says so as the single commands do
+    doc = json.loads((DATA / "f_coc_2.json").read_text())
+    for key in drop:
+        del doc[key]
+    p = tmp_path / "no_action.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["report", str(p), "--format", fmt]) == 2
+    assert capsys.readouterr() == ("", f"error: missing object '{missing}'\n")
 
 
 def test_report_runs_everything_on_the_gauge_fixture():
@@ -734,6 +752,26 @@ JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
                  st.sampled_from([[], {}, "1/0", "3 mod 7"]))
 
 
+def check_report_or_input_error(command, text):
+    """Run ``command`` on a file holding ``text`` and check that it
+    answers with an explicit input error (exit 2, one error line and no
+    stdout) or with a JSON report whose verdict is the exit code; a
+    traceback propagates and fails the caller."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "spec.json"
+        p.write_text(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, str(p), "--format", "json"])
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+        assert json.loads(out.getvalue())["passed"] is (code == 0)
+
+
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(st.data())
 def test_one_mutation_of_a_bundled_file_gives_a_report_or_an_input_error(
@@ -755,19 +793,15 @@ def test_one_mutation_of_a_bundled_file_gives_a_report_or_an_input_error(
         del parent[path[-1]]
     else:
         parent[path[-1]] = data.draw(JUNK)
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        p = Path(tmp) / name
-        p.write_text(json.dumps(doc))
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([command, str(p), "--format", "json"])
-    if code == 2:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: ")
-        assert err.getvalue().count("\n") == 1
-    else:
-        assert err.getvalue() == ""
-        assert json.loads(out.getvalue())["passed"] is (code == 0)
+    check_report_or_input_error(command, json.dumps(doc))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(documents().map(json.dumps))
+def test_every_command_on_an_arbitrary_file_gives_a_report_or_an_input_error(
+        text):
+    for command in cli.COMMANDS:
+        check_report_or_input_error(command, text)
 
 
 def test_scalar_with_a_huge_exponent_is_an_input_error(tmp_path, capsys):

@@ -20,8 +20,8 @@ from hopfcross.fixtures import (c3_partial, cocycle_pair, cyclic_table,
                                 trivial_partial)
 from hopfcross.crossed import (balanced_tensor_square, build_global_crossed,
                                build_partial_crossed, canonical_map,
-                               comodule_coaction, verify_assoc_unital,
-                               verify_coaction, verify_coinvariants_are_base,
+                               verify_assoc_unital, verify_coaction,
+                               verify_coinvariants_are_base, verify_comodule,
                                verify_crossed)
 from hopfcross.hopf import group_algebra
 from hopfcross.linalg import (arr, concat, contract, eqarr, identity, kron,
@@ -157,10 +157,15 @@ def test_coinvariants_are_the_embedded_base(tpa, coin_dim):
 
 def test_comodule_coaction_bundle():
     cp = build_partial_crossed(c3_partial())
-    rho, coin, rep = comodule_coaction(cp)
-    assert rho.shape == (4, 12)
-    assert coin.dim == 2
+    assert cp.coaction.shape == (4, 12)
+    assert cp.coinvariant_space.dim == 2
+    rep = verify_comodule(cp)
     assert rep.passed
+    # one report under the coaction's title, covering both checks
+    coaction = verify_coaction(cp)
+    coinvariants = verify_coinvariants_are_base(cp)
+    assert rep.title == coaction.title
+    assert rep.identities == coaction.identities + coinvariants.identities
 
 
 def test_balanced_tensor_square_dims():

@@ -140,16 +140,40 @@ def test_unknown_field_name():
         parse_spec('{"field": "octonions"}')
 
 
+@pytest.mark.parametrize("key", ["global", "global_action", "twist",
+                                 "idempotent", "theta"])
+def test_keys_no_command_reads_are_unknown_sections(key):
+    doc = json.loads(data_text("f_c3.json"))
+    doc[key] = [["1"]]
+    with pytest.raises(SpecFileError, match=f"^unknown section '{key}'$"):
+        parse_spec(json.dumps(doc))
+
+
+def test_spec_file_holds_the_sections_it_accepts():
+    assert [f.name for f in dataclasses.fields(SpecFile)] == [
+        "fld", "hopf", "algebra", "action", "cocycle", "gauge", "gamma",
+        "gamma_prime", "integral_t", "center_c"]
+
+
+def test_gamma_requires_hopf_section():
+    # gamma has one row per Hopf basis element
+    with pytest.raises(SpecFileError,
+                       match="^gamma: requires a 'hopf' section$"):
+        parse_spec('{"field": "rational", "gamma": [["1"]]}')
+
+
+def test_section_errors_come_in_table_order():
+    # gauge before gamma, although both lack their 'hopf' section
+    with pytest.raises(SpecFileError, match="^gauge: requires a 'hopf'"):
+        parse_spec('{"field": "rational", "gamma": [["1"]], '
+                   '"gauge": [["1"]]}')
+
+
 def test_action_requires_hopf_section():
     with pytest.raises(SpecFileError, match="action: requires a 'hopf'"):
         parse_spec('{"field": "rational", '
                    '"algebra": {"mult": [[["1"]]], "unit": ["1"]}, '
                    '"action": [[["1"]]]}')
-
-
-def test_orphaned_twist():
-    with pytest.raises(SpecFileError, match="twist: requires a 'global'"):
-        parse_spec('{"field": "rational", "twist": [[["1"]]]}')
 
 
 def test_shape_error_names_the_path():
@@ -183,47 +207,18 @@ def test_json_boolean_scalar_is_an_input_error(tmp_path, capsys, field, flag):
     assert err.startswith("error: cocycle[0][1][0]: ") and "bool" in err
 
 
-def test_global_action_alias_and_top_level_twist():
-    swap_alg = {"mult": [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]],
-                "unit": ["1", "1"]}
-    hopf = {"mult": [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]],
-            "unit": ["1", "0"],
-            "comult": [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]],
-            "counit": ["1", "1"],
-            "antipode": [["1", "0"], ["0", "1"]]}
-    action = [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]]
-    twist = [[["1", "1"], ["1", "1"]], [["1", "1"], ["1", "1"]]]
-    base = {"field": "rational",
-            "hopf": hopf,
-            "global_action": {"algebra": swap_alg, "action": action},
-            "twist": twist}
-    spec = parse_spec(json.dumps(base))
-    assert spec.glob is not None
-    assert eqarr(spec.glob.twist, arr(QQ, twist))
-    # inline twist parses to the same object
-    inline = {"field": "rational", "hopf": hopf,
-              "global": {"algebra": swap_alg, "action": action,
-                         "twist": twist}}
-    assert parse_spec(json.dumps(inline)) == spec
-
-
-def test_idempotent_length_checked_against_global_algebra():
-    doc = {"field": "rational",
-           "hopf": json.loads(data_text("trivial_hopf.json"))["hopf"],
-           "global": {"algebra": {"mult": [[["1", "0"], ["0", "0"]],
-                                           [["0", "0"], ["0", "1"]]],
-                                  "unit": ["1", "1"]},
-                      "action": [[["1", "0"], ["0", "1"]]],
-                      "twist": [[["1", "1"]]]},
-           "idempotent": ["1"]}
-    with pytest.raises(SpecFileError, match="idempotent: expected length 2"):
-        parse_spec(json.dumps(doc))
-
-
 def test_partial_action_reports_missing_object():
     spec = parse_spec('{"field": "rational"}')
     with pytest.raises(SpecFileError, match="missing object 'hopf'"):
         spec.partial_action()
+
+
+def test_require_names_the_first_missing_section_in_the_order_asked():
+    spec = parse_spec(data_text("f_coc_1.json"))
+    assert spec.require("integral_t", "center_c") == (spec.integral_t,
+                                                      spec.center_c)
+    with pytest.raises(SpecFileError, match="^missing object 'gauge'$"):
+        spec.require("integral_t", "gauge", "gamma")
 
 
 def test_trivial_hopf_data_file():
