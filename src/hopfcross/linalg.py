@@ -12,23 +12,26 @@ tensors it is given.  Every tensor product in the package goes through
 over one field, runs the contraction on their integers and returns an
 Exact, reduced once, by the gcd of the scale and all entries over QQ or
 mod p over F_p.  An operand that is not an Exact is a TypeError, and two
-fields meeting is a FieldMismatchError, there and wherever tensors meet.
+fields meeting is a FieldMismatchError, there and wherever tensors meet
+(:func:`_field`: one pass per call).  What depends only on a tensor's
+birth is done once, there: an Exact's integers are made read-only, and
+its views share them.  What depends only on a contraction's (spec,
+operand shapes) pair is done once per pair, in a fixed-size module cache
+(see :func:`_plan`): the checks of the '->' output, the operand count
+and each operand's axes, and the greedy path, whose pairwise steps
+:func:`contract` runs itself, one plain ``np.einsum`` each.
 Every verdict compares those integers (:func:`equal_entries`, and on it
 :func:`eqarr`, :func:`is_zero`, ``ReportBuilder.compare`` and the
 membership test of :func:`coords_in_many`).  :func:`rref` eliminates on
 those integers too, and :func:`span`, :func:`solve`, :func:`rank`,
 :func:`kernel` and :func:`quotient` take and return Exact tensors
-through it.  The greedy contraction path of each (spec, operand shapes)
-pair is planned once and kept in a fixed-size module cache (see
-:func:`_plan`); :func:`contract` runs its pairwise steps itself, one
-plain ``np.einsum`` each.  Every
-subspace is represented by its reduced row echelon basis, so equal
-subspaces have identical representations and all reports built on top of
-them are reproducible byte for byte.  :func:`coords_in_many` expresses a
-whole stack of vectors on such a basis with one contraction;
-:func:`coords_in` is its one-vector case, and :func:`coords_or_raise`
-raises the caller's error, naming the first non-member, where every
-vector must be a member.
+through it.  Every subspace is represented by its reduced row echelon
+basis, so equal subspaces have identical representations and all reports
+built on top of them are reproducible byte for byte.
+:func:`coords_in_many` expresses a whole stack of vectors on such a
+basis with one contraction; :func:`coords_in` is its one-vector case,
+and :func:`coords_or_raise` raises the caller's error, naming the first
+non-member, where every vector must be a member.
 
 Conventions fixed here and used everywhere else:
 
@@ -79,21 +82,31 @@ class Exact:
 
     def __init__(self, fld: Field, ints: np.ndarray, den: int = 1):
         ints = np.asarray(ints, dtype=object)     # a 0-d result is an int
-        ints.flags.writeable = False
+        ints.setflags(write=False)
         self.fld, self.ints, self.den = fld, ints, den
 
     @property
     def shape(self) -> tuple:
         return self.ints.shape
 
+    def _view(self, ints: np.ndarray):
+        """Part of ``self.ints``, read-only even where numpy copied."""
+        ints.setflags(write=False)
+        view = object.__new__(Exact)
+        view.fld, view.ints, view.den = self.fld, ints, self.den
+        return view
+
     def reshape(self, *shape):
-        return Exact(self.fld, self.ints.reshape(*shape), self.den)
+        return self._view(self.ints.reshape(*shape))
 
     def transpose(self, *axes):
-        return Exact(self.fld, self.ints.transpose(*axes), self.den)
+        return self._view(self.ints.transpose(*axes))
 
     def __getitem__(self, index):
-        return Exact(self.fld, self.ints[index], self.den)
+        ints = self.ints[index]
+        if isinstance(ints, np.ndarray):
+            return self._view(ints)
+        return Exact(self.fld, ints, self.den)    # one entry: a 0-d Exact
 
     def __sub__(self, other):
         _field("a difference", (self, other))
@@ -112,8 +125,8 @@ def _canonical(fld: Field, ints: np.ndarray, den: int) -> Exact:
     gcd of ``den`` and all entries, over F_p (``den`` 1) the residues."""
     if fld.p is not None:
         return Exact(fld, ints % fld.p)
-    g = math.gcd(den, *ints.reshape(-1))
-    return Exact(fld, ints // g, den // g)
+    g = math.gcd(den, *ints.flat)
+    return Exact(fld, ints // g if g > 1 else ints, den // g)
 
 
 def to_strings(t: Exact):
@@ -124,19 +137,20 @@ def to_strings(t: Exact):
 
 
 def _field(what: str, tensors) -> Field:
-    """The one field of the Exact ``tensors``.  Raises TypeError, naming
-    ``what``, on a tensor that is not an Exact, and FieldMismatchError
-    when two fields meet."""
-    fields = set()
+    """The one field of the Exact ``tensors``, compared by identity and
+    only then by value.  Raises TypeError, naming ``what``, on a tensor
+    that is not an Exact, and FieldMismatchError when two fields meet."""
+    fld, mixed = None, False
     for k, t in enumerate(tensors):
         if not isinstance(t, Exact):
             raise TypeError(f"{what}: operand {k} is a {type(t).__name__}, "
                             f"not an Exact")
-        fields.add(t.fld)
-    if len(fields) > 1:
-        raise FieldMismatchError(
-            f"{what} mixes {' and '.join(sorted(map(repr, fields)))}")
-    return fields.pop()
+        mixed |= fld is not None and t.fld is not fld and t.fld != fld
+        fld = fld or t.fld
+    if mixed:
+        fields = sorted({repr(t.fld) for t in tensors})
+        raise FieldMismatchError(f"{what} mixes {' and '.join(fields)}")
+    return fld
 
 
 def contract(spec: str, *operands):
@@ -153,44 +167,52 @@ def contract(spec: str, *operands):
     on an operand that is not an Exact and FieldMismatchError when two
     fields meet.
     """
-    inputs, arrow, output = spec.partition("->")
-    terms = inputs.split(",")
-    if not arrow:
-        raise ValueError(f"contraction spec {spec!r} has no '->' output")
-    if len(terms) != len(operands):
-        raise ValueError(f"contraction spec {spec!r} names {len(terms)} "
-                         f"operands, got {len(operands)}")
-    fld = _field(f"contraction {spec!r}", operands)
-    ints, scale = [], 1
-    for k, (term, op) in enumerate(zip(terms, operands)):
-        if len(term) != op.ints.ndim:
-            raise ValueError(f"contraction spec {spec!r} gives operand {k} "
-                             f"{len(term)} axes, got shape {op.shape}")
-        ints.append(op.ints.reshape(op.shape + (1,)))
-        scale *= op.den
-    for positions, subscripts in _plan(spec, tuple(op.shape for op in ints)):
+    fld = getattr(operands[0] if operands else None, "fld", None)
+    steps = _plan(spec, tuple([
+        op.ints.shape
+        if isinstance(op, Exact) and (op.fld is fld or op.fld == fld)
+        else None for op in operands]))
+    if steps is None:
+        _field(f"contraction {spec!r}", operands)     # raises
+    ints = [op.ints[..., None] for op in operands]
+    for positions, subscripts in steps:
         ints.append(np.einsum(subscripts, *map(ints.pop, positions)))
-    return _canonical(fld, ints[0].reshape(ints[0].shape[:-1]), scale)
+    scale = math.prod([op.den for op in operands])
+    return _canonical(fld, ints[0][..., 0], scale)
 
 
 @lru_cache(maxsize=1024)
 def _plan(spec: str, shapes: tuple):
     """The steps that contract integer operands of ``shapes``, each with
     one extra trailing axis of extent 1, along numpy's greedy path under
-    ``EINSUM_PATH``.
+    ``EINSUM_PATH``, or None for a shape None: an operand that is not an
+    Exact over the first one's field.  ValueError, never cached, when
+    ``spec`` has no '->' output or names another number of operands, or
+    (all shapes known) gives an operand another number of axes.
 
     A step (positions, subscripts) pops the operands at ``positions``,
     in that order, contracts them with one plain ``np.einsum`` and
     appends the result, which keeps the axes that a later operand or the
     output names.  The extra axis is never summed, so no step collapses
     to a bare Python int, which numpy would multiply as int64, with
-    wraparound.  One search serves every call with the same spec and
-    shapes.
+    wraparound.
     """
-    inputs, _, output = spec.partition("->")
+    inputs, arrow, output = spec.partition("->")
+    terms = inputs.split(",")
+    if not arrow:
+        raise ValueError(f"contraction spec {spec!r} has no '->' output")
+    if len(terms) != len(shapes):
+        raise ValueError(f"contraction spec {spec!r} names {len(terms)} "
+                         f"operands, got {len(shapes)}")
+    if None in shapes:
+        return None
+    for k, (term, shape) in enumerate(zip(terms, shapes)):
+        if len(term) != len(shape):
+            raise ValueError(f"contraction spec {spec!r} gives operand {k} "
+                             f"{len(term)} axes, got shape {shape}")
     extra = next(ch for ch in ascii_letters if ch not in spec)
-    terms, output = [t + extra for t in inputs.split(",")], output + extra
-    shells = [np.broadcast_to(0, shape) for shape in shapes]
+    terms, output = [t + extra for t in terms], output + extra
+    shells = [np.broadcast_to(0, shape + (1,)) for shape in shapes]
     path, _ = np.einsum_path(",".join(terms) + "->" + output, *shells,
                              optimize=EINSUM_PATH)
     steps = []
@@ -420,9 +442,9 @@ def coords_in_many(sub: SubspaceBasis, vs: Exact):
     flat = vs.reshape(math.prod(lead), sub.ambient_dim)
     coords = flat[:, list(sub.pivots)]
     recon = contract("ki,ij->kj", coords, sub.rows)
-    members = equal_entries(recon, flat).all(axis=1)
-    misses = tuple(index for index, ok in zip(np.ndindex(*lead), members)
-                   if not ok)
+    missed = np.flatnonzero(~equal_entries(recon, flat).all(axis=1))
+    misses = (tuple(zip(*[i.tolist() for i in np.unravel_index(missed, lead)]))
+              if lead else ((),) * missed.size)     # one vector: index ()
     return coords.reshape(lead + (sub.dim,)), misses
 
 

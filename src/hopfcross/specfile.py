@@ -87,27 +87,34 @@ def _tensor(fld, node, shape, path) -> Exact:
 
 def _scalars(fld, node, shape, path, ratios) -> tuple:
     """Append the integer pairs of the scalars under ``node`` to
-    ``ratios`` in row-major order, and return the shape they fill."""
+    ``ratios`` in row-major order, and return the shape they fill.
+    ``path`` is a section name or (enclosing path, index): see :func:`_at`."""
     if not shape:
         try:
             ratios.append(fld.parse(node))
         except (TypeError, ValueError) as exc:
-            raise SpecFileError(f"{path}: {exc}") from None
+            raise SpecFileError(f"{_at(path)}: {exc}") from None
         return ()
     if not isinstance(node, list):
-        raise SpecFileError(f"{path}: expected a list, got "
+        raise SpecFileError(f"{_at(path)}: expected a list, got "
                             f"{type(node).__name__}")
     want = shape[0]
     if want is not None and len(node) != want:
-        raise SpecFileError(f"{path}: expected length {want}, got {len(node)}")
+        raise SpecFileError(f"{_at(path)}: expected length {want}, "
+                            f"got {len(node)}")
     if want is None and not node:
-        raise SpecFileError(f"{path}: empty dimension")
-    sub = [_scalars(fld, item, shape[1:], f"{path}[{i}]", ratios)
+        raise SpecFileError(f"{_at(path)}: empty dimension")
+    sub = [_scalars(fld, item, shape[1:], (path, i), ratios)
            for i, item in enumerate(node)]
     for i, item in enumerate(sub):
         if item != sub[0]:
-            raise SpecFileError(f"{path}[{i}]: ragged nesting")
+            raise SpecFileError(f"{_at((path, i))}: ragged nesting")
     return (len(node),) + sub[0]
+
+
+def _at(path) -> str:
+    """A :func:`_scalars` path spelled out, as ``hopf.mult[1][0]``."""
+    return path if isinstance(path, str) else f"{_at(path[0])}[{path[1]}]"
 
 
 def _require(obj, key, path):

@@ -8,6 +8,7 @@ import importlib
 import inspect
 import io
 import json
+import os
 import pkgutil
 import re
 import subprocess
@@ -48,8 +49,11 @@ BUNDLED = sorted(p.name for p in DATA.iterdir() if p.name.endswith(".json"))
 
 
 def run_cli(*args):
+    # the child imports the package from where the tests imported it
+    env = dict(os.environ, PYTHONPATH=str(Path(hopfcross.__file__).parents[1]))
     return subprocess.run([sys.executable, "-m", "hopfcross", *args],
-                          capture_output=True, text=True, timeout=120)
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
 
 
 def run_json(*args):

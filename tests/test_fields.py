@@ -1,6 +1,8 @@
 """Scalars: parsing into integers, formatting, exact arithmetic on
 them, and field-mixing rejection."""
 
+import copy
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -153,6 +155,17 @@ def test_prime_constructor_decides_large_primes():
 def test_comparing_distinct_primes_rejected():
     with pytest.raises(FieldMismatchError):
         arr(F3, [1]) == arr(F5, [1])
+
+
+def test_fields_are_values_not_shared_instances():
+    # each constructor call is a new descriptor; copying one leaves every
+    # other, the module's QQ included, as it was
+    assert Field.prime(7) is not Field.prime(7)
+    assert Field.rationals() is not QQ
+    f7 = copy.deepcopy(Field.prime(7))
+    assert f7 == Field.prime(7) and f7.p == 7
+    assert QQ.p is None and Field.rationals() == QQ and repr(QQ) == "QQ"
+    assert copy.copy(F5) == F5 and F5.p == 5
 
 
 def test_characteristic():

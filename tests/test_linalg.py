@@ -5,6 +5,7 @@ equality, solving, quotients), so the properties here are checked both
 on pinned examples and with randomized inputs.
 """
 
+import json
 import math
 import re
 from pathlib import Path
@@ -480,6 +481,114 @@ def test_contract_rejects_an_operand_that_is_not_an_exact():
     assert eqarr(got, arr(f7, [6, -2]))
 
 
+F7 = Field.prime(7)
+M2, V2, T3 = identity(QQ, 2), arr(QQ, [1, 2]), zeros(QQ, (2, 2, 2))
+A5, A7 = arr(F5, [1]), arr(F7, [1])
+
+
+def bad_call(name, spec, bad, good, error, message):
+    """A malformed contraction: its operands ``bad``, valid operands
+    ``good`` for the same spec (None when the spec can have none), and
+    the error it raises."""
+    return pytest.param(spec, bad, good, error, message, id=name)
+
+
+# A call wrong in two ways raises the first error in the order: no '->'
+# output, operand count, operand type, field, axes.
+NO_ARROW = "contraction spec 'ij,jk' has no '->' output"
+BAD_CONTRACTIONS = [
+    bad_call("no-arrow", "ij,jk", (M2, M2), None, ValueError, NO_ARROW),
+    bad_call("no-arrow-not-exact", "ij", ("x",), None, ValueError,
+             "contraction spec 'ij' has no '->' output"),
+    bad_call("no-arrow-two-fields", "ij,jk", (arr(F5, [[1]]), arr(F7, [[1]])),
+             None, ValueError, NO_ARROW),
+    bad_call("count", "ij,jk->ik", (M2,), (M2, M2), ValueError,
+             "contraction spec 'ij,jk->ik' names 2 operands, got 1"),
+    bad_call("count-two-fields", "i,i,i->", (A5, A7), (V2, V2, V2),
+             ValueError, "contraction spec 'i,i,i->' names 3 operands, "
+             "got 2"),
+    bad_call("axes", "ijk,jk->i", (M2, M2), (T3, M2), ValueError,
+             "contraction spec 'ijk,jk->i' gives operand 0 3 axes, "
+             "got shape (2, 2)"),
+    bad_call("list", "i,i->", ([3, -1], V2), (V2, V2), TypeError,
+             "contraction 'i,i->': operand 0 is a list, not an Exact"),
+    bad_call("ndarray", "i,i->", (V2, M2.ints[0]), (V2, V2), TypeError,
+             "contraction 'i,i->': operand 1 is a ndarray, not an Exact"),
+    bad_call("axes-not-exact-1", "ijk,jk->i", (M2, "x"), (T3, M2),
+             TypeError, "contraction 'ijk,jk->i': operand 1 is a str, "
+             "not an Exact"),
+    bad_call("axes-not-exact-0", "ijk,jk->i", (M2.ints, M2), (T3, M2),
+             TypeError, "contraction 'ijk,jk->i': operand 0 is a ndarray, "
+             "not an Exact"),
+    bad_call("two-fields", "i,i->", (A5, A7), (V2, V2), FieldMismatchError,
+             "contraction 'i,i->' mixes GF(5) and GF(7)"),
+    bad_call("two-fields-sorted", "ij,j->i", (arr(F7, [[1]]), A5), (M2, V2),
+             FieldMismatchError, "contraction 'ij,j->i' mixes GF(5) and "
+             "GF(7)"),
+    bad_call("axes-two-fields", "ijk,jk->i", (arr(F5, [[1]]), arr(QQ, [[1]])),
+             (T3, M2), FieldMismatchError,
+             "contraction 'ijk,jk->i' mixes GF(5) and QQ"),
+    bad_call("two-fields-not-exact", "i,i,i->", (V2, arr(F5, [1, 2]), "x"),
+             (V2, V2, V2), TypeError,
+             "contraction 'i,i,i->': operand 2 is a str, not an Exact"),
+]
+
+
+@pytest.mark.parametrize("spec, bad, good, error, message",
+                         BAD_CONTRACTIONS)
+def test_a_bad_contraction_raises_its_first_error_on_every_call(
+        spec, bad, good, error, message):
+    exact = "^" + re.escape(message) + "$"
+    with pytest.raises(error, match=exact):
+        contract(spec, *bad)
+    if good is not None:
+        # a valid call plans the spec for its shapes; the bad call
+        # still raises
+        contract(spec, *good)
+    with pytest.raises(error, match=exact):
+        contract(spec, *bad)
+    assert type(pytest.raises(error, contract, spec, *bad).value) is error
+
+
+def test_equal_fields_need_not_be_one_object():
+    f7, other = Field.prime(7), Field.prime(7)
+    assert f7 is not other
+    got = contract("i,i->i", arr(f7, [3, 4]), arr(other, [2, 2]))
+    assert got.fld == f7 and got.ints.tolist() == [6, 1]
+    assert concat([arr(f7, [[1]]), arr(other, [[5]])]).ints.tolist() == \
+        [[1], [5]]
+
+
+@pytest.mark.parametrize("fld", [QQ, F7])
+def test_exact_views_keep_field_and_denominator_and_stay_read_only(fld):
+    t = arr(fld, [["1/2", 3, 0], ["-1/3", 0, 5]])
+    views = {"reshape": t.reshape(3, 2), "transpose": t.transpose(1, 0),
+             "row": t[1], "column": t[:, 2], "rows": t[[1, 0]],
+             "copying reshape": t.transpose().reshape(-1)}
+    for name, view in views.items():
+        assert (view.fld, view.den) == (t.fld, t.den), name
+        assert not view.ints.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            view.ints[(0,) * view.ints.ndim] = 1
+    # numpy gives a view for these; fancy indexing and a reshape of the
+    # transpose copy
+    for name in ("reshape", "transpose", "row", "column"):
+        assert np.shares_memory(views[name].ints, t.ints), name
+    for name in ("rows", "copying reshape"):
+        assert not np.shares_memory(views[name].ints, t.ints), name
+    assert eqarr(views["copying reshape"],
+                 arr(fld, ["1/2", "-1/3", 3, 0, 0, 5]))
+    assert eqarr(views["rows"], arr(fld, [["-1/3", 0, 5], ["1/2", 3, 0]]))
+    # one entry is a 0-d Exact over the same field and denominator
+    entry = t[1, 0]
+    assert isinstance(entry, Exact) and entry.shape == ()
+    assert (entry.fld, entry.den) == (t.fld, t.den)
+    assert isinstance(entry.ints, np.ndarray)
+    assert not entry.ints.flags.writeable
+    assert eqarr(entry, arr(fld, "-1/3"))
+    assert to_strings(entry) == to_strings(arr(fld, "-1/3"))
+
+
 def test_shape_errors_are_explicit():
     with pytest.raises(ValueError):
         solve(identity(QQ, 2), arr(QQ, [1, 2, 3]))
@@ -580,6 +689,24 @@ def test_coords_in_many_names_misses_in_loop_order():
     assert eqarr(coords[1, 1], arr(QQ, [5, "1/2"]))
     with pytest.raises(ValueError):
         coords_in_many(sub, arr(QQ, [[1, 2]]))
+    # a single vector has the empty index
+    assert coords_in_many(sub, arr(QQ, outside))[1] == ((),)
+    coords, misses = coords_in_many(sub, arr(QQ, inside))
+    assert misses == () and eqarr(coords, arr(QQ, [5, "1/2"]))
+    # three leading axes: row-major order
+    cube = arr(QQ, [[[inside, outside], [outside, inside]],
+                    [[inside, inside], [inside, outside]]])
+    coords, misses = coords_in_many(sub, cube)
+    assert misses == ((0, 0, 1), (0, 1, 0), (1, 1, 1))
+    assert coords.shape == (2, 2, 2, 2)
+    # a leading axis of extent zero holds no vector
+    coords, misses = coords_in_many(sub, zeros(QQ, (2, 0, 3)))
+    assert misses == () and coords.shape == (2, 0, 2)
+    # the indices are Python ints, so a violation index serialises
+    for table in (table, cube):
+        misses = coords_in_many(sub, table)[1]
+        assert all(type(i) is int for index in misses for i in index)
+        assert json.loads(json.dumps(misses)) == [list(m) for m in misses]
 
 
 class Outside(Exception):
