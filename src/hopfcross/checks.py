@@ -94,15 +94,18 @@ class ReportBuilder:
 
         All leading axes are basis indices; every index tuple at which the
         output vectors differ becomes one violation, in row-major order.
-        The entries are compared as integers and formatted only for
-        violating rows.  FieldMismatchError across two fields.
+        The entries are compared as integers; only when some differ are
+        the violating rows searched for and formatted.  FieldMismatchError
+        across two fields.
         """
         if np.shape(lhs) != np.shape(rhs):
             raise ValueError(f"{identity}: shape mismatch "
                              f"{np.shape(lhs)} vs {np.shape(rhs)}")
         self._identities.append(identity)
-        differ = ~equal_entries(lhs, rhs).all(axis=-1)
-        for idx in map(tuple, np.argwhere(differ).tolist()):
+        same = equal_entries(lhs, rhs)
+        if same.all():
+            return
+        for idx in map(tuple, np.argwhere(~same.all(axis=-1)).tolist()):
             self._violations.append(Violation(
                 identity, idx, tuple(to_strings(lhs[idx])),
                 tuple(to_strings(rhs[idx]))))

@@ -176,7 +176,7 @@ def verify_crossed(cp: CrossedProductAlgebra) -> CheckReport:
     one = contract("i,ij->j", cp.base.unit, cp.iota)
     rb.compare("base_embedding_unital", one.reshape(1, -1),
                cp.algebra.unit.reshape(1, -1))
-    rk = rank(cp.iota)
+    rk = cp.base_space.dim
     rb.require("base_embedding_injective", rk == cp.base.dim,
                lhs=(rk,), rhs=(cp.base.dim,))
     return rb.build()

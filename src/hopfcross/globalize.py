@@ -136,12 +136,12 @@ def verify_enveloping(env: EnvelopingAction) -> CheckReport:
     na, nb, ng = tpa.alg.dim, b.dim, tpa.hopf.dim
     th = env.theta
 
-    rk = rank(th)
-    rb.require("embedding_injective", rk == na, lhs=(rk,), rhs=(na,))
+    image = span(th, nb)
+    rb.require("embedding_injective", image.dim == na, lhs=(image.dim,),
+               rhs=(na,))
     rb.compare("embedding_multiplicative",
                *multiplicativity(th, tpa.alg, b))
 
-    image = span(th, nb)
     # b_i theta(a_j) at (i, j) and theta(a_j) b_i at (j, i)
     rb.require_inside("image_left_ideal",
                       contract("jb,ibc->ijc", th, b.mult), image,

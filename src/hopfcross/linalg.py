@@ -22,10 +22,12 @@ and each operand's axes, and the greedy path, whose pairwise steps
 :func:`contract` runs itself, one plain ``np.einsum`` each.
 Every verdict compares those integers (:func:`equal_entries`, and on it
 :func:`eqarr`, :func:`is_zero`, ``ReportBuilder.compare`` and the
-membership test of :func:`coords_in_many`).  :func:`rref` eliminates on
-those integers too, and :func:`span`, :func:`solve`, :func:`rank`,
-:func:`kernel` and :func:`quotient` take and return Exact tensors
-through it.  Every subspace is represented by its reduced row echelon
+membership test of :func:`coords_in_many`): a passing verdict over one
+denominator is one integer comparison per entry, and only a failing
+one is located and formatted.  :func:`rref` eliminates on those
+integers too, skipping every pivot step that would change nothing, and
+:func:`span`, :func:`solve`, :func:`rank`, :func:`kernel` and
+:func:`quotient` take and return Exact tensors through it.  Every subspace is represented by its reduced row echelon
 basis, so equal subspaces have identical representations and all reports
 built on top of them are reproducible byte for byte.
 :func:`coords_in_many` expresses a whole stack of vectors on such a
@@ -270,9 +272,12 @@ def check_tensors(obj, *held, **shapes):
 
 def equal_entries(a: Exact, b: Exact) -> np.ndarray:
     """Entrywise equality of two equally shaped Exact tensors as a bool
-    array, on integers cross-multiplied by the two denominators.
-    FieldMismatchError unless both lie over one field."""
+    array: on their integers when the two denominators are equal (always
+    over F_p), else on the integers cross-multiplied by the other side's
+    denominator.  FieldMismatchError unless both lie over one field."""
     _field("a comparison", (a, b))
+    if a.den == b.den:
+        return np.asarray(a.ints == b.ints)
     return np.asarray(a.ints * b.den == b.ints * a.den)
 
 
@@ -303,7 +308,10 @@ def rref(m: Exact):
     the pivot row is subtracted; over F_p the rows are then reduced mod
     p, over QQ divided by their content (the gcd of their entries), so
     the entries stay small.  At the end each pivot row is divided by its
-    pivot, over one common denominator over QQ.
+    pivot, over one common denominator over QQ.  A step that changes
+    nothing is skipped: the swap of a pivot already in place, the
+    elimination of a column no other row has an entry in, and the final
+    scaling when every pivot is 1.
 
     Args:
         m: matrix, shape (r, c): an Exact.
@@ -319,18 +327,21 @@ def rref(m: Exact):
     pivots = []
     for col in range(R.shape[1]):
         row = len(pivots)
-        nonzero = np.flatnonzero(R[row:, col])
-        if not nonzero.size:
+        nonzero = np.flatnonzero(R[:, col])
+        below = nonzero[nonzero >= row]
+        if not below.size:
             continue
-        R[[row, row + nonzero[0]]] = R[[row + nonzero[0], row]]
-        rows = [i for i in np.flatnonzero(R[:, col]) if i != row]
-        reduced = (R[rows] * R[row, col]
-                   - np.multiply.outer(R[rows, col], R[row]))
-        if fld.p is not None:
-            R[rows] = reduced % fld.p
-        else:
-            content = np.gcd.reduce(reduced, axis=1)
-            R[rows] = reduced // np.maximum(content, 1)[:, None]
+        if below[0] != row:     # the pivot lies below: swap it up
+            R[[row, below[0]]] = R[[below[0], row]]
+        rows = nonzero[nonzero != below[0]]
+        if rows.size:
+            reduced = (R[rows] * R[row, col]
+                       - np.multiply.outer(R[rows, col], R[row]))
+            if fld.p is not None:
+                R[rows] = reduced % fld.p
+            else:
+                content = np.gcd.reduce(reduced, axis=1)
+                R[rows] = reduced // np.maximum(content, 1)[:, None]
         pivots.append(col)
     leads = [R[i, col] for i, col in enumerate(pivots)]
     if fld.p is not None:
@@ -338,7 +349,8 @@ def rref(m: Exact):
     else:
         den = math.lcm(*map(abs, leads))
         scale = [den // v for v in leads]
-    R[:len(pivots)] *= np.array(scale, dtype=object)[:, None]
+    if any(v != 1 for v in scale):
+        R[:len(pivots)] *= np.array(scale, dtype=object)[:, None]
     return _canonical(fld, R, den), tuple(pivots), len(pivots)
 
 

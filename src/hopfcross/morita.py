@@ -36,7 +36,7 @@ from .crossed import CrossedProductAlgebra
 from .globalize import EnvelopingAction
 from .hopf import multiplicativity
 from .linalg import (Exact, SubspaceBasis, concat, contract, coords_in_many,
-                     coords_or_raise, identity, rank, span, zeros)
+                     coords_or_raise, identity, span, zeros)
 
 
 def phi_embed(env: EnvelopingAction, r: CrossedProductAlgebra,
@@ -45,8 +45,9 @@ def phi_embed(env: EnvelopingAction, r: CrossedProductAlgebra,
     ``env.source`` into the crossed product ``s`` of ``env.glob`` induced
     by the base embedding, as a matrix on the chosen bases.
 
-    Returns (matrix, report); the report checks multiplicativity,
-    preservation of the unit, and injectivity.
+    Returns (matrix, image, report): the image is the span of the
+    matrix rows; the report checks multiplicativity, preservation of the
+    unit, and injectivity.
     """
     nh = env.source.hopf.dim
     # the class of a (x) h goes to theta(a) (x) h
@@ -59,7 +60,8 @@ def phi_embed(env: EnvelopingAction, r: CrossedProductAlgebra,
         rb.require("lands_in_global_span", False, index=(x,))
         # only the rows before the first miss are kept
         tail = zeros(phi.fld, (phi.shape[0] - x, phi.shape[1]))
-        return concat([phi[:x], tail]), rb.build()
+        phi = concat([phi[:x], tail])
+        return phi, span(phi, s.basis.dim), rb.build()
     rb.require("lands_in_global_span", True)
     rb.compare("multiplicative",
                *multiplicativity(phi, r.algebra, s.algebra))
@@ -69,9 +71,10 @@ def phi_embed(env: EnvelopingAction, r: CrossedProductAlgebra,
     rb.compare("unit_maps_to_idempotent", _prod(s, one, one)[0], one)
     rb.compare("unit_local_left", _prod(s, one, phi)[0], phi)
     rb.compare("unit_local_right", _prod(s, phi, one)[:, 0], phi)
-    rk = rank(phi)
-    rb.require("injective", rk == r.dim, lhs=(rk,), rhs=(r.dim,))
-    return phi, rb.build()
+    image = span(phi, s.basis.dim)
+    rb.require("injective", image.dim == r.dim, lhs=(image.dim,),
+               rhs=(r.dim,))
+    return phi, image, rb.build()
 
 
 def build_M(env: EnvelopingAction, s: CrossedProductAlgebra) -> SubspaceBasis:
@@ -108,6 +111,7 @@ class MoritaContextData:
     partial_cp: CrossedProductAlgebra
     global_cp: CrossedProductAlgebra
     phi: Exact                     # (dim R, dim S)
+    phi_image: SubspaceBasis       # the span of the rows of phi
     phi_report: CheckReport
     bimodule_m: SubspaceBasis
     bimodule_n: SubspaceBasis
@@ -126,8 +130,7 @@ def morita_context(env: EnvelopingAction, r: CrossedProductAlgebra,
                    s: CrossedProductAlgebra) -> MoritaContextData:
     """The context between the crossed product r of ``env.source`` and
     the crossed product s of ``env.glob``."""
-    phi, prep = phi_embed(env, r, s)
-    return MoritaContextData(env, r, s, phi, prep,
+    return MoritaContextData(env, r, s, *phi_embed(env, r, s),
                              build_M(env, s), build_N(env, s))
 
 
@@ -199,7 +202,7 @@ def verify_morita_pairings(ctx: MoritaContextData) -> MoritaPairingResult:
     rb = ReportBuilder("context pairings")
     s = ctx.global_cp
     m, n = ctx.bimodule_m, ctx.bimodule_n
-    phi_image = span(ctx.phi, s.dim)
+    phi_image = ctx.phi_image
 
     mn = _prod(s, m.rows, n.rows)
     nm = _prod(s, n.rows, m.rows)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -58,7 +58,8 @@ def test_compare_zero_extent_leading_axis():
 
 # -- the integer verdicts against the entrywise element reference ----------
 
-FIELDS = [QQ, Field.prime(10007), Field.prime(2**61 - 1)]
+F_P = Field.prime(10007)
+FIELDS = [QQ, F_P, Field.prime(2**61 - 1)]
 
 
 def entries(fld):
@@ -128,7 +129,26 @@ def strings(fld, values):
     return tuple(to_strings(reference.exact(fld, values)))
 
 
+def verdict_case(fld, lhs, rhs, held_lhs, held_rhs):
+    return (fld, np.array(lhs, dtype=object), np.array(rhs, dtype=object),
+            held_lhs, held_rhs)
+
+
 @given(table_pairs())
+# equal values held over the different denominators 2 and 6 (a view of
+# an Exact that also holds thirds): the cross-multiplying comparison
+@example(verdict_case(QQ, [["1/2", "1"]], [["1/2", "1"]],
+                      arr(QQ, [["1/2", "1"]]),
+                      arr(QQ, [[["1/3", "0"]], [["1/2", "1"]]])[1]))
+# equal denominators and exactly one differing row, which is named
+@example(verdict_case(QQ, [["1/2", "1"], ["0", "1/2"]],
+                      [["1/2", "1"], ["1/2", "1/2"]],
+                      arr(QQ, [["1/2", "1"], ["0", "1/2"]]),
+                      arr(QQ, [["1/2", "1"], ["1/2", "1/2"]])))
+@example(verdict_case(F_P, [["1", "2"], ["0", "-1"]],
+                      [["1", "2"], ["0", "1"]],
+                      arr(F_P, [["1", "2"], ["0", "-1"]]),
+                      arr(F_P, [["1", "2"], ["0", "1"]])))
 @settings(max_examples=300, deadline=None)
 def test_integer_verdicts_match_the_element_reference(case):
     fld, lhs, rhs, held_lhs, held_rhs = case

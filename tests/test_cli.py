@@ -346,6 +346,30 @@ def test_no_command_repeats_a_contraction(monkeypatch, capsys, name):
     assert repeated == {command: [] for command in cli.COMMANDS}
 
 
+@pytest.mark.parametrize("name", BUNDLED)
+def test_no_command_eliminates_a_matrix_twice(monkeypatch, capsys, name):
+    # a command that needs a matrix's rank and its span reads the rank off
+    # the one span, so no rref runs twice on the same operand within one
+    # command.  Each call is named by the linalg function that ran it and
+    # that function's caller, and keeps its operand alive.
+    def operand_and_caller(args):
+        here, caller = sys._getframe(2), sys._getframe(3)
+        return args[0], f"{here.f_code.co_name}<-{caller.f_code.co_name}"
+
+    eliminations = _record_calls(monkeypatch, linalg.rref,
+                                 key=operand_and_caller)
+    repeated = {}
+    for command in cli.COMMANDS:
+        eliminations.clear()
+        cli.main([command, data_path(name), "--format", "json"])
+        by_operand = {}
+        for m, caller in eliminations:
+            by_operand.setdefault(id(m), []).append(caller)
+        repeated[command] = sorted(tuple(callers) for callers in
+                                   by_operand.values() if len(callers) > 1)
+    assert repeated == {command: [] for command in cli.COMMANDS}
+
+
 def _public_functions():
     """(qualified name, function) for every public function and public
     method defined in a hopfcross module."""

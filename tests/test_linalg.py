@@ -312,6 +312,19 @@ def element_case(fld, rows, rhs):
 # 5 == 0 in F5, so the rank drops against QQ
 @example(element_case(F5, [[5, 0], [0, 1]], [1, 1]))
 @example(element_case(QQ, [[5, 0], [0, 1]], [1, 1]))
+# the pivot steps that change nothing and are skipped: a 1x1 matrix; an
+# identity (no swap, no elimination, every lead 1); a pivot column that
+# is already clean; a pivot that needs a swap; leads that are not 1
+@example(element_case(QQ, [[-3]], [2]))
+@example(element_case(F5, [[3]], [[2, 4]]))
+@example(element_case(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 2, 3]))
+@example(element_case(F5, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [4, 0, 2]))
+@example(element_case(QQ, [[1, 4, 0], [0, 0, 1]], [2, "1/3"]))
+@example(element_case(F5, [[1, 4, 0], [0, 0, 1]], [[2, 1], [3, 0]]))
+@example(element_case(QQ, [[0, 2, 1], [3, 0, 1]], [1, 0]))
+@example(element_case(F5, [[0, 2, 1], [3, 0, 1]], [1, 0]))
+@example(element_case(QQ, [[-2, 1], [0, -3]], [1, -1]))
+@example(element_case(F5, [[2, 1], [0, 3]], [1, 4]))
 @settings(max_examples=200, deadline=None)
 def test_elimination_matches_the_element_reference(case):
     fld, m, b = case

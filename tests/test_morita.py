@@ -106,8 +106,8 @@ def test_corrupted_embedding_breaks_multiplicativity(c3_env):
     th = reference.strings(c3_env.theta)
     th[0] = [1, 1, 0]
     env = dataclasses.replace(c3_env, theta=arr(QQ, th))
-    _, rep = phi_embed(env, build_partial_crossed(env.source),
-                       build_global_crossed(env.glob))
+    _, _, rep = phi_embed(env, build_partial_crossed(env.source),
+                          build_global_crossed(env.glob))
     assert not rep.identity_passed("multiplicative")
     assert not rep.identity_passed("unit_maps_to_idempotent")
     assert rep.identity_passed("lands_in_global_span")
@@ -122,8 +122,9 @@ def test_embedding_outside_the_global_span_zeroes_the_rows_past_the_miss(
     r = build_partial_crossed(c3_env.source)
     s = build_global_crossed(c3_env.glob)
     cut = dataclasses.replace(s, basis=span(identity(QQ, 9)[[0, 3]], 9))
-    phi, rep = phi_embed(c3_env, r, cut)
+    phi, image, rep = phi_embed(c3_env, r, cut)
     assert eqarr(phi, arr(QQ, [[1, 0], [0, 0], [0, 0], [0, 0]]))
+    assert eqarr(image.rows, arr(QQ, [[1, 0]]))
     assert rep.to_dict() == {
         "title": "crossed product embedding", "passed": False,
         "identities": ["lands_in_global_span"], "notes": [],
