@@ -36,10 +36,10 @@ from .morita import (MoritaContextData, MoritaPairingResult, morita_context,
                      verify_morita_pairings)
 from .partial import (CocycleInverse, GlobalTwistedAction,
                       InducedPartialAction, TwistedPartialAction,
-                      corner_twist, induce_partial, unit_translate_map,
-                      verify_absorption,
+                      corner_twist, induce_partial, verify_absorption,
                       verify_crossed_conditions, verify_global,
-                      verify_symmetric, verify_twisted_partial)
+                      verify_symmetric, verify_twisted_partial,
+                      verify_unit_translate_map)
 from .separability import (BalancedTensorElement, CleftData, centralizer,
                            check_separable_extension, default_cleft,
                            separability_idempotent, verify_centralizer_identity,

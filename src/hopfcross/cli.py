@@ -134,9 +134,9 @@ def _cmd_verify(p):
     derived = {
         "hopf_dim": tpa.hopf.dim,
         "base_dim": tpa.alg.dim,
-        "cocycle_inverse_exists": ci.exists,
+        "cocycle_inverse_exists": ci.report.passed,
     }
-    return _assemble(p.spec.fld, "verify", reports, derived, [])
+    return reports, derived, []
 
 
 def _cmd_build_crossed(p):
@@ -154,7 +154,7 @@ def _cmd_build_crossed(p):
         "unit": to_strings(cp.algebra.unit),
     }
     try:
-        res, _, _ = cp.canonical
+        res = cp.canonical
         derived["canonical_map"] = {
             "quotient_dim": res.quotient_dim,
             "target_dim": res.target_dim,
@@ -165,17 +165,17 @@ def _cmd_build_crossed(p):
         }
     except HopfcrossError as exc:
         errors.append(_error("canonical_map", exc))
-    return _assemble(p.spec.fld, "build-crossed", reports, derived, errors)
+    return reports, derived, errors
 
 
 def _cmd_globalize(p):
     env = p.env
     reports = [verify_enveloping(env), verify_induced_matches(env)]
     derived = {
-        "ambient_dim": env.ambient.dim,
+        "ambient_dim": env.carrier.ambient_dim,
         "enveloping_dim": env.glob.alg.dim,
     }
-    return _assemble(p.spec.fld, "globalize", reports, derived, [])
+    return reports, derived, []
 
 
 def _cmd_morita(p):
@@ -193,17 +193,17 @@ def _cmd_morita(p):
         "sigma_surjective": pr.sigma_surjective,
         "tau_surjective": pr.tau_surjective,
     }
-    return _assemble(p.spec.fld, "morita", reports, derived, [])
+    return reports, derived, []
 
 
 def _cmd_gauge(p):
     pair = p.gauge_pair
     if pair is None:
-        return _assemble(p.spec.fld, "gauge", [], {}, [{
+        return [], {}, [{
             "stage": "weak_conv_inverse",
             "error": "NotInvertible",
             "message": "the gauge map has no weak convolution inverse",
-        }])
+        }]
     gauged = p.gauged
     reports = [
         gauged.axioms_report,
@@ -213,7 +213,7 @@ def _cmd_gauge(p):
     _, iso_report = gauge_crossed_iso(pair, p.cp, p.gauged_cp)
     reports.append(iso_report)
     derived = {"fully_invertible": pair.fully_invertible}
-    return _assemble(p.spec.fld, "gauge", reports, derived, [])
+    return reports, derived, []
 
 
 def _cmd_separability(p):
@@ -233,15 +233,16 @@ def _cmd_separability(p):
     except HopfcrossError as exc:
         errors.append(_error("separability_idempotent", exc))
     try:
-        res, _, _ = cp.canonical
+        res = cp.canonical
         derived["canonical_map_rank"] = res.rank
         derived["canonical_map_bijective"] = res.bijective
     except HopfcrossError as exc:
         errors.append(_error("canonical_map", exc))
-    return _assemble(p.spec.fld, "separability", reports, derived, errors)
+    return reports, derived, errors
 
 
-# every command but report, in the order report runs them
+# every command but report, in the order report runs them; each returns
+# the (reports, derived, errors) that _assemble makes its report of
 _DISPATCH = {
     "verify": _cmd_verify,
     "build-crossed": _cmd_build_crossed,
@@ -263,7 +264,7 @@ def _cmd_report(p):
     stages = []
     for name, cmd in _DISPATCH.items():
         try:
-            stages.append(cmd(p))
+            stages.append(_assemble(p.spec.fld, name, *cmd(p)))
         except SpecFileError as exc:
             stages.append({"command": name, "skipped": str(exc)})
         except HopfcrossError as exc:
@@ -286,11 +287,12 @@ def run(command: str, spec) -> dict:
     if command not in _DISPATCH:
         raise SpecFileError(f"unknown command {command!r}")
     try:
-        return _DISPATCH[command](Pipeline(spec))
+        outcome = _DISPATCH[command](Pipeline(spec))
     except SpecFileError:
         raise
     except HopfcrossError as exc:
-        return _assemble(spec.fld, command, [], {}, [_error(command, exc)])
+        outcome = [], {}, [_error(command, exc)]
+    return _assemble(spec.fld, command, *outcome)
 
 
 def _print_text(report, out):

@@ -96,7 +96,7 @@ class CrossedProductAlgebra:
         return balanced_tensor_square(self)
 
     @cached_property
-    def canonical(self):
+    def canonical(self) -> CanonicalMapResult:
         return canonical_map(self)
 
 
@@ -251,20 +251,26 @@ class CanonicalMapResult:
     target_dim: int
     rank: int
     balanced: bool
-    injective: bool
-    surjective: bool
+
+    @property
+    def injective(self):
+        return self.rank == self.quotient_dim
+
+    @property
+    def surjective(self):
+        return self.rank == self.target_dim
 
     @property
     def bijective(self):
         return self.injective and self.surjective
 
 
-def canonical_map(cp: CrossedProductAlgebra):
+def canonical_map(cp: CrossedProductAlgebra) -> CanonicalMapResult:
     """The map x (x) y |-> x y_(0) (x) y_(1) from the balanced tensor
-    square of the crossed product to (crossed product) (x) H.
+    square of the crossed product (``cp.balanced_square``) to
+    (crossed product) (x) H.
 
-    Returns (result, matrix, quotient): the rank statistics, the matrix
-    of the induced map on the quotient, and the quotient itself.
+    Returns the rank statistics of the induced map on the quotient.
     ``balanced`` records whether the ambient map killed every balancing
     relation, which the theory guarantees and the code re-checks.
 
@@ -279,14 +285,9 @@ def canonical_map(cp: CrossedProductAlgebra):
                     cp.algebra.mult).reshape(d * d, d * nh)
     q = cp.balanced_square
     balanced = is_zero(contract("rx,xy->ry", q.relations.rows, camb))
-    mq = contract("qx,xy->qy", q.section, camb)
-    rk = rank(mq)
-    res = CanonicalMapResult(
+    return CanonicalMapResult(
         quotient_dim=q.dim,
         target_dim=d * nh,
-        rank=rk,
+        rank=rank(contract("qx,xy->qy", q.section, camb)),
         balanced=bool(balanced),
-        injective=rk == q.dim,
-        surjective=rk == d * nh,
     )
-    return res, mq, q

@@ -142,14 +142,18 @@ class Field:
 
     @classmethod
     def from_name(cls, name):
-        """Build a descriptor from its wire name: "rational" or "prime:<p>"."""
+        """Build a descriptor from its wire name: "rational" or
+        "prime:<p>", spelled as :attr:`name` writes it back."""
         if name == "rational":
             return cls.rationals()
         if isinstance(name, str) and name.startswith("prime:"):
+            digits = name[len("prime:"):]
             try:
-                p = int(name.split(":", 1)[1])
+                p = int(digits)
             except ValueError:
-                raise ValueError(f"bad field name {name!r}") from None
+                p = None
+            if p is None or str(p) != digits:
+                raise ValueError(f"bad field name {name!r}")
             return cls.prime(p)
         raise ValueError(f"unknown field {name!r} (expected 'rational' or 'prime:<p>')")
 

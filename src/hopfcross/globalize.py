@@ -38,9 +38,9 @@ class EnvelopingAction:
 
     Attributes:
         source: the partial action that was globalized.
-        ambient: the convolution algebra Hom(H, A) the enveloping algebra
-            lives in.
-        carrier: the enveloping algebra as a subspace of the ambient.
+        carrier: the enveloping algebra as a subspace of the convolution
+            algebra Hom(H, A) it lives in, of dimension
+            ``carrier.ambient_dim``.
         glob: the global action in carrier coordinates.
         theta: Exact matrix of the embedding of the base algebra, in
             carrier coordinates.
@@ -50,7 +50,6 @@ class EnvelopingAction:
     """
 
     source: TwistedPartialAction
-    ambient: AlgebraData
     carrier: SubspaceBasis
     glob: GlobalTwistedAction
     theta: Exact
@@ -119,7 +118,7 @@ def globalize_group_partial(tpa: TwistedPartialAction) -> EnvelopingAction:
     theta = coords_or_raise(carrier, theta_amb, PreconditionError,
                             "embedded base element {} left the enveloping span")
 
-    return EnvelopingAction(tpa, ambient, carrier, glob, theta)
+    return EnvelopingAction(tpa, carrier, glob, theta)
 
 
 def verify_enveloping(env: EnvelopingAction) -> CheckReport:

@@ -76,7 +76,6 @@ class AlgebraData:
 class CoalgebraData:
     comult: Exact             # (dim, dim, dim)
     counit: Exact             # (dim,)
-    labels: tuple = None
 
     def __post_init__(self):
         n = _side(self.comult)
@@ -334,13 +333,12 @@ def left_integrals(h: HopfAlgebraData) -> SubspaceBasis:
     return kernel(m.reshape(n * n, n))
 
 
-def group_algebra(fld: Field, table, inverse=None, labels=None) -> HopfAlgebraData:
+def group_algebra(fld: Field, table, labels=None) -> HopfAlgebraData:
     """The Hopf algebra of a finite group given by its index table.
 
     Args:
-        table: table[i][j] = index of the product of elements i and j.
-        inverse: optional list of inverse indices; computed and checked
-            against the table when omitted.
+        table: table[i][j] = index of the product of elements i and j;
+            the inverses are read from it.
 
     Raises NonGroupTable unless the table is a genuine group: closed,
     associative, with two-sided identity and inverses.
@@ -370,8 +368,6 @@ def group_algebra(fld: Field, table, inverse=None, labels=None) -> HopfAlgebraDa
                 break
         if inv[i] is None:
             raise NonGroupTable(f"element {i} has no inverse")
-    if inverse is not None and list(inverse) != inv:
-        raise NonGroupTable(f"declared inverses {list(inverse)} != computed {inv}")
 
     # 0/1 tables: rows of the identity, and g |-> g (x) g
     eye = identity(fld, n)
@@ -381,7 +377,7 @@ def group_algebra(fld: Field, table, inverse=None, labels=None) -> HopfAlgebraDa
         labels = tuple(f"g{i}" for i in range(n))
     return HopfAlgebraData(
         AlgebraData(eye[np.array(table)], eye[ident], tuple(labels)),
-        CoalgebraData(comult, arr(fld, [1] * n), tuple(labels)),
+        CoalgebraData(comult, arr(fld, [1] * n)),
         eye[inv],
     )
 
@@ -398,6 +394,6 @@ def dual_hopf(h: HopfAlgebraData) -> HopfAlgebraData:
     comult = h.mult.transpose(2, 0, 1)
     return HopfAlgebraData(
         AlgebraData(mult, h.counit, h.labels),
-        CoalgebraData(comult, h.unit, h.labels),
+        CoalgebraData(comult, h.unit),
         h.antipode.transpose(),
     )

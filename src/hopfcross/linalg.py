@@ -30,9 +30,9 @@ integers too, skipping every pivot step that would change nothing, and
 :func:`quotient` take and return Exact tensors through it.  Every subspace is represented by its reduced row echelon
 basis, so equal subspaces have identical representations and all reports
 built on top of them are reproducible byte for byte.
-:func:`coords_in_many` expresses a whole stack of vectors on such a
-basis with one contraction; :func:`coords_in` is its one-vector case,
-and :func:`coords_or_raise` raises the caller's error, naming the first
+:func:`coords_in_many` expresses a whole stack of vectors, or one
+vector, on such a basis with one contraction, and
+:func:`coords_or_raise` raises the caller's error, naming the first
 non-member, where every vector must be a member.
 
 Conventions fixed here and used everywhere else:
@@ -416,12 +416,6 @@ class SubspaceBasis:
     def ambient_dim(self) -> int:
         return self.rows.shape[1]
 
-    def contains(self, v: Exact) -> bool:
-        return coords_in(self, v) is not None
-
-    def is_full(self) -> bool:
-        return self.dim == self.ambient_dim
-
 
 def span(vectors: Exact, ambient_dim: int) -> SubspaceBasis:
     """Canonical echelon basis of the span of the given row vectors.
@@ -477,16 +471,6 @@ def restricted_product(sub: SubspaceBasis, mult, error, message: str):
     the first product outside ``sub``."""
     prods = contract("ia,jb,abc->ijc", sub.rows, sub.rows, mult)
     return coords_or_raise(sub, prods, error, message)
-
-
-def coords_in(sub: SubspaceBasis, v: Exact):
-    """Coordinates of v in the echelon basis, or None if v is not a member
-    (the one-vector case of :func:`coords_in_many`)."""
-    if v.shape != (sub.ambient_dim,):
-        raise ValueError(f"vector of shape {v.shape} does not lie in a "
-                         f"space of dimension {sub.ambient_dim}")
-    coords, misses = coords_in_many(sub, v)
-    return None if misses else coords
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,8 @@ from .errors import ClosureViolation, NotCentralIdempotent, PreconditionError
 from .hopf import (AlgebraData, HopfAlgebraData, centrality, convolution,
                    inverse_equations)
 from .linalg import (Exact, SubspaceBasis, check_tensors, contract,
-                     coords_or_raise, identity, restricted_product, solve,
-                     span)
+                     coords_or_raise, eqarr, identity, restricted_product,
+                     solve, span)
 
 
 class _Action:
@@ -110,15 +110,14 @@ class GlobalTwistedAction(_Action):
         return verify_global(self)
 
 
-def unit_translate_map(tpa) -> tuple[Exact, CheckReport]:
-    """h |-> h . 1 as a map H -> A, together with a report on whether it
-    is central in the convolution algebra Hom(H, A), a standing
-    assumption of the gauge theory."""
-    e = tpa.unit_translates
+def verify_unit_translate_map(tpa) -> CheckReport:
+    """Whether the map h |-> h . 1, held as ``tpa.unit_translates``, is
+    central in the convolution algebra Hom(H, A), a standing assumption
+    of the gauge theory."""
     rb = ReportBuilder("unit translate map")
     rb.compare("central_in_convolution",
-               *centrality(e, tpa.hopf.coalgebra, tpa.alg))
-    return e, rb.build()
+               *centrality(tpa.unit_translates, tpa.hopf.coalgebra, tpa.alg))
+    return rb.build()
 
 
 # ---------------------------------------------------------------------------
@@ -212,19 +211,12 @@ def verify_crossed_conditions(tpa: TwistedPartialAction) -> CheckReport:
     return rb.build()
 
 
-def trivial_cocycle_report(tpa: TwistedPartialAction) -> CheckReport:
+def is_trivial_cocycle(tpa: TwistedPartialAction) -> bool:
     """Whether the cocycle is the one induced by the action alone, in
     both equivalent phrasings: w(h, l) = h . (l . 1) and
     w(h, l) = (h_1 . 1)((h_2 l) . 1)."""
-    rb = ReportBuilder("trivial cocycle")
-    rb.compare("trivial_cocycle_nested", tpa.cocycle, tpa.nested_unit_action)
-    rb.compare("trivial_cocycle_product", tpa.cocycle,
-               tpa.product_unit_action)
-    return rb.build()
-
-
-def is_trivial_cocycle(tpa: TwistedPartialAction) -> bool:
-    return trivial_cocycle_report(tpa).passed
+    return (eqarr(tpa.cocycle, tpa.nested_unit_action)
+            and eqarr(tpa.cocycle, tpa.product_unit_action))
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +332,7 @@ def _induce(g, e, twist, check):
 
 @dataclass(frozen=True)
 class CocycleInverse:
-    exists: bool
-    inverse: Exact | None         # (dim H, dim H, dim A) when it exists
+    inverse: Exact | None         # (dim H, dim H, dim A), None if unsolved
     report: CheckReport
 
 
@@ -379,12 +370,11 @@ def verify_symmetric(tpa: TwistedPartialAction) -> CocycleInverse:
     if x is None:
         rb.require("inverse_exists", False,
                    lhs=("no solution",), rhs=("two-sided corner inverse",))
-        return CocycleInverse(False, None, rb.build())
+        return CocycleInverse(None, rb.build())
     rb.require("inverse_exists", True)
     wp = x.reshape(n2, na)
     rb.compare("left_inverse", convolution(w, wp, c2, a), corner)
     rb.compare("right_inverse", convolution(wp, w, c2, a), corner)
     rb.compare("ideal_member_left", convolution(corner, wp, c2, a), wp)
     rb.compare("ideal_member_right", convolution(wp, corner, c2, a), wp)
-    rep = rb.build()
-    return CocycleInverse(rep.passed, wp.reshape(nh, nh, na), rep)
+    return CocycleInverse(wp.reshape(nh, nh, na), rb.build())

@@ -28,9 +28,8 @@ from .crossed import CrossedProductAlgebra, require_coinvariants_are_base
 from .errors import (NormalizationFailed, NotCentral, NotCocommutative,
                      NotIntegral, PreconditionError)
 from .hopf import centrality, is_cocommutative, left_integrals
-from .linalg import (Exact, check_tensors, concat, contract, coords_in,
-                     coords_or_raise, eqarr, is_zero, kernel, solve,
-                     to_strings)
+from .linalg import (Exact, check_tensors, concat, contract, coords_or_raise,
+                     eqarr, is_zero, kernel, solve, to_strings)
 from .partial import TwistedPartialAction
 
 
@@ -153,9 +152,8 @@ def verify_centralizer_identity(cd: CleftData, c) -> CheckReport:
     h = cp.hopf
     if not is_cocommutative(h.coalgebra):
         raise NotCocommutative("the coproduct is not cocommutative")
-    cen = centralizer(cp)
-    if coords_in(cen, c) is None:
-        raise NotCentral("the element does not centralize the embedded base")
+    coords_or_raise(centralizer(cp), c, NotCentral,
+                    "the element does not centralize the embedded base")
     iota_es = contract("ij,jk,kl->il", h.antipode, cd.tpa.unit_translates,
                        cp.iota)
     mult = cp.algebra.mult
@@ -213,9 +211,10 @@ def separability_idempotent(cd: CleftData, t, c):
     if not cd.cleft_report.passed:
         raise PreconditionError("the section pair is not partially cleft: "
                                 + cd.cleft_report.summary())
-    integrals = left_integrals(h)
-    if is_zero(t) or coords_in(integrals, t) is None:
-        raise NotIntegral("the chosen element is not a nonzero left integral")
+    not_integral = "the chosen element is not a nonzero left integral"
+    if is_zero(t):
+        raise NotIntegral(not_integral)
+    coords_or_raise(left_integrals(h), t, NotIntegral, not_integral)
     a = cp.base
     if not eqarr(contract("b,bjk->jk", c, a.mult),
                  contract("b,jbk->jk", c, a.mult)):
@@ -241,7 +240,7 @@ def separability_idempotent(cd: CleftData, t, c):
 
     rb = ReportBuilder("separability element construction")
     rb.require("normalization", True)
-    res, _, _ = cp.canonical
+    res = cp.canonical
     rb.require("canonical_map_bijective", res.bijective,
                lhs=(res.quotient_dim, res.rank), rhs=(res.target_dim,))
     conditions = _separability_conditions(cd, elem, proj)

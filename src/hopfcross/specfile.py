@@ -6,13 +6,14 @@ written as exact strings ("3/2" over the rationals, "2 mod 5" over a
 prime field), nested arrays indexed exactly like the in-memory tensors.
 The structured sections are
 
-* "hopf": mult/comult/counit/antipode (+ optional labels),
+* "hopf": mult/unit/comult/counit/antipode (+ optional labels),
 * "algebra": mult/unit (+ optional labels),
 
 and the plain sections are tensors: "action", "cocycle", "gauge",
-"gamma", "gamma_prime", "integral_t", "center_c".  Any other top-level
-key is an input error.  Parse failures name the JSON path of the
-offending entry.
+"gamma", "gamma_prime", "integral_t", "center_c".  Any other key, at
+the top level or inside a structured section, is an input error, and so
+is a file that is not UTF-8 text.  Parse failures name the JSON path of
+the offending entry.
 
 :func:`serialize_spec` writes the one canonical text of a SpecFile, and
 two SpecFiles are equal exactly when their canonical texts are.
@@ -133,9 +134,15 @@ def _labels(obj, n, path):
     return tuple(labels)
 
 
-def _parse_algebra(fld, obj, path) -> AlgebraData:
+_ALGEBRA_KEYS = ("mult", "unit", "labels")
+
+
+def _parse_algebra(fld, obj, path, keys=_ALGEBRA_KEYS) -> AlgebraData:
     if not isinstance(obj, dict):
         raise SpecFileError(f"{path}: expected an object")
+    for key in obj:
+        if key not in keys:
+            raise SpecFileError(f"{path}: unknown key {key!r}")
     mult_node = _require(obj, "mult", path)
     if not isinstance(mult_node, list) or not mult_node:
         raise SpecFileError(f"{path}.mult: expected a nonempty list")
@@ -146,7 +153,8 @@ def _parse_algebra(fld, obj, path) -> AlgebraData:
 
 
 def _parse_hopf(fld, obj, path) -> HopfAlgebraData:
-    alg = _parse_algebra(fld, obj, path)
+    alg = _parse_algebra(fld, obj, path,
+                         _ALGEBRA_KEYS + ("comult", "counit", "antipode"))
     n = alg.dim
     comult = _tensor(fld, _require(obj, "comult", path), (n, n, n),
                      f"{path}.comult")
@@ -233,7 +241,12 @@ def serialize_spec(spec: SpecFile) -> str:
 
 def load_spec(path, field: Field | None = None) -> SpecFile:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec(fh.read(), field)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SpecFileError(f"not UTF-8 text at byte offset "
+                                f"{exc.start}: {exc.reason}") from None
+    return parse_spec(text, field)
 
 
 def save_spec(spec: SpecFile, path) -> None:

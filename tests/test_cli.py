@@ -653,6 +653,15 @@ FIELD_PARAMETER_ALLOWED = {
     "specfile._scalars", "specfile._parse_algebra", "specfile._parse_hopf",
     "cli._assemble"}
 STORED_COPIES = {"fld", "dim", "ambient_dim"}
+# fields that held a fact another field or object already holds: the
+# convolution algebra beside its carrier, the flag beside the symmetry
+# report, the rank verdicts beside the rank and the dimensions, and the
+# labels the algebra of a Hopf algebra holds
+COPIED_FIELDS = {"globalize.EnvelopingAction.ambient",
+                 "partial.CocycleInverse.exists",
+                 "crossed.CanonicalMapResult.injective",
+                 "crossed.CanonicalMapResult.surjective",
+                 "hopf.CoalgebraData.labels"}
 
 
 def _owners(tree):
@@ -682,15 +691,16 @@ def _field_parameters(tree, module):
 
 def _stored_copies(tree, module):
     """``module.Class.name`` for each dataclass field named fld, dim or
-    ambient_dim."""
+    ambient_dim, or named in COPIED_FIELDS."""
     found = set()
     for node, name in _owners(tree).items():
         if isinstance(node, ast.ClassDef) and any(
                 "dataclass" in ast.unparse(d) for d in node.decorator_list):
-            found |= {f"{module}.{name}.{item.target.id}"
+            fields = {f"{module}.{name}.{item.target.id}": item.target.id
                       for item in node.body
-                      if isinstance(item, ast.AnnAssign)
-                      and item.target.id in STORED_COPIES}
+                      if isinstance(item, ast.AnnAssign)}
+            found |= {q for q, field in fields.items()
+                      if field in STORED_COPIES or q in COPIED_FIELDS}
     return found
 
 
@@ -722,15 +732,26 @@ def test_the_field_travels_with_the_operands():
                 linalg.QuotientSpace):
         assert STORED_COPIES.isdisjoint(
             f.name for f in dataclasses.fields(cls)), cls.__name__
+    # nor a result a copy of what it holds elsewhere; each class is
+    # still there, so the guard does not pass by a rename
+    for qualified in COPIED_FIELDS:
+        module, cls, field = qualified.split(".")
+        cls = getattr(importlib.import_module(f"hopfcross.{module}"), cls)
+        assert field not in [f.name for f in dataclasses.fields(cls)]
     # the guards see a told function, a told method and stored copies
     snippet = ("def rank(m, fld):\n    pass\n"
                "class Basis:\n    def span(self, v, *, fld=None):\n"
                "        pass\n"
                "@dataclass(frozen=True)\nclass Algebra:\n"
-               "    fld: Field\n    dim: int\n    mult: Exact\n")
+               "    fld: Field\n    dim: int\n    mult: Exact\n"
+               "@dataclass(frozen=True)\nclass CocycleInverse:\n"
+               "    exists: bool\n    report: CheckReport\n")
     tree = ast.parse(snippet)
     assert _field_parameters(tree, "m") == {"m.rank", "m.Basis.span"}
     assert _stored_copies(tree, "m") == {"m.Algebra.fld", "m.Algebra.dim"}
+    assert _stored_copies(tree, "partial") == {
+        "partial.Algebra.fld", "partial.Algebra.dim",
+        "partial.CocycleInverse.exists"}
 
 
 def test_missing_file_is_an_input_error():
@@ -764,6 +785,59 @@ def test_field_descriptor_that_is_not_a_string_is_an_input_error(
     assert res.stderr.startswith("error: field:")
     assert "Traceback" not in res.stderr
     assert res.stdout == ""
+
+
+def _input_error(capsys, *argv):
+    """The one error line of an in-process run that exits 2 with no
+    report."""
+    assert cli.main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("offset", [0, 40])
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys, offset):
+    # exit 1 means a check failed, so a file that cannot be read as text
+    # is unusable input: exit 2, naming the byte
+    text = (DATA / "f_c3.json").read_bytes()
+    p = tmp_path / "utf16.json"
+    p.write_bytes(text[:offset] + b"\xff\xfe" + text[offset:])
+    assert _input_error(capsys, "verify", str(p)) == (
+        f"error: not UTF-8 text at byte offset {offset}: "
+        f"invalid start byte\n")
+
+
+NONCANONICAL_FIELDS = ["prime:1_0007", "prime:\u0667", "prime:+7",
+                       "prime: 7", "prime:07", "prime:7 "]
+
+
+@pytest.mark.parametrize("name", NONCANONICAL_FIELDS)
+def test_a_field_is_named_only_as_the_report_names_it(tmp_path, capsys, name):
+    # int() would read each of these as a prime the report then names
+    # otherwise; the flag and the file's key both refuse them
+    assert _input_error(capsys, "verify", data_path("f_c3.json"),
+                        "--field", name) == f"error: bad field name {name!r}\n"
+    doc = json.loads((DATA / "f_c3.json").read_text())
+    doc["field"] = name
+    p = tmp_path / "field.json"
+    p.write_text(json.dumps(doc))
+    assert _input_error(capsys, "verify", str(p)) == (
+        f"error: field: bad field name {name!r}\n")
+
+
+@pytest.mark.parametrize("section, key", [("hopf", "lables"),
+                                          ("hopf", "antipod"),
+                                          ("algebra", "comult"),
+                                          ("algebra", "antipode")])
+def test_an_unknown_key_inside_a_section_is_an_input_error(
+        tmp_path, capsys, section, key):
+    doc = json.loads((DATA / "f_c3.json").read_text())
+    doc[section][key] = doc[section]["unit"]
+    p = tmp_path / "key.json"
+    p.write_text(json.dumps(doc))
+    assert _input_error(capsys, "verify", str(p)) == (
+        f"error: {section}: unknown key {key!r}\n")
 
 
 def _nodes(doc, path=()):

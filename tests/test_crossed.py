@@ -191,21 +191,21 @@ def test_balanced_relations_match_the_per_triple_products(tpa):
 
 
 def test_canonical_map_bijective_for_square_root_pair():
-    res, mat, q = canonical_map(build_partial_crossed(cocycle_pair(1)))
+    res = canonical_map(build_partial_crossed(cocycle_pair(1)))
     assert res.balanced
     assert (res.quotient_dim, res.target_dim, res.rank) == (4, 4, 4)
     assert res.bijective
 
 
 def test_canonical_map_injective_not_surjective_for_main_fixture():
-    res, mat, q = canonical_map(build_partial_crossed(c3_partial()))
+    res = canonical_map(build_partial_crossed(c3_partial()))
     assert res.balanced
     assert (res.quotient_dim, res.target_dim, res.rank) == (8, 12, 8)
     assert res.injective and not res.surjective
 
 
 def test_canonical_map_degenerate_case():
-    res, mat, q = canonical_map(build_partial_crossed(degenerate_swap()))
+    res = canonical_map(build_partial_crossed(degenerate_swap()))
     assert (res.quotient_dim, res.target_dim, res.rank) == (1, 2, 1)
     assert res.injective and not res.surjective
 

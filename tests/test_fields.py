@@ -136,6 +136,18 @@ def test_from_name_rejects_garbage():
         Field.from_name("prime:x")
 
 
+@given(st.text(alphabet="0123456789+-_ \u0667\uff17", max_size=6))
+@example("07")
+@example("1_0007")
+def test_from_name_reads_a_prime_only_as_name_writes_it(digits):
+    name = "prime:" + digits
+    try:
+        fld = Field.from_name(name)
+    except ValueError:
+        return
+    assert fld.name == name
+
+
 def test_prime_constructor_requires_prime():
     with pytest.raises(ValueError):
         Field.prime(4)

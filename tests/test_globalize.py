@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import reference
+from hopfcross import cli
 from hopfcross.errors import HopfcrossError, PreconditionError
 from hopfcross.fields import Field
 from hopfcross.fixtures import (c3_partial, cocycle_pair, cyclic_table,
@@ -25,6 +26,7 @@ from hopfcross.linalg import (arr, contract, eqarr, identity, span,
                               to_strings, zeros)
 from hopfcross.partial import (GlobalTwistedAction, TwistedPartialAction,
                                induce_partial, verify_symmetric)
+from hopfcross.specfile import SpecFile
 
 QQ = Field.rationals()
 F5 = Field.prime(5)
@@ -35,7 +37,7 @@ def test_main_fixture_enveloping_structure(c3_env):
     # ambient = functions from the group to the base, carrier = the
     # span of the translated embeddings, glob.alg = that span as an
     # algebra in its own right
-    assert env.ambient.dim == 6
+    assert env.carrier.ambient_dim == 6
     assert env.carrier.dim == 3
     assert env.glob.alg.dim == 3
     # three orthogonal idempotents summing to the unit
@@ -102,7 +104,7 @@ def test_already_global_data_is_its_own_envelope():
     u = arr(QQ, np.broadcast_to(reference.strings(b.unit), (3, 3, 3)))
     glob = GlobalTwistedAction(h, b, act, u)
     src = induce_partial(glob, b.unit).tpa
-    env = EnvelopingAction(source=src, ambient=b,
+    env = EnvelopingAction(source=src,
                            carrier=span(identity(QQ, 3), 3),
                            glob=glob, theta=identity(QQ, 3))
     assert verify_enveloping(env).passed
@@ -120,7 +122,7 @@ def swapped_pair_env(fld):
     u = arr(fld, np.ones((2, 2, 3), dtype=object))
     glob = GlobalTwistedAction(h, b, act, u)
     src = induce_partial(glob, arr(fld, [1, 0, 0])).tpa
-    return EnvelopingAction(source=src, ambient=b,
+    return EnvelopingAction(source=src,
                             carrier=span(identity(fld, 3), 3),
                             glob=glob, theta=arr(fld, [[1, 0, 0]]))
 
@@ -218,7 +220,7 @@ def test_counit_action_of_dual_group_algebra_globalizes():
     act = eps.reshape(6, 1, 1)
     coc = contract("i,j->ij", eps, eps).reshape(6, 6, 1)
     env = globalize_group_partial(TwistedPartialAction(ds3, b1, act, coc))
-    assert env.ambient.dim == 6
+    assert env.carrier.ambient_dim == 6
     assert env.glob.alg.dim == 1
     assert verify_enveloping(env).passed
     assert verify_induced_matches(env).passed
@@ -226,7 +228,7 @@ def test_counit_action_of_dual_group_algebra_globalizes():
 
 def test_dual_group_algebra_corners_globalize(ks3_corner):
     env = ks3_corner
-    assert env.ambient.dim == 6 * env.source.alg.dim
+    assert env.carrier.ambient_dim == 6 * env.source.alg.dim
     assert env.glob.alg.dim == 6
     assert verify_enveloping(env).passed
     assert verify_induced_matches(env).passed
@@ -235,12 +237,29 @@ def test_dual_group_algebra_corners_globalize(ks3_corner):
 def test_dual_group_algebra_corners_stay_asymmetric(ks3_corner):
     # an open finding: the corners are induced from a global action with
     # trivial twist, yet f1 and f2 are not central in Hom(H (x) H, A)
-    rep = verify_symmetric(ks3_corner.source).report
-    counts = Counter(v.identity for v in rep.violations)
+    res = verify_symmetric(ks3_corner.source)
+    assert res.inverse is not None      # the solver finds one all the same
+    counts = Counter(v.identity for v in res.report.violations)
     assert counts == {2: {"product_factor_central": 144},
                       4: {"unit_factor_central": 144,
                           "product_factor_central": 360}}[
         ks3_corner.source.alg.dim]
+
+
+def test_dual_group_algebra_corners_have_the_inverse_the_flag_denies(
+        ks3_partial):
+    # the other half of the open finding above: the solver finds a
+    # two-sided corner inverse of the cocycle, yet the verify command
+    # reports none, because its flag is the whole symmetry verdict
+    tpa = ks3_partial
+    doc = cli.run("verify", SpecFile(tpa.fld, tpa.hopf, tpa.alg, tpa.action,
+                                     tpa.cocycle))
+    sym, = [c for c in doc["checks"]
+            if c["title"] == "symmetric twisted partial action"]
+    failed = {v["identity"] for v in sym["violations"]}
+    assert {"inverse_exists", "left_inverse", "right_inverse"} <= (
+        set(sym["identities"]) - failed)
+    assert doc["derived"]["cocycle_inverse_exists"] is False
 
 
 def upper_triangular():

@@ -88,7 +88,7 @@ def test_self_enveloping_context_is_the_identity():
     u = arr(QQ, np.broadcast_to(reference.strings(b.unit), (3, 3, 3)))
     glob = GlobalTwistedAction(h, b, act, u)
     src = induce_partial(glob, b.unit).tpa
-    env = EnvelopingAction(source=src, ambient=b,
+    env = EnvelopingAction(source=src,
                            carrier=span(identity(QQ, 3), 3),
                            glob=glob, theta=identity(QQ, 3))
     ctx = context(env)

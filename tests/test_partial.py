@@ -20,10 +20,10 @@ from hopfcross.hopf import AlgebraData, dual_hopf, group_algebra
 from hopfcross.linalg import arr, eqarr, identity, zeros
 from hopfcross.partial import (GlobalTwistedAction, TwistedPartialAction,
                                central_idempotent_report, induce_partial,
-                               is_trivial_cocycle, unit_translate_map,
-                               verify_absorption,
+                               is_trivial_cocycle, verify_absorption,
                                verify_crossed_conditions, verify_global,
-                               verify_symmetric, verify_twisted_partial)
+                               verify_symmetric, verify_twisted_partial,
+                               verify_unit_translate_map)
 
 QQ = Field.rationals()
 F5 = Field.prime(5)
@@ -118,9 +118,9 @@ def test_unit_translates_of_main_fixture():
 
 
 def test_unit_translate_map_of_pair():
-    m, rep = unit_translate_map(cocycle_pair(1))
-    assert rep.passed
-    assert eqarr(m, arr(QQ, [[1], [1]]))
+    tpa = cocycle_pair(1)
+    assert verify_unit_translate_map(tpa).passed
+    assert eqarr(tpa.unit_translates, arr(QQ, [[1], [1]]))
 
 
 def test_unit_translate_map_flags_noncentral_range():
@@ -130,7 +130,7 @@ def test_unit_translate_map_flags_noncentral_range():
     b = product_field_algebra(QQ, 1)
     act = arr(QQ, [[[int(i == 1)]] for i in range(6)])
     tpa = TwistedPartialAction(ds3, b, act, zeros(QQ, (6, 6, 1)))
-    _, rep = unit_translate_map(tpa)
+    rep = verify_unit_translate_map(tpa)
     assert not rep.identity_passed("central_in_convolution")
     assert rep.violations
 
@@ -140,7 +140,7 @@ def test_broken_action_fails_translate_factorization():
     act = reference.strings(src.action)
     act[2] = [[1, 0], [0, 0]]
     res = verify_symmetric(dataclasses.replace(src, action=arr(QQ, act)))
-    assert not res.exists
+    assert not res.report.passed
     assert not res.report.identity_passed("unit_action_factorizes")
 
 
