@@ -34,7 +34,7 @@ from .hopf import verify_algebra, verify_hopf
 from .linalg import to_strings
 from .morita import (morita_context, verify_module_structures,
                      verify_morita_pairings)
-from .partial import verify_absorption, verify_symmetric
+from .partial import verify_absorption
 from .separability import CleftData, default_cleft, separability_idempotent
 from .specfile import load_spec
 
@@ -129,7 +129,7 @@ def _cmd_verify(p):
         verify_absorption(tpa),
         tpa.conditions_report,
     ]
-    ci = verify_symmetric(tpa)
+    ci = tpa.symmetry
     reports.append(ci.report)
     derived = {
         "hopf_dim": tpa.hopf.dim,

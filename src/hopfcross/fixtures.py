@@ -53,7 +53,7 @@ def group_tables_up_to_6():
 
 def trivial_hopf(fld: Field | None = None) -> HopfAlgebraData:
     fld = fld or Field.rationals()
-    return group_algebra(fld, cyclic_table(1), labels=("1",))
+    return group_algebra(fld, cyclic_table(1))
 
 
 def trivial_partial(fld: Field | None = None) -> TwistedPartialAction:
@@ -61,18 +61,18 @@ def trivial_partial(fld: Field | None = None) -> TwistedPartialAction:
     degenerates to scalar multiplication."""
     fld = fld or Field.rationals()
     h = trivial_hopf(fld)
-    a = product_field_algebra(fld, 1, labels=("1",))
+    a = product_field_algebra(fld, 1)
     action = arr(fld, [[[1]]])
     cocycle = arr(fld, [[[1]]])
     return TwistedPartialAction(h, a, action, cocycle)
 
 
-def product_field_algebra(fld: Field, n: int, labels=None) -> AlgebraData:
+def product_field_algebra(fld: Field, n: int) -> AlgebraData:
     """The split commutative algebra of n orthogonal idempotents."""
     mult = arr(fld, [[[int(i == j == k) for k in range(n)] for j in range(n)]
                      for i in range(n)])
     unit = arr(fld, [1] * n)
-    return AlgebraData(mult, unit, tuple(labels) if labels else None)
+    return AlgebraData(mult, unit)
 
 
 def c3_partial(fld: Field | None = None) -> TwistedPartialAction:
@@ -82,8 +82,8 @@ def c3_partial(fld: Field | None = None) -> TwistedPartialAction:
     w(h, l) = h . (l . 1), written out explicitly.
     """
     fld = fld or Field.rationals()
-    h = group_algebra(fld, cyclic_table(3), labels=("1", "g", "g2"))
-    a = product_field_algebra(fld, 2, labels=("u1", "u2"))
+    h = group_algebra(fld, cyclic_table(3))
+    a = product_field_algebra(fld, 2)
     action = arr(fld, [
         [[1, 0], [0, 1]],
         [[0, 1], [0, 0]],
@@ -108,8 +108,8 @@ def cocycle_pair(lam, fld: Field | None = None) -> TwistedPartialAction:
     ``verify_symmetric`` finds no convolution inverse of the cocycle.
     """
     fld = fld or Field.rationals()
-    h = group_algebra(fld, cyclic_table(2), labels=("1", "g"))
-    a = product_field_algebra(fld, 1, labels=("1",))
+    h = group_algebra(fld, cyclic_table(2))
+    a = product_field_algebra(fld, 1)
     action = arr(fld, [[[1]], [[1]]])
     cocycle = arr(fld, [[[1], [1]], [[1], [lam]]])
     return TwistedPartialAction(h, a, action, cocycle)
@@ -121,8 +121,8 @@ def degenerate_swap(fld: Field | None = None) -> TwistedPartialAction:
     field; the partial crossed product is one-dimensional.
     """
     fld = fld or Field.rationals()
-    h = group_algebra(fld, cyclic_table(2), labels=("1", "g"))
-    a = product_field_algebra(fld, 1, labels=("1",))
+    h = group_algebra(fld, cyclic_table(2))
+    a = product_field_algebra(fld, 1)
     action = arr(fld, [[[1]], [[0]]])
     cocycle = arr(fld, [[[1], [0]], [[0], [0]]])
     return TwistedPartialAction(h, a, action, cocycle)

@@ -54,7 +54,6 @@ def _side(t) -> int:
 class AlgebraData:
     mult: Exact               # (dim, dim, dim)
     unit: Exact               # (dim,)
-    labels: tuple = None
 
     def __post_init__(self):
         n = _side(self.mult)
@@ -124,10 +123,6 @@ class HopfAlgebraData:
     @property
     def dim(self):
         return self.algebra.dim
-
-    @property
-    def labels(self):
-        return self.algebra.labels
 
     @property
     def mult(self):
@@ -333,7 +328,7 @@ def left_integrals(h: HopfAlgebraData) -> SubspaceBasis:
     return kernel(m.reshape(n * n, n))
 
 
-def group_algebra(fld: Field, table, labels=None) -> HopfAlgebraData:
+def group_algebra(fld: Field, table) -> HopfAlgebraData:
     """The Hopf algebra of a finite group given by its index table.
 
     Args:
@@ -373,10 +368,8 @@ def group_algebra(fld: Field, table, labels=None) -> HopfAlgebraData:
     eye = identity(fld, n)
     comult = arr(fld, [[[int(i == j == k) for k in range(n)]
                         for j in range(n)] for i in range(n)])
-    if labels is None:
-        labels = tuple(f"g{i}" for i in range(n))
     return HopfAlgebraData(
-        AlgebraData(eye[np.array(table)], eye[ident], tuple(labels)),
+        AlgebraData(eye[np.array(table)], eye[ident]),
         CoalgebraData(comult, arr(fld, [1] * n)),
         eye[inv],
     )
@@ -393,7 +386,7 @@ def dual_hopf(h: HopfAlgebraData) -> HopfAlgebraData:
     mult = h.comult.transpose(1, 2, 0)
     comult = h.mult.transpose(2, 0, 1)
     return HopfAlgebraData(
-        AlgebraData(mult, h.counit, h.labels),
+        AlgebraData(mult, h.counit),
         CoalgebraData(comult, h.unit),
         h.antipode.transpose(),
     )

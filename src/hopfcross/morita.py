@@ -107,7 +107,6 @@ class MoritaContextData:
     """The two rings, the connecting matrix, and the two bimodules, all
     expressed on the basis of the global crossed product."""
 
-    env: EnvelopingAction
     partial_cp: CrossedProductAlgebra
     global_cp: CrossedProductAlgebra
     phi: Exact                     # (dim R, dim S)
@@ -130,7 +129,7 @@ def morita_context(env: EnvelopingAction, r: CrossedProductAlgebra,
                    s: CrossedProductAlgebra) -> MoritaContextData:
     """The context between the crossed product r of ``env.source`` and
     the crossed product s of ``env.glob``."""
-    return MoritaContextData(env, r, s, *phi_embed(env, r, s),
+    return MoritaContextData(r, s, *phi_embed(env, r, s),
                              build_M(env, s), build_N(env, s))
 
 

@@ -10,9 +10,9 @@ A twisted partial action is stored as two tensors over the base field:
 Both are stored as :class:`~hopfcross.linalg.Exact` tensors, as are the
 action and twist of a global action.  Each action holds the reports of
 its defining verifiers and the unit translates h . 1; a partial action
-also holds the two sides of the twisted module identity, the nested
-unit action h . (l . 1) and the product unit action
-(h_1 . 1)((h_2 l) . 1).  Each is computed once on first use: the
+also holds its symmetry verdict, the two sides of the twisted module
+identity, the nested unit action h . (l . 1) and the product unit
+action (h_1 . 1)((h_2 l) . 1).  Each is computed once on first use: the
 tensors are read-only, so nothing held ever goes stale.
 
 The verifiers never assume anything; each identity is expanded on all
@@ -69,6 +69,10 @@ class TwistedPartialAction(_Action):
     @cached_property
     def conditions_report(self) -> CheckReport:
         return verify_crossed_conditions(self)
+
+    @cached_property
+    def symmetry(self) -> CocycleInverse:
+        return verify_symmetric(self)
 
     @cached_property
     def twisted_module_sides(self) -> tuple[Exact, Exact]:

@@ -27,7 +27,7 @@ from .checks import CheckReport, ReportBuilder
 from .crossed import CrossedProductAlgebra, require_coinvariants_are_base
 from .errors import (NormalizationFailed, NotCentral, NotCocommutative,
                      NotIntegral, PreconditionError)
-from .hopf import centrality, is_cocommutative, left_integrals
+from .hopf import centrality, convolution, is_cocommutative, left_integrals
 from .linalg import (Exact, check_tensors, concat, contract, coords_or_raise,
                      eqarr, is_zero, kernel, solve, to_strings)
 from .partial import TwistedPartialAction
@@ -74,14 +74,6 @@ def default_cleft(tpa: TwistedPartialAction,
                      contract("ij,jk->ik", h.antipode, gamma), tpa)
 
 
-def _conv_product(cd: CleftData) -> Exact:
-    """(gamma * gamma')(h) on the Hopf basis, valued in the crossed
-    product."""
-    h = cd.cp.hopf
-    return contract("ipq,pk,qm,kms->is", h.comult, cd.gamma, cd.gamma_prime,
-                    cd.cp.algebra.mult)
-
-
 def verify_partially_cleft(cd: CleftData) -> CheckReport:
     """The defining conditions of a partially cleft extension.
 
@@ -107,7 +99,8 @@ def verify_partially_cleft(cd: CleftData) -> CheckReport:
     lhs = contract("jm,mks->jks", cd.gamma_prime, co)
     rhs = contract("jpq,qk,ps->jks", h.comult, cd.gamma_prime, h.antipode)
     rb.compare("cosection_colinear", lhs, rhs)
-    q = _conv_product(cd)
+    # gamma * gamma' on the Hopf basis, valued in the crossed product
+    q = convolution(cd.gamma, cd.gamma_prime, h.coalgebra, cp.algebra)
     rb.require_inside("product_valued_in_base", q, cp.base_space,
                       "inside the embedded base")
     qa = solve(cp.iota.transpose(), q.transpose())     # (dim A, dim H)

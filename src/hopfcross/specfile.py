@@ -6,8 +6,8 @@ written as exact strings ("3/2" over the rationals, "2 mod 5" over a
 prime field), nested arrays indexed exactly like the in-memory tensors.
 The structured sections are
 
-* "hopf": mult/unit/comult/counit/antipode (+ optional labels),
-* "algebra": mult/unit (+ optional labels),
+* "hopf": mult/unit/comult/counit/antipode,
+* "algebra": mult/unit,
 
 and the plain sections are tensors: "action", "cocycle", "gauge",
 "gamma", "gamma_prime", "integral_t", "center_c".  Any other key, at
@@ -124,17 +124,7 @@ def _require(obj, key, path):
     return obj[key]
 
 
-def _labels(obj, n, path):
-    labels = obj.get("labels")
-    if labels is None:
-        return None
-    if (not isinstance(labels, list) or len(labels) != n
-            or not all(isinstance(x, str) for x in labels)):
-        raise SpecFileError(f"{path}.labels: expected {n} strings")
-    return tuple(labels)
-
-
-_ALGEBRA_KEYS = ("mult", "unit", "labels")
+_ALGEBRA_KEYS = ("mult", "unit")
 
 
 def _parse_algebra(fld, obj, path, keys=_ALGEBRA_KEYS) -> AlgebraData:
@@ -149,7 +139,7 @@ def _parse_algebra(fld, obj, path, keys=_ALGEBRA_KEYS) -> AlgebraData:
     n = len(mult_node)
     mult = _tensor(fld, mult_node, (n, n, n), f"{path}.mult")
     unit = _tensor(fld, _require(obj, "unit", path), (n,), f"{path}.unit")
-    return AlgebraData(mult, unit, _labels(obj, n, path))
+    return AlgebraData(mult, unit)
 
 
 def _parse_hopf(fld, obj, path) -> HopfAlgebraData:
@@ -213,10 +203,7 @@ def parse_spec(text: str, field: Field | None = None) -> SpecFile:
 
 
 def _emit_algebra(a: AlgebraData) -> dict:
-    out = {"mult": to_strings(a.mult), "unit": to_strings(a.unit)}
-    if a.labels is not None:
-        out["labels"] = list(a.labels)
-    return out
+    return {"mult": to_strings(a.mult), "unit": to_strings(a.unit)}
 
 
 def serialize_spec(spec: SpecFile) -> str:

@@ -655,8 +655,8 @@ FIELD_PARAMETER_ALLOWED = {
 STORED_COPIES = {"fld", "dim", "ambient_dim"}
 # fields that held a fact another field or object already holds: the
 # convolution algebra beside its carrier, the flag beside the symmetry
-# report, the rank verdicts beside the rank and the dimensions, and the
-# labels the algebra of a Hopf algebra holds
+# report, the rank verdicts beside the rank and the dimensions, and a
+# coalgebra copy of the basis labels, which no class holds now
 COPIED_FIELDS = {"globalize.EnvelopingAction.ambient",
                  "partial.CocycleInverse.exists",
                  "crossed.CanonicalMapResult.injective",
@@ -827,6 +827,8 @@ def test_a_field_is_named_only_as_the_report_names_it(tmp_path, capsys, name):
 
 
 @pytest.mark.parametrize("section, key", [("hopf", "lables"),
+                                          ("hopf", "labels"),
+                                          ("algebra", "labels"),
                                           ("hopf", "antipod"),
                                           ("algebra", "comult"),
                                           ("algebra", "antipode")])

@@ -16,7 +16,7 @@ from hopfcross.crossed import build_partial_crossed
 from hopfcross.errors import CompositeNotGauge
 from hopfcross.fields import Field
 from hopfcross.fixtures import (c3_gauge, c3_partial, cocycle_pair,
-                                pair_gauge)
+                                degenerate_swap, pair_gauge, trivial_partial)
 from hopfcross.gauge import (GaugePair, gauge_crossed_iso, gauge_transform,
                              verify_equisatisfiability,
                              verify_gauge_composition, weak_conv_inverse)
@@ -175,18 +175,39 @@ def test_composition_rejects_non_gauge_product():
         verify_gauge_composition(fake, inner, tpa)
 
 
-def test_unit_translate_gauge_fixes_main_fixture():
+def _assert_unit_translate_gauge_is_identity(tpa, fully_invertible):
     # e itself is a gauge; it is self inverse and conjugating by it
     # leaves both the action and the cocycle untouched
-    tpa = c3_partial()
     e = tpa.unit_translates
     pair = weak_conv_inverse(e, tpa)
     assert pair is not None
-    assert not pair.fully_invertible
+    assert pair.fully_invertible is fully_invertible
     assert eqarr(pair.v_inv, e)
     gt = gauge_transform(pair, tpa)
     assert eqarr(gt.action, tpa.action)
     assert eqarr(gt.cocycle, tpa.cocycle)
+
+
+def test_unit_translate_gauge_fixes_main_fixture():
+    _assert_unit_translate_gauge_is_identity(c3_partial(), False)
+
+
+# the pair is fully invertible exactly when e is the convolution unit
+# h |-> eps(h) 1
+@pytest.mark.parametrize("make, fully_invertible", [
+    (lambda: c3_partial(F5), False),
+    (lambda: cocycle_pair(3), True),
+    (lambda: cocycle_pair(0), True),
+    (degenerate_swap, False),
+    (trivial_partial, True),
+], ids=["c3_partial_mod5", "cocycle_pair3", "cocycle_pair0",
+        "degenerate_swap", "trivial_partial"])
+def test_unit_translate_gauge_is_the_identity(make, fully_invertible):
+    _assert_unit_translate_gauge_is_identity(make(), fully_invertible)
+
+
+def test_unit_translate_gauge_fixes_dual_group_algebra_corners(ks3_partial):
+    _assert_unit_translate_gauge_is_identity(ks3_partial, False)
 
 
 def test_two_parameter_gauge_on_main_fixture():

@@ -25,7 +25,7 @@ from hopfcross.hopf import AlgebraData, dual_hopf, group_algebra
 from hopfcross.linalg import (arr, contract, eqarr, identity, span,
                               to_strings, zeros)
 from hopfcross.partial import (GlobalTwistedAction, TwistedPartialAction,
-                               induce_partial, verify_symmetric)
+                               induce_partial)
 from hopfcross.specfile import SpecFile
 
 QQ = Field.rationals()
@@ -237,7 +237,7 @@ def test_dual_group_algebra_corners_globalize(ks3_corner):
 def test_dual_group_algebra_corners_stay_asymmetric(ks3_corner):
     # an open finding: the corners are induced from a global action with
     # trivial twist, yet f1 and f2 are not central in Hom(H (x) H, A)
-    res = verify_symmetric(ks3_corner.source)
+    res = ks3_corner.source.symmetry
     assert res.inverse is not None      # the solver finds one all the same
     counts = Counter(v.identity for v in res.report.violations)
     assert counts == {2: {"product_factor_central": 144},

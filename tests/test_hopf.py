@@ -251,11 +251,6 @@ def test_group_algebra_rejects_non_group_table():
         group_algebra(QQ, [[0, 1], [1, 1]])
 
 
-def test_group_algebra_labels():
-    h = group_algebra(QQ, [[0, 1], [1, 0]], labels=("1", "g"))
-    assert h.labels == ("1", "g")
-
-
 def test_convolution_algebra_is_pointwise_on_a_group_algebra():
     c = group_algebra(QQ, cyclic_table(3)).coalgebra
     ca = convolution_algebra(c, product_field_algebra(QQ, 1))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import reference
+from hopfcross import linalg, partial
 from hopfcross.errors import NotCentralIdempotent
 from hopfcross.fields import Field
 from hopfcross.fixtures import (c3_partial, cocycle_pair, cyclic_table,
@@ -161,6 +162,20 @@ def test_symmetric_inverse_rational_pair():
     res = verify_symmetric(cocycle_pair(5))
     assert res.report.passed
     assert res.inverse[1, 1, 0] == arr(QQ, "1/5")
+
+
+def test_symmetry_is_solved_once_per_action(monkeypatch):
+    solves = []
+
+    def counted(*args):
+        solves.append(args)
+        return linalg.solve(*args)
+
+    monkeypatch.setattr(partial, "solve", counted)
+    tpa = cocycle_pair(3)
+    first = tpa.symmetry
+    assert tpa.symmetry is first
+    assert first.report.passed and len(solves) == 1
 
 
 def test_corner_restriction_recovers_main_fixture():

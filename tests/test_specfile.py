@@ -90,15 +90,6 @@ def test_specs_differing_in_one_tensor_entry_are_unequal():
                     action=arr(QQ, action), cocycle=spec.cocycle) != spec
 
 
-def test_specs_differing_in_a_label_are_unequal():
-    tpa = c3_partial()
-    relabelled = dataclasses.replace(
-        tpa.hopf, algebra=dataclasses.replace(
-            tpa.hopf.algebra, labels=("1", "g", "h")))
-    assert spec_from_tpa(dataclasses.replace(tpa, hopf=relabelled)) != \
-        spec_from_tpa(tpa)
-
-
 def test_specs_differing_in_the_field_are_unequal():
     qq, f5 = spec_from_tpa(cocycle_pair(3)), spec_from_tpa(cocycle_pair(3, F5))
     assert qq != f5
